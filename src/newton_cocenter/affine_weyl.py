@@ -127,6 +127,9 @@ class AffineWeylGroup:
         self._class_cache: dict = {}
         self._triple_cache: dict = {}
         self._nf_cache: dict = {}
+        # memos filled on demand by affine_word and sort_key
+        self._word_cache: dict[AffineWeylElement, tuple[int, ...]] = {}
+        self._sort_key_cache: dict[AffineWeylElement, tuple] = {}
 
     # -- basic constructors -------------------------------------------
 
@@ -191,8 +194,8 @@ class AffineWeylGroup:
             if self.length(s0) != 1:
                 raise LogicError("the affine wall reflection must have length 1")
             items.append((0, s0))
-        for _, s in items:
-            assert self.length(s) == 1
+        if any(self.length(s) != 1 for _, s in items):
+            raise LogicError("affine simple reflections must have length 1")
         return tuple(sorted(items))
 
     def simple_items(self) -> tuple[tuple[int, AffineWeylElement], ...]:
@@ -240,25 +243,40 @@ class AffineWeylGroup:
         return word, omega
 
     def affine_word(self, a: AffineWeylElement) -> tuple[int, ...]:
-        """Lex-least reduced word of a in the affine simple reflections."""
+        """Lex-least reduced word of a in the affine simple reflections.
+
+        The word is greedy: the least descent label s of a, then the
+        word of s a.  Every element met on that descent chain is
+        memoised, so words of elements sharing a tail are not rederived.
+        """
+        memo = self._word_cache
+        hit = memo.get(a)
+        if hit is not None:
+            return hit
         if self.kappa(a) != self.kappa(self.identity):
             raise InputError("affine words only exist for elements with trivial kappa")
-        word = []
+        chain = []
         cur = a
         length = self.length(cur)
-        while length > 0:
+        while length > 0 and cur not in memo:
             for lab, s in self._simples:
                 sw = multiply(s, cur)
                 lsw = self.length(sw)
                 if lsw < length:
-                    word.append(lab)
+                    chain.append((cur, lab))
                     cur, length = sw, lsw
                     break
             else:
                 raise LogicError("descent must exist while length is positive")
-        if cur != self.identity:
-            raise LogicError("word extraction must terminate at the identity")
-        return tuple(word)
+        word = memo.get(cur)
+        if word is None:
+            if cur != self.identity:
+                raise LogicError("word extraction must terminate at the identity")
+            word = ()
+        for elem, lab in reversed(chain):
+            word = (lab,) + word
+            memo[elem] = word
+        return word
 
     def finite_word(self, u: Matrix) -> tuple[int, ...]:
         """Lex-least reduced word of u in the finite simple reflections."""
@@ -276,8 +294,13 @@ class AffineWeylGroup:
         return tuple(word)
 
     def sort_key(self, w: AffineWeylElement):
-        return (self.length(w), self.kappa(w), self.affine_word(
-            multiply(w, inverse(self.omega_rep(self.kappa(w))))))
+        key = self._sort_key_cache.get(w)
+        if key is None:
+            label = self.kappa(w)
+            key = (self.length(w), label, self.affine_word(
+                multiply(w, inverse(self.omega_rep(label)))))
+            self._sort_key_cache[w] = key
+        return key
 
     # thin delegations so this class satisfies the reduction-context
     # interface shared with the Levi sub-Iwahori-Weyl groups

@@ -4,7 +4,8 @@ Subcommands: describe, newton, strata, reduce, triple, alcove-test,
 positivity, levi, cocenter-reduce, induce, rigid, verify.  Output is
 deterministic for a fixed configuration and seed; timing goes to stderr
 so reports compare byte-for-byte.  Exit codes: 0 success, 1 verify
-failures, 2 parse/input errors, 3 internal logic errors.
+failures, 2 parse/input errors, 3 internal logic errors and any other
+unexpected exception (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -527,6 +528,13 @@ def main(argv=None) -> int:
         return 2
     except LogicError as exc:
         print(f"logic error: {exc}", file=sys.stderr)
+        return 3
+    except Exception:
+        # exit 1 means "verification failed"; anything unexpected is a
+        # bug.  traceback is imported only here: it adds about 3 ms to
+        # every start-up.
+        import traceback
+        traceback.print_exc(file=sys.stderr)
         return 3
     print(f"[{args.command}] wall time {time.monotonic() - start:.2f}s",
           file=sys.stderr)

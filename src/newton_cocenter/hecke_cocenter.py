@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .affine_weyl import AffineWeylElement, AffineWeylGroup, multiply
-from .errors import InputError, LogicError
+from .errors import InputError, LogicError, ResourceError
 from .levi_alcove import (
     LeviWeylGroup, levi_weyl_group, newton_index_map,
 )
@@ -297,16 +297,49 @@ def _nf_basis(group: AffineWeylGroup, w: AffineWeylElement) -> dict:
     orbits of the elementary moves is exactly what makes commutators
     reduce to zero (the identification holds in the cocenter with q
     generically invertible, and every coefficient emitted here stays in
-    Z[q]).
+    Z[q]).  A non-minimal w combines the forms of s y and s y s for the
+    first lowering move at y; those are resolved depth-first on an
+    explicit stack (s y before s y s), since the chain of descents is
+    as long as the input.
     """
     cache = group._nf_cache
-    hit = cache.get(w)
-    if hit is not None:
-        return hit
-    if is_min_in_class(group, w):
-        result = {canonical_class_rep(group, w): ONE}
-        cache[w] = result
-        return result
+    pending: dict[AffineWeylElement, tuple] = {}
+    stack = [w]
+    while stack:
+        cur = stack[-1]
+        if cur in cache:
+            stack.pop()
+            continue
+        frame = pending.get(cur)
+        if frame is None:
+            if is_min_in_class(group, cur):
+                cache[cur] = {canonical_class_rep(group, cur): ONE}
+                stack.pop()
+                continue
+            frame = pending[cur] = _lowering_move(group, cur)
+        parents, sy, z = frame
+        if sy not in cache:
+            stack.append(sy)
+            continue
+        if z not in cache:
+            stack.append(z)
+            continue
+        result: dict[AffineWeylElement, QPoly] = {}
+        for rep, c in cache[sy].items():
+            result[rep] = result.get(rep, QPoly()) + c * Q_MINUS_1
+        for rep, c in cache[z].items():
+            result[rep] = result.get(rep, QPoly()) + c * Q
+        result = {rep: c for rep, c in result.items() if c}
+        for elem in parents:
+            cache[elem] = result
+        del pending[cur]
+        stack.pop()
+    return cache[w]
+
+
+def _lowering_move(group, w):
+    """(length-preserving orbit of w, s y, s y s) for the first lowering
+    move s y s of the orbit."""
     parents, descent = _scan(group, w)
     if descent is None:
         raise LogicError("non-minimal element must admit a lowering move")
@@ -315,15 +348,7 @@ def _nf_basis(group: AffineWeylGroup, w: AffineWeylElement) -> dict:
     sy = multiply(s, y)
     if group.length(sy) != group.length(y) - 1:
         raise LogicError("lowering moves must factor through a one-step descent")
-    result: dict[AffineWeylElement, QPoly] = {}
-    for rep, c in _nf_basis(group, sy).items():
-        result[rep] = result.get(rep, QPoly()) + c * Q_MINUS_1
-    for rep, c in _nf_basis(group, z).items():
-        result[rep] = result.get(rep, QPoly()) + c * Q
-    result = {rep: c for rep, c in result.items() if c}
-    for elem in parents:
-        cache[elem] = result
-    return result
+    return parents, sy, z
 
 
 def cocenter_reduce(group: AffineWeylGroup, f: HeckeElement) -> CocenterNormalForm:
@@ -343,7 +368,9 @@ def cocenter_reduce_randomized(group: AffineWeylGroup, f: HeckeElement,
                                rng: random.Random,
                                max_steps: int = 10000) -> CocenterNormalForm:
     """Reduce with randomly scheduled rewrite moves; used to check that
-    the normal form does not depend on the rewriting strategy."""
+    the normal form does not depend on the rewriting strategy.  Running
+    out of max_steps raises ResourceError rather than finishing by the
+    deterministic strategy, which would make that check vacuous."""
     terms = dict(f.terms)
     steps = 0
     while steps < max_steps:
@@ -383,8 +410,8 @@ def cocenter_reduce_randomized(group: AffineWeylGroup, f: HeckeElement,
             sw = multiply(s, w)
             add(sw, c * Q_MINUS_1)
             add(z, c * Q)
-    # safety net: finish deterministically (still a valid congruence)
-    return cocenter_reduce(group, HeckeElement(terms))
+    raise ResourceError(
+        f"randomized reduction did not finish within {max_steps} steps")
 
 
 def newton_component(nf: CocenterNormalForm, nu: NewtonIndex) -> HeckeElement:

@@ -10,20 +10,33 @@ generators scanned in ascending label order and descends as soon as a
 lowering move appears; the path it records therefore never needs the
 left-multiplication fallback move.
 
-All functions take a group "context": either the ambient extended
+The minimal elements of a full conjugacy class can span several move
+orbits.  class_minimal_set lists them directly: the conjugates of
+t^lam a are the t^mu a' with a' = u a u^{-1} and mu in the coset
+u(lam) + im(1 - a'), and a minimal one has a translation part of
+bounded length, so only the Weyl orbits of finitely many dominant mu
+are tested against those cosets.  The least of them in canonical order
+is the class key canonical_class_rep.
+
+The functions take a group "context": either the ambient extended
 affine Weyl group or a Levi sub-Iwahori-Weyl group, which expose the
 same interface (identity, simple_items, length, sort_key, caches).
+The class-level functions (class_minimal_set, canonical_class_rep)
+accept the ambient group only.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
+from math import gcd
 
-from .affine_weyl import AffineWeylElement, conjugate, multiply
+from .affine_weyl import AffineWeylElement, AffineWeylGroup, conjugate, multiply
 from .errors import LogicError
-from .root_datum import coset_reduce, hnf_columns, mat_act, mat_mul
+from .root_datum import (
+    IntVector, coset_reduce, dot, hnf_columns, mat_act, mat_mul, rational_inverse,
+)
 
 CONJ_DOWN = "conj-down"
 CONJ_EQUAL = "conj-equal"
@@ -229,7 +242,7 @@ def is_conjugate(ctx, w1: AffineWeylElement, w2: AffineWeylElement) -> bool:
     target = w2.finite
     hnf = _coinvariant_hnf(ctx, target)
     for u in ctx.finite_elements():
-        if mat_mul(mat_mul(u, w1.finite), _fin_inv(ctx, u)) != target:
+        if mat_mul(mat_mul(u, w1.finite), ctx.datum.finite_inverse(u)) != target:
             continue
         moved = mat_act(u, w1.translation)
         diff = tuple(x - y for x, y in zip(w2.translation, moved))
@@ -238,49 +251,109 @@ def is_conjugate(ctx, w1: AffineWeylElement, w2: AffineWeylElement) -> bool:
     return False
 
 
-def _fin_inv(ctx, u):
-    cache = ctx._triple_cache.setdefault("fin_inv", {})
-    if u not in cache:
-        order_pow = u
-        prev = None
-        ident = ctx.identity.finite
-        while order_pow != ident:
-            prev = order_pow
-            order_pow = mat_mul(order_pow, u)
-        cache[u] = prev if prev is not None else ident
-    return cache[u]
-
-
 def class_minimal_set(ctx, w_min: AffineWeylElement) -> tuple[AffineWeylElement, ...]:
-    """All minimal-length elements of the full conjugacy class of w_min.
+    """All minimal-length elements of the full conjugacy class of w_min,
+    in canonical order.
 
-    Candidates live in the length ball of radius length(w_min) over the
-    kappa coset of w_min; the conjugacy test filters them.
+    Built from the conjugation identity above rather than by searching
+    a length ball.  Write w_min = t^lam a and L = length(w_min).  Since
+    length(t^mu a') >= length(t^mu) - length(a'), every minimal
+    conjugate t^mu a' has length(t^mu) <= L + length(a'), and the
+    translation lengths are W0-invariant: length(t^mu) = <mu_dom, 2 rho>.
+    So the candidates are the W0-orbits of the dominant mu = lam mod the
+    coroot lattice with <mu, 2 rho> <= L + |Phi+|, paired with each a'
+    in the W0-class of a; a pair is a conjugate exactly when mu lies in
+    one of the cosets u(lam) + im(1 - a') with u a u^{-1} = a'.  Only
+    the ambient group has this translation lattice and length formula.
     """
+    if not isinstance(ctx, AffineWeylGroup):
+        raise LogicError("class_minimal_set needs the ambient group")
     entry = ctx._class_cache.setdefault(w_min, {})
     if "full_class" in entry:
         return entry["full_class"]
     if not is_min_in_class(ctx, w_min):
         raise LogicError("class_minimal_set needs a minimal-length element")
+    datum = ctx.datum
     length = ctx.length(w_min)
-    label = ctx.kappa(w_min)
-    ball_cache = ctx._triple_cache.setdefault("class_balls", {})
-    key = (length, label)
-    if key not in ball_cache:
-        ball_cache[key] = ctx.enumerate_ball(length, [label],
-                                             cap=max(length, 16))
-    members = tuple(
-        z for z in ball_cache[key]
-        if ctx.length(z) == length and is_conjugate(ctx, z, w_min))
+    lam, a = w_min.translation, w_min.finite
+    # for each conjugate a' = u a u^{-1}: the cosets u(lam) mod im(1 - a')
+    cosets: dict = {}
+    for u in datum.weyl_elements:
+        a_conj = mat_mul(mat_mul(u, a), datum.finite_inverse(u))
+        hnf = _coinvariant_hnf(ctx, a_conj)
+        cosets.setdefault(a_conj, set()).add(coset_reduce(mat_act(u, lam), hnf))
+    dominant = _dominant_translations(
+        ctx, lam, length + len(datum.positive_roots))
+    orbits = {}
+    members = []
+    for a_conj, reps in cosets.items():
+        hnf = _coinvariant_hnf(ctx, a_conj)
+        bound = length + ctx.finite_length(a_conj)
+        for mu, mu_length in dominant:
+            if mu_length > bound:
+                continue
+            if mu not in orbits:
+                orbits[mu] = {mat_act(u, mu) for u in datum.weyl_elements}
+            for nu in orbits[mu]:
+                if coset_reduce(nu, hnf) in reps:
+                    z = AffineWeylElement(nu, a_conj)
+                    if ctx.length(z) == length:
+                        members.append(z)
+    members = tuple(sorted(members, key=ctx.sort_key))
     for z in members:
         ctx._class_cache.setdefault(z, {})["full_class"] = members
     return members
 
 
+def _dominant_translations(ctx, lam, bound) -> list[tuple[IntVector, int]]:
+    """The dominant mu = lam mod the coroot lattice with
+    length(t^mu) = <mu, 2 rho> <= bound, each with that length.
+
+    Such mu are lam + sum_i c_i alpha_i^vee with integral c solving
+    C c = y - <alpha, lam>, where C is the Cartan matrix and
+    y_i = <alpha_i, mu> >= 0; so the y are enumerated under
+    sum_i h_i y_i <= bound with h_i = <2 rho, varpi_i^vee> > 0.
+    """
+    datum = ctx.datum
+    cache = ctx._triple_cache
+    if "chamber" not in cache:
+        simple, coroots = datum.simple_roots, datum.simple_coroots
+        inv = rational_inverse(
+            [[dot(a, cv) for cv in coroots] for a in simple])
+        den = 1
+        for row in inv:
+            for x in row:
+                den = den * x.denominator // gcd(den, x.denominator)
+        scaled = [[int(x * den) for x in row] for row in inv]
+        # varpi_i^vee is column i of the inverse in the simple coroots;
+        # h_i is the alpha_i-coefficient of 2 rho, an integer
+        pair = [dot(datum.two_rho, cv) for cv in coroots]
+        heights = [int(sum(row[i] * p for row, p in zip(inv, pair)))
+                   for i in range(len(simple))]
+        cache["chamber"] = (scaled, den, heights)
+    scaled, den, heights = cache["chamber"]
+    shift = [dot(a, lam) for a in datum.simple_roots]
+    coroots = datum.simple_coroots
+    out = []
+    for y in product(*(range(bound // h + 1) for h in heights)):
+        if sum(h * yi for h, yi in zip(heights, y)) > bound:
+            continue
+        d = [yi - si for yi, si in zip(y, shift)]
+        c = [sum(row[j] * d[j] for j in range(len(d))) for row in scaled]
+        if any(ci % den for ci in c):
+            continue
+        mu = tuple(x + sum(ci // den * cv[j] for ci, cv in zip(c, coroots))
+                   for j, x in enumerate(lam))
+        out.append((mu, dot(datum.two_rho, mu)))
+    return out
+
+
 def canonical_class_rep(ctx, w: AffineWeylElement) -> AffineWeylElement:
     """The canonical key of the full conjugacy class of w: the least
     minimal-length element of the class.  This is the support key used
-    by the cocenter normal forms."""
+    by the cocenter normal forms; only the ambient group has it."""
+    if not isinstance(ctx, AffineWeylGroup):
+        raise LogicError("canonical_class_rep needs the ambient group")
     entry = ctx._class_cache.get(w)
     if entry is not None and entry.get("class_rep") is not None:
         return entry["class_rep"]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, LogicError
 
 Coweight = tuple[Fraction, ...]
 Covector = tuple[int, ...]
@@ -68,9 +68,8 @@ def mat_act(u: Matrix, v):
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in u)
 
 
-@lru_cache(maxsize=None)
-def mat_inverse(u: Matrix) -> Matrix:
-    """Exact inverse of an integer matrix (result must be integral)."""
+def rational_inverse(u) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact inverse of an invertible integer matrix, over the rationals."""
     n = len(u)
     aug = [[Fraction(u[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
            for i in range(n)]
@@ -83,8 +82,15 @@ def mat_inverse(u: Matrix) -> Matrix:
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    inv = tuple(tuple(aug[i][n + j] for j in range(n)) for i in range(n))
-    assert all(x.denominator == 1 for row in inv for x in row)
+    return tuple(tuple(aug[i][n + j] for j in range(n)) for i in range(n))
+
+
+@lru_cache(maxsize=None)
+def mat_inverse(u: Matrix) -> Matrix:
+    """Exact inverse of an integer matrix (result must be integral)."""
+    inv = rational_inverse(u)
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise LogicError(f"the inverse of {u} is not integral")
     return tuple(tuple(int(x) for x in row) for row in inv)
 
 
@@ -189,9 +195,11 @@ class RootDatum:
             a for a in self.roots if dot(a, self.height_coweight) > 0
         )
         self._positive_set = frozenset(self.positive_roots)
-        assert 2 * len(self.positive_roots) == len(self.roots)
+        if 2 * len(self.positive_roots) != len(self.roots):
+            raise LogicError("the height form must split the roots in half")
         for a in self.roots:
-            assert dot(a, coroot[a]) == 2
+            if dot(a, coroot[a]) != 2:
+                raise LogicError(f"root {a} must pair to 2 with its coroot")
 
     def _solve_height(self) -> Coweight:
         """A strictly dominant rational coweight (height 1 on simples)."""
@@ -345,7 +353,8 @@ def levi_datum(datum: RootDatum, v) -> LeviDatum:
             zero.append(a)
         elif c > 0:
             plus.append(a)
-    assert len(zero) + 2 * len(plus) == len(datum.roots)
+    if len(zero) + 2 * len(plus) != len(datum.roots):
+        raise LogicError("the roots positive on v must pair with the negative ones")
     n = datum.rank
     gens = []
     for a in zero:
@@ -364,8 +373,8 @@ def levi_datum(datum: RootDatum, v) -> LeviDatum:
             if w not in members:
                 members.add(w)
                 frontier.append(w)
-    for u in members:
-        assert mat_act(u, v) == v
+    if any(mat_act(u, v) != v for u in members):
+        raise LogicError("the Levi Weyl group must fix v")
     return LeviDatum(v, tuple(sorted(zero)), tuple(sorted(plus)),
                      tuple(sorted(members)))
 

@@ -19,7 +19,7 @@ from .affine_weyl import (
     conjugate, element_str, inverse, is_positive_affine_root, multiply,
     parse_element,
 )
-from .errors import InputError
+from .errors import InputError, LogicError, ResourceError
 from .hecke_cocenter import (
     HeckeElement, QPoly, cocenter_reduce, cocenter_reduce_randomized,
     fraction_free_rank, hecke_mul, rigid_decomposition,
@@ -332,7 +332,7 @@ def suite_reduction(group, params):
             if not ok:
                 f_triple += 1
                 first = first or element_str(group, w)
-        except Exception:
+        except LogicError:
             f_triple += 1
             first = first or element_str(group, w)
     rep.add("path-replays", len(ball), f_path, first)
@@ -510,7 +510,11 @@ def suite_cocenter(group, params):
     for seed in range(base, base + seeds):
         n += 1
         rng = random.Random(seed)
-        if cocenter_reduce_randomized(group, f, rng) != target:
+        try:
+            ok = cocenter_reduce_randomized(group, f, rng) == target
+        except ResourceError:
+            ok = False
+        if not ok:
             fails += 1
             first = first or f"seed={seed}"
     rep.add("confluence-under-random-strategies", n, fails, first)

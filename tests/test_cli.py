@@ -205,3 +205,18 @@ def test_nf_cache_round_trip(tmp_path, capsys, monkeypatch):
                          "cocenter-reduce", "T[S1*S0*S1]")
     assert code == 0
     assert out1 == out2
+
+
+def test_unexpected_error_exit_code(capsys, monkeypatch):
+    # exit 1 means "verification failed"; any other exception is a bug
+    from newton_cocenter import cli
+
+    def boom(group, args):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setitem(cli._HANDLERS, "describe", boom)
+    code = main(["--group", "A1", "describe"])
+    out = capsys.readouterr()
+    assert code == 3
+    assert out.out == ""
+    assert "RuntimeError: unexpected" in out.err

@@ -1,12 +1,14 @@
+import functools
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from newton_cocenter import (
-    InputError, NewtonIndex, canonical_class_rep, multiply, newton_index,
-    parse_element,
+    AffineWeylGroup, InputError, NewtonIndex, ResourceError, build_root_datum,
+    canonical_class_rep, is_min_in_class, multiply, newton_index, parse_element,
 )
 from newton_cocenter.hecke_cocenter import (
     ONE, Q, HeckeElement, QPoly, cocenter_reduce, cocenter_reduce_randomized,
@@ -176,6 +178,41 @@ def test_confluence_randomized(a2):
     target = cocenter_reduce(a2, f)
     for seed in range(60):
         assert cocenter_reduce_randomized(a2, f, random.Random(seed)) == target
+
+
+def test_randomized_reduction_refuses_to_run_out_of_steps(a2):
+    w = parse_element(a2, "S1*S0*S2*S1")
+    assert not is_min_in_class(a2, w)
+    with pytest.raises(ResourceError):
+        cocenter_reduce_randomized(a2, HeckeElement.basis(w), random.Random(0),
+                                   max_steps=1)
+
+
+def test_confluence_check_counts_exhausted_seeds(a2, monkeypatch):
+    from newton_cocenter import verify
+    short = functools.partial(cocenter_reduce_randomized, max_steps=1)
+    monkeypatch.setattr(verify, "cocenter_reduce_randomized", short)
+    report = verify.suite_cocenter(a2, {"pair_budget": 4, "seeds": 3, "seed": 0})
+    check = next(c for c in report.checks
+                 if c.property_id == "confluence-under-random-strategies")
+    assert (check.instances, check.failures) == (3, 3)
+    assert not report.passed
+
+
+def test_nf_basis_does_not_recurse_per_descent():
+    # a recursive normal form needs one frame per descent: k for t[k]*s1
+    f = HeckeElement.basis(parse_element(group("A1"), "t[150]*s1"))
+    expected = cocenter_reduce(AffineWeylGroup(build_root_datum("A1")), f)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        got = cocenter_reduce(AffineWeylGroup(build_root_datum("A1")), f)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert expected and got == expected
 
 
 # -- induction -------------------------------------------------------------

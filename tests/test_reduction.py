@@ -1,11 +1,16 @@
+from fractions import Fraction
+
 import pytest
 
 from newton_cocenter import (
-    LogicError, canonical_class_rep, canonical_min_rep, class_minimal_set,
-    conj_step, conjugate, is_conjugate, is_min_in_class, minimal_class,
-    multiply, newton_index, parse_element, reduce_to_min, standard_triple,
+    AffineWeylGroup, LogicError, build_root_datum, canonical_class_rep,
+    canonical_min_rep, class_minimal_set, conj_step, conjugate, element_str,
+    is_conjugate, is_min_in_class, minimal_class, multiply, newton_index,
+    parse_element, reduce_to_min, standard_triple,
 )
+from newton_cocenter.levi_alcove import levi_weyl_group
 from newton_cocenter.reduction import replay, wa_ball_count
+from newton_cocenter.root_datum import mat_act
 from conftest import group
 
 
@@ -215,3 +220,70 @@ def test_canonical_reps_are_class_invariants(c2):
         for lab, _ in c2.simple_items():
             _, z = conj_step(c2, w, lab)
             assert canonical_class_rep(c2, z) == rep
+
+
+# -- class enumeration against the ball search it replaced -------------------
+
+def _ball_class_minimal_set(g, w_min, balls):
+    """The former class search: every element of the length ball of
+    radius length(w_min) over its kappa coset, in canonical order, that
+    has that length and is conjugate to w_min."""
+    length, label = g.length(w_min), g.kappa(w_min)
+    if (length, label) not in balls:
+        balls[length, label] = g.enumerate_ball(length, [label],
+                                                cap=max(length, 16))
+    return tuple(z for z in balls[length, label]
+                 if g.length(z) == length and is_conjugate(g, z, w_min))
+
+
+@pytest.mark.parametrize("label,lattice,radius", [
+    ("A1", "sc", 6), ("A1", "ad", 6), ("A2", "sc", 5), ("A2", "ad", 5),
+    ("B2", "sc", 5), ("B2", "ad", 5), ("C2", "sc", 5), ("C2", "ad", 5),
+    ("G2", "sc", 5), ("G2", "ad", 5), ("GL2", "sc", 5), ("GL3", "sc", 4),
+    ("GL4", "sc", 3),
+])
+def test_class_minimal_set_matches_ball_search(label, lattice, radius):
+    g = AffineWeylGroup(build_root_datum(label, lattice))
+    labels = g.datum.omega_labels()
+    n = g.datum.rank
+    if labels is None and n < 4:    # GL: the coroot lattice and one other coset
+        labels = [(0,) * n, (1,) + (0,) * (n - 1)]
+    balls = {}
+    classes = {reduce_to_min(g, w)[0]
+               for w in g.enumerate_ball(radius, labels, cap=radius)}
+    for w_min in sorted(classes, key=g.sort_key):
+        assert class_minimal_set(g, w_min) == \
+            _ball_class_minimal_set(g, w_min, balls), element_str(g, w_min)
+
+
+def test_class_search_refuses_levi_contexts(a2):
+    m = levi_weyl_group(a2, (Fraction(1), Fraction(0)))
+    w = a2.translation([1, 0])
+    assert m.is_member(w) and is_min_in_class(m, w)
+    with pytest.raises(LogicError):
+        class_minimal_set(m, w)
+    with pytest.raises(LogicError):
+        canonical_class_rep(m, w)
+
+
+def test_long_translation_class_is_its_weyl_orbit(a2):
+    # translations are straight, so t^lam is minimal and its class
+    # meets the minimal length exactly at the Weyl orbit of lam
+    w = a2.translation([30, -30])
+    orbit = {a2.translation(mat_act(u, w.translation))
+             for u in a2.datum.weyl_elements}
+    assert set(class_minimal_set(a2, w)) == orbit
+
+
+def test_memoised_words_match_fresh_greedy_words():
+    # sorting the ball fills the memo; a fresh group derives each word
+    # from that element alone
+    warm = AffineWeylGroup(build_root_datum("C2"))
+    for w in warm.enumerate_ball(6):
+        fresh = AffineWeylGroup(build_root_datum("C2"))
+        assert warm.sort_key(w) == fresh.sort_key(w)
+        word, omega = fresh.wa_omega_split(w)
+        cur = omega
+        for lab in reversed(word):
+            cur = multiply(dict(fresh.simple_items())[lab], cur)
+        assert cur == w and len(word) == fresh.length(w)
