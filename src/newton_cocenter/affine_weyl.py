@@ -25,11 +25,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import InputError, LogicError, ResourceError
 from .root_datum import (
-    Covector, IntVector, Matrix, RootDatum, build_root_datum, dot,
-    mat_act, mat_identity, mat_inverse, mat_mul,
+    Covector, IntVector, Matrix, RootDatum, build_root_datum, dot, mat_act,
+    weyl_inverse, weyl_product,
 )
 
 DEFAULT_BALL_CAP_LOW_RANK = 12
@@ -69,15 +70,15 @@ class AffineRoot:
 
 def multiply(w1: AffineWeylElement, w2: AffineWeylElement) -> AffineWeylElement:
     """(t^a u)(t^b v) = t^{a + u(b)} uv."""
-    moved = mat_act(w1.finite, w2.translation)
+    b = w2.translation
     return AffineWeylElement(
-        tuple(x + y for x, y in zip(w1.translation, moved)),
-        mat_mul(w1.finite, w2.finite),
+        tuple([x + sum(map(mul, row, b)) for x, row in zip(w1.translation, w1.finite)]),
+        weyl_product(w1.finite, w2.finite),
     )
 
 
 def inverse(w: AffineWeylElement) -> AffineWeylElement:
-    uinv = mat_inverse(w.finite)
+    uinv = weyl_inverse(w.finite)
     return AffineWeylElement(tuple(-x for x in mat_act(uinv, w.translation)), uinv)
 
 
@@ -116,8 +117,7 @@ class AffineWeylGroup:
         if ball_cap is None:
             ball_cap = DEFAULT_BALL_CAP_LOW_RANK if n <= 2 else DEFAULT_BALL_CAP
         self.ball_cap = ball_cap
-        self.identity = AffineWeylElement((0,) * n, mat_identity(n))
-        self._tau = {a: (1 if datum.is_positive_root(a) else 0) for a in datum.roots}
+        self.identity = AffineWeylElement((0,) * n, datum.weyl_identity)
         self._length_cache: dict[AffineWeylElement, int] = {}
         self._omega_cache: dict[IntVector, AffineWeylElement] = {}
         self._simples = self._build_simples()
@@ -127,6 +127,7 @@ class AffineWeylGroup:
         self._class_cache: dict = {}
         self._triple_cache: dict = {}
         self._nf_cache: dict = {}
+        self._nf_stored = None  # StoredNormalForms read from a disk cache
         # memos filled on demand by affine_word and sort_key
         self._word_cache: dict[AffineWeylElement, tuple[int, ...]] = {}
         self._sort_key_cache: dict[AffineWeylElement, tuple] = {}
@@ -137,7 +138,7 @@ class AffineWeylGroup:
         lam = tuple(lam)
         if any(Fraction(x).denominator != 1 for x in lam):
             raise InputError(f"translation {lam} is not in the cocharacter lattice")
-        return AffineWeylElement(tuple(int(x) for x in lam), mat_identity(self.datum.rank))
+        return AffineWeylElement(tuple(int(x) for x in lam), self.datum.weyl_identity)
 
     def finite_element(self, u: Matrix) -> AffineWeylElement:
         return AffineWeylElement((0,) * self.datum.rank, u)
@@ -145,12 +146,8 @@ class AffineWeylGroup:
     def reflection(self, a: AffineRoot) -> AffineWeylElement:
         """The element acting on affine roots as the reflection in a."""
         av = self.datum.coroot[a.vector_part]
-        n = self.datum.rank
-        s = tuple(
-            tuple((1 if i == j else 0) - a.vector_part[j] * av[i] for j in range(n))
-            for i in range(n)
-        )
-        return AffineWeylElement(tuple(a.level * c for c in av), s)
+        return AffineWeylElement(tuple(a.level * c for c in av),
+                                 self.datum.reflection(a.vector_part))
 
     # -- length --------------------------------------------------------
 
@@ -160,18 +157,17 @@ class AffineWeylGroup:
         For the family of affine roots over alpha the image family sits
         over beta = u(alpha) with level shift c = <beta, lam>; levels at
         least tau(alpha) are positive, so exactly
-        max(0, tau(beta) - c - tau(alpha)) of them land negative.
+        max(0, tau(beta) - c - tau(alpha)) of them land negative.  The
+        root permutation of u gives beta as an index.
         """
         cached = self._length_cache.get(w)
         if cached is not None:
             return cached
-        datum, tau = self.datum, self._tau
-        lam = w.translation
+        tau, lam = self.datum.tau, w.translation
+        level = [tau[j] - dot(beta, lam) for j, beta in enumerate(self.datum.roots)]
         total = 0
-        for alpha in datum.roots:
-            beta = datum.act_covector(w.finite, alpha)
-            c = dot(beta, lam)
-            d = tau[beta] - c - tau[alpha]
+        for i, j in enumerate(self.datum.root_permutation(w.finite)):
+            d = level[j] - tau[i]
             if d > 0:
                 total += d
         self._length_cache[w] = total
@@ -285,7 +281,7 @@ class AffineWeylGroup:
         length = self.finite_length(cur)
         while length > 0:
             for i, s in enumerate(self.datum.simple_reflections, start=1):
-                su = mat_mul(s, cur)
+                su = self.datum.product(s, cur)
                 lsu = self.finite_length(su)
                 if lsu < length:
                     word.append(i)

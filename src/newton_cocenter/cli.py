@@ -21,8 +21,8 @@ from fractions import Fraction
 from .affine_weyl import AffineWeylGroup, element_str, parse_element
 from .errors import ConfigurationError, InputError, LogicError, ResourceError
 from .hecke_cocenter import (
-    HeckeElement, QPoly, cocenter_reduce, induce, parse_poly,
-    rigid_decomposition,
+    HeckeElement, QPoly, StoredNormalForms, cocenter_reduce, induce,
+    parse_poly, rigid_decomposition,
 )
 from .levi_alcove import (
     is_v_alcove, levi_weyl_group, positivity_exponent,
@@ -465,7 +465,17 @@ _HANDLERS = {
 }
 
 
+def _cache_warning(path, message):
+    print(f"warning: NF cache {path}: {message}", file=sys.stderr)
+
+
 def _load_nf_cache(group):
+    """Attach the persisted normal forms of this group, unparsed; each
+    entry is checked when it is first used (`StoredNormalForms`).
+
+    An unreadable file and a wrong schema are reported on stderr and the
+    file is ignored; a missing file is not reported.
+    """
     root = os.environ.get(CACHE_ENV)
     if not root:
         return None
@@ -473,39 +483,52 @@ def _load_nf_cache(group):
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, ValueError):
+    except FileNotFoundError:
         return path
-    if data.get("schema") != CACHE_SCHEMA:
+    except (OSError, ValueError) as exc:
+        _cache_warning(path, f"unreadable, ignored ({exc})")
         return path
-    for elem_text, terms in data.get("normal_forms", {}).items():
-        try:
-            w = parse_element(group, elem_text)
-            group._nf_cache[w] = {
-                parse_element(group, k): parse_poly(c) for k, c in terms.items()}
-        except InputError:
-            continue
+    if not isinstance(data, dict) or data.get("schema") != CACHE_SCHEMA \
+            or not isinstance(data.get("normal_forms"), dict):
+        _cache_warning(path, f"not a {CACHE_SCHEMA} cache, ignored")
+        return path
+    group._nf_stored = StoredNormalForms(group, data["normal_forms"])
     return path
 
 
 def _save_nf_cache(group, path):
+    """Report the dropped stored entries, then write the stored entries
+    never read plus every normal form of this run, atomically: a
+    temporary file in the same directory, then os.replace.  Nothing is
+    written when no normal form was used.  A failure is reported, not
+    raised."""
     if not path:
         return
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    payload = {
-        "schema": CACHE_SCHEMA,
-        "group": group.datum.descriptor(),
-        "normal_forms": {
-            element_str(group, w): {
-                element_str(group, k): str(c) for k, c in terms.items()}
-            for w, terms in sorted(group._nf_cache.items(),
-                                   key=lambda kv: group.sort_key(kv[0]))
-        },
-    }
+    stored = group._nf_stored
+    if stored is not None and stored.dropped:
+        _cache_warning(path, f"dropped {stored.dropped} invalid entries")
+    if not group._nf_cache:
+        return
+    forms = dict(stored.forms) if stored is not None else {}
+    for w, terms in group._nf_cache.items():
+        forms[element_str(group, w)] = {
+            element_str(group, k): str(c) for k, c in terms.items()}
+    payload = {"schema": CACHE_SCHEMA, "group": group.datum.descriptor(),
+               "normal_forms": forms}
+    # a per-process name in the same directory, so os.replace is atomic
+    # and concurrent writers do not share a temporary file
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True)
-    except OSError:
-        pass
+        os.replace(tmp, path)
+    except OSError as exc:
+        _cache_warning(path, f"not written ({exc})")
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
 
 
 def main(argv=None) -> int:

@@ -13,6 +13,7 @@ reflections of M-length one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .affine_weyl import (
     AffineRoot, AffineWeylElement, AffineWeylGroup, act_on_affine_root,
@@ -22,8 +23,8 @@ from .errors import InputError, LogicError
 from .newton import NewtonIndex, newton_index, newton_point
 from .reduction import max_finite_parabolic_order, wa_ball_count
 from .root_datum import (
-    Coweight, IntVector, Matrix, coweight, coset_reduce, dot, hnf_columns,
-    levi_datum, mat_act,
+    Coweight, IntVector, Matrix, coweight, coset_reduce, dominant_walk, dot,
+    hnf_columns, levi_datum, mat_act,
 )
 
 
@@ -43,9 +44,10 @@ class LeviWeylGroup:
         self.identity = parent.identity
         self._w_m = frozenset(self.levi.w_m)
         self._phi_m = tuple(sorted(set(self.levi.phi_zero)))
-        self._tau = {a: (1 if self.datum.is_positive_root(a) else 0)
-                     for a in self._phi_m}
+        self._phi_m_index = tuple(self.datum.root_index[a] for a in self._phi_m)
         self._m_simple_roots = self._find_m_simples()
+        self._m_walls = tuple((a, self.datum.coroot[a], self.datum.reflection(a))
+                              for a in self._m_simple_roots)
         self._coroot_hnf = hnf_columns(
             [self.datum.coroot[a] for a in self._phi_m])
         self._length_cache: dict[AffineWeylElement, int] = {}
@@ -111,11 +113,12 @@ class LeviWeylGroup:
             return cached
         if not self.is_member(w):
             raise InputError("M-length is only defined on the Levi subgroup")
-        datum, tau = self.datum, self._tau
+        roots, tau = self.datum.roots, self.datum.tau
+        perm = self.datum.root_permutation(w.finite)
         total = 0
-        for alpha in self._phi_m:
-            beta = datum.act_covector(w.finite, alpha)
-            d = tau[beta] - dot(beta, w.translation) - tau[alpha]
+        for i in self._phi_m_index:
+            j = perm[i]
+            d = tau[j] - dot(roots[j], w.translation) - tau[i]
             if d > 0:
                 total += d
         self._length_cache[w] = total
@@ -164,25 +167,7 @@ class LeviWeylGroup:
 
     def dominant_rep(self, x) -> tuple[Coweight, Matrix]:
         """The M-dominant representative in the W_M-orbit."""
-        x = coweight(x)
-        refl = {}
-        n = self.datum.rank
-        for a in self._m_simple_roots:
-            av = self.datum.coroot[a]
-            refl[a] = tuple(
-                tuple((1 if i == j else 0) - a[j] * av[i] for j in range(n))
-                for i in range(n))
-        u = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        while True:
-            for a in self._m_simple_roots:
-                c = dot(a, x)
-                if c < 0:
-                    av = self.datum.coroot[a]
-                    x = tuple(xi - c * wi for xi, wi in zip(x, av))
-                    u = _mat_mul(refl[a], u)
-                    break
-            else:
-                return x, u
+        return dominant_walk(self.datum, x, self._m_walls)
 
     def newton_index(self, w: AffineWeylElement) -> NewtonIndex:
         nu = newton_point(self.parent, w)
@@ -225,12 +210,6 @@ class LeviWeylGroup:
 
     def __repr__(self):
         return f"LeviWeylGroup(v={tuple(map(str, self.v))})"
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
-                       for j in range(n)) for i in range(n))
 
 
 def _components_of_roots(datum, m_simple_roots):
@@ -348,9 +327,7 @@ def positivity_exponent(group: AffineWeylGroup, w: AffineWeylElement,
     if not m.is_member(w):
         raise InputError("positivity_exponent requires w in the Levi of v")
     plus = [a for a in group.datum.roots if dot(a, v) > 0]
-    denom = 1
-    for c in v:
-        denom = denom * c.denominator // _gcd(denom, c.denominator)
+    denom = lcm(*(c.denominator for c in v))
     n0 = wa_ball_count(m, m.length(w))
     n1 = max_finite_parabolic_order(m)
     bound = (2 * n0 + n1 + 1) * denom
@@ -370,12 +347,6 @@ def positivity_exponent(group: AffineWeylGroup, w: AffineWeylElement,
     raise InputError(
         "no positive power of w is strictly v-positive: its Newton point "
         "is not strictly positive on the v-positive roots")
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def m_in_g_stratum_check(group: AffineWeylGroup, m: LeviWeylGroup,

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .affine_weyl import AffineWeylElement, AffineWeylGroup, multiply
-from .root_datum import Coweight, IntVector, dot, frac_str, mat_act, mat_identity, mat_mul
+from .root_datum import Coweight, IntVector, dot, frac_str, mat_act
 
 
 @dataclass(frozen=True)
@@ -31,20 +32,10 @@ class NewtonIndex:
             ",".join(frac_str(c) for c in self.nu_bar) + ")"
 
 
-def finite_order(u) -> int:
-    n = len(u)
-    ident = mat_identity(n)
-    power, order = u, 1
-    while power != ident:
-        power = mat_mul(power, u)
-        order += 1
-    return order
-
-
 def newton_point(group: AffineWeylGroup, w: AffineWeylElement) -> Coweight:
     """The averaged translation part of w."""
     u = w.finite
-    order = finite_order(u)
+    order = group.datum.element_order(u)
     total = list(w.translation)
     cur = w.translation
     for _ in range(order - 1):
@@ -74,10 +65,8 @@ def is_straight_by_powers(group: AffineWeylGroup, w: AffineWeylElement) -> bool:
     the order of the finite part times the denominator of nu_w (powers
     beyond that are controlled by the translation w^{order} already)."""
     nu = newton_point(group, w)
-    denom = 1
-    for c in nu:
-        denom = denom * c.denominator // _gcd(denom, c.denominator)
-    bound = finite_order(w.finite) * denom
+    denom = lcm(*(c.denominator for c in nu))
+    bound = group.datum.element_order(w.finite) * denom
     target = group.length(w)
     power = w
     for n in range(2, bound + 1):
@@ -85,12 +74,6 @@ def is_straight_by_powers(group: AffineWeylGroup, w: AffineWeylElement) -> bool:
         if group.length(power) != n * target:
             return False
     return True
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def strata(group: AffineWeylGroup, max_length: int, omega_labels=None,

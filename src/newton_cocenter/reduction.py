@@ -30,12 +30,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import gcd
+from math import lcm
 
 from .affine_weyl import AffineWeylElement, AffineWeylGroup, conjugate, multiply
 from .errors import LogicError
 from .root_datum import (
-    IntVector, coset_reduce, dot, hnf_columns, mat_act, mat_mul, rational_inverse,
+    IntVector, coset_reduce, dot, hnf_columns, mat_act, rational_inverse,
 )
 
 CONJ_DOWN = "conj-down"
@@ -241,8 +241,9 @@ def is_conjugate(ctx, w1: AffineWeylElement, w2: AffineWeylElement) -> bool:
     """Exact conjugacy in the group context (all translations allowed)."""
     target = w2.finite
     hnf = _coinvariant_hnf(ctx, target)
+    datum = ctx.datum
     for u in ctx.finite_elements():
-        if mat_mul(mat_mul(u, w1.finite), ctx.datum.finite_inverse(u)) != target:
+        if datum.product(datum.product(u, w1.finite), datum.finite_inverse(u)) != target:
             continue
         moved = mat_act(u, w1.translation)
         diff = tuple(x - y for x, y in zip(w2.translation, moved))
@@ -279,7 +280,7 @@ def class_minimal_set(ctx, w_min: AffineWeylElement) -> tuple[AffineWeylElement,
     # for each conjugate a' = u a u^{-1}: the cosets u(lam) mod im(1 - a')
     cosets: dict = {}
     for u in datum.weyl_elements:
-        a_conj = mat_mul(mat_mul(u, a), datum.finite_inverse(u))
+        a_conj = datum.product(datum.product(u, a), datum.finite_inverse(u))
         hnf = _coinvariant_hnf(ctx, a_conj)
         cosets.setdefault(a_conj, set()).add(coset_reduce(mat_act(u, lam), hnf))
     dominant = _dominant_translations(
@@ -320,10 +321,7 @@ def _dominant_translations(ctx, lam, bound) -> list[tuple[IntVector, int]]:
         simple, coroots = datum.simple_roots, datum.simple_coroots
         inv = rational_inverse(
             [[dot(a, cv) for cv in coroots] for a in simple])
-        den = 1
-        for row in inv:
-            for x in row:
-                den = den * x.denominator // gcd(den, x.denominator)
+        den = lcm(*(x.denominator for row in inv for x in row))
         scaled = [[int(x * den) for x in row] for row in inv]
         # varpi_i^vee is column i of the inverse in the simple coroots;
         # h_i is the alpha_i-coefficient of 2 rho, an integer

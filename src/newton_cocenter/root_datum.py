@@ -10,9 +10,11 @@ computation downstream is exact.  No floating point anywhere.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from math import lcm
+from operator import mul
 
 from .errors import ConfigurationError, LogicError
 
@@ -56,6 +58,7 @@ def mat_identity(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Exact matrix product, for W0 elements not interned in a live datum."""
     n = len(a)
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
@@ -64,8 +67,23 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_act(u: Matrix, v):
-    """Apply the integer matrix u to a (co)weight vector."""
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in u)
+    """Apply the integer matrix u to a (co)weight vector.
+
+    A rational vector is scaled to an integer one by its common
+    denominator, so only the results are Fractions.
+    """
+    if all(type(c) is int for c in v):
+        return tuple([sum(map(mul, row, v)) for row in u])
+    d, x = _scaled(v)
+    return tuple([Fraction(sum(map(mul, row, x)), d) for row in u])
+
+
+def _scaled(v) -> tuple[int, list[int]]:
+    """(d, d v) for a rational vector v with common denominator d."""
+    if not all(isinstance(c, (int, Fraction)) for c in v):
+        v = coweight(v)
+    d = lcm(*(c.denominator for c in v))
+    return d, [c.numerator * (d // c.denominator) for c in v]
 
 
 def rational_inverse(u) -> tuple[tuple[Fraction, ...], ...]:
@@ -85,18 +103,9 @@ def rational_inverse(u) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(aug[i][n + j] for j in range(n)) for i in range(n))
 
 
-@lru_cache(maxsize=None)
-def mat_inverse(u: Matrix) -> Matrix:
-    """Exact inverse of an integer matrix (result must be integral)."""
-    inv = rational_inverse(u)
-    if any(x.denominator != 1 for row in inv for x in row):
-        raise LogicError(f"the inverse of {u} is not integral")
-    return tuple(tuple(int(x) for x in row) for row in inv)
-
-
 def dot(a: Covector, v):
     """Pairing of a character covector with a coweight: plain dot product."""
-    return sum(ai * vi for ai, vi in zip(a, v))
+    return sum(map(mul, a, v))
 
 
 def hnf_columns(generators) -> list[tuple[int, list[int]]]:
@@ -150,10 +159,94 @@ def coset_reduce(v: IntVector, hnf: list[tuple[int, list[int]]]) -> IntVector:
     return tuple(w)
 
 
+def _reflect(x, a, av):
+    """x - <a, x> av: a reflection applied to a vector."""
+    c = dot(a, x)
+    return tuple([xi - c * vi for xi, vi in zip(x, av)]) if c else x
+
+
+def dominant_walk(datum: "RootDatum", v, walls) -> tuple[Coweight, Matrix]:
+    """Reflect v in the first wall it pairs negatively with, until it
+    pairs nonnegatively with every wall; return it with the product u of
+    the reflections, so that u(v) is the result.
+
+    walls are (root, coroot, reflection) triples.  The walk runs on the
+    integer vector d v, d the common denominator of v, tracks u by table
+    lookup, and builds the Fractions once at the end.
+    """
+    d, x = _scaled(v)
+    walls = tuple(walls)
+    u = datum.weyl_identity
+    while True:
+        for a, av, s in walls:
+            c = dot(a, x)
+            if c < 0:
+                x = [xi - c * wi for xi, wi in zip(x, av)]
+                u = datum.product(s, u)
+                break
+        else:
+            return tuple(Fraction(xi, d) for xi in x), u
+
+
+class WeylElement(tuple):
+    """An element of W0 interned in its root datum.
+
+    It is the plain matrix (a tuple of integer rows), so it compares and
+    hashes equal to it, and it carries its index into the tables of the
+    datum that owns it.  The datum is held by a weak reference: a strong
+    one would make every datum a reference cycle, freed only by the
+    cyclic garbage collector instead of when its group goes away.
+    """
+
+    def __new__(cls, rows, datum: "RootDatum", index: int):
+        self = super().__new__(cls, rows)
+        self._datum = weakref.ref(datum)
+        self.index = index
+        return self
+
+    @property
+    def datum(self) -> "RootDatum | None":
+        """The owning datum, or None once it has been freed."""
+        return self._datum()
+
+    def __reduce__(self):
+        """Pickle and copy as the plain matrix; the tables stay with the datum."""
+        return tuple, (tuple(self),)
+
+
+def _owner(u: Matrix) -> "RootDatum | None":
+    return u._datum() if type(u) is WeylElement else None
+
+
+def weyl_product(u: Matrix, v: Matrix) -> Matrix:
+    """u v, by table lookup when either factor is interned."""
+    datum = _owner(u) or _owner(v)
+    return mat_mul(u, v) if datum is None else datum.product(u, v)
+
+
+def weyl_inverse(u: Matrix) -> Matrix:
+    """u^{-1}, by table lookup when u is interned."""
+    datum = _owner(u)
+    return _integral_inverse(u) if datum is None else datum.finite_inverse(u)
+
+
+def _integral_inverse(u: Matrix) -> Matrix:
+    inv = rational_inverse(u)
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise LogicError(f"the inverse of {u} is not integral")
+    return tuple(tuple(int(x) for x in row) for row in inv)
+
+
 class RootDatum:
     """Roots, coroots and the finite Weyl group of a split group.
 
-    Immutable after construction; safe to share between workers.
+    W0 is held as interned `WeylElement`s with per-datum tables: each
+    element's root permutation (u(alpha) as a root index) is built with
+    the group; inverses, products and element orders are filled in on
+    demand.  The table methods accept any matrix equal to an element of
+    W0 and raise `LogicError` on any other.  Nothing is shared between
+    data, and apart from those lazily filled memos the datum is
+    immutable after construction.
     """
 
     def __init__(self, type_label: str, lattice: str, rank: int,
@@ -182,10 +275,9 @@ class RootDatum:
             av = coroot[a]
             for b, bv in zip(self.simple_roots, self.simple_coroots):
                 # s_b on characters and on cocharacters
-                c = tuple(ai - dot(a, bv) * bi for ai, bi in zip(a, b))
-                cv = tuple(vi - dot(b, av) * wi for vi, wi in zip(av, bv))
+                c = _reflect(a, bv, b)
                 if c not in coroot:
-                    coroot[c] = cv
+                    coroot[c] = _reflect(av, b, bv)
                     frontier.append(c)
         self.coroot = coroot
         self.roots = tuple(sorted(coroot))
@@ -232,30 +324,55 @@ class RootDatum:
         return tuple(sol)
 
     def _enumerate_weyl(self):
-        """BFS closure of the simple reflections, with inverses."""
-        n = self.rank
-        refl = []
-        for a, av in zip(self.simple_roots, self.simple_coroots):
-            refl.append(tuple(
-                tuple((1 if i == j else 0) - a[j] * av[i] for j in range(n))
-                for i in range(n)
-            ))
-        self.simple_reflections: tuple[Matrix, ...] = tuple(refl)
-        ident = mat_identity(n)
-        inverse = {ident: ident}
-        frontier = [ident]
+        """W0 by breadth-first search on the orbit of a regular coweight.
+
+        The stabiliser of a strictly dominant coweight x0 is trivial, so
+        u <-> u(x0) is a bijection and the orbit detects duplicates.  A
+        new element s u is built once, by the rank-one update
+        s u = u - alpha^vee (alpha^T u), together with its root
+        permutation (s u)(beta) = s(u(beta)).
+        """
+        n, roots = self.rank, self.roots
+        self.root_index = root_index = {a: i for i, a in enumerate(roots)}
+        # tau[i] = 1 if roots[i] is positive, else 0: the least level of a
+        # positive affine root over roots[i]
+        self.tau = tuple(int(a in self._positive_set) for a in roots)
+        simple = tuple(zip(self.simple_roots, self.simple_coroots))
+        simple_perms = [tuple([root_index[_reflect(a, bv, b)] for a in roots])
+                        for b, bv in simple]
+        den = lcm(*(c.denominator for c in self.height_coweight))
+        x0 = tuple(int(c * den) for c in self.height_coweight)
+        found = {x0: (mat_identity(n), tuple(range(len(roots))))}
+        frontier = [x0]
         while frontier:
             new = []
-            for u in frontier:
-                for s in refl:
-                    v = mat_mul(s, u)
-                    if v not in inverse:
-                        inverse[v] = mat_mul(inverse[u], s)
-                        new.append(v)
+            for x in frontier:
+                u, perm = found[x]
+                for (a, av), sperm in zip(simple, simple_perms):
+                    y = _reflect(x, a, av)
+                    if y not in found:
+                        row = [sum(map(mul, a, col)) for col in zip(*u)]
+                        su = tuple(tuple([ui - avi * r for ui, r in zip(urow, row)])
+                                   if avi else urow for urow, avi in zip(u, av))
+                        found[y] = (su, tuple(map(sperm.__getitem__, perm)))
+                        new.append(y)
             frontier = new
-        self._finite_inverse = inverse
-        self.weyl_elements = tuple(sorted(inverse))
-        self.w0_order = len(inverse)
+        table = sorted(found.values())
+        self.weyl_elements: tuple[WeylElement, ...] = tuple(
+            WeylElement(u, self, i) for i, (u, _) in enumerate(table))
+        self.w0_order = len(table)
+        self._interned = {u: u for u in self.weyl_elements}
+        self._perms = tuple(perm for _, perm in table)
+        self._perm_index = {perm: i for i, perm in enumerate(self._perms)}
+        if len(self._perm_index) != self.w0_order:
+            raise LogicError("W0 must act faithfully on the roots")
+        self._inverses: dict[int, int] = {}
+        self._products: dict[int, int] = {}
+        self._orders: dict[int, int] = {}
+        self._reflections: dict[Covector, WeylElement] = {}
+        self.weyl_identity = self._interned[mat_identity(n)]
+        self.simple_reflections: tuple[WeylElement, ...] = tuple(
+            self.weyl_elements[self._perm_index[p]] for p in simple_perms)
 
     # -- queries -----------------------------------------------------
 
@@ -265,18 +382,74 @@ class RootDatum:
     def is_positive_root(self, a: Covector) -> bool:
         return a in self._positive_set
 
-    def in_weyl(self, u: Matrix) -> bool:
-        return u in self._finite_inverse
+    def intern(self, u: Matrix) -> WeylElement:
+        """The interned element equal to u; LogicError if u is not in W0."""
+        if type(u) is WeylElement and u._datum() is self:
+            return u
+        iu = self._interned.get(u)
+        if iu is None:
+            raise LogicError(f"{tuple(u)} is not in W0 of {self.descriptor()}")
+        return iu
 
-    def finite_inverse(self, u: Matrix) -> Matrix:
-        inv = self._finite_inverse.get(u)
-        return inv if inv is not None else mat_inverse(u)
+    def product(self, u: Matrix, v: Matrix) -> WeylElement:
+        """u v, by composing root permutations (memoised per pair)."""
+        iu, iv = self.intern(u).index, self.intern(v).index
+        key = iu * self.w0_order + iv
+        k = self._products.get(key)
+        if k is None:
+            pu = self._perms[iu]
+            k = self._products[key] = self._perm_index[
+                tuple([pu[p] for p in self._perms[iv]])]
+        return self.weyl_elements[k]
+
+    def finite_inverse(self, u: Matrix) -> WeylElement:
+        """u^{-1}, by inverting the root permutation (memoised)."""
+        iu = self.intern(u).index
+        k = self._inverses.get(iu)
+        if k is None:
+            perm = self._perms[iu]
+            inv = [0] * len(perm)
+            for i, p in enumerate(perm):
+                inv[p] = i
+            k = self._inverses[iu] = self._perm_index[tuple(inv)]
+        return self.weyl_elements[k]
+
+    def element_order(self, u: Matrix) -> int:
+        """The order of u: the lcm of the cycle lengths of its root
+        permutation (W0 acts faithfully on the roots)."""
+        iu = self.intern(u).index
+        order = self._orders.get(iu)
+        if order is None:
+            perm, seen, order = self._perms[iu], set(), 1
+            for start in perm:
+                size, i = 0, start
+                while i not in seen:
+                    seen.add(i)
+                    i, size = perm[i], size + 1
+                if size:
+                    order = lcm(order, size)
+            self._orders[iu] = order
+        return order
+
+    def root_permutation(self, u: Matrix) -> tuple[int, ...]:
+        """The indices of u(alpha) in `roots`, alpha running over `roots`."""
+        return self._perms[self.intern(u).index]
+
+    def reflection(self, a: Covector) -> WeylElement:
+        """The reflection in the root a."""
+        s = self._reflections.get(a)
+        if s is None:
+            av = self.coroot[a]
+            s = self._reflections[a] = self.weyl_elements[self._perm_index[tuple(
+                [self.root_index[_reflect(b, av, a)] for b in self.roots])]]
+        return s
 
     def act_covector(self, u: Matrix, a: Covector) -> Covector:
-        """Dual action on characters: a o u^{-1}."""
-        uinv = self.finite_inverse(u)
-        n = self.rank
-        return tuple(sum(a[i] * uinv[i][j] for i in range(n)) for j in range(n))
+        """Dual action on a root: a o u^{-1}, read off the root permutation."""
+        i = self.root_index.get(a)
+        if i is None:
+            raise LogicError(f"{a} is not a root of {self.descriptor()}")
+        return self.roots[self._perms[self.intern(u).index][i]]
 
     def pairing(self, a: Covector, v) -> Fraction:
         return dot(a, v)
@@ -286,18 +459,8 @@ class RootDatum:
 
     def dominant_rep(self, v: Coweight) -> tuple[Coweight, Matrix]:
         """The dominant W0-orbit representative, with u such that u(v) is it."""
-        v = coweight(v)
-        u = mat_identity(self.rank)
-        while True:
-            for a, av, s in zip(self.simple_roots, self.simple_coroots,
-                                self.simple_reflections):
-                c = dot(a, v)
-                if c < 0:
-                    v = tuple(vi - c * wi for vi, wi in zip(v, av))
-                    u = mat_mul(s, u)
-                    break
-            else:
-                return v, u
+        return dominant_walk(self, v, zip(self.simple_roots, self.simple_coroots,
+                                          self.simple_reflections))
 
     def kappa_label(self, lam: IntVector) -> IntVector:
         """Canonical representative of lam modulo the coroot lattice."""
@@ -355,28 +518,12 @@ def levi_datum(datum: RootDatum, v) -> LeviDatum:
             plus.append(a)
     if len(zero) + 2 * len(plus) != len(datum.roots):
         raise LogicError("the roots positive on v must pair with the negative ones")
-    n = datum.rank
-    gens = []
-    for a in zero:
-        av = datum.coroot[a]
-        gens.append(tuple(
-            tuple((1 if i == j else 0) - a[j] * av[i] for j in range(n))
-            for i in range(n)
-        ))
-    ident = mat_identity(n)
-    members = {ident}
-    frontier = [ident]
-    while frontier:
-        u = frontier.pop()
-        for s in gens:
-            w = mat_mul(s, u)
-            if w not in members:
-                members.add(w)
-                frontier.append(w)
-    if any(mat_act(u, v) != v for u in members):
-        raise LogicError("the Levi Weyl group must fix v")
-    return LeviDatum(v, tuple(sorted(zero)), tuple(sorted(plus)),
-                     tuple(sorted(members)))
+    # W_M is the stabiliser of v: it is generated by the reflections it
+    # contains (Steinberg), and those are the s_alpha with <alpha, v> = 0
+    _, x = _scaled(v)
+    x = tuple(x)
+    members = tuple(u for u in datum.weyl_elements if mat_act(u, x) == x)
+    return LeviDatum(v, tuple(sorted(zero)), tuple(sorted(plus)), members)
 
 
 def build_root_datum(kind: str, lattice: str = "sc", rank: int | None = None) -> RootDatum:
@@ -433,7 +580,3 @@ def parse_group_label(label: str) -> tuple[str, str]:
         kind, lattice = label, "sc"
     return kind, lattice
 
-
-@lru_cache(maxsize=None)
-def cached_root_datum(kind: str, lattice: str = "sc") -> RootDatum:
-    return build_root_datum(kind, lattice)

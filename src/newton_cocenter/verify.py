@@ -239,14 +239,7 @@ def suite_newton(group, params):
 
     fails, first = 0, None
     for w in ball:
-        order = 1
-        u = w.finite
-        ident = group.identity.finite
-        power = u
-        while power != ident:
-            power = tuple(tuple(sum(power[i][k] * u[k][j] for k in range(len(u)))
-                                for j in range(len(u))) for i in range(len(u)))
-            order += 1
+        order = group.datum.element_order(w.finite)
         total1 = _orbit_sum(w, order)
         total2 = _orbit_sum(w, 2 * order)
         if tuple(Fraction(x, order) for x in total1) != \
