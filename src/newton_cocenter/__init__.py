@@ -4,13 +4,13 @@ and the cocenter of the generic affine Hecke algebra."""
 
 from .errors import ConfigurationError, InputError, LogicError, ResourceError
 from .root_datum import (
-    Coweight, LeviDatum, RootDatum, build_root_datum, coweight, dominant_rep,
-    frac, frac_str, is_integral, levi_datum, parse_group_label,
+    Coweight, LeviDatum, RootDatum, build_root_datum, coweight, frac, frac_str,
+    is_integral, levi_datum, parse_group_label,
 )
 from .affine_weyl import (
     AffineRoot, AffineWeylElement, AffineWeylGroup, act_on_affine_root,
-    cached_group, conjugate, element_str, inverse, is_positive_affine_root,
-    multiply, parse_element,
+    conjugate, element_str, inverse, is_positive_affine_root, multiply,
+    parse_element,
 )
 from .newton import (
     NewtonIndex, is_straight, is_straight_by_powers, newton_index,

@@ -14,9 +14,10 @@ The group acts on affine roots by
     (t^lam u)(alpha, k) = (u(alpha), k + <u(alpha), lam>),
 
 the unique orientation for which a permutation-with-translation in
-GL(5) sends e4 - e3 to e5 - e2 - 1; a self-test pins this down at first
-use.  Length is the number of positive affine roots sent to negative
-ones, computed in closed form per finite-root family.
+GL(5) sends e4 - e3 to e5 - e2 - 1 (pinned by a test in
+tests/test_affine_weyl.py).  Length is the number of positive affine
+roots sent to negative ones, computed in closed form per finite-root
+family.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from operator import mul
 
 from .errors import InputError, LogicError, ResourceError
 from .root_datum import (
-    Covector, IntVector, Matrix, RootDatum, build_root_datum, dot, mat_act,
-    weyl_inverse, weyl_product,
+    Coweight, Covector, IntVector, Matrix, RootDatum, dominant_walk, dot,
+    mat_act, scaled, weyl_inverse, weyl_product,
 )
 
 DEFAULT_BALL_CAP_LOW_RANK = 12
@@ -103,6 +103,53 @@ def is_positive_affine_root(datum: RootDatum, a: AffineRoot) -> bool:
     return a.level >= 0
 
 
+def _least_descent(ctx, w: AffineWeylElement, length: int):
+    """(label, s w, length of s w) for the least label s with s w shorter."""
+    for lab, s in ctx.simple_items():
+        sw = multiply(s, w)
+        lsw = ctx.length(sw)
+        if lsw < length:
+            return lab, sw, lsw
+    raise LogicError("descent must exist while length is positive")
+
+
+def length_zero_part(ctx, w: AffineWeylElement) -> AffineWeylElement:
+    """The length-zero element of w's kappa coset, reached by descents.
+
+    ctx is an ambient or a Levi group: anything with `length` and
+    `simple_items`.
+    """
+    length = ctx.length(w)
+    while length > 0:
+        _, w, length = _least_descent(ctx, w, length)
+    return w
+
+
+def descent_word(ctx, a: AffineWeylElement, memo: dict) -> tuple[int, ...]:
+    """Lex-least reduced word of a, an element of trivial kappa in ctx.
+
+    The word is greedy: the least descent label s of a, then the word of
+    s a.  Every element met on that descent chain is stored in memo, so
+    words of elements sharing a tail are not rederived.
+    """
+    chain = []
+    cur = a
+    length = ctx.length(cur)
+    while length > 0 and cur not in memo:
+        lab, nxt, length = _least_descent(ctx, cur, length)
+        chain.append((cur, lab))
+        cur = nxt
+    word = memo.get(cur)
+    if word is None:
+        if cur != ctx.identity:
+            raise LogicError("word extraction must terminate at the identity")
+        word = ()
+    for elem, lab in reversed(chain):
+        word = (lab,) + word
+        memo[elem] = word
+    return word
+
+
 class AffineWeylGroup:
     """Length, affine simple reflections, kappa and ball enumeration.
 
@@ -111,7 +158,6 @@ class AffineWeylGroup:
     """
 
     def __init__(self, datum: RootDatum, ball_cap: int | None = None):
-        _orientation_self_test()
         self.datum = datum
         n = datum.rank
         if ball_cap is None:
@@ -121,7 +167,6 @@ class AffineWeylGroup:
         self._length_cache: dict[AffineWeylElement, int] = {}
         self._omega_cache: dict[IntVector, AffineWeylElement] = {}
         self._simples = self._build_simples()
-        self._label_of = {w: lab for lab, w in self._simples}
         # caches and limits consumed by the reduction module
         self.parabolic_cap = datum.w0_order + 1
         self._class_cache: dict = {}
@@ -131,6 +176,16 @@ class AffineWeylGroup:
         # memos filled on demand by affine_word and sort_key
         self._word_cache: dict[AffineWeylElement, tuple[int, ...]] = {}
         self._sort_key_cache: dict[AffineWeylElement, tuple] = {}
+        # Newton memos, filled on demand.  nu_w does not depend on a
+        # Levi, so every Levi of this group shares newton_points and
+        # the interned coweights; each Levi keeps its own dominant_rep
+        # memo.  Both memos and the interning table are keyed by
+        # (d, *d v), d the least common denominator of v: tuples of ints
+        # hash in C, tuples of Fractions do not.
+        self.newton_points: dict[AffineWeylElement, Coweight] = {}
+        self._walls = datum.simple_walls
+        self._dominant_cache: dict[IntVector, tuple[Coweight, Matrix]] = {}
+        self._coweights: dict[IntVector, Coweight] = {}
 
     # -- basic constructors -------------------------------------------
 
@@ -204,9 +259,6 @@ class AffineWeylGroup:
         extra = [s for lab, s in self._simples if lab == 0]
         return finite + extra
 
-    def simple_label(self, s: AffineWeylElement) -> int:
-        return self._label_of[s]
-
     # -- Omega ----------------------------------------------------------
 
     def kappa(self, w: AffineWeylElement) -> IntVector:
@@ -217,19 +269,10 @@ class AffineWeylGroup:
         """The unique length-zero element with the given kappa."""
         label = self.datum.kappa_label(tuple(label))
         cached = self._omega_cache.get(label)
-        if cached is not None:
-            return cached
-        w = self.translation(label)
-        while self.length(w) > 0:
-            for _, s in self._simples:
-                sw = multiply(s, w)
-                if self.length(sw) < self.length(w):
-                    w = sw
-                    break
-            else:
-                raise LogicError("descent must exist while length is positive")
-        self._omega_cache[label] = w
-        return w
+        if cached is None:
+            cached = self._omega_cache[label] = length_zero_part(
+                self, self.translation(label))
+        return cached
 
     def wa_omega_split(self, w: AffineWeylElement):
         """w = (product of the affine word) * omega, both canonical."""
@@ -239,39 +282,12 @@ class AffineWeylGroup:
         return word, omega
 
     def affine_word(self, a: AffineWeylElement) -> tuple[int, ...]:
-        """Lex-least reduced word of a in the affine simple reflections.
-
-        The word is greedy: the least descent label s of a, then the
-        word of s a.  Every element met on that descent chain is
-        memoised, so words of elements sharing a tail are not rederived.
-        """
-        memo = self._word_cache
-        hit = memo.get(a)
-        if hit is not None:
-            return hit
-        if self.kappa(a) != self.kappa(self.identity):
-            raise InputError("affine words only exist for elements with trivial kappa")
-        chain = []
-        cur = a
-        length = self.length(cur)
-        while length > 0 and cur not in memo:
-            for lab, s in self._simples:
-                sw = multiply(s, cur)
-                lsw = self.length(sw)
-                if lsw < length:
-                    chain.append((cur, lab))
-                    cur, length = sw, lsw
-                    break
-            else:
-                raise LogicError("descent must exist while length is positive")
-        word = memo.get(cur)
+        """Lex-least reduced word of a in the affine simple reflections."""
+        word = self._word_cache.get(a)
         if word is None:
-            if cur != self.identity:
-                raise LogicError("word extraction must terminate at the identity")
-            word = ()
-        for elem, lab in reversed(chain):
-            word = (lab,) + word
-            memo[elem] = word
+            if self.kappa(a) != self.kappa(self.identity):
+                raise InputError("affine words only exist for elements with trivial kappa")
+            word = descent_word(self, a, self._word_cache)
         return word
 
     def finite_word(self, u: Matrix) -> tuple[int, ...]:
@@ -306,6 +322,31 @@ class AffineWeylGroup:
     def newton_index(self, w: AffineWeylElement):
         from .newton import newton_index
         return newton_index(self, w)
+
+    def dominant_rep(self, x) -> tuple[Coweight, Matrix]:
+        """The dominant representative of the orbit of x, with u such that
+        u(x) is it; memoised.  Dominance is for the walls in self._walls:
+        the simple roots here, the M-simple roots in a LeviWeylGroup,
+        which shares this method."""
+        d, ints = scaled(x)
+        key = (d, *ints)
+        hit = self._dominant_cache.get(key)
+        if hit is None:
+            x_bar, u = dominant_walk(self.datum, ints, self._walls)
+            hit = self._dominant_cache[key] = (self.intern_coweight(d, x_bar), u)
+        return hit
+
+    def intern_coweight(self, d: int, x) -> Coweight:
+        """The group's one copy of the coweight x / d, for x an integer
+        vector and d the least common denominator of x / d (as `scaled`
+        returns them).  The Newton memos of the group and of its Levis
+        store these copies, so each distinct value is built and held
+        once."""
+        key = (d, *x)
+        v = self._coweights.get(key)
+        if v is None:
+            v = self._coweights[key] = tuple([Fraction(c, d) for c in x])
+        return v
 
     def is_straight(self, w: AffineWeylElement) -> bool:
         from .newton import is_straight
@@ -352,30 +393,6 @@ class AffineWeylGroup:
         return out
 
 
-_SELF_TEST_DONE = False
-
-
-def _orientation_self_test():
-    """Pin the affine-root action orientation with the GL(5) witness."""
-    global _SELF_TEST_DONE
-    if _SELF_TEST_DONE:
-        return
-    _SELF_TEST_DONE = True
-    datum = build_root_datum("GL", rank=5)
-    # the permutation 1->3->2->1, 4<->5 acting as u(e_i) = e_{sigma(i)}
-    sigma = {1: 3, 3: 2, 2: 1, 4: 5, 5: 4}
-    u = tuple(
-        tuple(1 if sigma[j + 1] == i + 1 else 0 for j in range(5))
-        for i in range(5)
-    )
-    w = AffineWeylElement((1, 1, 0, 1, 0), u)
-    a = AffineRoot((0, 0, -1, 1, 0), 0)          # e4 - e3
-    image = act_on_affine_root(datum, w, a)
-    expected = AffineRoot((0, -1, 0, 0, 1), -1)  # e5 - e2 - 1
-    if image != expected or is_positive_affine_root(datum, image):
-        raise LogicError("affine-root orientation self-test failed")
-
-
 # -- element grammar ----------------------------------------------------
 
 _RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
@@ -384,6 +401,7 @@ _RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
 def element_str(group: AffineWeylGroup, w: AffineWeylElement) -> str:
     """Canonical printed form: translation then finite word.
 
+    >>> from newton_cocenter.root_datum import build_root_datum
     >>> g = AffineWeylGroup(build_root_datum("A1"))
     >>> element_str(g, parse_element(g, "S1*S0*S1"))
     't[-1]*s1'
@@ -393,10 +411,6 @@ def element_str(group: AffineWeylGroup, w: AffineWeylElement) -> str:
     if word:
         text += "*" + "*".join(f"s{i}" for i in word)
     return text
-
-
-def omega_label_str(label: IntVector) -> str:
-    return "[" + ",".join(str(x) for x in label) + "]"
 
 
 def parse_element(group: AffineWeylGroup, text: str) -> AffineWeylElement:
@@ -485,8 +499,3 @@ def _parse_affine_word(group, text: str) -> AffineWeylElement:
             raise InputError(f"affine index {lab} out of range (production 'affine_word')")
         w = multiply(w, by_label[lab])
     return w
-
-
-@lru_cache(maxsize=None)
-def cached_group(kind: str, lattice: str = "sc") -> AffineWeylGroup:
-    return AffineWeylGroup(build_root_datum(kind, lattice))

@@ -112,10 +112,6 @@ class QPoly:
             total = total * x + c
         return total
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __str__(self):
         if not self.coeffs:
             return "0"

@@ -12,19 +12,20 @@ reflections of M-length one.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from math import lcm
 
 from .affine_weyl import (
     AffineRoot, AffineWeylElement, AffineWeylGroup, act_on_affine_root,
-    conjugate, inverse, is_positive_affine_root, multiply,
+    descent_word, inverse, is_positive_affine_root, length_zero_part, multiply,
 )
 from .errors import InputError, LogicError
 from .newton import NewtonIndex, newton_index, newton_point
 from .reduction import max_finite_parabolic_order, wa_ball_count
 from .root_datum import (
-    Coweight, IntVector, Matrix, coweight, coset_reduce, dominant_walk, dot,
-    hnf_columns, levi_datum, mat_act,
+    Coweight, IntVector, Matrix, coweight, coset_reduce, dot,
+    hnf_columns, levi_datum, mat_act, scaled,
 )
 
 
@@ -37,7 +38,7 @@ class LeviWeylGroup:
     """
 
     def __init__(self, parent: AffineWeylGroup, v):
-        self.parent = parent
+        self._parent = weakref.ref(parent)
         self.datum = parent.datum
         self.levi = levi_datum(self.datum, v)
         self.v = self.levi.v
@@ -46,8 +47,8 @@ class LeviWeylGroup:
         self._phi_m = tuple(sorted(set(self.levi.phi_zero)))
         self._phi_m_index = tuple(self.datum.root_index[a] for a in self._phi_m)
         self._m_simple_roots = self._find_m_simples()
-        self._m_walls = tuple((a, self.datum.coroot[a], self.datum.reflection(a))
-                              for a in self._m_simple_roots)
+        self._walls = tuple((a, self.datum.coroot[a], self.datum.reflection(a))
+                            for a in self._m_simple_roots)
         self._coroot_hnf = hnf_columns(
             [self.datum.coroot[a] for a in self._phi_m])
         self._length_cache: dict[AffineWeylElement, int] = {}
@@ -56,6 +57,25 @@ class LeviWeylGroup:
         self._omega_cache: dict[IntVector, AffineWeylElement] = {}
         self._class_cache: dict = {}
         self._triple_cache: dict = {}
+        self._word_cache: dict[AffineWeylElement, tuple[int, ...]] = {}
+        self._two_rho_m = tuple(
+            sum(a[i] for a in self._phi_m if self.datum.is_positive_root(a))
+            for i in range(self.datum.rank))
+        # Newton memos (see the newton module): the Newton points are the
+        # ambient group's, the dominant representatives are taken in M
+        self.newton_points = parent.newton_points
+        self._dominant_cache: dict[IntVector, tuple[Coweight, Matrix]] = {}
+
+    @property
+    def parent(self) -> AffineWeylGroup:
+        """The ambient group, held by a weak reference: the group keeps
+        its Levis in a memo, and a strong reference back would make each
+        such group a reference cycle, freed only by the cyclic garbage
+        collector."""
+        parent = self._parent()
+        if parent is None:
+            raise LogicError("the ambient group of this Levi has been freed")
+        return parent
 
     # -- construction --------------------------------------------------
 
@@ -130,55 +150,33 @@ class LeviWeylGroup:
     def omega_rep(self, label) -> AffineWeylElement:
         label = coset_reduce(tuple(label), self._coroot_hnf)
         cached = self._omega_cache.get(label)
-        if cached is not None:
-            return cached
-        w = self.parent.translation(label)
-        while self.length(w) > 0:
-            for _, s in self._simples:
-                sw = multiply(s, w)
-                if self.length(sw) < self.length(w):
-                    w = sw
-                    break
-            else:
-                raise LogicError("descent must exist while M-length is positive")
-        self._omega_cache[label] = w
-        return w
+        if cached is None:
+            cached = self._omega_cache[label] = length_zero_part(
+                self, self.parent.translation(label))
+        return cached
 
     def word(self, w: AffineWeylElement) -> tuple[int, ...]:
+        """Lex-least reduced word of w omega^{-1}, omega the length-zero
+        element of w's kappa_M coset."""
         omega = self.omega_rep(self.kappa(w))
-        cur = multiply(w, inverse(omega))
-        word = []
-        length = self.length(cur)
-        while length > 0:
-            for lab, s in self._simples:
-                sw = multiply(s, cur)
-                lsw = self.length(sw)
-                if lsw < length:
-                    word.append(lab)
-                    cur, length = sw, lsw
-                    break
-            else:
-                raise LogicError("descent must exist while M-length is positive")
-        return tuple(word)
+        return descent_word(self, multiply(w, inverse(omega)), self._word_cache)
 
     def sort_key(self, w: AffineWeylElement):
         return (self.length(w), self.kappa(w), self.word(w),
                 self.parent.sort_key(w))
 
-    def dominant_rep(self, x) -> tuple[Coweight, Matrix]:
-        """The M-dominant representative in the W_M-orbit."""
-        return dominant_walk(self.datum, x, self._m_walls)
+    # the M-dominant representative in the W_M-orbit: the ambient
+    # group's memoised walk, over the M-walls in self._walls
+    dominant_rep = AffineWeylGroup.dominant_rep
+
+    def intern_coweight(self, d: int, x) -> Coweight:
+        return self.parent.intern_coweight(d, x)
 
     def newton_index(self, w: AffineWeylElement) -> NewtonIndex:
-        nu = newton_point(self.parent, w)
-        nu_bar, _ = self.dominant_rep(nu)
-        return NewtonIndex(self.kappa(w), nu_bar)
+        return newton_index(self, w)
 
     def is_straight(self, w: AffineWeylElement) -> bool:
-        two_rho_m = tuple(
-            sum(a[i] for a in self._phi_m if self.datum.is_positive_root(a))
-            for i in range(self.datum.rank))
-        return self.length(w) == dot(two_rho_m, self.newton_index(w).nu_bar)
+        return self.length(w) == dot(self._two_rho_m, self.newton_index(w).nu_bar)
 
     def enumerate_ball(self, max_length: int, omega_labels,
                        cap: int = 64) -> list[AffineWeylElement]:
@@ -238,17 +236,13 @@ def levi_weyl_group(group: AffineWeylGroup, v) -> LeviWeylGroup:
     return cache[v]
 
 
-def is_member(w: AffineWeylElement, m: LeviWeylGroup) -> bool:
-    return m.is_member(w)
-
-
 def newton_index_map(group: AffineWeylGroup, m: LeviWeylGroup,
                      nu_m: NewtonIndex) -> NewtonIndex:
     """Push an M-Newton index to an ambient one: the coset label goes
     along the lattice inclusion, the coweight to its dominant orbit
     representative."""
     label = group.datum.kappa_label(nu_m.omega)
-    nu_bar, _ = group.datum.dominant_rep(nu_m.nu_bar)
+    nu_bar, _ = group.dominant_rep(nu_m.nu_bar)
     return NewtonIndex(label, nu_bar)
 
 
@@ -274,11 +268,11 @@ def is_v_alcove(group: AffineWeylGroup, w: AffineWeylElement, v) -> bool:
     levels within the translation window can change sign, so the check
     is finite.
     """
-    v = coweight(v)
-    if tuple(mat_act(w.finite, v)) != v:
+    _, x = scaled(v)
+    if mat_act(w.finite, x) != tuple(x):
         return False
     datum = group.datum
-    plus = [a for a in datum.roots if dot(a, v) > 0]
+    plus = [a for a in datum.roots if dot(a, x) > 0]
     winv = inverse(w)
     window = max((abs(dot(a, w.translation)) for a in datum.roots), default=0) + 1
     for beta in plus:
@@ -326,7 +320,7 @@ def positivity_exponent(group: AffineWeylGroup, w: AffineWeylElement,
     m = levi_weyl_group(group, v)
     if not m.is_member(w):
         raise InputError("positivity_exponent requires w in the Levi of v")
-    plus = [a for a in group.datum.roots if dot(a, v) > 0]
+    plus = m.levi.phi_plus
     denom = lcm(*(c.denominator for c in v))
     n0 = wa_ball_count(m, m.length(w))
     n1 = max_finite_parabolic_order(m)

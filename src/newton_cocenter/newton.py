@@ -10,8 +10,7 @@ representative of nu_w.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .affine_weyl import AffineWeylElement, AffineWeylGroup, multiply
 from .root_datum import Coweight, IntVector, dot, frac_str, mat_act
@@ -32,22 +31,33 @@ class NewtonIndex:
             ",".join(frac_str(c) for c in self.nu_bar) + ")"
 
 
-def newton_point(group: AffineWeylGroup, w: AffineWeylElement) -> Coweight:
-    """The averaged translation part of w."""
-    u = w.finite
-    order = group.datum.element_order(u)
-    total = list(w.translation)
-    cur = w.translation
-    for _ in range(order - 1):
-        cur = mat_act(u, cur)
-        total = [a + b for a, b in zip(total, cur)]
-    return tuple(Fraction(x, order) for x in total)
+def newton_point(ctx, w: AffineWeylElement) -> Coweight:
+    """The averaged translation part of w.
+
+    ctx is an ambient or a Levi group.  The value is memoised on the
+    ambient group, whose Levis share the memo (nu_w does not depend on
+    M), and interned there.
+    """
+    nu = ctx.newton_points.get(w)
+    if nu is None:
+        u = w.finite
+        order = ctx.datum.element_order(u)
+        total = list(w.translation)
+        cur = w.translation
+        for _ in range(order - 1):
+            cur = mat_act(u, cur)
+            total = [a + b for a, b in zip(total, cur)]
+        g = gcd(order, *total)
+        nu = ctx.newton_points[w] = ctx.intern_coweight(
+            order // g, [x // g for x in total])
+    return nu
 
 
-def newton_index(group: AffineWeylGroup, w: AffineWeylElement) -> NewtonIndex:
-    nu = newton_point(group, w)
-    nu_bar, _ = group.datum.dominant_rep(nu)
-    return NewtonIndex(group.kappa(w), nu_bar)
+def newton_index(ctx, w: AffineWeylElement) -> NewtonIndex:
+    """kappa(w) and the dominant representative of nu_w, both taken in
+    ctx (an ambient or a Levi group)."""
+    nu_bar, _ = ctx.dominant_rep(newton_point(ctx, w))
+    return NewtonIndex(ctx.kappa(w), nu_bar)
 
 
 def is_straight(group: AffineWeylGroup, w: AffineWeylElement) -> bool:

@@ -74,11 +74,11 @@ def mat_act(u: Matrix, v):
     """
     if all(type(c) is int for c in v):
         return tuple([sum(map(mul, row, v)) for row in u])
-    d, x = _scaled(v)
+    d, x = scaled(v)
     return tuple([Fraction(sum(map(mul, row, x)), d) for row in u])
 
 
-def _scaled(v) -> tuple[int, list[int]]:
+def scaled(v) -> tuple[int, list[int]]:
     """(d, d v) for a rational vector v with common denominator d."""
     if not all(isinstance(c, (int, Fraction)) for c in v):
         v = coweight(v)
@@ -165,17 +165,17 @@ def _reflect(x, a, av):
     return tuple([xi - c * vi for xi, vi in zip(x, av)]) if c else x
 
 
-def dominant_walk(datum: "RootDatum", v, walls) -> tuple[Coweight, Matrix]:
-    """Reflect v in the first wall it pairs negatively with, until it
-    pairs nonnegatively with every wall; return it with the product u of
-    the reflections, so that u(v) is the result.
+def dominant_walk(datum: "RootDatum", x, walls) -> tuple[list[int], Matrix]:
+    """Reflect the integer vector x in the first wall it pairs negatively
+    with, until it pairs nonnegatively with every wall; return it with
+    the product u of the reflections, so that u(x) is the result.
 
-    walls are (root, coroot, reflection) triples.  The walk runs on the
-    integer vector d v, d the common denominator of v, tracks u by table
-    lookup, and builds the Fractions once at the end.
+    walls are (root, coroot, reflection) triples, and u is tracked by
+    table lookup.  A rational coweight v is walked as the integer vector
+    d v (see `scaled`): the walk commutes with the scaling, and d is
+    still the least common denominator of the result, since W0 acts by
+    integer matrices with integer inverses.
     """
-    d, x = _scaled(v)
-    walls = tuple(walls)
     u = datum.weyl_identity
     while True:
         for a, av, s in walls:
@@ -185,7 +185,7 @@ def dominant_walk(datum: "RootDatum", v, walls) -> tuple[Coweight, Matrix]:
                 u = datum.product(s, u)
                 break
         else:
-            return tuple(Fraction(xi, d) for xi in x), u
+            return x, u
 
 
 class WeylElement(tuple):
@@ -373,6 +373,9 @@ class RootDatum:
         self.weyl_identity = self._interned[mat_identity(n)]
         self.simple_reflections: tuple[WeylElement, ...] = tuple(
             self.weyl_elements[self._perm_index[p]] for p in simple_perms)
+        # (root, coroot, reflection) of each simple root, for dominant_walk
+        self.simple_walls = tuple(zip(self.simple_roots, self.simple_coroots,
+                                      self.simple_reflections))
 
     # -- queries -----------------------------------------------------
 
@@ -459,8 +462,9 @@ class RootDatum:
 
     def dominant_rep(self, v: Coweight) -> tuple[Coweight, Matrix]:
         """The dominant W0-orbit representative, with u such that u(v) is it."""
-        return dominant_walk(self, v, zip(self.simple_roots, self.simple_coroots,
-                                          self.simple_reflections))
+        d, x = scaled(v)
+        x, u = dominant_walk(self, x, self.simple_walls)
+        return tuple(Fraction(c, d) for c in x), u
 
     def kappa_label(self, lam: IntVector) -> IntVector:
         """Canonical representative of lam modulo the coroot lattice."""
@@ -507,11 +511,16 @@ class LeviDatum:
 
 
 def levi_datum(datum: RootDatum, v) -> LeviDatum:
-    """Partition the roots by their sign on v and close up the fixer group."""
+    """Partition the roots by their sign on v and close up the fixer group.
+
+    Both are read off the integer vector d v, d the common denominator.
+    """
     v = coweight(v)
+    _, x = scaled(v)
+    x = tuple(x)
     zero, plus = [], []
     for a in datum.roots:
-        c = dot(a, v)
+        c = dot(a, x)
         if c == 0:
             zero.append(a)
         elif c > 0:
@@ -520,8 +529,6 @@ def levi_datum(datum: RootDatum, v) -> LeviDatum:
         raise LogicError("the roots positive on v must pair with the negative ones")
     # W_M is the stabiliser of v: it is generated by the reflections it
     # contains (Steinberg), and those are the s_alpha with <alpha, v> = 0
-    _, x = _scaled(v)
-    x = tuple(x)
     members = tuple(u for u in datum.weyl_elements if mat_act(u, x) == x)
     return LeviDatum(v, tuple(sorted(zero)), tuple(sorted(plus)), members)
 
@@ -564,11 +571,6 @@ def build_root_datum(kind: str, lattice: str = "sc", rank: int | None = None) ->
         simple_roots = [tuple(int(i == j) for j in range(n)) for i in range(n)]
         simple_coroots = [tuple(pairing[i][j] for i in range(n)) for j in range(n)]
     return RootDatum(kind, lattice, n, simple_roots, simple_coroots)
-
-
-def dominant_rep(datum: RootDatum, v) -> tuple[Coweight, Matrix]:
-    """Module-level convenience for RootDatum.dominant_rep."""
-    return datum.dominant_rep(v)
 
 
 def parse_group_label(label: str) -> tuple[str, str]:

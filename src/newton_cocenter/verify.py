@@ -35,7 +35,7 @@ from .reduction import (
     canonical_class_rep, is_min_in_class, reduce_to_min, replay,
     standard_triple, wa_ball_count,
 )
-from .root_datum import dot, frac_str, mat_act
+from .root_datum import dot, frac_str, mat_act, scaled
 
 
 @dataclass
@@ -140,19 +140,24 @@ def _levi_grid(group, max_den=6):
 
     Low ranks scan the full denominator grid; higher ranks use a small
     value set (the Levi only depends on which roots vanish, so a coarse
-    grid already meets every stabilizer pattern the suite needs).
+    grid already meets every stabilizer pattern the suite needs).  The
+    walk runs on the grid scaled by the common denominator d of the
+    values; only the representatives kept become Fractions.
     """
     if group.datum.rank <= 2:
         values = sorted({Fraction(p, q) for q in range(1, max_den + 1)
                          for p in range(-q, q + 1)})
     else:
         values = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
+    d, grid = scaled(values)
+    roots = group.datum.roots
     seen = {}
-    for coords in product(values, repeat=group.datum.rank):
-        m_key = frozenset(a for a in group.datum.roots if dot(a, coords) == 0)
+    for x in product(grid, repeat=group.datum.rank):
+        m_key = frozenset(a for a in roots if dot(a, x) == 0)
         if m_key not in seen:
-            seen[m_key] = tuple(coords)
-    return [seen[k] for k in sorted(seen, key=lambda s: tuple(sorted(s)))]
+            seen[m_key] = x
+    return [tuple(Fraction(c, d) for c in seen[k])
+            for k in sorted(seen, key=lambda s: tuple(sorted(s)))]
 
 
 def _levi_box(group, m, max_m_length, box=2, cap=None):
@@ -440,10 +445,10 @@ def suite_positivity(group, params):
     first = None
     for v in grid:
         m = levi_weyl_group(group, v)
-        plus = [a for a in group.datum.roots if dot(a, v) > 0]
+        plus = m.levi.phi_plus
         for w in _levi_box(group, m, 4, box=1):
-            nu = newton_point(group, w)
-            if not all(dot(beta, nu) > 0 for beta in plus):
+            _, scaled_nu = scaled(newton_point(group, w))
+            if not all(dot(beta, scaled_nu) > 0 for beta in plus):
                 skipped += 1
                 continue
             n += 1

@@ -2,10 +2,13 @@
 byte.  The rank <= 3 files and the long `cocenter-reduce` inputs were
 recorded with the ball-enumerating class search, before classes were
 built from their cosets; the GL4 and GL5 files were recorded with the
-matrix-product finite Weyl group, before it became index tables.  They
-pin the canonical output of `verify`, of long `cocenter-reduce` inputs
-and of one GL5 query per kind.  Re-record a file only for an intended
-change of output:
+matrix-product finite Weyl group, before it became index tables; the
+README examples (text output, so they pin the text formatter and
+`induce`) and GL5 `verify all` at defaults were recorded with the
+Fraction-valued, unmemoised Newton and Levi layers.  They pin the
+canonical output of `verify`, of long `cocenter-reduce` inputs, of one
+GL5 query per kind and of every README example.  Re-record a file only
+for an intended change of output:
 
     PYTHONPATH=src python -m newton_cocenter.cli ARGV... > tests/golden/NAME.out
 """
@@ -54,6 +57,22 @@ CASES = {
                  '["-1/2", "2/3", "-1", "1/3", "2/3"]', "describe"],
     "gl5-strata-l1": ["--group", "GL5", "--json", "strata", "--length", "1"],
     "gl5-rigid-l1": ["--group", "GL5", "--json", "rigid", "--length", "1"],
+    # the README's command-line examples, in text output
+    "readme-GL5-newton": ["--group", "GL5", "newton", "t[1,1,0,1,0]*s2*s1*s4"],
+    "readme-A1-strata": ["--group", "A1", "strata", "--length", "4"],
+    "readme-A1-reduce": ["--group", "A1", "reduce", "S1*S0*S1"],
+    "readme-A1-triple": ["--group", "A1", "triple", "S0"],
+    "readme-GL5-alcove-test": ["--group", "GL5", "alcove-test", "t[1,1,0,1,0]*s2*s1*s4",
+                               "--v", '["2/3","2/3","2/3","1/2","1/2"]'],
+    "readme-GL5-positivity": ["--group", "GL5", "positivity", "t[1,1,0,1,0]*s2*s1*s4",
+                              "--v", '["2/3","2/3","2/3","1/2","1/2"]'],
+    "readme-GL5-levi": ["--group", "GL5", "levi", "--v", '["2/3","2/3","2/3","1/2","1/2"]',
+                        "describe"],
+    "readme-A1-cocenter-reduce": ["--group", "A1", "cocenter-reduce", "T[S1*S0*S1]"],
+    "readme-A1-induce": ["--group", "A1", "induce", "--v", '["1"]', "T[t[-1]]"],
+    "readme-A1-rigid": ["--group", "A1", "rigid", "--length", "4"],
+    "readme-A2-verify-all": ["--group", "A2", "verify", "all"],
+    "readme-A1-verify-newton": ["--group", "A1", "verify", "newton", "--length", "4"],
 }
 
 # Heavy GL5 suites, recorded in golden/slow/ and deselected by default
@@ -62,6 +81,7 @@ SLOW_CASES = {
     "verify-GL5-levi-l1": ["--group", "GL5", "--json", "verify", "levi", "--length", "1"],
     "verify-GL5-positivity-l1": ["--group", "GL5", "--json", "verify", "positivity",
                                  "--length", "1"],
+    "verify-GL5-all": ["--group", "GL5", "--json", "verify", "all"],
 }
 
 

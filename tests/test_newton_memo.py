@@ -1,0 +1,190 @@
+"""Differential tests: the memoised Newton and Levi layers against
+uncached computations.
+
+Newton points and dominant representatives are memoised per group (the
+Newton points on the ambient group, shared by its Levis; the dominant
+representatives per context), with equal values interned per group,
+and `LeviWeylGroup.word` memoises its descent chains.  The oracles
+below recompute everything from scratch in Fraction arithmetic: the
+orbit average with the order found by matrix powers, the dominant
+chamber walk on Fractions, and the greedy descent word without a memo.
+The verify coweight grid and the Levi root partitions, now paired on
+integers, are checked against the Fraction pairings they replaced.
+"""
+
+import gc
+import weakref
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from newton_cocenter import AffineWeylGroup, NewtonIndex, build_root_datum
+from newton_cocenter.affine_weyl import inverse, multiply
+from newton_cocenter.errors import LogicError
+from newton_cocenter.levi_alcove import levi_weyl_group
+from newton_cocenter.newton import newton_index, newton_point
+from newton_cocenter.root_datum import dot, levi_datum, mat_identity, mat_mul
+from newton_cocenter.verify import _levi_box, _levi_grid
+
+GROUPS = [(label, lattice, radius) for label in ("A1", "A2", "B2", "C2", "G2")
+          for lattice, radius in (("sc", 4), ("ad", 4))] + \
+    [("GL2", "gl", 4), ("GL3", "gl", 3), ("GL4", "gl", 3)]
+
+
+def fresh_group(label, lattice):
+    return AffineWeylGroup(build_root_datum(label, lattice))
+
+
+def oracle_newton_point(w):
+    u = tuple(map(tuple, w.finite))
+    n = len(u)
+    power, order = u, 1
+    while power != mat_identity(n):
+        power, order = mat_mul(power, u), order + 1
+    total = [Fraction(0)] * n
+    cur = [Fraction(x) for x in w.translation]
+    for _ in range(order):
+        total = [a + b for a, b in zip(total, cur)]
+        cur = [sum(Fraction(r) * c for r, c in zip(row, cur)) for row in u]
+    return tuple(t / order for t in total)
+
+
+def oracle_dominant(x, walls):
+    x = [Fraction(c) for c in x]
+    while True:
+        for a, av in walls:
+            c = sum(Fraction(p) * q for p, q in zip(a, x))
+            if c < 0:
+                x = [xi - c * vi for xi, vi in zip(x, av)]
+                break
+        else:
+            return tuple(x)
+
+
+def oracle_word(m, w):
+    """The greedy lex-least descent word of w omega^{-1}, with omega the
+    length-zero element of w's kappa_M coset, found without any memo."""
+    omega = m.parent.translation(m.kappa(w))
+    while m.length(omega) > 0:
+        omega = next(sw for sw in (multiply(s, omega) for _, s in m.simple_items())
+                     if m.length(sw) < m.length(omega))
+    cur, word = multiply(w, inverse(omega)), []
+    while m.length(cur) > 0:
+        lab, cur = next((lab, sw) for lab, sw in
+                        ((lab, multiply(s, cur)) for lab, s in m.simple_items())
+                        if m.length(sw) < m.length(cur))
+        word.append(lab)
+    assert cur == m.identity
+    return tuple(word)
+
+
+def ambient_walls(g):
+    return list(zip(g.datum.simple_roots, g.datum.simple_coroots))
+
+
+def levi_walls(m):
+    return [(a, m.datum.coroot[a]) for a in m._m_simple_roots]
+
+
+@pytest.mark.parametrize("label,lattice,radius", GROUPS)
+def test_memoised_ambient_newton_equals_uncached(label, lattice, radius):
+    g = fresh_group(label, lattice)
+    ball = g.enumerate_ball(radius, cap=radius)
+    walls = ambient_walls(g)
+    for w in ball:
+        nu = oracle_newton_point(w)
+        first = newton_point(g, w)
+        assert first == nu and all(type(c) is Fraction for c in first)
+        assert newton_point(g, w) is first
+        expected = NewtonIndex(g.kappa(w), oracle_dominant(nu, walls))
+        assert newton_index(g, w) == expected
+        assert newton_index(g, w) == expected
+
+
+@pytest.mark.parametrize("label,lattice,radius", GROUPS)
+def test_memoised_levi_newton_and_word_equal_uncached(label, lattice, radius):
+    g = fresh_group(label, lattice)
+    for v in _levi_grid(g, 4):
+        m = levi_weyl_group(g, v)
+        assert m.newton_points is g.newton_points
+        walls = levi_walls(m)
+        for w in _levi_box(g, m, 3):
+            expected = NewtonIndex(m.kappa(w), oracle_dominant(oracle_newton_point(w), walls))
+            assert m.newton_index(w) == expected
+            assert newton_index(m, w) == expected
+            assert m.word(w) == oracle_word(m, w)
+            assert m.word(w) == oracle_word(m, w)
+
+
+def fraction_levi_grid(g, max_den):
+    """The Levi grid walked on Fractions, as it was before the integer walk."""
+    if g.datum.rank <= 2:
+        values = sorted({Fraction(p, q) for q in range(1, max_den + 1)
+                         for p in range(-q, q + 1)})
+    else:
+        values = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
+    seen = {}
+    for coords in product(values, repeat=g.datum.rank):
+        m_key = frozenset(a for a in g.datum.roots if dot(a, coords) == 0)
+        seen.setdefault(m_key, tuple(coords))
+    return [seen[k] for k in sorted(seen, key=lambda s: tuple(sorted(s)))]
+
+
+@pytest.mark.parametrize("label,lattice", [(label, lattice) for label, lattice, _ in GROUPS])
+def test_integer_levi_pairings_equal_fraction_pairings(label, lattice):
+    g = fresh_group(label, lattice)
+    for max_den in (4, 6):
+        grid = _levi_grid(g, max_den)
+        assert grid == fraction_levi_grid(g, max_den)
+        assert all(type(c) is Fraction for v in grid for c in v)
+        for v in grid:
+            levi = levi_datum(g.datum, v)
+            assert levi.phi_zero == tuple(a for a in g.datum.roots if dot(a, v) == 0)
+            assert levi.phi_plus == tuple(a for a in g.datum.roots if dot(a, v) > 0)
+
+
+def _interned_ids(g):
+    return {id(x) for x in g._coweights.values()}
+
+
+@pytest.mark.parametrize("label,lattice", [("G2", "ad"), ("GL3", "gl")])
+def test_interned_values_stay_in_their_group(label, lattice):
+    g1, g2 = fresh_group(label, lattice), fresh_group(label, lattice)
+    ball = g1.enumerate_ball(3, cap=3)
+    v = next(v for v in _levi_grid(g1, 4) if any(dot(a, v) == 0 for a in g1.datum.roots)
+             and any(dot(a, v) != 0 for a in g1.datum.roots))
+    m1, m2 = levi_weyl_group(g1, v), levi_weyl_group(g2, v)
+    for w in ball:
+        nu1, nu2 = newton_point(g1, w), newton_point(g2, w)
+        assert nu1 == nu2 and nu1 is not nu2
+        assert newton_index(g1, w).nu_bar is not newton_index(g2, w).nu_bar
+        if m1.is_member(w):
+            assert m1.newton_index(w).nu_bar is not m2.newton_index(w).nu_bar
+    for g in (g1, g2):
+        # equal values are one object per group, and every memo value
+        # comes from the group's own interning table
+        values = list(g.newton_points.values())
+        assert len({id(x) for x in values}) == len(set(values))
+        ids = _interned_ids(g)
+        assert {id(x) for x in values} <= ids
+        dominant = [x_bar for x_bar, _ in g._dominant_cache.values()]
+        dominant += [x_bar for m in (m1, m2) if m.parent is g
+                     for x_bar, _ in m._dominant_cache.values()]
+        assert {id(x) for x in dominant} <= ids
+    assert not _interned_ids(g1) & _interned_ids(g2)
+
+
+def test_group_with_levis_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        g = fresh_group("A2", "sc")
+        m = levi_weyl_group(g, (Fraction(1), Fraction(0)))
+        m.newton_index(g.translation((1, -1)))
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
+    with pytest.raises(LogicError, match="freed"):
+        m.parent
