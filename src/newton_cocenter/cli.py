@@ -11,6 +11,7 @@ unexpected exception (traceback on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -22,7 +23,7 @@ from .affine_weyl import AffineWeylGroup, element_str, parse_element
 from .errors import ConfigurationError, InputError, LogicError, ResourceError
 from .hecke_cocenter import (
     HeckeElement, QPoly, StoredNormalForms, cocenter_reduce, induce,
-    parse_poly, rigid_decomposition,
+    normal_form_texts, parse_poly, rigid_decomposition,
 )
 from .levi_alcove import (
     is_v_alcove, levi_weyl_group, positivity_exponent,
@@ -36,7 +37,20 @@ CACHE_ENV = "NEWTON_COCENTER_CACHE"
 CACHE_SCHEMA = "nf-v1"
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state in
+    it between calls."""
     p = argparse.ArgumentParser(
         prog="newton-cocenter",
         description="Exact computations in extended affine Weyl groups and "
@@ -44,8 +58,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", help="group label, e.g. A1, C2:ad, GL5 (default A1)")
     p.add_argument("--config", help="config file with keys type, rank, lattice")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker count; output is canonical for any value")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker processes for `verify all`; output is "
+                        "canonical for any value")
     p.add_argument("--json", action="store_true", help="JSON output")
     p.add_argument("--tsv", action="store_true", help="TSV output")
     p.add_argument("--ball-cap", type=int, help="override the ball radius cap")
@@ -436,7 +451,7 @@ def cmd_verify(group, args) -> int:
         "seeds": args.seeds,
         "seed": args.seed,
     }
-    reports = run_suite(args.suite, group, overrides)
+    reports = run_suite(args.suite, group, overrides, jobs=args.jobs)
     ok = all(r.passed for r in reports)
     for r in reports:
         if args.json:
@@ -474,12 +489,14 @@ def _load_nf_cache(group):
     entry is checked when it is first used (`StoredNormalForms`).
 
     An unreadable file and a wrong schema are reported on stderr and the
-    file is ignored; a missing file is not reported.
+    file is ignored; a missing file is not reported.  Whenever the cache
+    is in use the group gets a store, empty if nothing was read.
     """
     root = os.environ.get(CACHE_ENV)
     if not root:
         return None
     path = os.path.join(root, f"{CACHE_SCHEMA}-{group.datum.descriptor().replace(':', '-')}.json")
+    group._nf_stored = StoredNormalForms(group, {})
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -492,27 +509,26 @@ def _load_nf_cache(group):
             or not isinstance(data.get("normal_forms"), dict):
         _cache_warning(path, f"not a {CACHE_SCHEMA} cache, ignored")
         return path
-    group._nf_stored = StoredNormalForms(group, data["normal_forms"])
+    group._nf_stored.forms = data["normal_forms"]
     return path
 
 
 def _save_nf_cache(group, path):
     """Report the dropped stored entries, then write the stored entries
-    never read plus every normal form of this run, atomically: a
-    temporary file in the same directory, then os.replace.  Nothing is
-    written when no normal form was used.  A failure is reported, not
-    raised."""
+    never read plus every normal form of this run, in this process or
+    its workers, atomically: a temporary file in the same directory,
+    then os.replace.  Nothing is written when no normal form was used.
+    A failure is reported, not raised."""
     if not path:
         return
     stored = group._nf_stored
-    if stored is not None and stored.dropped:
-        _cache_warning(path, f"dropped {stored.dropped} invalid entries")
-    if not group._nf_cache:
+    if stored.dropped:
+        _cache_warning(path, f"dropped {len(stored.dropped)} invalid entries")
+    if not group._nf_cache and not stored.computed:
         return
-    forms = dict(stored.forms) if stored is not None else {}
-    for w, terms in group._nf_cache.items():
-        forms[element_str(group, w)] = {
-            element_str(group, k): str(c) for k, c in terms.items()}
+    forms = dict(stored.forms)
+    forms.update(stored.computed)
+    forms.update(normal_form_texts(group, group._nf_cache.items()))
     payload = {"schema": CACHE_SCHEMA, "group": group.datum.descriptor(),
                "normal_forms": forms}
     # a per-process name in the same directory, so os.replace is atomic

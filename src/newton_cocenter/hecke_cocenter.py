@@ -23,7 +23,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .affine_weyl import AffineWeylElement, AffineWeylGroup, multiply, parse_element
+from .affine_weyl import (
+    AffineWeylElement, AffineWeylGroup, element_str, multiply, parse_element,
+)
 from .errors import InputError, LogicError, ResourceError
 from .levi_alcove import (
     LeviWeylGroup, levi_weyl_group, newton_index_map,
@@ -291,17 +293,28 @@ class StoredNormalForms:
     The entries stay text until `_nf_basis` first needs their element:
     the keys are parsed then, and an entry is parsed and checked when
     its element is reached, so a call that computes few normal forms
-    does not pay for the whole file.  An entry is dropped, and counted
-    in `dropped`, when it does not parse, when its q = 1 specialisation
-    is not {canonical_class_rep(w): 1}, or when its support leaves the
-    kappa coset of w.  Other edits are not detected.
+    does not pay for the whole file.  An entry is dropped, and its text
+    added to `dropped`, when it does not parse, when its q = 1
+    specialisation is not {canonical_class_rep(w): 1}, or when its
+    support leaves the kappa coset of w.  Other edits are not detected.
+    Worker processes each check a copy of the entries; `merge` takes in
+    what one of them read, dropped and computed.
     """
 
     def __init__(self, group: AffineWeylGroup, forms: dict):
         self.group = group
         self.forms = forms      # element text -> {element text: poly text}, unread
-        self.dropped = 0
+        self.dropped: set[str] = set()
+        self.computed: dict = {}  # normal forms of worker processes, as text
         self._keys: dict | None = None
+
+    def merge(self, computed: dict, read, dropped) -> None:
+        """The texts a worker read leave `forms`, its normal forms join
+        `computed`; an entry dropped by several workers counts once."""
+        for text in read:
+            self.forms.pop(text, None)
+        self.dropped |= dropped
+        self.computed.update(computed)
 
     def take(self, w: AffineWeylElement) -> dict | None:
         """The checked normal form of w, if one is stored; it leaves `forms`."""
@@ -313,7 +326,7 @@ class StoredNormalForms:
                     self._keys[parse_element(group, text)] = text
                 except (InputError, AttributeError, TypeError):
                     del self.forms[text]
-                    self.dropped += 1
+                    self.dropped.add(text)
         text = self._keys.pop(w, None)
         if text is None:
             return None
@@ -321,13 +334,20 @@ class StoredNormalForms:
         try:
             nf = {parse_element(group, k): parse_poly(c) for k, c in terms.items()}
         except (InputError, AttributeError, TypeError):
-            self.dropped += 1
+            self.dropped.add(text)
             return None
         if HeckeElement(nf).evaluate_q(1) != {canonical_class_rep(group, w): 1} or \
                 any(group.kappa(k) != group.kappa(w) for k in nf):
-            self.dropped += 1
+            self.dropped.add(text)
             return None
         return nf
+
+
+def normal_form_texts(group: AffineWeylGroup, items) -> dict:
+    """(w, normal form of T_w) pairs as text, the form of the disk cache."""
+    return {element_str(group, w): {element_str(group, k): str(c)
+                                    for k, c in terms.items()}
+            for w, terms in items}
 
 
 def _nf_basis(group: AffineWeylGroup, w: AffineWeylElement) -> dict:

@@ -12,7 +12,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 from .affine_weyl import (
     AffineRoot, AffineWeylElement, AffineWeylGroup, act_on_affine_root,
@@ -21,8 +21,9 @@ from .affine_weyl import (
 )
 from .errors import InputError, LogicError, ResourceError
 from .hecke_cocenter import (
-    HeckeElement, QPoly, cocenter_reduce, cocenter_reduce_randomized,
-    fraction_free_rank, hecke_mul, rigid_decomposition,
+    HeckeElement, QPoly, StoredNormalForms, cocenter_reduce,
+    cocenter_reduce_randomized, fraction_free_rank, hecke_mul,
+    normal_form_texts, rigid_decomposition,
 )
 from .levi_alcove import (
     conjugate_levi, is_v_alcove, levi_weyl_group, m_in_g_stratum_check,
@@ -35,7 +36,7 @@ from .reduction import (
     canonical_class_rep, is_min_in_class, reduce_to_min, replay,
     standard_triple, wa_ball_count,
 )
-from .root_datum import dot, frac_str, mat_act, scaled
+from .root_datum import RootDatum, dot, frac_str, mat_act, scaled
 
 
 @dataclass
@@ -557,7 +558,14 @@ SUITES = {
 }
 
 
-def run_suite(name: str, group: AffineWeylGroup, overrides: dict) -> list[SuiteReport]:
+def run_suite(name: str, group: AffineWeylGroup, overrides: dict,
+              jobs: int = 1) -> list[SuiteReport]:
+    """Run one suite or, for "all", every suite in `SUITES` order.
+
+    With jobs > 1 and more than one suite, the suites run in worker
+    processes (`_run_in_workers`); the reports, and the exception of the
+    first failing suite, are those of the serial loop.
+    """
     if name == "all":
         names = list(SUITES)
     elif name in SUITES:
@@ -565,15 +573,87 @@ def run_suite(name: str, group: AffineWeylGroup, overrides: dict) -> list[SuiteR
     else:
         raise InputError(f"unknown suite {name!r}; choose from "
                          f"{', '.join(sorted(SUITES))} or 'all'")
-    reports = []
+    tasks = []
     for n in names:
-        fn, defaults = SUITES[n]
+        defaults = SUITES[n][1]
         params = dict(defaults)
         for k, v in overrides.items():
             if v is not None and (k in defaults or k in ("length", "seed")):
                 params[k] = v
-        start = time.monotonic()
-        report = fn(group, params)
-        report.wall_time = time.monotonic() - start
-        reports.append(report)
-    return reports
+        tasks.append((n, params))
+    if jobs > 1 and len(tasks) > 1:
+        return _run_in_workers(group, tasks, min(jobs, len(tasks)))
+    return [_run_timed(group, n, params) for n, params in tasks]
+
+
+def _run_timed(group, name, params) -> SuiteReport:
+    start = time.monotonic()
+    report = SUITES[name][0](group, params)
+    report.wall_time = time.monotonic() - start
+    return report
+
+
+# -- worker processes ----------------------------------------------------
+
+# The state of a worker process, set by `_start_worker`: its group, the
+# keys of its copy of the stored normal forms, and how many of its
+# normal forms it has sent back.
+_worker: dict = {}
+
+
+def _run_in_workers(group, tasks, workers) -> list[SuiteReport]:
+    """Run the suites in `workers` processes, handed out one at a time
+    in order.  Results are collected in order, so the exception that
+    surfaces is the one of the earliest failing suite.  Each worker
+    rebuilds the group from the datum's constructor arguments; the
+    stored normal forms of a disk cache go out as text, and what the
+    workers read, dropped and computed of them is merged back.  Every
+    worker has exited when this returns or raises."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    datum = group.datum
+    stored = group._nf_stored
+    # fork is cheap, and safe while the process has no other thread: the
+    # CLI starts none, and the executor forks every worker at the first
+    # submit, before it starts a thread of its own
+    start_method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context(start_method),
+        initializer=_start_worker,
+        initargs=((datum.type_label, datum.lattice, datum.rank,
+                   datum.simple_roots, datum.simple_coroots),
+                  group.ball_cap, None if stored is None else stored.forms))
+    try:
+        futures = [pool.submit(_run_in_worker, n, params) for n, params in tasks]
+        reports = []
+        for future in futures:
+            report, normal_forms = future.result()
+            reports.append(report)
+            if normal_forms is not None:
+                stored.merge(*normal_forms)
+        return reports
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _start_worker(datum_args, ball_cap, stored_forms):
+    group = AffineWeylGroup(RootDatum(*datum_args), ball_cap=ball_cap)
+    if stored_forms is not None:
+        group._nf_stored = StoredNormalForms(group, dict(stored_forms))
+    _worker.update(group=group, keys=set(stored_forms or ()), sent=0)
+
+
+def _run_in_worker(name, params):
+    """One suite's report and, with a disk cache, the normal forms new
+    since the last suite of this worker, the stored keys read and those
+    dropped."""
+    group = _worker["group"]
+    report = _run_timed(group, name, params)
+    stored = group._nf_stored
+    if stored is None:
+        return report, None
+    new = list(islice(group._nf_cache.items(), _worker["sent"], None))
+    _worker["sent"] += len(new)
+    read = _worker["keys"] - stored.forms.keys()
+    return report, (normal_form_texts(group, new), read, stored.dropped)

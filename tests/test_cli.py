@@ -220,3 +220,36 @@ def test_unexpected_error_exit_code(capsys, monkeypatch):
     assert code == 3
     assert out.out == ""
     assert "RuntimeError: unexpected" in out.err
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    # the parser is cached per process; consecutive parses, with an
+    # `append` option given, repeated and left out, must print what a
+    # fresh parser prints
+    from newton_cocenter import cli
+
+    calls = [
+        ["--group", "A1:ad", "strata", "--length", "2", "--omega", "[1]"],
+        ["--group", "A1:ad", "strata", "--length", "2", "--omega", "[1]"],
+        ["--group", "A1:ad", "strata", "--length", "2"],
+        ["--group", "A2", "--json", "--jobs", "3", "newton", "S1*S0"],
+        ["--group", "A1:ad", "--json", "strata", "--length", "2", "--omega", "[0]"],
+        ["--group", "A1", "describe"],
+    ]
+    assert cli._build_parser() is cli._build_parser()
+    cached = [run_cli(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert cached == fresh
+    assert cached[0] == cached[1] != cached[2]
+
+
+def test_jobs_below_one_is_an_input_error(capsys):
+    for value in ("0", "-3"):
+        code = main(["--group", "A1", "--jobs", value, "verify", "newton"])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert "--jobs" in out.err and "at least 1" in out.err

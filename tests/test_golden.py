@@ -7,8 +7,9 @@ README examples (text output, so they pin the text formatter and
 `induce`) and GL5 `verify all` at defaults were recorded with the
 Fraction-valued, unmemoised Newton and Levi layers.  They pin the
 canonical output of `verify`, of long `cocenter-reduce` inputs, of one
-GL5 query per kind and of every README example.  Re-record a file only
-for an intended change of output:
+GL5 query per kind and of every README example.  Every `verify all`
+file is also matched with `--jobs 2`, which runs the suites in worker
+processes.  Re-record a file only for an intended change of output:
 
     PYTHONPATH=src python -m newton_cocenter.cli ARGV... > tests/golden/NAME.out
 """
@@ -110,3 +111,24 @@ def test_slow_golden_transcript(name, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode() == (GOLDEN / "slow" / f"{name}.out").read_bytes()
+
+
+VERIFY_ALL = sorted(name for name, argv in CASES.items() if argv[-2:] == ["verify", "all"])
+
+
+@pytest.mark.parametrize("name", VERIFY_ALL)
+def test_golden_verify_all_in_two_workers(name, capsys, monkeypatch):
+    monkeypatch.delenv("NEWTON_COCENTER_CACHE", raising=False)
+    code = main(["--jobs", "2"] + CASES[name])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.slow
+def test_slow_golden_gl5_verify_all_in_two_workers(capsys, monkeypatch):
+    monkeypatch.delenv("NEWTON_COCENTER_CACHE", raising=False)
+    code = main(["--jobs", "2"] + SLOW_CASES["verify-GL5-all"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode() == (GOLDEN / "slow" / "verify-GL5-all.out").read_bytes()
