@@ -25,30 +25,48 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 
 from .errors import InputError, LogicError, ResourceError
 from .root_datum import (
-    Coweight, Covector, IntVector, Matrix, RootDatum, dominant_walk, dot,
-    mat_act, scaled, weyl_inverse, weyl_product,
+    Coweight, Covector, IntVector, InternedCoweight, Matrix, RootDatum,
+    dominant_walk, dot, mat_act, scaled, weyl_inverse, weyl_product,
 )
 
 DEFAULT_BALL_CAP_LOW_RANK = 12
 DEFAULT_BALL_CAP = 8
 
 
-@dataclass(frozen=True)
-class AffineWeylElement:
-    """t^translation * finite, with the semidirect product group law."""
+class AffineWeylElement(tuple):
+    """t^translation * finite, with the semidirect product group law.
 
-    translation: IntVector
-    finite: Matrix
+    The pair (translation, finite) itself, as `WeylElement` is its
+    matrix: hashing and equality run in C on every memo lookup, and an
+    element equals the plain pair.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, translation: IntVector, finite: Matrix):
+        return _new(cls, (translation, finite))
+
+    translation = property(itemgetter(0))
+    finite = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"AffineWeylElement(translation={self[0]!r}, finite={self[1]!r})"
 
     def __mul__(self, other: "AffineWeylElement") -> "AffineWeylElement":
         return multiply(self, other)
 
     def inverse(self) -> "AffineWeylElement":
         return inverse(self)
+
+
+_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -70,16 +88,18 @@ class AffineRoot:
 
 def multiply(w1: AffineWeylElement, w2: AffineWeylElement) -> AffineWeylElement:
     """(t^a u)(t^b v) = t^{a + u(b)} uv."""
-    b = w2.translation
-    return AffineWeylElement(
-        tuple([x + sum(map(mul, row, b)) for x, row in zip(w1.translation, w1.finite)]),
-        weyl_product(w1.finite, w2.finite),
-    )
+    a, u = w1
+    b, v = w2
+    return _new(AffineWeylElement, (
+        tuple([x + sum(map(mul, row, b)) for x, row in zip(a, u)]),
+        weyl_product(u, v)))
 
 
 def inverse(w: AffineWeylElement) -> AffineWeylElement:
-    uinv = weyl_inverse(w.finite)
-    return AffineWeylElement(tuple(-x for x in mat_act(uinv, w.translation)), uinv)
+    lam, u = w
+    uinv = weyl_inverse(u)
+    return _new(AffineWeylElement, (
+        tuple([-sum(map(mul, row, lam)) for row in uinv]), uinv))
 
 
 def conjugate(x: AffineWeylElement, w: AffineWeylElement) -> AffineWeylElement:
@@ -171,6 +191,9 @@ class AffineWeylGroup:
         self.parabolic_cap = datum.w0_order + 1
         self._class_cache: dict = {}
         self._triple_cache: dict = {}
+        # reduction._dominant_translations, memoised per kappa label
+        self.dominant_translations: dict[IntVector, tuple] = {}
+        self._orbits: dict[IntVector, set[IntVector]] = {}
         self._nf_cache: dict = {}
         self._nf_stored = None  # StoredNormalForms read from a disk cache
         # memos filled on demand by affine_word and sort_key
@@ -218,10 +241,11 @@ class AffineWeylGroup:
         cached = self._length_cache.get(w)
         if cached is not None:
             return cached
-        tau, lam = self.datum.tau, w.translation
-        level = [tau[j] - dot(beta, lam) for j, beta in enumerate(self.datum.roots)]
+        tau = self.datum.tau
+        lam, u = w
+        level = [t - sum(map(mul, beta, lam)) for t, beta in zip(tau, self.datum.roots)]
         total = 0
-        for i, j in enumerate(self.datum.root_permutation(w.finite)):
+        for i, j in enumerate(self.datum.root_permutation(u)):
             d = level[j] - tau[i]
             if d > 0:
                 total += d
@@ -329,10 +353,15 @@ class AffineWeylGroup:
         the simple roots here, the M-simple roots in a LeviWeylGroup,
         which shares this method."""
         d, ints = scaled(x)
-        key = (d, *ints)
+        return self.dominant_rep_scaled(d, ints)
+
+    def dominant_rep_scaled(self, d: int, x) -> tuple[Coweight, Matrix]:
+        """`dominant_rep` of x / d, for x an integer vector and d the
+        least common denominator of x / d (as `scaled` returns them)."""
+        key = (d, *x)
         hit = self._dominant_cache.get(key)
         if hit is None:
-            x_bar, u = dominant_walk(self.datum, ints, self._walls)
+            x_bar, u = dominant_walk(self.datum, x, self._walls)
             hit = self._dominant_cache[key] = (self.intern_coweight(d, x_bar), u)
         return hit
 
@@ -345,8 +374,16 @@ class AffineWeylGroup:
         key = (d, *x)
         v = self._coweights.get(key)
         if v is None:
-            v = self._coweights[key] = tuple([Fraction(c, d) for c in x])
+            v = self._coweights[key] = InternedCoweight(d, x)
         return v
+
+    def translation_orbit(self, mu: IntVector) -> set[IntVector]:
+        """The W0-orbit of the translation mu (memoised)."""
+        orbit = self._orbits.get(mu)
+        if orbit is None:
+            orbit = self._orbits[mu] = {
+                mat_act(u, mu) for u in self.datum.weyl_elements}
+        return orbit
 
     def is_straight(self, w: AffineWeylElement) -> bool:
         from .newton import is_straight

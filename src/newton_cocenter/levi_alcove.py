@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from itertools import product
 from math import lcm
 
 from .affine_weyl import (
@@ -52,6 +53,7 @@ class LeviWeylGroup:
         self._coroot_hnf = hnf_columns(
             [self.datum.coroot[a] for a in self._phi_m])
         self._length_cache: dict[AffineWeylElement, int] = {}
+        self._levels: dict[IntVector, list[int]] = {}
         self._simples = self._find_affine_simples()
         self.parabolic_cap = len(self._w_m) + 1
         self._omega_cache: dict[IntVector, AffineWeylElement] = {}
@@ -65,6 +67,7 @@ class LeviWeylGroup:
         # ambient group's, the dominant representatives are taken in M
         self.newton_points = parent.newton_points
         self._dominant_cache: dict[IntVector, tuple[Coweight, Matrix]] = {}
+        self._boxes: dict[tuple, list[AffineWeylElement]] = {}
 
     @property
     def parent(self) -> AffineWeylGroup:
@@ -127,18 +130,30 @@ class LeviWeylGroup:
         return w.finite in self._w_m
 
     def length(self, w: AffineWeylElement) -> int:
-        """Inversions over affine roots with vector part in the Levi."""
+        """Inversions over affine roots with vector part in the Levi.
+
+        As for the ambient length, the family over alpha lands on beta =
+        u(alpha) with max(0, tau(beta) - <beta, lam> - tau(alpha))
+        negative levels; the levels tau(beta) - <beta, lam> over the
+        Levi roots depend on lam alone and are memoised per lam.
+        """
         cached = self._length_cache.get(w)
         if cached is not None:
             return cached
-        if not self.is_member(w):
+        lam, u = w
+        if u not in self._w_m:
             raise InputError("M-length is only defined on the Levi subgroup")
         roots, tau = self.datum.roots, self.datum.tau
-        perm = self.datum.root_permutation(w.finite)
+        level = self._levels.get(lam)
+        if level is None:
+            level = [0] * len(roots)
+            for j in self._phi_m_index:
+                level[j] = tau[j] - dot(roots[j], lam)
+            self._levels[lam] = level
+        perm = self.datum.root_permutation(u)
         total = 0
         for i in self._phi_m_index:
-            j = perm[i]
-            d = tau[j] - dot(roots[j], w.translation) - tau[i]
+            d = level[perm[i]] - tau[i]
             if d > 0:
                 total += d
         self._length_cache[w] = total
@@ -168,6 +183,7 @@ class LeviWeylGroup:
     # the M-dominant representative in the W_M-orbit: the ambient
     # group's memoised walk, over the M-walls in self._walls
     dominant_rep = AffineWeylGroup.dominant_rep
+    dominant_rep_scaled = AffineWeylGroup.dominant_rep_scaled
 
     def intern_coweight(self, d: int, x) -> Coweight:
         return self.parent.intern_coweight(d, x)
@@ -176,7 +192,8 @@ class LeviWeylGroup:
         return newton_index(self, w)
 
     def is_straight(self, w: AffineWeylElement) -> bool:
-        return self.length(w) == dot(self._two_rho_m, self.newton_index(w).nu_bar)
+        d, x = scaled(self.newton_index(w).nu_bar)
+        return self.length(w) * d == dot(self._two_rho_m, x)
 
     def enumerate_ball(self, max_length: int, omega_labels,
                        cap: int = 64) -> list[AffineWeylElement]:
@@ -204,6 +221,37 @@ class LeviWeylGroup:
                 out.extend(new)
                 frontier = new
         out.sort(key=self.sort_key)
+        return out
+
+    def box(self, max_m_length: int, box: int,
+            cap: int | None) -> list[AffineWeylElement]:
+        """All t^lam u with u in W_M and sup-norm of lam at most `box`,
+        filtered to M-length <= max_m_length, in M-sort order and cut to
+        the first `cap` (memoised).
+
+        The candidates are grouped by (M-length, kappa_M), the prefix of
+        the M-sort key, and only the tiers that reach the first `cap`
+        places are sorted, so no M-word is built for the rest.
+        """
+        key = (max_m_length, box, cap)
+        out = self._boxes.get(key)
+        if out is None:
+            tiers = {}
+            for lam in product(range(-box, box + 1), repeat=self.datum.rank):
+                label = None
+                for u in self.levi.w_m:
+                    w = AffineWeylElement(lam, u)
+                    length = self.length(w)
+                    if length <= max_m_length:
+                        if label is None:
+                            label = self.kappa(w)
+                        tiers.setdefault((length, label), []).append(w)
+            out = []
+            for tier in sorted(tiers):
+                if cap is not None and len(out) >= cap:
+                    break
+                out.extend(sorted(tiers[tier], key=self.sort_key))
+            out = self._boxes[key] = out if cap is None else out[:cap]
         return out
 
     def __repr__(self):
@@ -253,7 +301,8 @@ def conjugate_levi(group: AffineWeylGroup, u0: Matrix, m: LeviWeylGroup):
 
     def index_map(nu_m: NewtonIndex) -> NewtonIndex:
         label = coset_reduce(tuple(mat_act(u0, nu_m.omega)), m_new._coroot_hnf)
-        nu_bar, _ = m_new.dominant_rep(tuple(mat_act(u0, nu_m.nu_bar)))
+        d, x = scaled(nu_m.nu_bar)
+        nu_bar, _ = m_new.dominant_rep_scaled(d, mat_act(u0, x))
         return NewtonIndex(label, nu_bar)
 
     return m_new, index_map

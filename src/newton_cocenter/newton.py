@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .affine_weyl import AffineWeylElement, AffineWeylGroup, multiply
-from .root_datum import Coweight, IntVector, dot, frac_str, mat_act
+from .root_datum import Coweight, IntVector, dot, frac_str, mat_act, scaled
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,8 @@ def is_straight(group: AffineWeylGroup, w: AffineWeylElement) -> bool:
     The defining power condition is `is_straight_by_powers`; the two are
     asserted to agree on every test ball.
     """
-    nu_bar = newton_index(group, w).nu_bar
-    return group.length(w) == dot(group.datum.two_rho, nu_bar)
+    d, x = scaled(newton_index(group, w).nu_bar)
+    return group.length(w) * d == dot(group.datum.two_rho, x)
 
 
 def is_straight_by_powers(group: AffineWeylGroup, w: AffineWeylElement) -> bool:

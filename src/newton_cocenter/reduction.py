@@ -285,7 +285,6 @@ def class_minimal_set(ctx, w_min: AffineWeylElement) -> tuple[AffineWeylElement,
         cosets.setdefault(a_conj, set()).add(coset_reduce(mat_act(u, lam), hnf))
     dominant = _dominant_translations(
         ctx, lam, length + len(datum.positive_roots))
-    orbits = {}
     members = []
     for a_conj, reps in cosets.items():
         hnf = _coinvariant_hnf(ctx, a_conj)
@@ -293,9 +292,7 @@ def class_minimal_set(ctx, w_min: AffineWeylElement) -> tuple[AffineWeylElement,
         for mu, mu_length in dominant:
             if mu_length > bound:
                 continue
-            if mu not in orbits:
-                orbits[mu] = {mat_act(u, mu) for u in datum.weyl_elements}
-            for nu in orbits[mu]:
+            for nu in ctx.translation_orbit(mu):
                 if coset_reduce(nu, hnf) in reps:
                     z = AffineWeylElement(nu, a_conj)
                     if ctx.length(z) == length:
@@ -310,10 +307,29 @@ def _dominant_translations(ctx, lam, bound) -> list[tuple[IntVector, int]]:
     """The dominant mu = lam mod the coroot lattice with
     length(t^mu) = <mu, 2 rho> <= bound, each with that length.
 
+    The list depends on lam only through its coset, so it is memoised
+    per kappa label with the largest bound asked for so far; a smaller
+    bound filters the memoised list, whose order it keeps.
+    """
+    memo = ctx.dominant_translations
+    label = ctx.datum.kappa_label(lam)
+    hit = memo.get(label)
+    if hit is None or hit[0] < bound:
+        hit = memo[label] = (bound, _enumerate_dominant(ctx, lam, bound))
+    if hit[0] == bound:
+        return hit[1]
+    return [item for item in hit[1] if item[1] <= bound]
+
+
+def _enumerate_dominant(ctx, lam, bound) -> list[tuple[IntVector, int]]:
+    """`_dominant_translations`, enumerated in lexicographic order of y.
+
     Such mu are lam + sum_i c_i alpha_i^vee with integral c solving
     C c = y - <alpha, lam>, where C is the Cartan matrix and
     y_i = <alpha_i, mu> >= 0; so the y are enumerated under
-    sum_i h_i y_i <= bound with h_i = <2 rho, varpi_i^vee> > 0.
+    sum_i h_i y_i <= bound with h_i = <2 rho, varpi_i^vee> > 0.  That
+    sum is <mu, 2 rho>, since 2 rho = sum_i h_i alpha_i, and the order
+    of the y does not depend on which lam of the coset is given.
     """
     datum = ctx.datum
     cache = ctx._triple_cache

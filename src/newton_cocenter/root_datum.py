@@ -80,6 +80,8 @@ def mat_act(u: Matrix, v):
 
 def scaled(v) -> tuple[int, list[int]]:
     """(d, d v) for a rational vector v with common denominator d."""
+    if type(v) is InternedCoweight:
+        return v.key[0], list(v.key[1:])
     if not all(isinstance(c, (int, Fraction)) for c in v):
         v = coweight(v)
     d = lcm(*(c.denominator for c in v))
@@ -211,6 +213,25 @@ class WeylElement(tuple):
 
     def __reduce__(self):
         """Pickle and copy as the plain matrix; the tables stay with the datum."""
+        return tuple, (tuple(self),)
+
+
+class InternedCoweight(tuple):
+    """A group's one copy of the rational coweight x / d.
+
+    It is the tuple of Fractions, so it compares and hashes equal to
+    it, and it carries its integer key (d, *x), d the least common
+    denominator: memos keyed by that key, and `scaled`, read it instead
+    of rebuilding it from the Fractions.
+    """
+
+    def __new__(cls, d: int, x):
+        self = super().__new__(cls, [Fraction(c, d) for c in x])
+        self.key = (d, *x)
+        return self
+
+    def __reduce__(self):
+        """Pickle and copy as the plain tuple of Fractions."""
         return tuple, (tuple(self),)
 
 
@@ -396,7 +417,11 @@ class RootDatum:
 
     def product(self, u: Matrix, v: Matrix) -> WeylElement:
         """u v, by composing root permutations (memoised per pair)."""
-        iu, iv = self.intern(u).index, self.intern(v).index
+        if type(u) is WeylElement and type(v) is WeylElement \
+                and u._datum() is self and v._datum() is self:
+            iu, iv = u.index, v.index
+        else:
+            iu, iv = self.intern(u).index, self.intern(v).index
         key = iu * self.w0_order + iv
         k = self._products.get(key)
         if k is None:

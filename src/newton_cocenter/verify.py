@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations, islice, product
 
 from .affine_weyl import (
-    AffineRoot, AffineWeylElement, AffineWeylGroup, act_on_affine_root,
+    AffineRoot, AffineWeylGroup, act_on_affine_root,
     conjugate, element_str, inverse, is_positive_affine_root, multiply,
     parse_element,
 )
@@ -162,21 +162,12 @@ def _levi_grid(group, max_den=6):
 
 
 def _levi_box(group, m, max_m_length, box=2, cap=None):
-    """All t^lam u with u in W_M and sup-norm of lam at most `box`,
-    filtered to M-length <= max_m_length, in canonical order.  High
-    ranks shrink the box and cap the sample to keep suites tractable."""
+    """`LeviWeylGroup.box` of the Levi m.  High ranks shrink the box and
+    cap the sample to keep suites tractable."""
     if group.datum.rank > 2:
         box = 1
         cap = 150 if cap is None else cap
-    out = []
-    rng = range(-box, box + 1)
-    for coords in product(rng, repeat=group.datum.rank):
-        for u in m.levi.w_m:
-            w = AffineWeylElement(tuple(coords), u)
-            if m.length(w) <= max_m_length:
-                out.append(w)
-    out.sort(key=m.sort_key)
-    return out if cap is None else out[:cap]
+    return m.box(max_m_length, box, cap)
 
 
 # -- individual suites ---------------------------------------------------

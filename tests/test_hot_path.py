@@ -1,0 +1,158 @@
+"""Differential tests for the hot-path representations and memos.
+
+`AffineWeylElement` is a tuple subclass; its group law is checked
+against the plain-matrix path and a direct formula.  Newton indices are
+read from the Newton-point and dominant-representative memos of a group
+and its Levis, dominant translations are memoised per kappa coset,
+and Levi boxes per Levi with only the needed (M-length, kappa_M) tiers
+sorted; each memo is checked against a cold recomputation or against
+the full-sort code it replaced.
+"""
+
+import pickle
+from itertools import product
+
+import pytest
+
+from newton_cocenter import (
+    AffineRoot, AffineWeylElement, AffineWeylGroup, NewtonIndex,
+    build_root_datum,
+)
+from newton_cocenter.affine_weyl import inverse, multiply
+from newton_cocenter.levi_alcove import levi_weyl_group
+from newton_cocenter.newton import newton_index
+from newton_cocenter.reduction import _dominant_translations, _enumerate_dominant
+from newton_cocenter.root_datum import mat_act, mat_mul, rational_inverse
+from newton_cocenter.verify import _levi_box, _levi_grid
+
+
+def fresh_group(label, lattice="sc"):
+    return AffineWeylGroup(build_root_datum(label, lattice))
+
+
+def plain(u):
+    return tuple(tuple(row) for row in u)
+
+
+# -- elements ----------------------------------------------------------
+
+
+def test_element_equals_and_hashes_as_its_plain_pair():
+    g = fresh_group("GL3")
+    for w in g.enumerate_ball(2, cap=2):
+        p = AffineWeylElement(w.translation, plain(w.finite))
+        assert p == w and hash(p) == hash(w)
+        assert w == (w.translation, w.finite)
+        assert {w: 1}[p] == 1
+
+
+def test_element_pickles_and_keeps_its_repr():
+    g = fresh_group("A2")
+    s = g.simple_items()[0][1]
+    assert repr(s) == "AffineWeylElement(translation=(1, 1), finite=((0, -1), (-1, 0)))"
+    for w in g.enumerate_ball(3):
+        back = pickle.loads(pickle.dumps(w))
+        assert back == w and type(back) is AffineWeylElement
+        assert back.translation == w.translation and back.finite == w.finite
+        assert repr(back) == repr(w)
+
+
+def test_element_is_never_an_affine_root_or_a_newton_index():
+    g = fresh_group("A2")
+    for w in g.enumerate_ball(2):
+        lam, u = w
+        for other in (AffineRoot(lam, u), NewtonIndex(lam, u)):
+            assert w != other and other != w
+            assert not {w} & {other}
+
+
+def test_multiply_and_inverse_agree_with_the_plain_matrix_path():
+    g = fresh_group("GL4")
+    ball = g.enumerate_ball(3, cap=3)
+    for i, w1 in enumerate(ball):
+        p1 = AffineWeylElement(w1.translation, plain(w1.finite))
+        inv = inverse(w1)
+        uinv = tuple(tuple(int(x) for x in row) for row in rational_inverse(w1.finite))
+        assert inverse(p1) == inv
+        assert inv == (tuple(-x for x in mat_act(uinv, w1.translation)), uinv)
+        assert multiply(w1, inv) == g.identity
+        for w2 in ball[i % 11::11]:
+            p2 = AffineWeylElement(w2.translation, plain(w2.finite))
+            expected = multiply(w1, w2)
+            assert type(expected) is AffineWeylElement
+            assert multiply(p1, p2) == expected
+            assert expected == (
+                tuple(a + b for a, b in zip(w1.translation, mat_act(w1.finite, w2.translation))),
+                mat_mul(w1.finite, w2.finite))
+
+
+# -- memos ---------------------------------------------------------------
+
+
+def test_newton_index_from_warm_memos_equals_cold_recomputation():
+    warm = fresh_group("GL4")
+    ball = warm.enumerate_ball(4, cap=4)
+    first = {w: newton_index(warm, w) for w in ball}
+    for v in _levi_grid(warm):
+        m = levi_weyl_group(warm, v)
+        cold = fresh_group("GL4")
+        m_cold = levi_weyl_group(cold, v)
+        for w in [w for w in ball if m.is_member(w)] + _levi_box(warm, m, 3):
+            got = m.newton_index(w)
+            assert m.newton_index(w) == got == newton_index(m_cold, w)
+    cold = fresh_group("GL4")
+    for w in reversed(ball):
+        assert newton_index(warm, w) == first[w] == newton_index(cold, w)
+
+
+DOMINANT_CASES = [("A1", [(0,), (1,), (5,), (-3,)]),
+                  ("A2", [(0, 0), (1, 0), (3, -3), (-2, 2)]),
+                  ("G2", [(0, 0), (1, -1), (-2, 3)]),
+                  ("GL3", [(1, 0, 0), (0, 1, 0), (3, -1, -1), (-2, 2, 1)])]
+
+
+@pytest.mark.parametrize("label,lams", DOMINANT_CASES)
+@pytest.mark.parametrize("bounds", [(2, 5, 9), (9, 5, 2), (5, 5, 3, 5, 11, 0)])
+def test_dominant_translation_memo_equals_direct_enumeration(label, lams, bounds):
+    g, direct = fresh_group(label), fresh_group(label)
+    for lam in lams:
+        # lam itself and other members of its coroot-lattice coset
+        coset = [lam] + [tuple(x + k * c for x, c in zip(lam, cv))
+                         for k in (1, -2) for cv in g.datum.simple_coroots]
+        for bound in bounds:
+            for mu in coset:
+                expected = _enumerate_dominant(direct, mu, bound)
+                assert _dominant_translations(g, mu, bound) == expected
+                assert all(length <= bound for _, length in expected)
+
+
+# -- Levi boxes ----------------------------------------------------------
+
+
+def full_sort_levi_box(group, m, max_m_length, box=2, cap=None):
+    """The Levi box as built before the tiers: every candidate sorted by
+    the whole M-sort key, then cut to `cap`."""
+    if group.datum.rank > 2:
+        box = 1
+        cap = 150 if cap is None else cap
+    out = []
+    rng = range(-box, box + 1)
+    for coords in product(rng, repeat=group.datum.rank):
+        for u in m.levi.w_m:
+            w = AffineWeylElement(tuple(coords), u)
+            if m.length(w) <= max_m_length:
+                out.append(w)
+    out.sort(key=m.sort_key)
+    return out if cap is None else out[:cap]
+
+
+@pytest.mark.parametrize("label,lattice", [
+    ("A2", "sc"), ("B2", "sc"), ("G2", "sc"), ("C2", "ad"), ("GL3", "gl"), ("GL4", "gl")])
+def test_tiered_levi_box_equals_full_sort(label, lattice):
+    g, oracle = fresh_group(label, lattice), fresh_group(label, lattice)
+    for v in _levi_grid(g, 4):
+        m, m_oracle = levi_weyl_group(g, v), levi_weyl_group(oracle, v)
+        for args, kwargs in (((4,), {}), ((4,), {"box": 1}), ((2,), {"cap": 7})):
+            box = _levi_box(g, m, *args, **kwargs)
+            assert box == full_sort_levi_box(oracle, m_oracle, *args, **kwargs)
+            assert _levi_box(g, m, *args, **kwargs) is box
