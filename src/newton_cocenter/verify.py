@@ -8,7 +8,11 @@ everywhere, timing kept out of the payload so runs are byte-identical.
 
 from __future__ import annotations
 
+import functools
+import io
+import os
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,7 +25,7 @@ from .affine_weyl import (
 )
 from .errors import InputError, LogicError, ResourceError
 from .hecke_cocenter import (
-    HeckeElement, QPoly, StoredNormalForms, cocenter_reduce,
+    HeckeElement, QPoly, cocenter_reduce,
     cocenter_reduce_randomized, fraction_free_rank, hecke_mul,
     normal_form_texts, rigid_decomposition,
 )
@@ -36,7 +40,7 @@ from .reduction import (
     canonical_class_rep, is_min_in_class, reduce_to_min, replay,
     standard_triple, wa_ball_count,
 )
-from .root_datum import RootDatum, dot, frac_str, mat_act, scaled
+from .root_datum import dot, frac_str, mat_act, scaled
 
 
 @dataclass
@@ -553,9 +557,9 @@ def run_suite(name: str, group: AffineWeylGroup, overrides: dict,
               jobs: int = 1) -> list[SuiteReport]:
     """Run one suite or, for "all", every suite in `SUITES` order.
 
-    With jobs > 1 and more than one suite, the suites run in worker
-    processes (`_run_in_workers`); the reports, and the exception of the
-    first failing suite, are those of the serial loop.
+    With jobs > 1 and more than one suite, the suites run in forked
+    worker processes (`_run_forked`); the reports, and the exception of
+    the first failing suite, are those of the serial loop.
     """
     if name == "all":
         names = list(SUITES)
@@ -573,7 +577,9 @@ def run_suite(name: str, group: AffineWeylGroup, overrides: dict,
                 params[k] = v
         tasks.append((n, params))
     if jobs > 1 and len(tasks) > 1:
-        return _run_in_workers(group, tasks, min(jobs, len(tasks)))
+        if hasattr(os, "fork"):
+            return _run_forked(group, tasks, jobs)
+        _no_fork_notice()
     return [_run_timed(group, n, params) for n, params in tasks]
 
 
@@ -586,65 +592,142 @@ def _run_timed(group, name, params) -> SuiteReport:
 
 # -- worker processes ----------------------------------------------------
 
-# The state of a worker process, set by `_start_worker`: its group, the
-# keys of its copy of the stored normal forms, and how many of its
-# normal forms it has sent back.
-_worker: dict = {}
+# The shards of `verify all --jobs N`, heaviest first.  `positivity` runs
+# after `levi` in the same worker, because it reuses the Levi groups,
+# boxes and Newton memos that `levi` leaves on the group.  Every other
+# suite is a shard of its own, started after these in suite order.
+_HEAVY_SHARDS = (("levi", "positivity"), ("cocenter",), ("reduction",))
 
 
-def _run_in_workers(group, tasks, workers) -> list[SuiteReport]:
-    """Run the suites in `workers` processes, handed out one at a time
-    in order.  Results are collected in order, so the exception that
-    surfaces is the one of the earliest failing suite.  Each worker
-    rebuilds the group from the datum's constructor arguments; the
-    stored normal forms of a disk cache go out as text, and what the
-    workers read, dropped and computed of them is merged back.  Every
-    worker has exited when this returns or raises."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+@functools.cache
+def _no_fork_notice():
+    print("note: no os.fork here, so --jobs runs the suites serially", file=sys.stderr)
 
-    datum = group.datum
-    stored = group._nf_stored
-    # fork is cheap, and safe while the process has no other thread: the
-    # CLI starts none, and the executor forks every worker at the first
-    # submit, before it starts a thread of its own
-    start_method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    pool = ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context(start_method),
-        initializer=_start_worker,
-        initargs=((datum.type_label, datum.lattice, datum.rank,
-                   datum.simple_roots, datum.simple_coroots),
-                  group.ball_cap, None if stored is None else stored.forms))
+
+def _shards(names) -> list[list[int]]:
+    heavy = [[names.index(n) for n in shard if n in names] for shard in _HEAVY_SHARDS]
+    placed = {i for shard in heavy for i in shard}
+    return [s for s in heavy if s] + [[i] for i in range(len(names)) if i not in placed]
+
+
+class _WorkerTraceback(Exception):
+    """The traceback, in its worker, of an exception raised by a suite."""
+
+
+def _run_forked(group, tasks, jobs) -> list[SuiteReport]:
+    """Run the shards of `tasks` in min(jobs, shards) forked workers,
+    which inherit the group and its memos, and only collect here.
+
+    Shard indices wait in a pipe, one byte each: a one-byte read is
+    atomic, so every shard runs once.  The reports come back in suite
+    order and the error that surfaces is that of the earliest failing
+    suite, as in the serial loop; a suite whose worker died before
+    reporting it is a LogicError.  Every worker has been reaped when
+    this returns or raises."""
+    import signal  # here and below, not at start-up: they cost it 1.5 ms
+    shards = _shards([n for n, _ in tasks])
+    queue, feed = os.pipe()
+    os.write(feed, bytes(range(len(shards))))
+    os.close(feed)
+    pids, pipes = [], []
     try:
-        futures = [pool.submit(_run_in_worker, n, params) for n, params in tasks]
-        reports = []
-        for future in futures:
-            report, normal_forms = future.result()
-            reports.append(report)
-            if normal_forms is not None:
-                stored.merge(*normal_forms)
-        return reports
+        for _ in range(min(jobs, len(shards))):
+            r, w = os.pipe()
+            pipes.append(r)
+            try:
+                # safe while this process has no other thread: the CLI starts none
+                pid = os.fork()
+                if pid == 0:
+                    _work(group, tasks, shards, queue, w, pipes)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        messages = _receive(pipes)
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        for fd in [queue, *pipes]:
+            os.close(fd)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    results = {}
+    for reports, normal_forms in messages:
+        results.update(reports)
+        if normal_forms is not None:
+            group._nf_stored.merge(*normal_forms)
+    for name, _ in tasks:
+        if name not in results:
+            missing = ", ".join(n for n, _ in tasks if n not in results)
+            raise LogicError(f"a worker process ended (exit codes {codes}) "
+                             f"without reporting suite(s) {missing}")
+        if isinstance(results[name], tuple):
+            error, text = results[name]
+            raise error from _WorkerTraceback(text)
+    return [results[n] for n, _ in tasks]
 
 
-def _start_worker(datum_args, ball_cap, stored_forms):
-    group = AffineWeylGroup(RootDatum(*datum_args), ball_cap=ball_cap)
-    if stored_forms is not None:
-        group._nf_stored = StoredNormalForms(group, dict(stored_forms))
-    _worker.update(group=group, keys=set(stored_forms or ()), sent=0)
+def _receive(fds) -> list:
+    """The messages pickled to each pipe, all pipes read as data comes,
+    so that no writer waits; a message cut short by the death of its
+    worker ends the messages of that pipe."""
+    import pickle
+    import select
+    chunks = {fd: [] for fd in fds}
+    waiting = set(fds)
+    while waiting:
+        for fd in select.select(waiting, (), ())[0]:
+            data = os.read(fd, 1 << 16)
+            if data:
+                chunks[fd].append(data)
+            else:
+                waiting.remove(fd)
+    messages = []
+    for data in map(b"".join, chunks.values()):
+        stream = io.BytesIO(data)
+        try:
+            while stream.tell() < len(data):
+                messages.append(pickle.load(stream))
+        except (EOFError, pickle.UnpicklingError):
+            pass
+    return messages
 
 
-def _run_in_worker(name, params):
-    """One suite's report and, with a disk cache, the normal forms new
-    since the last suite of this worker, the stored keys read and those
-    dropped."""
-    group = _worker["group"]
-    report = _run_timed(group, name, params)
-    stored = group._nf_stored
-    if stored is None:
-        return report, None
-    new = list(islice(group._nf_cache.items(), _worker["sent"], None))
-    _worker["sent"] += len(new)
-    read = _worker["keys"] - stored.forms.keys()
-    return report, (normal_form_texts(group, new), read, stored.dropped)
+def _work(group, tasks, shards, queue, fd, readers):
+    """The body of a forked worker, which never returns.  Per shard it
+    sends {suite: report or (error, traceback)} and, with a disk cache,
+    the normal forms new since its last shard, the stored keys read and
+    those dropped.  It closes the `readers` it inherited, so a worker
+    whose parent died gets EPIPE instead of waiting on a full pipe."""
+    import pickle
+    code = 1
+    try:
+        for r in readers:
+            os.close(r)
+        out = os.fdopen(fd, "wb")
+        stored = group._nf_stored
+        keys = set(stored.forms) if stored is not None else None
+        sent = len(group._nf_cache)
+        while index := os.read(queue, 1):
+            results = {}
+            for i in shards[index[0]]:
+                name, params = tasks[i]
+                try:
+                    results[name] = _run_timed(group, name, params)
+                except Exception as exc:
+                    import traceback
+                    results[name] = (exc, "".join(traceback.format_exception(exc)))
+            normal_forms = None
+            if stored is not None:
+                new = list(islice(group._nf_cache.items(), sent, None))
+                sent += len(new)
+                normal_forms = (normal_form_texts(group, new),
+                                keys - stored.forms.keys(), stored.dropped)
+            out.write(pickle.dumps((results, normal_forms)))
+            out.flush()
+        code = 0
+    except Exception:
+        import traceback
+        traceback.print_exc()
+    finally:
+        os._exit(code)
