@@ -30,7 +30,7 @@ from operator import itemgetter, mul
 from .errors import InputError, LogicError, ResourceError
 from .root_datum import (
     Coweight, Covector, IntVector, InternedCoweight, Matrix, RootDatum,
-    dominant_walk, dot, mat_act, scaled, weyl_inverse, weyl_product,
+    coset_reduce, dominant_walk, dot, mat_act, scaled, weyl_inverse, weyl_product,
 )
 
 DEFAULT_BALL_CAP_LOW_RANK = 12
@@ -123,92 +123,89 @@ def is_positive_affine_root(datum: RootDatum, a: AffineRoot) -> bool:
     return a.level >= 0
 
 
-def _least_descent(ctx, w: AffineWeylElement, length: int):
-    """(label, s w, length of s w) for the least label s with s w shorter."""
-    for lab, s in ctx.simple_items():
-        sw = multiply(s, w)
-        lsw = ctx.length(sw)
-        if lsw < length:
-            return lab, sw, lsw
-    raise LogicError("descent must exist while length is positive")
-
-
-def length_zero_part(ctx, w: AffineWeylElement) -> AffineWeylElement:
-    """The length-zero element of w's kappa coset, reached by descents.
-
-    ctx is an ambient or a Levi group: anything with `length` and
-    `simple_items`.
-    """
-    length = ctx.length(w)
-    while length > 0:
-        _, w, length = _least_descent(ctx, w, length)
-    return w
-
-
-def descent_word(ctx, a: AffineWeylElement, memo: dict) -> tuple[int, ...]:
-    """Lex-least reduced word of a, an element of trivial kappa in ctx.
-
-    The word is greedy: the least descent label s of a, then the word of
-    s a.  Every element met on that descent chain is stored in memo, so
-    words of elements sharing a tail are not rederived.
-    """
-    chain = []
-    cur = a
-    length = ctx.length(cur)
-    while length > 0 and cur not in memo:
-        lab, nxt, length = _least_descent(ctx, cur, length)
-        chain.append((cur, lab))
-        cur = nxt
-    word = memo.get(cur)
-    if word is None:
-        if cur != ctx.identity:
-            raise LogicError("word extraction must terminate at the identity")
-        word = ()
-    for elem, lab in reversed(chain):
-        word = (lab,) + word
-        memo[elem] = word
-    return word
-
-
 class AffineWeylGroup:
-    """Length, affine simple reflections, kappa and ball enumeration.
+    """The Iwahori-Weyl group X_* ⋊ W_M of a Levi M: length, affine
+    simple reflections, kappa, words, Newton indices and balls.
 
-    Doubles as the "ambient" context consumed by the reduction module:
-    it exposes identity, simple_items(), length(), multiply and caches.
+    Everything is computed over the roots Phi_M of M.  Built from a root
+    datum it is the ambient group: M = G, Phi_M is every root, W_M = W0
+    and the simple labels are 0..r.  `levi_alcove.LeviWeylGroup` is the
+    group of the Levi of a rational coweight v, built by the same
+    methods over its own Phi_M; the ambient group is the one of v = 0.
+    Either is the group "context" of the reduction module.
     """
 
     def __init__(self, datum: RootDatum, ball_cap: int | None = None):
-        self.datum = datum
-        n = datum.rank
         if ball_cap is None:
-            ball_cap = DEFAULT_BALL_CAP_LOW_RANK if n <= 2 else DEFAULT_BALL_CAP
-        self.ball_cap = ball_cap
-        self.identity = AffineWeylElement((0,) * n, datum.weyl_identity)
-        self._length_cache: dict[AffineWeylElement, int] = {}
-        self._omega_cache: dict[IntVector, AffineWeylElement] = {}
-        self._simples = self._build_simples()
-        # caches and limits consumed by the reduction module
-        self.parabolic_cap = datum.w0_order + 1
-        self._class_cache: dict = {}
-        self._triple_cache: dict = {}
-        # reduction._dominant_translations, memoised per kappa label
+            ball_cap = DEFAULT_BALL_CAP_LOW_RANK if datum.rank <= 2 else DEFAULT_BALL_CAP
+        self._context(datum, ball_cap, datum.roots, datum.simple_roots,
+                      datum.coroot_hnf, datum.weyl_elements, {}, {})
+        # memos of the ambient group only: its Levis (levi_alcove); the
+        # dominant translations of reduction._dominant_translations per
+        # kappa label, the chamber data they are enumerated from, and
+        # the W0-orbits of translations; the class keys of the reduction
+        # module; the normal forms of hecke_cocenter._nf_basis, and the
+        # StoredNormalForms read from a disk cache
+        self.levi_groups: dict[Coweight, AffineWeylGroup] = {}
         self.dominant_translations: dict[IntVector, tuple] = {}
+        self.dominant_chamber: tuple | None = None
         self._orbits: dict[IntVector, set[IntVector]] = {}
-        self._nf_cache: dict = {}
-        self._nf_stored = None  # StoredNormalForms read from a disk cache
-        # memos filled on demand by affine_word and sort_key
+        self.full_classes: dict[AffineWeylElement, tuple] = {}
+        self.class_reps: dict[AffineWeylElement, AffineWeylElement] = {}
+        self.nf_cache: dict = {}
+        self.nf_stored = None
+        self._simples = self._build_simples()
+
+    def _context(self, datum, ball_cap, phi_m, m_simple_roots, coroot_hnf,
+                 w_m, newton_points, coweights):
+        """The state of the group of M, with roots phi_m, simple roots
+        m_simple_roots, coroot lattice coroot_hnf and finite Weyl group
+        w_m, and the memos of every method.  A Levi shares the Newton
+        points and interned coweights of its ambient group."""
+        self.datum = datum
+        self.ball_cap = ball_cap
+        self.identity = AffineWeylElement((0,) * datum.rank, datum.weyl_identity)
+        self._m_taus = tuple((datum.root_index[a], int(datum.is_positive_root(a)))
+                             for a in phi_m)
+        self._m_simple_roots = m_simple_roots
+        self._walls = tuple((a, datum.coroot[a], datum.reflection(a))
+                            for a in m_simple_roots)
+        self.coroot_hnf = coroot_hnf
+        self._finite = w_m
+        # None when W_M = W0, so that length tests no membership
+        self._w_m = None if len(w_m) == datum.w0_order else frozenset(w_m)
+        self._two_rho_m = tuple(sum(a[i] for a in phi_m if datum.is_positive_root(a))
+                                for i in range(datum.rank))
+        self.parabolic_cap = len(w_m) + 1
+        self._length_cache: dict[AffineWeylElement, int] = {}
+        self._levels: dict[IntVector, list[int]] = {}
+        self._omega_cache: dict[IntVector, AffineWeylElement] = {}
+        # the descent words of `word`, and the keys of `sort_key`
         self._word_cache: dict[AffineWeylElement, tuple[int, ...]] = {}
         self._sort_key_cache: dict[AffineWeylElement, tuple] = {}
         # Newton memos, filled on demand.  nu_w does not depend on a
-        # Levi, so every Levi of this group shares newton_points and
-        # the interned coweights; each Levi keeps its own dominant_rep
-        # memo.  Both memos and the interning table are keyed by
-        # (d, *d v), d the least common denominator of v: tuples of ints
-        # hash in C, tuples of Fractions do not.
-        self.newton_points: dict[AffineWeylElement, Coweight] = {}
-        self._walls = datum.simple_walls
+        # Levi, so every Levi of a group shares its newton_points and
+        # its interned coweights; each context keeps its own
+        # dominant_rep memo.  Both memos and the interning table are
+        # keyed by (d, *d v), d the least common denominator of v:
+        # tuples of ints hash in C, tuples of Fractions do not.
+        self.newton_points: dict[AffineWeylElement, Coweight] = newton_points
         self._dominant_cache: dict[IntVector, tuple[Coweight, Matrix]] = {}
-        self._coweights: dict[IntVector, Coweight] = {}
+        self._coweights: dict[IntVector, Coweight] = coweights
+        # memos of the reduction module (see there)
+        self.minimal: dict[AffineWeylElement, bool] = {}
+        self.min_reps: dict[AffineWeylElement, AffineWeylElement] = {}
+        self.min_classes: dict[AffineWeylElement, tuple] = {}
+        self.coinvariant_hnfs: dict[Matrix, list] = {}
+        self.parabolics: dict[tuple[int, ...], frozenset | None] = {}
+        self.max_parabolic: int | None = None
+        self.wa_ball_counts: dict[int, int] = {}
+        self.standard_triples: dict = {}
+
+    def newton_memos(self) -> tuple[dict, dict]:
+        """The Newton points and the interned coweights, which the Levis
+        of this group share."""
+        return self.newton_points, self._coweights
 
     # -- basic constructors -------------------------------------------
 
@@ -227,26 +224,38 @@ class AffineWeylGroup:
         return AffineWeylElement(tuple(a.level * c for c in av),
                                  self.datum.reflection(a.vector_part))
 
+    def finite_elements(self):
+        return self._finite
+
     # -- length --------------------------------------------------------
 
     def length(self, w: AffineWeylElement) -> int:
-        """Inversion count, summed in closed form per root family.
+        """Inversions over the affine roots with vector part in Phi_M.
 
         For the family of affine roots over alpha the image family sits
         over beta = u(alpha) with level shift c = <beta, lam>; levels at
         least tau(alpha) are positive, so exactly
         max(0, tau(beta) - c - tau(alpha)) of them land negative.  The
-        root permutation of u gives beta as an index.
+        root permutation of u gives beta as an index; the levels
+        tau(beta) - <beta, lam> over Phi_M depend on lam alone and are
+        memoised per lam.
         """
         cached = self._length_cache.get(w)
         if cached is not None:
             return cached
-        tau = self.datum.tau
         lam, u = w
-        level = [t - sum(map(mul, beta, lam)) for t, beta in zip(tau, self.datum.roots)]
+        if self._w_m is not None and u not in self._w_m:
+            raise InputError("M-length is only defined on the Levi subgroup")
+        level = self._levels.get(lam)
+        if level is None:
+            roots = self.datum.roots
+            level = self._levels[lam] = [0] * len(roots)
+            for j, t in self._m_taus:
+                level[j] = t - sum(map(mul, roots[j], lam))
+        perm = self.datum.root_permutation(u)
         total = 0
-        for i, j in enumerate(self.datum.root_permutation(u)):
-            d = level[j] - tau[i]
+        for i, t in self._m_taus:
+            d = level[perm[i]] - t
             if d > 0:
                 total += d
         self._length_cache[w] = total
@@ -259,9 +268,8 @@ class AffineWeylGroup:
 
     def _build_simples(self):
         datum = self.datum
-        items = []
-        for i, (a, av) in enumerate(zip(datum.simple_roots, datum.simple_coroots), start=1):
-            items.append((i, self.reflection(AffineRoot(a, 0))))
+        items = [(i, self.reflection(AffineRoot(a, 0)))
+                 for i, a in enumerate(datum.simple_roots, start=1)]
         if datum.positive_roots:
             theta = max(datum.positive_roots,
                         key=lambda a: dot(a, datum.height_coweight))
@@ -274,7 +282,8 @@ class AffineWeylGroup:
         return tuple(sorted(items))
 
     def simple_items(self) -> tuple[tuple[int, AffineWeylElement], ...]:
-        """(label, reflection) pairs, ascending label; label 0 is the affine one."""
+        """(label, reflection) pairs, ascending label; for the ambient
+        group label 0 is the affine one."""
         return self._simples
 
     def simple_affine_reflections(self) -> list[AffineWeylElement]:
@@ -283,35 +292,62 @@ class AffineWeylGroup:
         extra = [s for lab, s in self._simples if lab == 0]
         return finite + extra
 
+    def _descent(self, w: AffineWeylElement, length: int):
+        """(label, s w, length of s w) for the least label s with s w shorter."""
+        for lab, s in self._simples:
+            sw = multiply(s, w)
+            lsw = self.length(sw)
+            if lsw < length:
+                return lab, sw, lsw
+        raise LogicError("descent must exist while length is positive")
+
     # -- Omega ----------------------------------------------------------
 
     def kappa(self, w: AffineWeylElement) -> IntVector:
-        """lam mod the coroot lattice, as a canonical coset representative."""
-        return self.datum.kappa_label(w.translation)
+        """lam mod the coroot lattice of M, as a canonical coset representative."""
+        return coset_reduce(w[0], self.coroot_hnf)
 
     def omega_rep(self, label) -> AffineWeylElement:
-        """The unique length-zero element with the given kappa."""
-        label = self.datum.kappa_label(tuple(label))
+        """The unique length-zero element with the given kappa, reached
+        from the translation by descents."""
+        label = coset_reduce(tuple(label), self.coroot_hnf)
         cached = self._omega_cache.get(label)
         if cached is None:
-            cached = self._omega_cache[label] = length_zero_part(
-                self, self.translation(label))
+            w = self.translation(label)
+            length = self.length(w)
+            while length > 0:
+                _, w, length = self._descent(w, length)
+            cached = self._omega_cache[label] = w
         return cached
 
     def wa_omega_split(self, w: AffineWeylElement):
         """w = (product of the affine word) * omega, both canonical."""
-        omega = self.omega_rep(self.kappa(w))
-        a = multiply(w, inverse(omega))
-        word = self.affine_word(a)
-        return word, omega
+        return self.word(w), self.omega_rep(self.kappa(w))
 
-    def affine_word(self, a: AffineWeylElement) -> tuple[int, ...]:
-        """Lex-least reduced word of a in the affine simple reflections."""
-        word = self._word_cache.get(a)
+    def word(self, w: AffineWeylElement) -> tuple[int, ...]:
+        """Lex-least reduced word of a = w omega^{-1}, omega the
+        length-zero element of w's kappa coset.
+
+        The word is greedy: the least descent label s of a, then the word
+        of s a.  Every element met on that descent chain is memoised, so
+        words of elements sharing a tail are not rederived.
+        """
+        memo = self._word_cache
+        chain = []
+        cur = multiply(w, inverse(self.omega_rep(self.kappa(w))))
+        length = self.length(cur)
+        while length > 0 and cur not in memo:
+            lab, nxt, length = self._descent(cur, length)
+            chain.append((cur, lab))
+            cur = nxt
+        word = memo.get(cur)
         if word is None:
-            if self.kappa(a) != self.kappa(self.identity):
-                raise InputError("affine words only exist for elements with trivial kappa")
-            word = descent_word(self, a, self._word_cache)
+            if cur != self.identity:
+                raise LogicError("word extraction must terminate at the identity")
+            word = ()
+        for elem, lab in reversed(chain):
+            word = (lab,) + word
+            memo[elem] = word
         return word
 
     def finite_word(self, u: Matrix) -> tuple[int, ...]:
@@ -330,28 +366,33 @@ class AffineWeylGroup:
         return tuple(word)
 
     def sort_key(self, w: AffineWeylElement):
+        """(length, kappa, word): the canonical order, memoised.  The key
+        determines w, since w is the product of its word and omega."""
         key = self._sort_key_cache.get(w)
         if key is None:
-            label = self.kappa(w)
-            key = (self.length(w), label, self.affine_word(
-                multiply(w, inverse(self.omega_rep(label)))))
-            self._sort_key_cache[w] = key
+            key = self._sort_key_cache[w] = (self.length(w), self.kappa(w), self.word(w))
         return key
 
-    # thin delegations so this class satisfies the reduction-context
-    # interface shared with the Levi sub-Iwahori-Weyl groups
-    def finite_elements(self):
-        return self.datum.weyl_elements
+    # -- Newton indices -------------------------------------------------
 
-    def newton_index(self, w: AffineWeylElement):
-        from .newton import newton_index
-        return newton_index(self, w)
+    def newton_index(self, w: AffineWeylElement) -> NewtonIndex:
+        """kappa(w) and the dominant representative of nu_w, both taken
+        in this group (for a Levi: kappa_M and the M-dominant one)."""
+        nu_bar, _ = self.dominant_rep(newton_point(self, w))
+        return NewtonIndex(self.kappa(w), nu_bar)
+
+    def is_straight(self, w: AffineWeylElement) -> bool:
+        """Straightness via the pairing criterion length(w) =
+        <nu_bar, 2 rho_M>.  The defining power condition is
+        `newton.is_straight_by_powers`; the two are asserted to agree on
+        every test ball."""
+        d, x = scaled(self.newton_index(w).nu_bar)
+        return self.length(w) * d == dot(self._two_rho_m, x)
 
     def dominant_rep(self, x) -> tuple[Coweight, Matrix]:
-        """The dominant representative of the orbit of x, with u such that
-        u(x) is it; memoised.  Dominance is for the walls in self._walls:
-        the simple roots here, the M-simple roots in a LeviWeylGroup,
-        which shares this method."""
+        """The dominant representative of the W_M-orbit of x, with u such
+        that u(x) is it; memoised.  Dominance is for the walls of the
+        simple roots of M."""
         d, ints = scaled(x)
         return self.dominant_rep_scaled(d, ints)
 
@@ -385,47 +426,43 @@ class AffineWeylGroup:
                 mat_act(u, mu) for u in self.datum.weyl_elements}
         return orbit
 
-    def is_straight(self, w: AffineWeylElement) -> bool:
-        from .newton import is_straight
-        return is_straight(self, w)
+    # -- balls ------------------------------------------------------------
 
-    # -- ball enumeration -------------------------------------------------
+    def ball(self, max_length: int, label) -> dict[AffineWeylElement, int]:
+        """Every w of length <= max_length in the kappa coset of label,
+        with its length: a breadth-first walk from omega_rep(label) by
+        left multiplication with the simple reflections.  The depth of
+        w is its word length, which is its length, so the walk never
+        calls `length`."""
+        start = self.omega_rep(label)
+        depths = {start: 0}
+        frontier = [start]
+        for depth in range(1, max_length + 1):
+            new = []
+            for w in frontier:
+                for _, s in self._simples:
+                    sw = multiply(s, w)
+                    if sw not in depths:
+                        depths[sw] = depth
+                        new.append(sw)
+            frontier = new
+        return depths
 
     def enumerate_ball(self, max_length: int, omega_labels=None,
                        cap: int | None = None) -> list[AffineWeylElement]:
         """All w with length <= max_length and kappa among the given labels.
 
-        omega_labels defaults to every label when Omega is finite and to
-        the trivial one otherwise.  Deterministic canonical order.
+        omega_labels defaults to every label of the ambient group when
+        its Omega is finite and to the trivial one otherwise.
+        Deterministic canonical order.
         """
         cap = self.ball_cap if cap is None else cap
         if max_length > cap:
             raise ResourceError(
                 f"ball of radius {max_length} exceeds the cap {cap}")
         if omega_labels is None:
-            labels = self.datum.omega_labels()
-            if labels is None:
-                labels = ((0,) * self.datum.rank,)
-        else:
-            labels = tuple(self.datum.kappa_label(tuple(l)) for l in omega_labels)
-        out = []
-        for label in labels:
-            start = self.omega_rep(label)
-            seen = {start}
-            frontier = [start]
-            depth = 0
-            out.append(start)
-            while depth < max_length:
-                depth += 1
-                new = []
-                for w in frontier:
-                    for _, s in self._simples:
-                        sw = multiply(s, w)
-                        if sw not in seen and self.length(sw) == depth:
-                            seen.add(sw)
-                            new.append(sw)
-                out.extend(new)
-                frontier = new
+            omega_labels = self.datum.omega_labels() or ((0,) * self.datum.rank,)
+        out = [w for label in omega_labels for w in self.ball(max_length, label)]
         out.sort(key=self.sort_key)
         return out
 
@@ -536,3 +573,8 @@ def _parse_affine_word(group, text: str) -> AffineWeylElement:
             raise InputError(f"affine index {lab} out of range (production 'affine_word')")
         w = multiply(w, by_label[lab])
     return w
+
+
+# The Newton layer imports this module; it is imported last, once every
+# name it takes from here exists.
+from .newton import NewtonIndex, newton_point  # noqa: E402

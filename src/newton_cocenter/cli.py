@@ -28,7 +28,7 @@ from .hecke_cocenter import (
 from .levi_alcove import (
     is_v_alcove, levi_weyl_group, positivity_exponent,
 )
-from .newton import is_straight, newton_index, newton_point, strata
+from .newton import newton_point, strata
 from .reduction import canonical_min_rep, reduce_to_min, standard_triple
 from .root_datum import build_root_datum, frac_str, parse_group_label
 from .verify import run_suite
@@ -259,14 +259,14 @@ def cmd_describe(group, args) -> int:
 def cmd_newton(group, args) -> int:
     w = parse_element(group, args.elem)
     nu = newton_point(group, w)
-    idx = newton_index(group, w)
+    idx = group.newton_index(w)
     payload = {
         "elem": element_str(group, w),
         "length": group.length(w),
         "nu": coweight_json(nu),
         "nu_bar": coweight_json(idx.nu_bar),
         "kappa": list(idx.omega),
-        "straight": is_straight(group, w),
+        "straight": group.is_straight(w),
     }
     print(json.dumps(payload, sort_keys=True))
     return 0
@@ -497,7 +497,7 @@ def _load_nf_cache(group):
     if not root:
         return None
     path = os.path.join(root, f"{CACHE_SCHEMA}-{group.datum.descriptor().replace(':', '-')}.json")
-    group._nf_stored = StoredNormalForms(group, {})
+    group.nf_stored = StoredNormalForms(group, {})
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -510,7 +510,7 @@ def _load_nf_cache(group):
             or not isinstance(data.get("normal_forms"), dict):
         _cache_warning(path, f"not a {CACHE_SCHEMA} cache, ignored")
         return path
-    group._nf_stored.forms = data["normal_forms"]
+    group.nf_stored.forms = data["normal_forms"]
     return path
 
 
@@ -522,14 +522,14 @@ def _save_nf_cache(group, path):
     A failure is reported, not raised."""
     if not path:
         return
-    stored = group._nf_stored
+    stored = group.nf_stored
     if stored.dropped:
         _cache_warning(path, f"dropped {len(stored.dropped)} invalid entries")
-    if not group._nf_cache and not stored.computed:
+    if not group.nf_cache and not stored.computed:
         return
     forms = dict(stored.forms)
     forms.update(stored.computed)
-    forms.update(normal_form_texts(group, group._nf_cache.items()))
+    forms.update(normal_form_texts(group, group.nf_cache.items()))
     payload = {"schema": CACHE_SCHEMA, "group": group.datum.descriptor(),
                "normal_forms": forms}
     # a per-process name in the same directory, so os.replace is atomic

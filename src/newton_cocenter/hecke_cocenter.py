@@ -30,7 +30,7 @@ from .errors import InputError, LogicError, ResourceError
 from .levi_alcove import (
     LeviWeylGroup, levi_weyl_group, newton_index_map,
 )
-from .newton import NewtonIndex, newton_index, newton_point
+from .newton import NewtonIndex, newton_point
 from .reduction import _scan, canonical_class_rep, conj_step, is_min_in_class
 from .root_datum import dot, mat_act
 
@@ -270,7 +270,7 @@ class CocenterNormalForm:
     def components(self) -> dict[NewtonIndex, HeckeElement]:
         split: dict[NewtonIndex, dict] = {}
         for w, c in self.terms.items():
-            split.setdefault(newton_index(self.group, w), {})[w] = c
+            split.setdefault(self.group.newton_index(w), {})[w] = c
         return {nu: HeckeElement(t)
                 for nu, t in sorted(split.items(), key=lambda kv: kv[0].sort_key())}
 
@@ -362,10 +362,10 @@ def _nf_basis(group: AffineWeylGroup, w: AffineWeylElement) -> dict:
     first lowering move at y; those are resolved depth-first on an
     explicit stack (s y before s y s), since the chain of descents is
     as long as the input.  Forms stored from a disk cache
-    (`group._nf_stored`) are checked and used before computing.
+    (`group.nf_stored`) are checked and used before computing.
     """
-    cache = group._nf_cache
-    stored = group._nf_stored
+    cache = group.nf_cache
+    stored = group.nf_stored
     pending: dict[AffineWeylElement, tuple] = {}
     stack = [w]
     while stack:
@@ -524,12 +524,12 @@ class RigidRow:
 
 
 def _levi_label(group: AffineWeylGroup, m: LeviWeylGroup) -> str:
-    if len(m._phi_m) == len(group.datum.roots):
+    if len(m.levi.phi_zero) == len(group.datum.roots):
         return "G"
-    if not m._phi_m:
+    if not m.levi.phi_zero:
         return "T"
     idx = [str(i) for i, a in enumerate(group.datum.simple_roots, start=1)
-           if a in set(m._phi_m)]
+           if a in set(m.levi.phi_zero)]
     return "M{" + ",".join(idx) + "}"
 
 
@@ -548,12 +548,12 @@ def rigid_decomposition(group: AffineWeylGroup, max_length: int,
     fibers: dict[NewtonIndex, set] = {}
     for w in ball:
         rep = canonical_class_rep(group, w)
-        fibers.setdefault(newton_index(group, rep), set()).add(rep)
+        fibers.setdefault(group.newton_index(rep), set()).add(rep)
     rows = []
     for nu in sorted(fibers, key=NewtonIndex.sort_key):
         v = nu.nu_bar
         m = levi_weyl_group(group, v)
-        if any(dot(a, v) != 0 for a in m._phi_m):
+        if any(dot(a, v) != 0 for a in m.levi.phi_zero):
             raise LogicError("the dominant coweight must be central in its Levi")
         covered = all(_covers(group, nu, x) for x in sorted(fibers[nu],
                                                             key=group.sort_key))

@@ -5,9 +5,11 @@ M) and the strictly positive part (the unipotent direction).  The group
 X_* ⋊ W_M sits inside the ambient extended affine Weyl group but
 carries its own length function, computed by counting inversions over
 the Levi roots only; it genuinely differs from the restriction of the
-ambient length.  Its affine simple reflections are the walls of the
-M-alcove containing the ambient base alcove, which here means the
-reflections of M-length one.
+ambient length.  `LeviWeylGroup` is an `AffineWeylGroup` over the Levi
+roots: it adds only what the ambient group lacks, namely v, its root
+data, the weak reference to the ambient group, membership, boxes, and
+its affine simple reflections, the walls of the M-alcove containing the
+ambient base alcove, which here means the reflections of M-length one.
 """
 
 from __future__ import annotations
@@ -19,55 +21,35 @@ from math import lcm
 
 from .affine_weyl import (
     AffineRoot, AffineWeylElement, AffineWeylGroup, act_on_affine_root,
-    descent_word, inverse, is_positive_affine_root, length_zero_part, multiply,
+    inverse, is_positive_affine_root, multiply,
 )
 from .errors import InputError, LogicError
-from .newton import NewtonIndex, newton_index, newton_point
+from .newton import NewtonIndex, newton_point
 from .reduction import max_finite_parabolic_order, wa_ball_count
 from .root_datum import (
-    Coweight, IntVector, Matrix, coweight, coset_reduce, dot,
-    hnf_columns, levi_datum, mat_act, scaled,
+    Coweight, Matrix, coweight, coset_reduce, dot, hnf_columns, levi_datum,
+    mat_act, scaled,
 )
 
 
-class LeviWeylGroup:
+class LeviWeylGroup(AffineWeylGroup):
     """The Iwahori-Weyl group of the Levi attached to a rational coweight.
 
-    Satisfies the same context interface as AffineWeylGroup (identity,
-    simple_items, length, sort_key, newton_index, is_straight, caches),
-    so the reduction machinery applies verbatim with the M-length.
+    Every method of the ambient group applies with Phi_M, W_M and the
+    M-walls, so the reduction machinery runs verbatim with the M-length.
     """
 
     def __init__(self, parent: AffineWeylGroup, v):
+        datum = parent.datum
         self._parent = weakref.ref(parent)
-        self.datum = parent.datum
-        self.levi = levi_datum(self.datum, v)
+        self.levi = levi_datum(datum, v)
         self.v = self.levi.v
-        self.identity = parent.identity
-        self._w_m = frozenset(self.levi.w_m)
-        self._phi_m = tuple(sorted(set(self.levi.phi_zero)))
-        self._phi_m_index = tuple(self.datum.root_index[a] for a in self._phi_m)
-        self._m_simple_roots = self._find_m_simples()
-        self._walls = tuple((a, self.datum.coroot[a], self.datum.reflection(a))
-                            for a in self._m_simple_roots)
-        self._coroot_hnf = hnf_columns(
-            [self.datum.coroot[a] for a in self._phi_m])
-        self._length_cache: dict[AffineWeylElement, int] = {}
-        self._levels: dict[IntVector, list[int]] = {}
-        self._simples = self._find_affine_simples()
-        self.parabolic_cap = len(self._w_m) + 1
-        self._omega_cache: dict[IntVector, AffineWeylElement] = {}
-        self._class_cache: dict = {}
-        self._triple_cache: dict = {}
-        self._word_cache: dict[AffineWeylElement, tuple[int, ...]] = {}
-        self._two_rho_m = tuple(
-            sum(a[i] for a in self._phi_m if self.datum.is_positive_root(a))
-            for i in range(self.datum.rank))
-        # Newton memos (see the newton module): the Newton points are the
-        # ambient group's, the dominant representatives are taken in M
-        self.newton_points = parent.newton_points
-        self._dominant_cache: dict[IntVector, tuple[Coweight, Matrix]] = {}
+        phi_m = self.levi.phi_zero
+        self._context(datum, parent.ball_cap, phi_m, _m_simples(datum, phi_m),
+                      hnf_columns([datum.coroot[a] for a in phi_m]),
+                      self.levi.w_m, *parent.newton_memos())
         self._boxes: dict[tuple, list[AffineWeylElement]] = {}
+        self._simples = self._find_affine_simples()
 
     @property
     def parent(self) -> AffineWeylGroup:
@@ -80,21 +62,9 @@ class LeviWeylGroup:
             raise LogicError("the ambient group of this Levi has been freed")
         return parent
 
-    # -- construction --------------------------------------------------
-
-    def _find_m_simples(self):
-        """Indecomposable elements of the M-positive roots."""
-        pos = [a for a in self._phi_m if self.datum.is_positive_root(a)]
-        pos_set = set(pos)
-        simples = []
-        for a in pos:
-            if not any(tuple(x - y for x, y in zip(a, b)) in pos_set
-                       for b in pos if b != a):
-                simples.append(a)
-        return tuple(sorted(simples))
-
     def _find_affine_simples(self):
-        """Reflections of M-length one: the walls of the base M-alcove.
+        """Reflections of M-length one: the walls of the base M-alcove,
+        labelled 0, 1, ... in the ambient canonical order.
 
         Wall levels lie in {0, 1} because the ambient base alcove pins
         every root value into (-1, 1); the scan range is wider only as
@@ -102,11 +72,11 @@ class LeviWeylGroup:
         rank-plus-components total.
         """
         found = []
-        for a in self._phi_m:
+        for a in self.levi.phi_zero:
             if not self.datum.is_positive_root(a):
                 continue
             for k in range(-2, 3):
-                s = self.parent.reflection(AffineRoot(a, k))
+                s = self.reflection(AffineRoot(a, k))
                 if self.length(s) == 1 and s not in found:
                     found.append(s)
         found.sort(key=self.parent.sort_key)
@@ -118,110 +88,8 @@ class LeviWeylGroup:
                 f"found {len(items)} M-walls, expected {expected}")
         return items
 
-    # -- context interface -----------------------------------------------
-
-    def simple_items(self):
-        return self._simples
-
-    def finite_elements(self):
-        return self.levi.w_m
-
     def is_member(self, w: AffineWeylElement) -> bool:
-        return w.finite in self._w_m
-
-    def length(self, w: AffineWeylElement) -> int:
-        """Inversions over affine roots with vector part in the Levi.
-
-        As for the ambient length, the family over alpha lands on beta =
-        u(alpha) with max(0, tau(beta) - <beta, lam> - tau(alpha))
-        negative levels; the levels tau(beta) - <beta, lam> over the
-        Levi roots depend on lam alone and are memoised per lam.
-        """
-        cached = self._length_cache.get(w)
-        if cached is not None:
-            return cached
-        lam, u = w
-        if u not in self._w_m:
-            raise InputError("M-length is only defined on the Levi subgroup")
-        roots, tau = self.datum.roots, self.datum.tau
-        level = self._levels.get(lam)
-        if level is None:
-            level = [0] * len(roots)
-            for j in self._phi_m_index:
-                level[j] = tau[j] - dot(roots[j], lam)
-            self._levels[lam] = level
-        perm = self.datum.root_permutation(u)
-        total = 0
-        for i in self._phi_m_index:
-            d = level[perm[i]] - tau[i]
-            if d > 0:
-                total += d
-        self._length_cache[w] = total
-        return total
-
-    def kappa(self, w: AffineWeylElement) -> IntVector:
-        return coset_reduce(w.translation, self._coroot_hnf)
-
-    def omega_rep(self, label) -> AffineWeylElement:
-        label = coset_reduce(tuple(label), self._coroot_hnf)
-        cached = self._omega_cache.get(label)
-        if cached is None:
-            cached = self._omega_cache[label] = length_zero_part(
-                self, self.parent.translation(label))
-        return cached
-
-    def word(self, w: AffineWeylElement) -> tuple[int, ...]:
-        """Lex-least reduced word of w omega^{-1}, omega the length-zero
-        element of w's kappa_M coset."""
-        omega = self.omega_rep(self.kappa(w))
-        return descent_word(self, multiply(w, inverse(omega)), self._word_cache)
-
-    def sort_key(self, w: AffineWeylElement):
-        return (self.length(w), self.kappa(w), self.word(w),
-                self.parent.sort_key(w))
-
-    # the M-dominant representative in the W_M-orbit: the ambient
-    # group's memoised walk, over the M-walls in self._walls
-    dominant_rep = AffineWeylGroup.dominant_rep
-    dominant_rep_scaled = AffineWeylGroup.dominant_rep_scaled
-
-    def intern_coweight(self, d: int, x) -> Coweight:
-        return self.parent.intern_coweight(d, x)
-
-    def newton_index(self, w: AffineWeylElement) -> NewtonIndex:
-        return newton_index(self, w)
-
-    def is_straight(self, w: AffineWeylElement) -> bool:
-        d, x = scaled(self.newton_index(w).nu_bar)
-        return self.length(w) * d == dot(self._two_rho_m, x)
-
-    def enumerate_ball(self, max_length: int, omega_labels,
-                       cap: int = 64) -> list[AffineWeylElement]:
-        """All of W(M) with M-length <= max_length over the given
-        kappa_M labels (Omega_M is infinite in general, so the label
-        set must be supplied explicitly)."""
-        if max_length > cap:
-            raise InputError(f"M-ball of radius {max_length} exceeds cap {cap}")
-        out = []
-        for label in omega_labels:
-            start = self.omega_rep(tuple(label))
-            seen = {start}
-            frontier = [start]
-            out.append(start)
-            depth = 0
-            while depth < max_length:
-                depth += 1
-                new = []
-                for w in frontier:
-                    for _, s in self._simples:
-                        sw = multiply(s, w)
-                        if sw not in seen and self.length(sw) == depth:
-                            seen.add(sw)
-                            new.append(sw)
-                out.extend(new)
-                frontier = new
-        out.sort(key=self.sort_key)
-        return out
+        return self._w_m is None or w.finite in self._w_m
 
     def box(self, max_m_length: int, box: int,
             cap: int | None) -> list[AffineWeylElement]:
@@ -258,6 +126,18 @@ class LeviWeylGroup:
         return f"LeviWeylGroup(v={tuple(map(str, self.v))})"
 
 
+def _m_simples(datum, phi_m):
+    """Indecomposable elements of the M-positive roots."""
+    pos = [a for a in phi_m if datum.is_positive_root(a)]
+    pos_set = set(pos)
+    simples = []
+    for a in pos:
+        if not any(tuple(x - y for x, y in zip(a, b)) in pos_set
+                   for b in pos if b != a):
+            simples.append(a)
+    return tuple(sorted(simples))
+
+
 def _components_of_roots(datum, m_simple_roots):
     comps = []
     seen = set()
@@ -278,7 +158,7 @@ def _components_of_roots(datum, m_simple_roots):
 
 def levi_weyl_group(group: AffineWeylGroup, v) -> LeviWeylGroup:
     v = coweight(v)
-    cache = group._triple_cache.setdefault("levi_groups", {})
+    cache = group.levi_groups
     if v not in cache:
         cache[v] = LeviWeylGroup(group, v)
     return cache[v]
@@ -300,7 +180,7 @@ def conjugate_levi(group: AffineWeylGroup, u0: Matrix, m: LeviWeylGroup):
     m_new = levi_weyl_group(group, v_new)
 
     def index_map(nu_m: NewtonIndex) -> NewtonIndex:
-        label = coset_reduce(tuple(mat_act(u0, nu_m.omega)), m_new._coroot_hnf)
+        label = coset_reduce(tuple(mat_act(u0, nu_m.omega)), m_new.coroot_hnf)
         d, x = scaled(nu_m.nu_bar)
         nu_bar, _ = m_new.dominant_rep_scaled(d, mat_act(u0, x))
         return NewtonIndex(label, nu_bar)
@@ -401,4 +281,4 @@ def m_in_g_stratum_check(group: AffineWeylGroup, m: LeviWeylGroup,
     """
     if m.newton_index(w) != nu_m:
         raise InputError("nu_m is not the M-Newton index of w")
-    return newton_index(group, w) == newton_index_map(group, m, nu_m)
+    return group.newton_index(w) == newton_index_map(group, m, nu_m)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .affine_weyl import AffineWeylElement, AffineWeylGroup, multiply
-from .root_datum import Coweight, IntVector, dot, frac_str, mat_act, scaled
+from .root_datum import Coweight, IntVector, frac_str, mat_act
 
 
 @dataclass(frozen=True)
@@ -53,21 +53,10 @@ def newton_point(ctx, w: AffineWeylElement) -> Coweight:
     return nu
 
 
-def newton_index(ctx, w: AffineWeylElement) -> NewtonIndex:
-    """kappa(w) and the dominant representative of nu_w, both taken in
-    ctx (an ambient or a Levi group)."""
-    nu_bar, _ = ctx.dominant_rep(newton_point(ctx, w))
-    return NewtonIndex(ctx.kappa(w), nu_bar)
-
-
-def is_straight(group: AffineWeylGroup, w: AffineWeylElement) -> bool:
-    """Straightness via the pairing criterion length(w) = <nu_bar, 2 rho>.
-
-    The defining power condition is `is_straight_by_powers`; the two are
-    asserted to agree on every test ball.
-    """
-    d, x = scaled(newton_index(group, w).nu_bar)
-    return group.length(w) * d == dot(group.datum.two_rho, x)
+# the Newton index and the pairing criterion of straightness are methods
+# of the group, ambient or Levi; these are the same functions
+newton_index = AffineWeylGroup.newton_index
+is_straight = AffineWeylGroup.is_straight
 
 
 def is_straight_by_powers(group: AffineWeylGroup, w: AffineWeylElement) -> bool:
@@ -92,5 +81,5 @@ def strata(group: AffineWeylGroup, max_length: int, omega_labels=None,
     ball = group.enumerate_ball(max_length, omega_labels, cap=cap)
     fibers: dict[NewtonIndex, list[AffineWeylElement]] = {}
     for w in ball:
-        fibers.setdefault(newton_index(group, w), []).append(w)
+        fibers.setdefault(group.newton_index(w), []).append(w)
     return {nu: fibers[nu] for nu in sorted(fibers, key=NewtonIndex.sort_key)}

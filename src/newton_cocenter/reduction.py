@@ -18,11 +18,15 @@ bounded length, so only the Weyl orbits of finitely many dominant mu
 are tested against those cosets.  The least of them in canonical order
 is the class key canonical_class_rep.
 
-The functions take a group "context": either the ambient extended
-affine Weyl group or a Levi sub-Iwahori-Weyl group, which expose the
-same interface (identity, simple_items, length, sort_key, caches).
-The class-level functions (class_minimal_set, canonical_class_rep)
-accept the ambient group only.
+The functions take a group "context": an `AffineWeylGroup`, either
+the ambient group or a `LeviWeylGroup`, whose methods compute with the
+M-length.  Their memos are attributes of the context, declared where it
+is built: `minimal`, `min_reps` and `min_classes` for the move orbits,
+`coinvariant_hnfs`, `parabolics`, `max_parabolic`, `wa_ball_counts` and
+`standard_triples`, and, on the ambient group, which alone has the
+class-level functions (class_minimal_set, canonical_class_rep),
+`full_classes`, `class_reps`, `dominant_translations` and
+`dominant_chamber`.
 """
 
 from __future__ import annotations
@@ -153,60 +157,47 @@ def reduce_to_min(ctx, w: AffineWeylElement):
         for elem, lab in _path_to(parents, y):
             steps.append(ReductionStep(lab, CONJ_EQUAL, elem))
         steps.append(ReductionStep(label, CONJ_DOWN, z))
-        cache = ctx._class_cache
-        for elem in parents:
-            cache.setdefault(elem, {})["min"] = False
+        ctx.minimal.update(dict.fromkeys(parents, False))
         cur = z
 
 
 def _cache_minimal_closure(ctx, parents):
-    cache = ctx._class_cache
-    rep = min(parents, key=ctx.sort_key)
     members = tuple(sorted(parents, key=ctx.sort_key))
-    for elem in parents:
-        entry = cache.setdefault(elem, {})
-        entry["min"] = True
-        entry["rep"] = rep
-        entry["class"] = members
-    return rep
+    ctx.minimal.update(dict.fromkeys(parents, True))
+    ctx.min_reps.update(dict.fromkeys(parents, members[0]))
+    ctx.min_classes.update(dict.fromkeys(parents, members))
 
 
 def is_min_in_class(ctx, w: AffineWeylElement) -> bool:
     """True when no chain of non-raising moves lowers the length of w."""
-    entry = ctx._class_cache.get(w)
-    if entry is not None and "min" in entry:
-        return entry["min"]
+    known = ctx.minimal.get(w)
+    if known is not None:
+        return known
     parents, descent = _scan(ctx, w)
-    cache = ctx._class_cache
     if descent is None:
         _cache_minimal_closure(ctx, parents)
         return True
-    for elem in parents:
-        cache.setdefault(elem, {})["min"] = False
+    ctx.minimal.update(dict.fromkeys(parents, False))
     return False
 
 
 def minimal_class(ctx, w_min: AffineWeylElement) -> tuple[AffineWeylElement, ...]:
     """All minimal elements of the class of a minimal element."""
-    entry = ctx._class_cache.get(w_min)
-    if entry is None or "class" not in entry:
-        if not is_min_in_class(ctx, w_min):
-            raise LogicError("minimal_class called on a non-minimal element")
-        entry = ctx._class_cache[w_min]
-    return entry["class"]
+    if w_min not in ctx.min_classes and not is_min_in_class(ctx, w_min):
+        raise LogicError("minimal_class called on a non-minimal element")
+    return ctx.min_classes[w_min]
 
 
 def canonical_min_rep(ctx, w: AffineWeylElement) -> AffineWeylElement:
     """The canonical key of the move-orbit of w: the word-lexicographically
     least among the minimal-length elements reachable from w."""
-    entry = ctx._class_cache.get(w)
-    if entry is not None and entry.get("rep") is not None:
-        return entry["rep"]
-    w_min, path = reduce_to_min(ctx, w)
-    rep = ctx._class_cache[w_min]["rep"]
-    for step in path.steps:
-        ctx._class_cache.setdefault(step.result, {})["rep"] = rep
-    ctx._class_cache.setdefault(w, {})["rep"] = rep
+    rep = ctx.min_reps.get(w)
+    if rep is None:
+        w_min, path = reduce_to_min(ctx, w)
+        rep = ctx.min_reps[w_min]
+        for step in path.steps:
+            ctx.min_reps[step.result] = rep
+        ctx.min_reps[w] = rep
     return rep
 
 
@@ -225,7 +216,7 @@ def canonical_min_rep(ctx, w: AffineWeylElement) -> AffineWeylElement:
 
 def _coinvariant_hnf(ctx, a):
     """Hermite form of the image of (1 - a) on the translation lattice."""
-    cache = ctx._triple_cache.setdefault("coinv", {})
+    cache = ctx.coinvariant_hnfs
     if a not in cache:
         n = len(a)
         cols = []
@@ -267,11 +258,10 @@ def class_minimal_set(ctx, w_min: AffineWeylElement) -> tuple[AffineWeylElement,
     one of the cosets u(lam) + im(1 - a') with u a u^{-1} = a'.  Only
     the ambient group has this translation lattice and length formula.
     """
-    if not isinstance(ctx, AffineWeylGroup):
+    if type(ctx) is not AffineWeylGroup:
         raise LogicError("class_minimal_set needs the ambient group")
-    entry = ctx._class_cache.setdefault(w_min, {})
-    if "full_class" in entry:
-        return entry["full_class"]
+    if w_min in ctx.full_classes:
+        return ctx.full_classes[w_min]
     if not is_min_in_class(ctx, w_min):
         raise LogicError("class_minimal_set needs a minimal-length element")
     datum = ctx.datum
@@ -298,8 +288,7 @@ def class_minimal_set(ctx, w_min: AffineWeylElement) -> tuple[AffineWeylElement,
                     if ctx.length(z) == length:
                         members.append(z)
     members = tuple(sorted(members, key=ctx.sort_key))
-    for z in members:
-        ctx._class_cache.setdefault(z, {})["full_class"] = members
+    ctx.full_classes.update(dict.fromkeys(members, members))
     return members
 
 
@@ -332,8 +321,7 @@ def _enumerate_dominant(ctx, lam, bound) -> list[tuple[IntVector, int]]:
     of the y does not depend on which lam of the coset is given.
     """
     datum = ctx.datum
-    cache = ctx._triple_cache
-    if "chamber" not in cache:
+    if ctx.dominant_chamber is None:
         simple, coroots = datum.simple_roots, datum.simple_coroots
         inv = rational_inverse(
             [[dot(a, cv) for cv in coroots] for a in simple])
@@ -344,8 +332,8 @@ def _enumerate_dominant(ctx, lam, bound) -> list[tuple[IntVector, int]]:
         pair = [dot(datum.two_rho, cv) for cv in coroots]
         heights = [int(sum(row[i] * p for row, p in zip(inv, pair)))
                    for i in range(len(simple))]
-        cache["chamber"] = (scaled, den, heights)
-    scaled, den, heights = cache["chamber"]
+        ctx.dominant_chamber = (scaled, den, heights)
+    scaled, den, heights = ctx.dominant_chamber
     shift = [dot(a, lam) for a in datum.simple_roots]
     coroots = datum.simple_coroots
     out = []
@@ -366,19 +354,17 @@ def canonical_class_rep(ctx, w: AffineWeylElement) -> AffineWeylElement:
     """The canonical key of the full conjugacy class of w: the least
     minimal-length element of the class.  This is the support key used
     by the cocenter normal forms; only the ambient group has it."""
-    if not isinstance(ctx, AffineWeylGroup):
+    if type(ctx) is not AffineWeylGroup:
         raise LogicError("canonical_class_rep needs the ambient group")
-    entry = ctx._class_cache.get(w)
-    if entry is not None and entry.get("class_rep") is not None:
-        return entry["class_rep"]
-    w_min, path = reduce_to_min(ctx, w)
-    members = class_minimal_set(ctx, w_min)
-    rep = min(members, key=ctx.sort_key)
-    for z in members:
-        ctx._class_cache.setdefault(z, {})["class_rep"] = rep
-    for step in path.steps:
-        ctx._class_cache.setdefault(step.result, {})["class_rep"] = rep
-    ctx._class_cache.setdefault(w, {})["class_rep"] = rep
+    rep = ctx.class_reps.get(w)
+    if rep is None:
+        w_min, path = reduce_to_min(ctx, w)
+        members = class_minimal_set(ctx, w_min)
+        rep = members[0]
+        ctx.class_reps.update(dict.fromkeys(members, rep))
+        for step in path.steps:
+            ctx.class_reps[step.result] = rep
+        ctx.class_reps[w] = rep
     return rep
 
 
@@ -411,7 +397,7 @@ def parabolic_elements(ctx, k_labels) -> frozenset[AffineWeylElement]:
     """The subgroup generated by the reflections in k_labels, enumerated
     with a cap; exceeding the cap means the subgroup is infinite."""
     key = tuple(sorted(k_labels))
-    cache = ctx._triple_cache.setdefault("parabolic", {})
+    cache = ctx.parabolics
     if key in cache:
         return cache[key]
     elem = dict(ctx.simple_items())
@@ -448,9 +434,8 @@ def is_finite_parabolic(ctx, k_labels) -> bool:
 
 def max_finite_parabolic_order(ctx) -> int:
     """Largest order of a finite parabolic, by explicit enumeration."""
-    cache = ctx._triple_cache
-    if "max_parabolic" in cache:
-        return cache["max_parabolic"]
+    if ctx.max_parabolic is not None:
+        return ctx.max_parabolic
     total = 1
     for comp in coxeter_components(ctx):
         best = 1
@@ -458,30 +443,16 @@ def max_finite_parabolic_order(ctx) -> int:
             for sub in combinations(comp, size):
                 best = max(best, len(parabolic_elements(ctx, sub)))
         total *= best
-    cache["max_parabolic"] = total
+    ctx.max_parabolic = total
     return total
 
 
 def wa_ball_count(ctx, max_length: int) -> int:
     """Number of elements of the affine Weyl part with length <= L."""
-    cache = ctx._triple_cache.setdefault("wa_ball", {})
-    if max_length in cache:
-        return cache[max_length]
-    seen = {ctx.identity}
-    frontier = [ctx.identity]
-    depth = 0
-    while depth < max_length:
-        depth += 1
-        new = []
-        for w in frontier:
-            for _, s in ctx.simple_items():
-                sw = multiply(s, w)
-                if sw not in seen and ctx.length(sw) == depth:
-                    seen.add(sw)
-                    new.append(sw)
-        frontier = new
-    cache[max_length] = len(seen)
-    return len(seen)
+    cache = ctx.wa_ball_counts
+    if max_length not in cache:
+        cache[max_length] = len(ctx.ball(max_length, ctx.kappa(ctx.identity)))
+    return cache[max_length]
 
 
 # -- standard triples ------------------------------------------------------
@@ -494,7 +465,7 @@ def standard_triple(ctx, w_min: AffineWeylElement) -> StandardTriple:
     over finite parabolic subsets by increasing size.  Failure would
     contradict minimal-length theory, so it raises LogicError.
     """
-    cache = ctx._triple_cache.setdefault("triples", {})
+    cache = ctx.standard_triples
     if w_min in cache:
         return cache[w_min]
     if not is_min_in_class(ctx, w_min):

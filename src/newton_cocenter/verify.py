@@ -33,9 +33,7 @@ from .levi_alcove import (
     conjugate_levi, is_v_alcove, levi_weyl_group, m_in_g_stratum_check,
     positivity_exponent,
 )
-from .newton import (
-    is_straight, is_straight_by_powers, newton_index, newton_point, strata,
-)
+from .newton import is_straight_by_powers, newton_point, strata
 from .reduction import (
     canonical_class_rep, is_min_in_class, reduce_to_min, replay,
     standard_triple, wa_ball_count,
@@ -110,22 +108,12 @@ def _ball(group, length, labels=None):
 
 
 def _bfs_lengths(group, max_depth, labels):
-    """Word lengths by plain breadth-first multiplication: the oracle
-    never consults the inversion-count length function."""
+    """Word lengths by plain breadth-first multiplication (the walk of
+    `AffineWeylGroup.ball`): the oracle never consults the
+    inversion-count length function."""
     out = {}
     for label in labels:
-        start = group.omega_rep(tuple(label))
-        out[start] = 0
-        frontier = [start]
-        for depth in range(1, max_depth + 1):
-            new = []
-            for w in frontier:
-                for _, s in group.simple_items():
-                    sw = multiply(s, w)
-                    if sw not in out:
-                        out[sw] = depth
-                        new.append(sw)
-            frontier = new
+        out.update(group.ball(max_depth, label))
     return out
 
 
@@ -225,15 +213,15 @@ def suite_newton(group, params):
 
     fails, first, n = 0, None, 0
     for w in ball:
-        pi = newton_index(group, w)
+        pi = group.newton_index(w)
         for _, s in group.simple_items():
             n += 1
-            if newton_index(group, conjugate(s, w)) != pi:
+            if group.newton_index(conjugate(s, w)) != pi:
                 fails += 1
                 first = first or element_str(group, w)
         for om in omegas:
             n += 1
-            if newton_index(group, conjugate(om, w)) != pi:
+            if group.newton_index(conjugate(om, w)) != pi:
                 fails += 1
                 first = first or element_str(group, w)
     rep.add("conjugation-invariance", n, fails, first)
@@ -251,15 +239,15 @@ def suite_newton(group, params):
 
     fails, first, n = 0, None, 0
     for w in ball:
-        if not is_straight(group, w):
+        if not group.is_straight(w):
             continue
-        base = newton_index(group, w).nu_bar
+        base = group.newton_index(w).nu_bar
         power = w
         for k in range(2, 7):
             power = multiply(power, w)
             n += 1
             ok_len = group.length(power) == k * group.length(w)
-            ok_nu = newton_index(group, power).nu_bar == tuple(k * c for c in base)
+            ok_nu = group.newton_index(power).nu_bar == tuple(k * c for c in base)
             if not (ok_len and ok_nu):
                 fails += 1
                 first = first or f"{element_str(group, w)}^#{k}"
@@ -287,7 +275,7 @@ def suite_straightness(group, params):
     ball = _ball(group, params["length"])
     fails, first = 0, None
     for w in ball:
-        if is_straight(group, w) != is_straight_by_powers(group, w):
+        if group.is_straight(w) != is_straight_by_powers(group, w):
             fails += 1
             first = first or element_str(group, w)
     rep.add("pairing-criterion-equals-power-condition", len(ball), fails, first)
@@ -304,8 +292,8 @@ def suite_reduction(group, params):
         if not replay(group, path):
             f_path += 1
             first = first or element_str(group, w)
-        pi = newton_index(group, w)
-        cur_ok = all(newton_index(group, st.result) == pi for st in path.steps)
+        pi = group.newton_index(w)
+        cur_ok = all(group.newton_index(st.result) == pi for st in path.steps)
         n_pi += len(path.steps)
         if not cur_ok:
             f_pi += 1
@@ -321,8 +309,8 @@ def suite_reduction(group, params):
             triple = standard_triple(group, w_min)
             ux = multiply(triple.u, triple.x)
             ok = is_min_in_class(group, ux) and \
-                newton_index(group, ux) == newton_index(group, triple.x) == pi and \
-                is_straight(group, triple.x)
+                group.newton_index(ux) == group.newton_index(triple.x) == pi and \
+                group.is_straight(triple.x)
             if not ok:
                 f_triple += 1
                 first = first or element_str(group, w)
@@ -629,6 +617,7 @@ def _run_forked(group, tasks, jobs) -> list[SuiteReport]:
     queue, feed = os.pipe()
     os.write(feed, bytes(range(len(shards))))
     os.close(feed)
+    parent = os.getpid()
     pids, pipes = [], []
     try:
         for _ in range(min(jobs, len(shards))):
@@ -638,7 +627,7 @@ def _run_forked(group, tasks, jobs) -> list[SuiteReport]:
                 # safe while this process has no other thread: the CLI starts none
                 pid = os.fork()
                 if pid == 0:
-                    _work(group, tasks, shards, queue, w, pipes)
+                    _work(group, tasks, shards, queue, w, pipes, parent)
             finally:
                 os.close(w)
             pids.append(pid)
@@ -655,7 +644,7 @@ def _run_forked(group, tasks, jobs) -> list[SuiteReport]:
     for reports, normal_forms in messages:
         results.update(reports)
         if normal_forms is not None:
-            group._nf_stored.merge(*normal_forms)
+            group.nf_stored.merge(*normal_forms)
     for name, _ in tasks:
         if name not in results:
             missing = ", ".join(n for n, _ in tasks if n not in results)
@@ -693,24 +682,28 @@ def _receive(fds) -> list:
     return messages
 
 
-def _work(group, tasks, shards, queue, fd, readers):
+def _work(group, tasks, shards, queue, fd, readers, parent):
     """The body of a forked worker, which never returns.  Per shard it
     sends {suite: report or (error, traceback)} and, with a disk cache,
     the normal forms new since its last shard, the stored keys read and
     those dropped.  It closes the `readers` it inherited, so a worker
-    whose parent died gets EPIPE instead of waiting on a full pipe."""
+    whose parent died gets EPIPE, and exits quietly, instead of waiting
+    on a full pipe; and it exits before each suite once its parent pid
+    is no longer `parent`, since no one is left to read its reports."""
     import pickle
     code = 1
     try:
         for r in readers:
             os.close(r)
         out = os.fdopen(fd, "wb")
-        stored = group._nf_stored
+        stored = group.nf_stored
         keys = set(stored.forms) if stored is not None else None
-        sent = len(group._nf_cache)
+        sent = len(group.nf_cache)
         while index := os.read(queue, 1):
             results = {}
             for i in shards[index[0]]:
+                if os.getppid() != parent:
+                    os._exit(0)
                 name, params = tasks[i]
                 try:
                     results[name] = _run_timed(group, name, params)
@@ -719,13 +712,15 @@ def _work(group, tasks, shards, queue, fd, readers):
                     results[name] = (exc, "".join(traceback.format_exception(exc)))
             normal_forms = None
             if stored is not None:
-                new = list(islice(group._nf_cache.items(), sent, None))
+                new = list(islice(group.nf_cache.items(), sent, None))
                 sent += len(new)
                 normal_forms = (normal_form_texts(group, new),
                                 keys - stored.forms.keys(), stored.dropped)
             out.write(pickle.dumps((results, normal_forms)))
             out.flush()
         code = 0
+    except BrokenPipeError:
+        pass  # the parent died: no one is left to tell
     except Exception:
         import traceback
         traceback.print_exc()

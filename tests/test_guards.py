@@ -15,3 +15,31 @@ def test_library_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == [], "use LogicError instead of assert: " + ", ".join(found)
+
+
+def _private_reach_ins(path):
+    """(line, text) of each `_`-prefixed, non-dunder attribute read or
+    written on anything but `self` or `cls`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or not node.attr.startswith("_") \
+                or node.attr.endswith("__"):
+            continue
+        if isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"):
+            continue
+        yield node.lineno, ast.unparse(node), isinstance(node.ctx, ast.Load)
+
+
+def _allowed(module, text, is_read):
+    # os._exit is the exit of a forked worker; a WeylElement's weak
+    # reference to its datum is read by the datum module that owns both
+    return text == "os._exit" or (module == "root_datum" and is_read
+                                  and text.endswith("._datum"))
+
+
+def test_no_module_reaches_into_private_attributes():
+    found = [f"{path.name}:{line}: {text}"
+             for path in sorted(SOURCE.glob("*.py"))
+             for line, text, is_read in _private_reach_ins(path)
+             if not _allowed(path.stem, text, is_read)]
+    assert found == [], "use a public attribute or method: " + ", ".join(found)

@@ -1,0 +1,87 @@
+"""One Iwahori-Weyl context serves the ambient group and every Levi.
+
+The ball walker (`AffineWeylGroup.ball`) is a breadth-first walk that
+never consults the length function; the length-filtered walk that the
+ambient and the Levi groups each ran before is kept here as its oracle.
+The Levi of v = 0 must be the ambient group itself, which is the
+contract that lets both share every method.
+"""
+
+import pytest
+
+from newton_cocenter import AffineWeylGroup, build_root_datum
+from newton_cocenter.affine_weyl import multiply
+from newton_cocenter.levi_alcove import levi_weyl_group
+from newton_cocenter.reduction import wa_ball_count
+from newton_cocenter.verify import _levi_grid
+
+GROUPS = [("A1", "sc"), ("A2", "sc"), ("B2", "sc"), ("C2", "sc"), ("G2", "sc"),
+          ("C2", "ad"), ("GL3", "gl"), ("GL4", "gl")]
+
+
+def fresh_group(label, lattice):
+    return AffineWeylGroup(build_root_datum(label, lattice))
+
+
+def filtered_ball(ctx, max_length, labels):
+    """{w: length} by the length-filtered breadth-first walk: a new
+    element at depth d is kept only when its length is d."""
+    out = {}
+    for label in labels:
+        start = ctx.omega_rep(label)
+        seen, frontier = {start}, [start]
+        out[start] = 0
+        for depth in range(1, max_length + 1):
+            new = []
+            for w in frontier:
+                for _, s in ctx.simple_items():
+                    sw = multiply(s, w)
+                    if sw not in seen and ctx.length(sw) == depth:
+                        seen.add(sw)
+                        new.append(sw)
+            out.update(dict.fromkeys(new, depth))
+            frontier = new
+    return out
+
+
+def levi_labels(m):
+    """The distinct kappa_M labels of 0 and of the unit vectors with
+    both signs."""
+    n = m.datum.rank
+    units = [tuple(sign * int(i == j) for j in range(n)) for i in range(n) for sign in (1, -1)]
+    return sorted({m.kappa(m.translation(lam)) for lam in [(0,) * n] + units})
+
+
+def contexts(g):
+    yield g, g.datum.omega_labels() or [(0,) * g.datum.rank]
+    for v in _levi_grid(g, 4):
+        m = levi_weyl_group(g, v)
+        yield m, levi_labels(m)
+
+
+@pytest.mark.parametrize("label,lattice", GROUPS)
+def test_walker_equals_length_filtered_walk(label, lattice):
+    g = fresh_group(label, lattice)
+    for ctx, labels in contexts(g):
+        for label_ in labels:
+            assert ctx.ball(3, label_) == filtered_ball(ctx, 3, [label_]), (ctx, label_)
+        oracle = filtered_ball(ctx, 3, labels)
+        assert ctx.enumerate_ball(3, labels, cap=3) == sorted(oracle, key=ctx.sort_key)
+        for radius in range(4):
+            zero = [(0,) * g.datum.rank]
+            assert wa_ball_count(ctx, radius) == len(filtered_ball(ctx, radius, zero))
+
+
+@pytest.mark.parametrize("label,lattice", GROUPS)
+def test_levi_of_zero_is_the_ambient_group(label, lattice):
+    g = fresh_group(label, lattice)
+    m = levi_weyl_group(g, (0,) * g.datum.rank)
+    assert m.simple_items() == g.simple_items()
+    assert [lab for lab, _ in m.simple_items()] == list(range(len(g.datum.simple_roots) + 1))
+    radius = 3 if g.datum.rank > 3 else 4
+    ball = g.enumerate_ball(radius, cap=radius)
+    assert m.enumerate_ball(radius, cap=radius) == ball
+    for w in ball:
+        assert m.length(w) == g.length(w)
+        assert m.kappa(w) == g.kappa(w)
+        assert m.word(w) == g.word(w)

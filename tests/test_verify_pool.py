@@ -192,3 +192,70 @@ def test_describe_does_not_import_multiprocessing():
                           text=True, env=env, timeout=60, check=False)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+ORPHAN_SCRIPT = """
+import os, sys, time
+from newton_cocenter import verify
+from newton_cocenter.affine_weyl import AffineWeylGroup
+from newton_cocenter.root_datum import build_root_datum
+
+def slow(name):
+    def suite(group, params):
+        with open(sys.argv[1], "a") as log:
+            log.write(f"{name} {os.getpid()} {time.monotonic()}\\n")
+        time.sleep(1.0)
+        return verify.SuiteReport(name, "A1", params)
+    return suite
+
+for name in verify.SUITES:
+    verify.SUITES[name] = (slow(name), {})
+verify.run_suite("all", AffineWeylGroup(build_root_datum("A1")), {}, jobs=2)
+"""
+
+
+def running(pid):
+    """False once pid has exited, also when it stays an unreaped zombie."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+def test_workers_of_a_killed_parent_start_no_shard(tmp_path):
+    # the kill lands while both workers are in their first shard; the
+    # one running levi must not go on to positivity, neither may take
+    # another shard, and neither may print a traceback
+    log, err = tmp_path / "starts.log", tmp_path / "stderr"
+    src = str(Path(newton_cocenter.__file__).resolve().parent.parent)
+    with open(err, "wb") as stderr:
+        proc = subprocess.Popen([sys.executable, "-c", ORPHAN_SCRIPT, str(log)],
+                                env=dict(os.environ, PYTHONPATH=src),
+                                stdout=subprocess.DEVNULL, stderr=stderr)
+    try:
+        deadline = time.monotonic() + 30
+        while not (log.exists() and len(log.read_text().splitlines()) >= 2):
+            assert time.monotonic() < deadline and proc.poll() is None
+            time.sleep(0.02)
+    finally:
+        killed_at = time.monotonic()
+        proc.kill()
+        proc.wait()
+    starts = [line.split() for line in log.read_text().splitlines()]
+    workers = {int(pid) for _, pid, _ in starts}
+    assert len(workers) == 2 and proc.pid not in workers
+    deadline = killed_at + 5
+    while any(running(pid) for pid in workers):
+        assert time.monotonic() < deadline, "a worker outlived its parent by 5 s"
+        time.sleep(0.05)
+    late = [name for name, _, at in (line.split() for line in log.read_text().splitlines())
+            if float(at) > killed_at]
+    assert late == []
+    # the worker that was in a suite found no reader for its report
+    # and left without a traceback
+    assert err.read_text() == ""
