@@ -144,8 +144,7 @@ class AffineWeylGroup:
         # dominant translations of reduction._dominant_translations per
         # kappa label, the chamber data they are enumerated from, and
         # the W0-orbits of translations; the class keys of the reduction
-        # module; the normal forms of hecke_cocenter._nf_basis, and the
-        # StoredNormalForms read from a disk cache
+        # module; the normal forms of hecke_cocenter._nf_basis
         self.levi_groups: dict[Coweight, AffineWeylGroup] = {}
         self.dominant_translations: dict[IntVector, tuple] = {}
         self.dominant_chamber: tuple | None = None
@@ -153,7 +152,6 @@ class AffineWeylGroup:
         self.full_classes: dict[AffineWeylElement, tuple] = {}
         self.class_reps: dict[AffineWeylElement, AffineWeylElement] = {}
         self.nf_cache: dict = {}
-        self.nf_stored = None
         self._simples = self._build_simples()
 
     def _context(self, datum, ball_cap, phi_m, m_simple_roots, coroot_hnf,

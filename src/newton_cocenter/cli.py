@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import re
 import sys
 import time
@@ -22,8 +21,8 @@ from fractions import Fraction
 from .affine_weyl import AffineWeylGroup, element_str, parse_element
 from .errors import ConfigurationError, InputError, LogicError, ResourceError
 from .hecke_cocenter import (
-    HeckeElement, QPoly, StoredNormalForms, cocenter_reduce, induce,
-    normal_form_texts, parse_poly, rigid_decomposition,
+    HeckeElement, QPoly, cocenter_reduce, induce, parse_poly,
+    rigid_decomposition,
 )
 from .levi_alcove import (
     is_v_alcove, levi_weyl_group, positivity_exponent,
@@ -33,18 +32,19 @@ from .reduction import canonical_min_rep, reduce_to_min, standard_triple
 from .root_datum import build_root_datum, frac_str, parse_group_label
 from .verify import run_suite
 
-CACHE_ENV = "NEWTON_COCENTER_CACHE"
-CACHE_SCHEMA = "nf-v1"
 
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: a whole number of at least `low`, so that an
+    out-of-range count is exit 2, never a vacuous run."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 @functools.cache
@@ -58,13 +58,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", help="group label, e.g. A1, C2:ad, GL5 (default A1)")
     p.add_argument("--config", help="config file with keys type, rank, lattice")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    p.add_argument("--jobs", type=_positive_int, default=1,
+    p.add_argument("--jobs", type=_int_at_least(1), default=1,
                    help="forked worker processes for `verify all`, at most "
                         "one per shard of suites (serial without os.fork); "
                         "output is canonical for any value")
     p.add_argument("--json", action="store_true", help="JSON output")
     p.add_argument("--tsv", action="store_true", help="TSV output")
-    p.add_argument("--ball-cap", type=int, help="override the ball radius cap")
+    p.add_argument("--ball-cap", type=_int_at_least(0), help="override the ball radius cap")
     sub = p.add_subparsers(dest="command", required=True)
 
     sub.add_parser("describe", help="print the root datum and affine data")
@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("elem")
 
     s = sub.add_parser("strata", help="Newton stratification of a length ball")
-    s.add_argument("--length", type=int, required=True)
+    s.add_argument("--length", type=_int_at_least(0), required=True)
     s.add_argument("--omega", action="append",
                    help="kappa label like [0,1]; repeatable")
 
@@ -103,14 +103,14 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("expr")
 
     s = sub.add_parser("rigid", help="rigid decomposition report")
-    s.add_argument("--length", type=int, required=True)
+    s.add_argument("--length", type=_int_at_least(0), required=True)
 
     s = sub.add_parser("verify", help="run a verification suite")
     s.add_argument("suite")
-    s.add_argument("--length", type=int)
-    s.add_argument("--max-den", type=int, dest="max_den")
-    s.add_argument("--pair-budget", type=int, dest="pair_budget")
-    s.add_argument("--seeds", type=int)
+    s.add_argument("--length", type=_int_at_least(0))
+    s.add_argument("--max-den", type=_int_at_least(1), dest="max_den")
+    s.add_argument("--pair-budget", type=_int_at_least(0), dest="pair_budget")
+    s.add_argument("--seeds", type=_int_at_least(0))
     return p
 
 
@@ -481,73 +481,6 @@ _HANDLERS = {
 }
 
 
-def _cache_warning(path, message):
-    print(f"warning: NF cache {path}: {message}", file=sys.stderr)
-
-
-def _load_nf_cache(group):
-    """Attach the persisted normal forms of this group, unparsed; each
-    entry is checked when it is first used (`StoredNormalForms`).
-
-    An unreadable file and a wrong schema are reported on stderr and the
-    file is ignored; a missing file is not reported.  Whenever the cache
-    is in use the group gets a store, empty if nothing was read.
-    """
-    root = os.environ.get(CACHE_ENV)
-    if not root:
-        return None
-    path = os.path.join(root, f"{CACHE_SCHEMA}-{group.datum.descriptor().replace(':', '-')}.json")
-    group.nf_stored = StoredNormalForms(group, {})
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        return path
-    except (OSError, ValueError) as exc:
-        _cache_warning(path, f"unreadable, ignored ({exc})")
-        return path
-    if not isinstance(data, dict) or data.get("schema") != CACHE_SCHEMA \
-            or not isinstance(data.get("normal_forms"), dict):
-        _cache_warning(path, f"not a {CACHE_SCHEMA} cache, ignored")
-        return path
-    group.nf_stored.forms = data["normal_forms"]
-    return path
-
-
-def _save_nf_cache(group, path):
-    """Report the dropped stored entries, then write the stored entries
-    never read plus every normal form of this run, in this process or
-    its workers, atomically: a temporary file in the same directory,
-    then os.replace.  Nothing is written when no normal form was used.
-    A failure is reported, not raised."""
-    if not path:
-        return
-    stored = group.nf_stored
-    if stored.dropped:
-        _cache_warning(path, f"dropped {len(stored.dropped)} invalid entries")
-    if not group.nf_cache and not stored.computed:
-        return
-    forms = dict(stored.forms)
-    forms.update(stored.computed)
-    forms.update(normal_form_texts(group, group.nf_cache.items()))
-    payload = {"schema": CACHE_SCHEMA, "group": group.datum.descriptor(),
-               "normal_forms": forms}
-    # a per-process name in the same directory, so os.replace is atomic
-    # and concurrent writers do not share a temporary file
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-        os.replace(tmp, path)
-    except OSError as exc:
-        _cache_warning(path, f"not written ({exc})")
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -557,9 +490,7 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         group = _make_group(args)
-        cache_path = _load_nf_cache(group)
         code = _HANDLERS[args.command](group, args)
-        _save_nf_cache(group, cache_path)
     except (InputError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .affine_weyl import (
-    AffineWeylElement, AffineWeylGroup, element_str, multiply, parse_element,
+    AffineWeylElement, AffineWeylGroup, multiply,
 )
 from .errors import InputError, LogicError, ResourceError
 from .levi_alcove import (
@@ -287,69 +287,6 @@ class CocenterNormalForm:
         return HeckeElement(self.terms).evaluate_q(x)
 
 
-class StoredNormalForms:
-    """Normal forms read from a disk cache, each trusted only once checked.
-
-    The entries stay text until `_nf_basis` first needs their element:
-    the keys are parsed then, and an entry is parsed and checked when
-    its element is reached, so a call that computes few normal forms
-    does not pay for the whole file.  An entry is dropped, and its text
-    added to `dropped`, when it does not parse, when its q = 1
-    specialisation is not {canonical_class_rep(w): 1}, or when its
-    support leaves the kappa coset of w.  Other edits are not detected.
-    Worker processes each check a copy of the entries; `merge` takes in
-    what one of them read, dropped and computed.
-    """
-
-    def __init__(self, group: AffineWeylGroup, forms: dict):
-        self.group = group
-        self.forms = forms      # element text -> {element text: poly text}, unread
-        self.dropped: set[str] = set()
-        self.computed: dict = {}  # normal forms of worker processes, as text
-        self._keys: dict | None = None
-
-    def merge(self, computed: dict, read, dropped) -> None:
-        """The texts a worker read leave `forms`, its normal forms join
-        `computed`; an entry dropped by several workers counts once."""
-        for text in read:
-            self.forms.pop(text, None)
-        self.dropped |= dropped
-        self.computed.update(computed)
-
-    def take(self, w: AffineWeylElement) -> dict | None:
-        """The checked normal form of w, if one is stored; it leaves `forms`."""
-        group = self.group
-        if self._keys is None:
-            self._keys = {}
-            for text in list(self.forms):
-                try:
-                    self._keys[parse_element(group, text)] = text
-                except (InputError, AttributeError, TypeError):
-                    del self.forms[text]
-                    self.dropped.add(text)
-        text = self._keys.pop(w, None)
-        if text is None:
-            return None
-        terms = self.forms.pop(text)
-        try:
-            nf = {parse_element(group, k): parse_poly(c) for k, c in terms.items()}
-        except (InputError, AttributeError, TypeError):
-            self.dropped.add(text)
-            return None
-        if HeckeElement(nf).evaluate_q(1) != {canonical_class_rep(group, w): 1} or \
-                any(group.kappa(k) != group.kappa(w) for k in nf):
-            self.dropped.add(text)
-            return None
-        return nf
-
-
-def normal_form_texts(group: AffineWeylGroup, items) -> dict:
-    """(w, normal form of T_w) pairs as text, the form of the disk cache."""
-    return {element_str(group, w): {element_str(group, k): str(c)
-                                    for k, c in terms.items()}
-            for w, terms in items}
-
-
 def _nf_basis(group: AffineWeylGroup, w: AffineWeylElement) -> dict:
     """Normal form of a single T_w, memoized per conjugacy class.
 
@@ -361,11 +298,10 @@ def _nf_basis(group: AffineWeylGroup, w: AffineWeylElement) -> dict:
     Z[q]).  A non-minimal w combines the forms of s y and s y s for the
     first lowering move at y; those are resolved depth-first on an
     explicit stack (s y before s y s), since the chain of descents is
-    as long as the input.  Forms stored from a disk cache
-    (`group.nf_stored`) are checked and used before computing.
+    as long as the input.  The forms are memoised on the group
+    (`group.nf_cache`) for the life of the group, never persisted.
     """
     cache = group.nf_cache
-    stored = group.nf_stored
     pending: dict[AffineWeylElement, tuple] = {}
     stack = [w]
     while stack:
@@ -375,11 +311,6 @@ def _nf_basis(group: AffineWeylGroup, w: AffineWeylElement) -> dict:
             continue
         frame = pending.get(cur)
         if frame is None:
-            nf = stored.take(cur) if stored is not None else None
-            if nf is not None:
-                cache[cur] = nf
-                stack.pop()
-                continue
             if is_min_in_class(group, cur):
                 cache[cur] = {canonical_class_rep(group, cur): ONE}
                 stack.pop()

@@ -16,7 +16,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import combinations, product
 
 from .affine_weyl import (
     AffineRoot, AffineWeylGroup, act_on_affine_root,
@@ -27,7 +27,7 @@ from .errors import InputError, LogicError, ResourceError
 from .hecke_cocenter import (
     HeckeElement, QPoly, cocenter_reduce,
     cocenter_reduce_randomized, fraction_free_rank, hecke_mul,
-    normal_form_texts, rigid_decomposition,
+    rigid_decomposition,
 )
 from .levi_alcove import (
     conjugate_levi, is_v_alcove, levi_weyl_group, m_in_g_stratum_check,
@@ -641,10 +641,8 @@ def _run_forked(group, tasks, jobs) -> list[SuiteReport]:
             os.close(fd)
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
     results = {}
-    for reports, normal_forms in messages:
+    for reports in messages:
         results.update(reports)
-        if normal_forms is not None:
-            group.nf_stored.merge(*normal_forms)
     for name, _ in tasks:
         if name not in results:
             missing = ", ".join(n for n, _ in tasks if n not in results)
@@ -684,21 +682,17 @@ def _receive(fds) -> list:
 
 def _work(group, tasks, shards, queue, fd, readers, parent):
     """The body of a forked worker, which never returns.  Per shard it
-    sends {suite: report or (error, traceback)} and, with a disk cache,
-    the normal forms new since its last shard, the stored keys read and
-    those dropped.  It closes the `readers` it inherited, so a worker
-    whose parent died gets EPIPE, and exits quietly, instead of waiting
-    on a full pipe; and it exits before each suite once its parent pid
-    is no longer `parent`, since no one is left to read its reports."""
+    sends {suite: report or (error, traceback)}.  It closes the
+    `readers` it inherited, so a worker whose parent died gets EPIPE,
+    and exits quietly, instead of waiting on a full pipe; and it exits
+    before each suite once its parent pid is no longer `parent`, since
+    no one is left to read its reports."""
     import pickle
     code = 1
     try:
         for r in readers:
             os.close(r)
         out = os.fdopen(fd, "wb")
-        stored = group.nf_stored
-        keys = set(stored.forms) if stored is not None else None
-        sent = len(group.nf_cache)
         while index := os.read(queue, 1):
             results = {}
             for i in shards[index[0]]:
@@ -710,13 +704,7 @@ def _work(group, tasks, shards, queue, fd, readers, parent):
                 except Exception as exc:
                     import traceback
                     results[name] = (exc, "".join(traceback.format_exception(exc)))
-            normal_forms = None
-            if stored is not None:
-                new = list(islice(group.nf_cache.items(), sent, None))
-                sent += len(new)
-                normal_forms = (normal_form_texts(group, new),
-                                keys - stored.forms.keys(), stored.dropped)
-            out.write(pickle.dumps((results, normal_forms)))
+            out.write(pickle.dumps(results))
             out.flush()
         code = 0
     except BrokenPipeError:

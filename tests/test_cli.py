@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from newton_cocenter.cli import main
 
 
@@ -194,17 +196,40 @@ def test_jobs_determinism(capsys):
     assert out1 == out2
 
 
-def test_nf_cache_round_trip(tmp_path, capsys, monkeypatch):
+def test_no_normal_form_is_read_from_or_written_to_disk(tmp_path, capsys, monkeypatch):
+    # a file in the format of the retired NF disk cache, with an entry
+    # edited inside its class (q-1 -> q^2-1 agrees at q = 1), must
+    # neither change the output nor be reported or rewritten
+    argv = ["--group", "A1", "--json", "cocenter-reduce", "T[t[3]*s1]"]
+    monkeypatch.delenv("NEWTON_COCENTER_CACHE", raising=False)
+    assert main(argv) == 0
+    clean = capsys.readouterr().out
+    tampered = {"t[1]": "q^2-q", "t[1]*s1": "q^2", "t[2]": "q^2-1"}
+    (tmp_path / "nf-v1-A1-sc.json").write_text(json.dumps(
+        {"schema": "nf-v1", "group": "A1:sc",
+         "normal_forms": {"t[3]*s1": tampered}}), encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     monkeypatch.setenv("NEWTON_COCENTER_CACHE", str(tmp_path))
-    code, out1 = run_cli(capsys, "--group", "A1", "--json",
-                         "cocenter-reduce", "T[S1*S0*S1]")
-    assert code == 0
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1 and files[0].name.startswith("nf-v1-")
-    code, out2 = run_cli(capsys, "--group", "A1", "--json",
-                         "cocenter-reduce", "T[S1*S0*S1]")
-    assert code == 0
-    assert out1 == out2
+    assert main(argv) == 0
+    out = capsys.readouterr()
+    assert out.out == clean
+    assert "NF cache" not in out.err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "length", "--length", "-2"],
+    ["verify", "levi", "--max-den", "0"],
+    ["verify", "all", "--seeds", "-3"],
+    ["verify", "cocenter", "--pair-budget", "-1"],
+    ["strata", "--length", "-1"],
+    ["rigid", "--length", "-1"],
+    ["--ball-cap", "-1", "describe"],
+])
+def test_out_of_range_counts_are_input_errors(argv, capsys):
+    code = main(["--group", "A1", *argv])
+    assert code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_unexpected_error_exit_code(capsys, monkeypatch):

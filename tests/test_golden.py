@@ -95,8 +95,7 @@ def test_every_slow_golden_file_has_a_case():
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_transcript(name, capsys, monkeypatch):
-    monkeypatch.delenv("NEWTON_COCENTER_CACHE", raising=False)
+def test_golden_transcript(name, capsys):
     code = main(CASES[name])
     out = capsys.readouterr().out
     assert code == 0
@@ -105,8 +104,7 @@ def test_golden_transcript(name, capsys, monkeypatch):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(SLOW_CASES))
-def test_slow_golden_transcript(name, capsys, monkeypatch):
-    monkeypatch.delenv("NEWTON_COCENTER_CACHE", raising=False)
+def test_slow_golden_transcript(name, capsys):
     code = main(SLOW_CASES[name])
     out = capsys.readouterr().out
     assert code == 0
@@ -117,8 +115,7 @@ VERIFY_ALL = sorted(name for name, argv in CASES.items() if argv[-2:] == ["verif
 
 
 @pytest.mark.parametrize("name", VERIFY_ALL)
-def test_golden_verify_all_in_two_workers(name, capsys, monkeypatch):
-    monkeypatch.delenv("NEWTON_COCENTER_CACHE", raising=False)
+def test_golden_verify_all_in_two_workers(name, capsys):
     code = main(["--jobs", "2"] + CASES[name])
     out = capsys.readouterr().out
     assert code == 0
@@ -126,8 +123,7 @@ def test_golden_verify_all_in_two_workers(name, capsys, monkeypatch):
 
 
 @pytest.mark.slow
-def test_slow_golden_gl5_verify_all_in_two_workers(capsys, monkeypatch):
-    monkeypatch.delenv("NEWTON_COCENTER_CACHE", raising=False)
+def test_slow_golden_gl5_verify_all_in_two_workers(capsys):
     code = main(["--jobs", "2"] + SLOW_CASES["verify-GL5-all"])
     out = capsys.readouterr().out
     assert code == 0

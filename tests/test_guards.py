@@ -1,4 +1,6 @@
-"""Theorem guards must survive `python -O`, which strips `assert`."""
+"""Source guards: theorem guards survive `python -O`, which strips
+`assert`; modules keep to their own private attributes; and the library
+reads no environment variable."""
 
 import ast
 from pathlib import Path
@@ -43,3 +45,23 @@ def test_no_module_reaches_into_private_attributes():
              for line, text, is_read in _private_reach_ins(path)
              if not _allowed(path.stem, text, is_read)]
     assert found == [], "use a public attribute or method: " + ", ".join(found)
+
+
+def _names(node):
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [alias.name for alias in node.names]
+    return []
+
+
+def test_library_reads_no_environment_variables():
+    # every behaviour is chosen by a CLI option, never by a hidden knob
+    knobs = {"environ", "environb", "getenv", "getenvb"}
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SOURCE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if knobs.intersection(_names(node))]
+    assert found == [], "read no environment variable: " + ", ".join(found)
