@@ -269,8 +269,7 @@ class AffineWeylGroup:
         items = [(i, self.reflection(AffineRoot(a, 0)))
                  for i, a in enumerate(datum.simple_roots, start=1)]
         if datum.positive_roots:
-            theta = max(datum.positive_roots,
-                        key=lambda a: dot(a, datum.height_coweight))
+            theta = max(datum.positive_roots, key=datum.height.__getitem__)
             s0 = self.reflection(AffineRoot(theta, 1))
             if self.length(s0) != 1:
                 raise LogicError("the affine wall reflection must have length 1")

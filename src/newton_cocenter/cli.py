@@ -109,8 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("suite")
     s.add_argument("--length", type=_int_at_least(0))
     s.add_argument("--max-den", type=_int_at_least(1), dest="max_den")
-    s.add_argument("--pair-budget", type=_int_at_least(0), dest="pair_budget")
-    s.add_argument("--seeds", type=_int_at_least(0))
+    s.add_argument("--pair-budget", type=_int_at_least(1), dest="pair_budget")
+    s.add_argument("--seeds", type=_int_at_least(1))
     return p
 
 

@@ -261,7 +261,12 @@ def _integral_inverse(u: Matrix) -> Matrix:
 class RootDatum:
     """Roots, coroots and the finite Weyl group of a split group.
 
-    W0 is held as interned `WeylElement`s with per-datum tables: each
+    Construction is integer arithmetic only.  The roots are the closure
+    of the simple roots under the simple reflections, each with its
+    coroot and its height (`height`; simple roots have height 1, and
+    the positive roots are those of positive height).  W0 is then
+    generated one length at a time, each element exactly once.  It is
+    held as interned `WeylElement`s with per-datum tables: each
     element's root permutation (u(alpha) as a root index) is built with
     the group; inverses, products and element orders are filled in on
     demand.  The table methods accept any matrix equal to an element of
@@ -277,8 +282,7 @@ class RootDatum:
         self.rank = rank
         self.simple_roots: tuple[Covector, ...] = tuple(map(tuple, simple_roots))
         self.simple_coroots: tuple[IntVector, ...] = tuple(map(tuple, simple_coroots))
-        self._close_roots()
-        self._enumerate_weyl()
+        self._enumerate_weyl(self._close_roots())
         self.coroot_hnf = hnf_columns(list(self.simple_coroots))
         self.omega_is_finite = len(self.coroot_hnf) == rank
         self.two_rho: Covector = tuple(
@@ -288,112 +292,96 @@ class RootDatum:
     # -- construction ------------------------------------------------
 
     def _close_roots(self):
-        """Reflection closure of the simple roots, tracking coroots."""
-        coroot = {a: av for a, av in zip(self.simple_roots, self.simple_coroots)}
+        """Reflection closure of the simple roots, tracking coroots and
+        integer heights.
+
+        s_b a = a - <a, b^vee> b has height ht(a) - <a, b^vee>, the
+        simple roots having height 1, and a root is positive iff its
+        height is.  Returns images[j][a] = s_j a, the action of each
+        simple reflection on the roots.
+        """
+        simple = tuple(zip(self.simple_roots, self.simple_coroots))
+        coroot, height = dict(simple), dict.fromkeys(self.simple_roots, 1)
+        images = [{} for _ in simple]
         frontier = list(self.simple_roots)
         while frontier:
             a = frontier.pop()
-            av = coroot[a]
-            for b, bv in zip(self.simple_roots, self.simple_coroots):
+            av, h = coroot[a], height[a]
+            for image, (b, bv) in zip(images, simple):
                 # s_b on characters and on cocharacters
-                c = _reflect(a, bv, b)
+                k = dot(a, bv)
+                c = image[a] = tuple([x - k * y for x, y in zip(a, b)]) if k else a
                 if c not in coroot:
                     coroot[c] = _reflect(av, b, bv)
+                    height[c] = h - k
                     frontier.append(c)
         self.coroot = coroot
+        self.height = height
         self.roots = tuple(sorted(coroot))
-        # Height form: rational coweight pairing to 1 with every simple root.
-        self.height_coweight = self._solve_height()
-        self.positive_roots = tuple(
-            a for a in self.roots if dot(a, self.height_coweight) > 0
-        )
+        self.positive_roots = tuple(a for a in self.roots if height[a] > 0)
         self._positive_set = frozenset(self.positive_roots)
         if 2 * len(self.positive_roots) != len(self.roots):
-            raise LogicError("the height form must split the roots in half")
+            raise LogicError("the root heights must split the roots in half")
         for a in self.roots:
             if dot(a, coroot[a]) != 2:
                 raise LogicError(f"root {a} must pair to 2 with its coroot")
+        return images
 
-    def _solve_height(self) -> Coweight:
-        """A strictly dominant rational coweight (height 1 on simples)."""
-        n, rows = self.rank, self.simple_roots
-        aug = [[Fraction(rows[i][j]) for j in range(n)] for i in range(len(rows))]
-        rhs = [Fraction(1)] * len(rows)
-        # Gaussian elimination; the system is consistent by construction
-        # (simple roots are linearly independent covectors).
-        sol = [Fraction(0)] * n
-        pivots = []
-        r = 0
-        for col in range(n):
-            piv = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
-            if piv is None:
-                continue
-            aug[r], aug[piv] = aug[piv], aug[r]
-            rhs[r], rhs[piv] = rhs[piv], rhs[r]
-            p = aug[r][col]
-            aug[r] = [x / p for x in aug[r]]
-            rhs[r] = rhs[r] / p
-            for i in range(len(aug)):
-                if i != r and aug[i][col] != 0:
-                    f = aug[i][col]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-                    rhs[i] -= f * rhs[r]
-            pivots.append((r, col))
-            r += 1
-        for row, col in reversed(pivots):
-            sol[col] = rhs[row] - sum(aug[row][j] * sol[j] for j in range(n) if j != col)
-        return tuple(sol)
+    def _enumerate_weyl(self, images):
+        """W0 level by level in length, each element built exactly once.
 
-    def _enumerate_weyl(self):
-        """W0 by breadth-first search on the orbit of a regular coweight.
-
-        The stabiliser of a strictly dominant coweight x0 is trivial, so
-        u <-> u(x0) is a bijection and the orbit detects duplicates.  A
-        new element s u is built once, by the rank-one update
-        s u = u - alpha^vee (alpha^T u), together with its root
-        permutation (s u)(beta) = s(u(beta)).
+        Every w != 1 is u s for a unique simple s, its least right
+        descent, with l(u) = l(w) - 1 (Humphreys, Reflection Groups and
+        Coxeter Groups, 5.10).  So u s is new exactly when u(alpha_s) > 0
+        and (u s)(alpha_t) > 0 for every t < s, both read off u's root
+        permutation.  Its matrix is the rank-one update
+        u s = u - u(alpha_s^vee) alpha_s^T, where u(alpha_s^vee) is the
+        coroot of the root u(alpha_s), and its root permutation is u o s.
         """
-        n, roots = self.rank, self.roots
+        roots, coroots = self.roots, [self.coroot[a] for a in self.roots]
         self.root_index = root_index = {a: i for i, a in enumerate(roots)}
         # tau[i] = 1 if roots[i] is positive, else 0: the least level of a
         # positive affine root over roots[i]
-        self.tau = tuple(int(a in self._positive_set) for a in roots)
-        simple = tuple(zip(self.simple_roots, self.simple_coroots))
-        simple_perms = [tuple([root_index[_reflect(a, bv, b)] for a in roots])
-                        for b, bv in simple]
-        den = lcm(*(c.denominator for c in self.height_coweight))
-        x0 = tuple(int(c * den) for c in self.height_coweight)
-        found = {x0: (mat_identity(n), tuple(range(len(roots))))}
-        frontier = [x0]
-        while frontier:
+        self.tau = tau = tuple(int(a in self._positive_set) for a in roots)
+        simple_perms = [tuple([root_index[image[a]] for a in roots]) for image in images]
+        # (index of alpha_s, alpha_s, s on root indices, indices of the
+        # s(alpha_t) for t < s) for each simple s
+        simple = [(root_index[a], a, sperm,
+                   [sperm[root_index[b]] for b in self.simple_roots[:j]])
+                  for j, (a, sperm) in enumerate(zip(self.simple_roots, simple_perms))]
+        table = [(mat_identity(self.rank), tuple(range(len(roots))))]
+        level = table[:]
+        # no element of W0 is longer than the number of positive roots
+        for _ in range(len(self.positive_roots) + 1):
             new = []
-            for x in frontier:
-                u, perm = found[x]
-                for (a, av), sperm in zip(simple, simple_perms):
-                    y = _reflect(x, a, av)
-                    if y not in found:
-                        row = [sum(map(mul, a, col)) for col in zip(*u)]
-                        su = tuple(tuple([ui - avi * r for ui, r in zip(urow, row)])
-                                   if avi else urow for urow, avi in zip(u, av))
-                        found[y] = (su, tuple(map(sperm.__getitem__, perm)))
-                        new.append(y)
-            frontier = new
-        table = sorted(found.values())
+            for u, perm in level:
+                for i, a, sperm, lower in simple:
+                    k = perm[i]
+                    if tau[k] and all([tau[perm[j]] for j in lower]):
+                        us = tuple([tuple([x - ci * y for x, y in zip(row, a)]) if ci else row
+                                    for row, ci in zip(u, coroots[k])])
+                        new.append((us, tuple(map(perm.__getitem__, sperm))))
+            table += new
+            level = new
+        if level:
+            raise LogicError("W0 must have no element longer than its positive roots")
+        table.sort()
         self.weyl_elements: tuple[WeylElement, ...] = tuple(
             WeylElement(u, self, i) for i, (u, _) in enumerate(table))
         self.w0_order = len(table)
         self._interned = {u: u for u in self.weyl_elements}
         self._perms = tuple(perm for _, perm in table)
         self._perm_index = {perm: i for i, perm in enumerate(self._perms)}
-        if len(self._perm_index) != self.w0_order:
+        if not len(self._perm_index) == len(self._interned) == self.w0_order:
             raise LogicError("W0 must act faithfully on the roots")
         self._inverses: dict[int, int] = {}
         self._products: dict[int, int] = {}
         self._orders: dict[int, int] = {}
-        self._reflections: dict[Covector, WeylElement] = {}
-        self.weyl_identity = self._interned[mat_identity(n)]
+        self.weyl_identity = self._interned[mat_identity(self.rank)]
         self.simple_reflections: tuple[WeylElement, ...] = tuple(
             self.weyl_elements[self._perm_index[p]] for p in simple_perms)
+        self._reflections: dict[Covector, WeylElement] = dict(
+            zip(self.simple_roots, self.simple_reflections))
         # (root, coroot, reflection) of each simple root, for dominant_walk
         self.simple_walls = tuple(zip(self.simple_roots, self.simple_coroots,
                                       self.simple_reflections))

@@ -225,6 +225,8 @@ def test_no_normal_form_is_read_from_or_written_to_disk(tmp_path, capsys, monkey
     ["strata", "--length", "-1"],
     ["rigid", "--length", "-1"],
     ["--ball-cap", "-1", "describe"],
+    ["verify", "cocenter", "--seeds", "0"],
+    ["verify", "cocenter", "--pair-budget", "0"],
 ])
 def test_out_of_range_counts_are_input_errors(argv, capsys):
     code = main(["--group", "A1", *argv])

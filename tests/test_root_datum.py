@@ -5,7 +5,8 @@ import pytest
 from newton_cocenter import (
     ConfigurationError, build_root_datum, coweight, levi_datum,
 )
-from newton_cocenter.root_datum import dot, mat_act
+from newton_cocenter.errors import LogicError
+from newton_cocenter.root_datum import RootDatum, dot, mat_act
 
 F = Fraction
 
@@ -48,6 +49,13 @@ def test_all_types_structure(label, positives, order, lattice):
     neg = {tuple(-x for x in a) for a in d.positive_roots}
     assert set(d.roots) == set(d.positive_roots) | neg
     assert neg.isdisjoint(d.positive_roots)
+
+
+def test_root_pairing_to_one_with_its_coroot_is_refused():
+    # s(a) = a - <a, a^vee> a = 0 is no root: the closure must stop and
+    # the pairing guard fire, as a LogicError that survives python -O
+    with pytest.raises(LogicError, match="must pair to 2"):
+        RootDatum("X", "sc", 1, [(1,)], [(1,)])
 
 
 def test_unsupported_descriptors():

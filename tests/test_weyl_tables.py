@@ -4,7 +4,8 @@ matrix arithmetic, over every supported root datum.
 The oracles below are the matrix algorithms the tables replaced: a
 breadth-first closure of the simple reflections under matrix products,
 exact inverses, matrix powers for the order, and the dominant-chamber
-walk on Fractions.
+walk on Fractions.  The root heights and positive roots are checked
+against the height coweight the datum once solved for over Fractions.
 """
 
 from fractions import Fraction
@@ -13,7 +14,7 @@ from itertools import product
 import pytest
 
 from newton_cocenter import AffineWeylElement, AffineWeylGroup, build_root_datum
-from newton_cocenter.affine_weyl import inverse, multiply
+from newton_cocenter.affine_weyl import AffineRoot, inverse, multiply
 from newton_cocenter.errors import LogicError
 from newton_cocenter.levi_alcove import LeviWeylGroup
 from newton_cocenter.root_datum import (
@@ -103,6 +104,85 @@ def test_elements_match_matrix_bfs(label, lattice):
     assert d.weyl_identity == mat_identity(d.rank)
     for i, u in enumerate(d.weyl_elements):
         assert type(u) is WeylElement and u.index == i and u.datum is d
+
+
+def fraction_height(d):
+    """The height coweight as it was solved for before: the rational
+    coweight pairing to 1 with every simple root, by Gaussian
+    elimination over Fractions."""
+    n, rows = d.rank, d.simple_roots
+    aug = [[Fraction(rows[i][j]) for j in range(n)] for i in range(len(rows))]
+    rhs = [Fraction(1)] * len(rows)
+    sol = [Fraction(0)] * n
+    pivots = []
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        rhs[r], rhs[piv] = rhs[piv], rhs[r]
+        p = aug[r][col]
+        aug[r] = [x / p for x in aug[r]]
+        rhs[r] = rhs[r] / p
+        for i in range(len(aug)):
+            if i != r and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+                rhs[i] -= f * rhs[r]
+        pivots.append((r, col))
+        r += 1
+    for row, col in reversed(pivots):
+        sol[col] = rhs[row] - sum(aug[row][j] * sol[j] for j in range(n) if j != col)
+    return tuple(sol)
+
+
+@pytest.mark.parametrize("label,lattice", DATA)
+def test_integer_heights_match_the_fraction_height_solve(label, lattice):
+    d = datum_of(label, lattice)
+    hv = fraction_height(d)
+    assert all(dot(a, hv) == 1 for a in d.simple_roots)
+    assert d.positive_roots == tuple(a for a in d.roots if dot(a, hv) > 0)
+    assert set(d.height) == set(d.roots)
+    for a in d.roots:
+        assert type(d.height[a]) is int and d.height[a] == dot(a, hv)
+    # theta, the root of the affine wall, is the same highest root
+    g = AffineWeylGroup(d)
+    affine = [s for lab, s in g.simple_items() if lab == 0]
+    if d.positive_roots:
+        theta = max(d.positive_roots, key=lambda a: dot(a, hv))
+        assert affine == [g.reflection(AffineRoot(theta, 1))]
+    else:
+        assert affine == []
+
+
+@pytest.mark.parametrize("label,lattice", DATA)
+def test_root_permutations_compose_along_words(label, lattice):
+    d = datum_of(label, lattice)
+    g = AffineWeylGroup(d)
+    index = {a: i for i, a in enumerate(d.roots)}
+    simple = [tuple(index[tuple(x - dot(a, bv) * y for x, y in zip(a, b))]
+                    for a in d.roots)
+              for b, bv in zip(d.simple_roots, d.simple_coroots)]
+    for u in d.weyl_elements:
+        perm = tuple(range(len(d.roots)))
+        for i in g.word(g.finite_element(u)):
+            perm = tuple(perm[k] for k in simple[i - 1])
+        assert d.root_permutation(u) == perm
+
+
+def test_no_fraction_is_created_building_a_group(monkeypatch):
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    for label, lattice in DATA:
+        AffineWeylGroup(build_root_datum(label, lattice))
+    assert made == []
 
 
 @pytest.mark.parametrize("label,lattice", DATA)
