@@ -191,11 +191,10 @@ class AffineWeylGroup:
         self._dominant_cache: dict[IntVector, tuple[Coweight, Matrix]] = {}
         self._coweights: dict[IntVector, Coweight] = coweights
         # memos of the reduction module (see there)
-        self.minimal: dict[AffineWeylElement, bool] = {}
-        self.min_reps: dict[AffineWeylElement, AffineWeylElement] = {}
-        self.min_classes: dict[AffineWeylElement, tuple] = {}
+        self.move_orbits: dict[AffineWeylElement, tuple | None] = {}
         self.coinvariant_hnfs: dict[Matrix, list] = {}
-        self.parabolics: dict[tuple[int, ...], frozenset | None] = {}
+        self.finite_parabolics: tuple[tuple[int, ...], ...] | None = None
+        self.parabolics: dict[tuple[int, ...], frozenset] = {}
         self.max_parabolic: int | None = None
         self.wa_ball_counts: dict[int, int] = {}
         self.standard_triples: dict = {}

@@ -273,7 +273,8 @@ def cmd_newton(group, args) -> int:
 
 
 def cmd_strata(group, args) -> int:
-    labels = [_parse_label(l) for l in args.omega] if args.omega else None
+    labels = [_parse_label(l, group.datum.rank)
+              for l in args.omega] if args.omega else None
     fibers = strata(group, args.length, labels)
     if args.json:
         for nu, elems in fibers.items():
@@ -295,14 +296,17 @@ def cmd_strata(group, args) -> int:
     return 0
 
 
-def _parse_label(text: str):
+def _parse_label(text: str, rank: int):
     raw = text.strip()
     if raw.startswith("[") and raw.endswith("]"):
         raw = raw[1:-1]
     try:
-        return tuple(int(x) for x in raw.split(","))
+        label = tuple(int(x) for x in raw.split(","))
     except ValueError as exc:
         raise InputError(f"bad omega label {text!r}: {exc}") from exc
+    if len(label) != rank:
+        raise InputError(f"omega label {text!r} needs {rank} coordinates")
+    return label
 
 
 def cmd_reduce(group, args) -> int:

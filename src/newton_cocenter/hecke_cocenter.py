@@ -413,10 +413,6 @@ def cocenter_reduce_randomized(group: AffineWeylGroup, f: HeckeElement,
         f"randomized reduction did not finish within {max_steps} steps")
 
 
-def newton_component(nf: CocenterNormalForm, nu: NewtonIndex) -> HeckeElement:
-    return nf.component(nu)
-
-
 def induce(group: AffineWeylGroup, m: LeviWeylGroup, f: HeckeElement,
            nu_m: NewtonIndex) -> CocenterNormalForm:
     """Push a Levi cocenter element into the ambient cocenter.

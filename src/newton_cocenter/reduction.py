@@ -21,12 +21,12 @@ is the class key canonical_class_rep.
 The functions take a group "context": an `AffineWeylGroup`, either
 the ambient group or a `LeviWeylGroup`, whose methods compute with the
 M-length.  Their memos are attributes of the context, declared where it
-is built: `minimal`, `min_reps` and `min_classes` for the move orbits,
-`coinvariant_hnfs`, `parabolics`, `max_parabolic`, `wa_ball_counts` and
-`standard_triples`, and, on the ambient group, which alone has the
-class-level functions (class_minimal_set, canonical_class_rep),
-`full_classes`, `class_reps`, `dominant_translations` and
-`dominant_chamber`.
+is built: `move_orbits` (each element seen to its sorted move orbit if
+it is minimal, else None), `coinvariant_hnfs`, `finite_parabolics`,
+`parabolics`, `max_parabolic`, `wa_ball_counts` and `standard_triples`,
+and, on the ambient group, which alone has the class-level functions
+(class_minimal_set, canonical_class_rep), `full_classes`, `class_reps`,
+`dominant_translations` and `dominant_chamber`.
 """
 
 from __future__ import annotations
@@ -157,48 +157,45 @@ def reduce_to_min(ctx, w: AffineWeylElement):
         for elem, lab in _path_to(parents, y):
             steps.append(ReductionStep(lab, CONJ_EQUAL, elem))
         steps.append(ReductionStep(label, CONJ_DOWN, z))
-        ctx.minimal.update(dict.fromkeys(parents, False))
+        ctx.move_orbits.update(dict.fromkeys(parents, None))
         cur = z
 
 
 def _cache_minimal_closure(ctx, parents):
+    """Record the explored length-preserving orbit of a minimal element:
+    each member maps to the whole orbit in canonical order."""
     members = tuple(sorted(parents, key=ctx.sort_key))
-    ctx.minimal.update(dict.fromkeys(parents, True))
-    ctx.min_reps.update(dict.fromkeys(parents, members[0]))
-    ctx.min_classes.update(dict.fromkeys(parents, members))
+    ctx.move_orbits.update(dict.fromkeys(parents, members))
 
 
 def is_min_in_class(ctx, w: AffineWeylElement) -> bool:
     """True when no chain of non-raising moves lowers the length of w."""
-    known = ctx.minimal.get(w)
-    if known is not None:
-        return known
+    orbits = ctx.move_orbits
+    if w in orbits:
+        return orbits[w] is not None
     parents, descent = _scan(ctx, w)
     if descent is None:
         _cache_minimal_closure(ctx, parents)
         return True
-    ctx.minimal.update(dict.fromkeys(parents, False))
+    orbits.update(dict.fromkeys(parents, None))
     return False
 
 
 def minimal_class(ctx, w_min: AffineWeylElement) -> tuple[AffineWeylElement, ...]:
-    """All minimal elements of the class of a minimal element."""
-    if w_min not in ctx.min_classes and not is_min_in_class(ctx, w_min):
+    """All minimal elements of the move-orbit of a minimal element, in
+    canonical order."""
+    if not is_min_in_class(ctx, w_min):
         raise LogicError("minimal_class called on a non-minimal element")
-    return ctx.min_classes[w_min]
+    return ctx.move_orbits[w_min]
 
 
 def canonical_min_rep(ctx, w: AffineWeylElement) -> AffineWeylElement:
-    """The canonical key of the move-orbit of w: the word-lexicographically
-    least among the minimal-length elements reachable from w."""
-    rep = ctx.min_reps.get(w)
-    if rep is None:
-        w_min, path = reduce_to_min(ctx, w)
-        rep = ctx.min_reps[w_min]
-        for step in path.steps:
-            ctx.min_reps[step.result] = rep
-        ctx.min_reps[w] = rep
-    return rep
+    """The canonical key of the move-orbit that reduce_to_min reaches
+    from w: the least of its minimal-length elements in canonical order."""
+    orbit = ctx.move_orbits.get(w)
+    if orbit is None:
+        orbit = ctx.move_orbits[reduce_to_min(ctx, w)[0]]
+    return orbit[0]
 
 
 # -- conjugacy across move-orbits ------------------------------------------
@@ -371,6 +368,23 @@ def canonical_class_rep(ctx, w: AffineWeylElement) -> AffineWeylElement:
 # -- finite parabolic subgroups ------------------------------------------
 
 
+def finite_parabolics(ctx) -> tuple[tuple[int, ...], ...]:
+    """The label subsets K that generate a finite group, by size and
+    then lexicographically; computed once per context.
+
+    K generates a finite group iff it misses at least one node of every
+    connected component of the diagram.
+    """
+    if ctx.finite_parabolics is None:
+        components = coxeter_components(ctx)
+        labels = [lab for lab, _ in ctx.simple_items()]
+        ctx.finite_parabolics = tuple(
+            sub for size in range(len(labels) + 1)
+            for sub in combinations(labels, size)
+            if not any(set(comp) <= set(sub) for comp in components))
+    return ctx.finite_parabolics
+
+
 def coxeter_components(ctx) -> tuple[tuple[int, ...], ...]:
     """Connected components of the diagram on the simple reflections
     (edges between non-commuting pairs)."""
@@ -411,7 +425,6 @@ def parabolic_elements(ctx, k_labels) -> frozenset[AffineWeylElement]:
             v = multiply(s, u)
             if v not in members:
                 if len(members) >= cap:
-                    cache[key] = None
                     raise LogicError(
                         f"parabolic on {key} exceeded cap {cap}; "
                         f"the finiteness pre-check must have missed it")
@@ -422,29 +435,15 @@ def parabolic_elements(ctx, k_labels) -> frozenset[AffineWeylElement]:
     return result
 
 
-def is_finite_parabolic(ctx, k_labels) -> bool:
-    """K generates a finite group iff it misses at least one node of
-    every connected component of the diagram."""
-    k = set(k_labels)
-    for comp in coxeter_components(ctx):
-        if set(comp) <= k:
-            return False
-    return True
-
-
 def max_finite_parabolic_order(ctx) -> int:
-    """Largest order of a finite parabolic, by explicit enumeration."""
-    if ctx.max_parabolic is not None:
-        return ctx.max_parabolic
-    total = 1
-    for comp in coxeter_components(ctx):
-        best = 1
-        for size in range(len(comp)):
-            for sub in combinations(comp, size):
-                best = max(best, len(parabolic_elements(ctx, sub)))
-        total *= best
-    ctx.max_parabolic = total
-    return total
+    """Largest order of a finite parabolic, by explicit enumeration of
+    the maximal ones: the largest subsets, which miss exactly one node
+    of each component."""
+    if ctx.max_parabolic is None:
+        subsets = finite_parabolics(ctx)
+        ctx.max_parabolic = max(len(parabolic_elements(ctx, sub))
+                                for sub in subsets if len(sub) == len(subsets[-1]))
+    return ctx.max_parabolic
 
 
 def wa_ball_count(ctx, max_length: int) -> int:
@@ -470,11 +469,8 @@ def standard_triple(ctx, w_min: AffineWeylElement) -> StandardTriple:
         return cache[w_min]
     if not is_min_in_class(ctx, w_min):
         raise LogicError("standard_triple requires a minimal-length element")
-    labels = [lab for lab, _ in ctx.simple_items()]
     elem = dict(ctx.simple_items())
-    subsets = [sub for size in range(len(labels) + 1)
-               for sub in combinations(labels, size)
-               if is_finite_parabolic(ctx, sub)]
+    subsets = finite_parabolics(ctx)
     for y in minimal_class(ctx, w_min):
         for sub in subsets:
             triple = _try_triple(ctx, y, sub, elem)

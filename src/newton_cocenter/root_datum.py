@@ -382,9 +382,6 @@ class RootDatum:
             self.weyl_elements[self._perm_index[p]] for p in simple_perms)
         self._reflections: dict[Covector, WeylElement] = dict(
             zip(self.simple_roots, self.simple_reflections))
-        # (root, coroot, reflection) of each simple root, for dominant_walk
-        self.simple_walls = tuple(zip(self.simple_roots, self.simple_coroots,
-                                      self.simple_reflections))
 
     # -- queries -----------------------------------------------------
 
@@ -466,18 +463,6 @@ class RootDatum:
         if i is None:
             raise LogicError(f"{a} is not a root of {self.descriptor()}")
         return self.roots[self._perms[self.intern(u).index][i]]
-
-    def pairing(self, a: Covector, v) -> Fraction:
-        return dot(a, v)
-
-    def is_dominant(self, v: Coweight) -> bool:
-        return all(dot(a, v) >= 0 for a in self.simple_roots)
-
-    def dominant_rep(self, v: Coweight) -> tuple[Coweight, Matrix]:
-        """The dominant W0-orbit representative, with u such that u(v) is it."""
-        d, x = scaled(v)
-        x, u = dominant_walk(self, x, self.simple_walls)
-        return tuple(Fraction(c, d) for c in x), u
 
     def kappa_label(self, lam: IntVector) -> IntVector:
         """Canonical representative of lam modulo the coroot lattice."""

@@ -285,43 +285,33 @@ def suite_straightness(group, params):
 def suite_reduction(group, params):
     rep = SuiteReport("reduction", group.datum.descriptor(), params)
     ball = _ball(group, params["length"])
-    n_pi = n_bound = f_path = f_pi = f_min = f_triple = f_bound = 0
-    first = None
+    failed = {prop: [] for prop in (
+        "path-replays", "newton-constant-along-path", "end-is-minimal",
+        "path-length-bound", "standard-triple-exists")}
     for w in ball:
         w_min, path = reduce_to_min(group, w)
         if not replay(group, path):
-            f_path += 1
-            first = first or element_str(group, w)
+            failed["path-replays"].append(w)
         pi = group.newton_index(w)
-        cur_ok = all(group.newton_index(st.result) == pi for st in path.steps)
-        n_pi += len(path.steps)
-        if not cur_ok:
-            f_pi += 1
-            first = first or element_str(group, w)
+        if not all(group.newton_index(st.result) == pi for st in path.steps):
+            failed["newton-constant-along-path"].append(w)
         if not is_min_in_class(group, w_min):
-            f_min += 1
-            first = first or element_str(group, w)
-        n_bound += 1
+            failed["end-is-minimal"].append(w)
         if len(path.steps) > wa_ball_count(group, group.length(w)):
-            f_bound += 1
-            first = first or element_str(group, w)
+            failed["path-length-bound"].append(w)
         try:
             triple = standard_triple(group, w_min)
             ux = multiply(triple.u, triple.x)
             ok = is_min_in_class(group, ux) and \
                 group.newton_index(ux) == group.newton_index(triple.x) == pi and \
                 group.is_straight(triple.x)
-            if not ok:
-                f_triple += 1
-                first = first or element_str(group, w)
         except LogicError:
-            f_triple += 1
-            first = first or element_str(group, w)
-    rep.add("path-replays", len(ball), f_path, first)
-    rep.add("newton-constant-along-path", len(ball), f_pi, first)
-    rep.add("end-is-minimal", len(ball), f_min, first)
-    rep.add("path-length-bound", n_bound, f_bound, first)
-    rep.add("standard-triple-exists", len(ball), f_triple, first)
+            ok = False
+        if not ok:
+            failed["standard-triple-exists"].append(w)
+    for prop, bad in failed.items():
+        rep.add(prop, len(ball), len(bad),
+                element_str(group, bad[0]) if bad else None)
     return rep
 
 

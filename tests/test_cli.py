@@ -3,6 +3,7 @@ import json
 import pytest
 
 from newton_cocenter.cli import main
+from newton_cocenter.reduction import is_min_in_class
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +52,17 @@ def test_strata_omega_filter(capsys):
     lines = out.strip().splitlines()[1:]
     assert lines
     assert all(l.split("\t")[1] == "0,1" for l in lines)
+
+
+@pytest.mark.parametrize("group, length, label", [
+    ("A2", "2", "[0]"), ("GL3", "1", "[0,0]"), ("A2", "2", "[0,0,0]"),
+])
+def test_strata_omega_label_needs_rank_coordinates(group, length, label, capsys):
+    code = main(["--group", group, "strata", "--length", length, "--omega", label])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert "coordinates" in out.err
 
 
 def test_strata_json_lines(capsys):
@@ -151,6 +163,32 @@ def test_verify_pass_and_exit_codes(capsys):
     assert code == 0
     assert "sizes=5/2/2" in out
     assert out.rstrip().endswith("PASS")
+
+
+def test_verify_reduction_counterexamples_are_per_property(capsys, monkeypatch):
+    # one injected end-is-minimal failure, on the first element of the
+    # ball, is the first counterexample of that property alone
+    from newton_cocenter import verify
+
+    calls = []
+
+    def first_call_fails(group, w):
+        calls.append(w)
+        return len(calls) > 1 and is_min_in_class(group, w)
+
+    monkeypatch.setattr(verify, "is_min_in_class", first_call_fails)
+    code, out = run_cli(capsys, "--group", "A1", "verify", "reduction",
+                        "--length", "3")
+    assert code == 1
+    lines = out.strip().splitlines()
+    assert lines[1:] == [
+        "  path-replays: instances=7 failures=0",
+        "  newton-constant-along-path: instances=7 failures=0",
+        "  end-is-minimal: instances=7 failures=1 first=t[0]",
+        "  path-length-bound: instances=7 failures=0",
+        "  standard-triple-exists: instances=7 failures=0",
+        "result FAIL",
+    ]
 
 
 def test_verify_unknown_suite(capsys):

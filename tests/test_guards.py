@@ -1,6 +1,7 @@
 """Source guards: theorem guards survive `python -O`, which strips
-`assert`; modules keep to their own private attributes; and the library
-reads no environment variable."""
+`assert`; modules keep to their own private attributes; every attribute
+set from outside its class is declared in one; and the library reads no
+environment variable."""
 
 import ast
 from pathlib import Path
@@ -45,6 +46,51 @@ def test_no_module_reaches_into_private_attributes():
              for line, text, is_read in _private_reach_ins(path)
              if not _allowed(path.stem, text, is_read)]
     assert found == [], "use a public attribute or method: " + ", ".join(found)
+
+
+def _assigned_attributes(tree):
+    """(line, base name, attribute) of each attribute assignment target,
+    unpacked from tuples and lists."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        while targets:
+            target = targets.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                targets += target.elts
+            elif isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name):
+                yield node.lineno, target.value.id, target.attr
+
+
+def _dataclass_fields(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            yield from (item.target.id for item in node.body
+                        if isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name))
+
+
+def test_attributes_set_from_outside_are_declared():
+    # a memo that a module keeps on another object, such as
+    # ctx.dominant_chamber or report.wall_time, is declared by the
+    # class of that object, so its state is listed in one place
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SOURCE.glob("*.py"))}
+    declared = set()
+    for tree in trees.values():
+        declared.update(attr for _, base, attr in _assigned_attributes(tree)
+                        if base == "self")
+        declared.update(_dataclass_fields(tree))
+    found = [f"{name}:{line}: {base}.{attr}"
+             for name, tree in trees.items()
+             for line, base, attr in _assigned_attributes(tree)
+             if base not in ("self", "cls") and attr not in declared]
+    assert found == [], "declare these attributes in their class: " + ", ".join(found)
 
 
 def _names(node):

@@ -12,7 +12,7 @@ from newton_cocenter import (
 )
 from newton_cocenter.hecke_cocenter import (
     ONE, Q, HeckeElement, QPoly, cocenter_reduce, cocenter_reduce_randomized,
-    fraction_free_rank, hecke_mul, induce, newton_component, parse_poly,
+    fraction_free_rank, hecke_mul, induce, parse_poly,
     rigid_decomposition,
 )
 from newton_cocenter.levi_alcove import levi_weyl_group
@@ -128,7 +128,7 @@ def test_reduce_fixes_canonical_support(a2):
 def test_reduce_zero(a1):
     nf = cocenter_reduce(a1, HeckeElement.zero())
     assert not nf
-    assert newton_component(nf, NewtonIndex((0,), (F(0),))) == HeckeElement.zero()
+    assert nf.component(NewtonIndex((0,), (F(0),))) == HeckeElement.zero()
 
 
 def test_commutators_vanish_small():
@@ -237,7 +237,7 @@ def test_induce_sl2_torus_identifies_signs(a1):
                   m.newton_index(a1.translation([-1])))
     assert up.terms == down.terms == {t_rep: ONE}
     coroot = NewtonIndex((0,), (F(1),))
-    assert newton_component(up, coroot).terms == {t_rep: ONE}
+    assert up.component(coroot).terms == {t_rep: ONE}
 
 
 def test_induce_component_discipline(a1):

@@ -282,11 +282,12 @@ SAMPLES = [
 @pytest.mark.parametrize("label,lattice,samples", SAMPLES)
 def test_integer_dominant_rep_equals_fraction_walk(label, lattice, samples):
     d = datum_of(label, lattice)
+    g = AffineWeylGroup(d)
     walls = list(zip(d.simple_roots, d.simple_coroots))
     for v in samples:
         for u in d.weyl_elements:
             x = mat_act(u, v)
-            vbar, w = d.dominant_rep(x)
+            vbar, w = g.dominant_rep(x)
             assert (vbar, w) == fraction_walk(x, walls, d.rank)
             assert all(type(c) is Fraction for c in vbar)
 
