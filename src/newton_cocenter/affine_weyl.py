@@ -140,18 +140,8 @@ class AffineWeylGroup:
             ball_cap = DEFAULT_BALL_CAP_LOW_RANK if datum.rank <= 2 else DEFAULT_BALL_CAP
         self._context(datum, ball_cap, datum.roots, datum.simple_roots,
                       datum.coroot_hnf, datum.weyl_elements, {}, {})
-        # memos of the ambient group only: its Levis (levi_alcove); the
-        # dominant translations of reduction._dominant_translations per
-        # kappa label, the chamber data they are enumerated from, and
-        # the W0-orbits of translations; the class keys of the reduction
-        # module; the normal forms of hecke_cocenter._nf_basis
+        # the one memo of the ambient group only: its Levis (levi_alcove)
         self.levi_groups: dict[Coweight, AffineWeylGroup] = {}
-        self.dominant_translations: dict[IntVector, tuple] = {}
-        self.dominant_chamber: tuple | None = None
-        self._orbits: dict[IntVector, set[IntVector]] = {}
-        self.full_classes: dict[AffineWeylElement, tuple] = {}
-        self.class_reps: dict[AffineWeylElement, AffineWeylElement] = {}
-        self.nf_cache: dict = {}
         self._simples = self._build_simples()
 
     def _context(self, datum, ball_cap, phi_m, m_simple_roots, coroot_hnf,
@@ -165,15 +155,15 @@ class AffineWeylGroup:
         self.identity = AffineWeylElement((0,) * datum.rank, datum.weyl_identity)
         self._m_taus = tuple((datum.root_index[a], int(datum.is_positive_root(a)))
                              for a in phi_m)
-        self._m_simple_roots = m_simple_roots
+        self.m_simple_roots = m_simple_roots
         self._walls = tuple((a, datum.coroot[a], datum.reflection(a))
                             for a in m_simple_roots)
         self.coroot_hnf = coroot_hnf
         self._finite = w_m
         # None when W_M = W0, so that length tests no membership
         self._w_m = None if len(w_m) == datum.w0_order else frozenset(w_m)
-        self._two_rho_m = tuple(sum(a[i] for a in phi_m if datum.is_positive_root(a))
-                                for i in range(datum.rank))
+        self.two_rho_m = tuple(sum(a[i] for a in phi_m if datum.is_positive_root(a))
+                               for i in range(datum.rank))
         self.parabolic_cap = len(w_m) + 1
         self._length_cache: dict[AffineWeylElement, int] = {}
         self._levels: dict[IntVector, list[int]] = {}
@@ -198,6 +188,14 @@ class AffineWeylGroup:
         self.max_parabolic: int | None = None
         self.wa_ball_counts: dict[int, int] = {}
         self.standard_triples: dict = {}
+        self.full_classes: dict[AffineWeylElement, tuple] = {}
+        self.class_reps: dict[AffineWeylElement, AffineWeylElement] = {}
+        self.dominant_translations: dict[IntVector, tuple] = {}
+        self.dominant_chamber: tuple | None = None
+        # the W_M-orbits of translation_orbit, and the normal forms of
+        # hecke_cocenter._nf_basis
+        self._orbits: dict[IntVector, set[IntVector]] = {}
+        self.nf_cache: dict = {}
 
     def newton_memos(self) -> tuple[dict, dict]:
         """The Newton points and the interned coweights, which the Levis
@@ -383,7 +381,7 @@ class AffineWeylGroup:
         `newton.is_straight_by_powers`; the two are asserted to agree on
         every test ball."""
         d, x = scaled(self.newton_index(w).nu_bar)
-        return self.length(w) * d == dot(self._two_rho_m, x)
+        return self.length(w) * d == dot(self.two_rho_m, x)
 
     def dominant_rep(self, x) -> tuple[Coweight, Matrix]:
         """The dominant representative of the W_M-orbit of x, with u such
@@ -415,11 +413,10 @@ class AffineWeylGroup:
         return v
 
     def translation_orbit(self, mu: IntVector) -> set[IntVector]:
-        """The W0-orbit of the translation mu (memoised)."""
+        """The W_M-orbit of the translation mu (memoised)."""
         orbit = self._orbits.get(mu)
         if orbit is None:
-            orbit = self._orbits[mu] = {
-                mat_act(u, mu) for u in self.datum.weyl_elements}
+            orbit = self._orbits[mu] = {mat_act(u, mu) for u in self._finite}
         return orbit
 
     # -- balls ------------------------------------------------------------
@@ -465,7 +462,7 @@ class AffineWeylGroup:
 
 # -- element grammar ----------------------------------------------------
 
-_RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL = re.compile(r"^-?\d+(/0*[1-9]\d*)?$")
 
 
 def element_str(group: AffineWeylGroup, w: AffineWeylElement) -> str:

@@ -130,7 +130,10 @@ def load_config(path: str) -> tuple[str, str, int | None]:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     if "type" not in values:
         raise ConfigurationError("config is missing the 'type' key")
-    rank = int(values["rank"]) if "rank" in values else None
+    try:
+        rank = int(values["rank"]) if "rank" in values else None
+    except ValueError as exc:
+        raise ConfigurationError(f"bad rank in config {path}: {exc}") from exc
     return values["type"], values.get("lattice", "sc"), rank
 
 
@@ -154,7 +157,7 @@ def parse_coweight(group, text: str):
         else:
             items = text.split(",")
         v = tuple(Fraction(str(x)) for x in items)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot parse coweight {text!r}: {exc}") from exc
     if len(v) != group.datum.rank:
         raise InputError(f"coweight needs {group.datum.rank} coordinates")

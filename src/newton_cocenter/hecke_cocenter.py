@@ -140,6 +140,17 @@ Q = QPoly((0, 1))
 ONE = QPoly((1,))
 Q_MINUS_1 = QPoly((-1, 1))
 
+
+def _add_term(terms: dict, key, c: QPoly) -> None:
+    """terms[key] += c in Z[q], dropping key when the sum is zero."""
+    s = terms.get(key)
+    s = c if s is None else s + c
+    if s:
+        terms[key] = s
+    else:
+        terms.pop(key, None)
+
+
 _MONOMIAL = re.compile(r"^([+-]?)(\d+)?(?:\*?q(?:\^(\d+))?)?$")
 
 
@@ -191,11 +202,7 @@ class HeckeElement:
     def __add__(self, other):
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = out.get(w, QPoly()) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
+            _add_term(out, w, c)
         return HeckeElement(out)
 
     def __sub__(self, other):
@@ -239,21 +246,13 @@ def hecke_mul(group: AffineWeylGroup, f: HeckeElement, g: HeckeElement) -> Hecke
 
 def _mul_by_generator(group, terms, s):
     out: dict[AffineWeylElement, QPoly] = {}
-
-    def add(w, c):
-        v = out.get(w, QPoly()) + c
-        if v:
-            out[w] = v
-        else:
-            out.pop(w, None)
-
     for x, c in terms.items():
         xs = multiply(x, s)
         if group.length(xs) > group.length(x):
-            add(xs, c)
+            _add_term(out, xs, c)
         else:
-            add(xs, c * Q)
-            add(x, c * Q_MINUS_1)
+            _add_term(out, xs, c * Q)
+            _add_term(out, x, c * Q_MINUS_1)
     return out
 
 
@@ -325,10 +324,9 @@ def _nf_basis(group: AffineWeylGroup, w: AffineWeylElement) -> dict:
             continue
         result: dict[AffineWeylElement, QPoly] = {}
         for rep, c in cache[sy].items():
-            result[rep] = result.get(rep, QPoly()) + c * Q_MINUS_1
+            _add_term(result, rep, c * Q_MINUS_1)
         for rep, c in cache[z].items():
-            result[rep] = result.get(rep, QPoly()) + c * Q
-        result = {rep: c for rep, c in result.items() if c}
+            _add_term(result, rep, c * Q)
         for elem in parents:
             cache[elem] = result
         del pending[cur]
@@ -355,11 +353,7 @@ def cocenter_reduce(group: AffineWeylGroup, f: HeckeElement) -> CocenterNormalFo
     out: dict[AffineWeylElement, QPoly] = {}
     for w, c in f.terms.items():
         for rep, x in _nf_basis(group, w).items():
-            s = out.get(rep, QPoly()) + c * x
-            if s:
-                out[rep] = s
-            else:
-                out.pop(rep, None)
+            _add_term(out, rep, c * x)
     return CocenterNormalForm(group, out)
 
 
@@ -383,16 +377,8 @@ def cocenter_reduce_randomized(group: AffineWeylGroup, f: HeckeElement,
         pending.sort(key=group.sort_key)
         w = pending[rng.randrange(len(pending))]
         c = terms.pop(w)
-
-        def add(x, p):
-            s = terms.get(x, QPoly()) + p
-            if s:
-                terms[x] = s
-            else:
-                terms.pop(x, None)
-
         if is_min_in_class(group, w):
-            add(canonical_class_rep(group, w), c)
+            _add_term(terms, canonical_class_rep(group, w), c)
             continue
         moves = []
         for lab, _ in group.simple_items():
@@ -403,12 +389,12 @@ def cocenter_reduce_randomized(group: AffineWeylGroup, f: HeckeElement,
                 moves.append(("equal", lab, z))
         kind, lab, z = moves[rng.randrange(len(moves))]
         if kind == "equal":
-            add(z, c)
+            _add_term(terms, z, c)
         else:
             s = dict(group.simple_items())[lab]
             sw = multiply(s, w)
-            add(sw, c * Q_MINUS_1)
-            add(z, c * Q)
+            _add_term(terms, sw, c * Q_MINUS_1)
+            _add_term(terms, z, c * Q)
     raise ResourceError(
         f"randomized reduction did not finish within {max_steps} steps")
 

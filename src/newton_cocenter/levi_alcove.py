@@ -81,8 +81,8 @@ class LeviWeylGroup(AffineWeylGroup):
                     found.append(s)
         found.sort(key=self.parent.sort_key)
         items = tuple(enumerate(found))
-        n_components = len(_components_of_roots(self.datum, self._m_simple_roots))
-        expected = len(self._m_simple_roots) + n_components
+        n_components = len(_components_of_roots(self.datum, self.m_simple_roots))
+        expected = len(self.m_simple_roots) + n_components
         if len(items) != expected:
             raise LogicError(
                 f"found {len(items)} M-walls, expected {expected}")

@@ -20,13 +20,13 @@ is the class key canonical_class_rep.
 
 The functions take a group "context": an `AffineWeylGroup`, either
 the ambient group or a `LeviWeylGroup`, whose methods compute with the
-M-length.  Their memos are attributes of the context, declared where it
-is built: `move_orbits` (each element seen to its sorted move orbit if
-it is minimal, else None), `coinvariant_hnfs`, `finite_parabolics`,
-`parabolics`, `max_parabolic`, `wa_ball_counts` and `standard_triples`,
-and, on the ambient group, which alone has the class-level functions
-(class_minimal_set, canonical_class_rep), `full_classes`, `class_reps`,
-`dominant_translations` and `dominant_chamber`.
+M-length, over W_M and the M-simple roots.  Their memos are attributes
+of every context, declared where it is built: `move_orbits` (each
+element seen to its sorted move orbit if it is minimal, else None),
+`coinvariant_hnfs`, `finite_parabolics`, `parabolics`, `max_parabolic`,
+`wa_ball_counts`, `standard_triples`, and for the class keys
+`full_classes`, `class_reps`, `dominant_translations` and
+`dominant_chamber`.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import lcm
 
-from .affine_weyl import AffineWeylElement, AffineWeylGroup, conjugate, multiply
+from .affine_weyl import AffineWeylElement, conjugate, multiply
 from .errors import LogicError
 from .root_datum import (
     IntVector, coset_reduce, dot, hnf_columns, mat_act, rational_inverse,
@@ -248,15 +248,13 @@ def class_minimal_set(ctx, w_min: AffineWeylElement) -> tuple[AffineWeylElement,
     a length ball.  Write w_min = t^lam a and L = length(w_min).  Since
     length(t^mu a') >= length(t^mu) - length(a'), every minimal
     conjugate t^mu a' has length(t^mu) <= L + length(a'), and the
-    translation lengths are W0-invariant: length(t^mu) = <mu_dom, 2 rho>.
-    So the candidates are the W0-orbits of the dominant mu = lam mod the
-    coroot lattice with <mu, 2 rho> <= L + |Phi+|, paired with each a'
-    in the W0-class of a; a pair is a conjugate exactly when mu lies in
-    one of the cosets u(lam) + im(1 - a') with u a u^{-1} = a'.  Only
-    the ambient group has this translation lattice and length formula.
+    translation lengths are W_M-invariant: length(t^mu) =
+    <mu_dom, 2 rho_M>, mu_dom the M-dominant one.  So the candidates are
+    the W_M-orbits of the M-dominant mu = lam mod the coroot lattice of
+    M with <mu, 2 rho_M> <= L + max length(a'), paired with each a' in
+    the W_M-class of a; a pair is a conjugate exactly when mu lies in
+    one of the cosets u(lam) + im(1 - a') with u a u^{-1} = a'.
     """
-    if type(ctx) is not AffineWeylGroup:
-        raise LogicError("class_minimal_set needs the ambient group")
     if w_min in ctx.full_classes:
         return ctx.full_classes[w_min]
     if not is_min_in_class(ctx, w_min):
@@ -266,18 +264,17 @@ def class_minimal_set(ctx, w_min: AffineWeylElement) -> tuple[AffineWeylElement,
     lam, a = w_min.translation, w_min.finite
     # for each conjugate a' = u a u^{-1}: the cosets u(lam) mod im(1 - a')
     cosets: dict = {}
-    for u in datum.weyl_elements:
+    for u in ctx.finite_elements():
         a_conj = datum.product(datum.product(u, a), datum.finite_inverse(u))
         hnf = _coinvariant_hnf(ctx, a_conj)
         cosets.setdefault(a_conj, set()).add(coset_reduce(mat_act(u, lam), hnf))
-    dominant = _dominant_translations(
-        ctx, lam, length + len(datum.positive_roots))
+    bounds = {a_conj: length + ctx.finite_length(a_conj) for a_conj in cosets}
+    dominant = _dominant_translations(ctx, lam, max(bounds.values()))
     members = []
     for a_conj, reps in cosets.items():
         hnf = _coinvariant_hnf(ctx, a_conj)
-        bound = length + ctx.finite_length(a_conj)
         for mu, mu_length in dominant:
-            if mu_length > bound:
+            if mu_length > bounds[a_conj]:
                 continue
             for nu in ctx.translation_orbit(mu):
                 if coset_reduce(nu, hnf) in reps:
@@ -290,15 +287,15 @@ def class_minimal_set(ctx, w_min: AffineWeylElement) -> tuple[AffineWeylElement,
 
 
 def _dominant_translations(ctx, lam, bound) -> list[tuple[IntVector, int]]:
-    """The dominant mu = lam mod the coroot lattice with
-    length(t^mu) = <mu, 2 rho> <= bound, each with that length.
+    """The M-dominant mu = lam mod the coroot lattice of M with
+    length(t^mu) = <mu, 2 rho_M> <= bound, each with that length.
 
     The list depends on lam only through its coset, so it is memoised
-    per kappa label with the largest bound asked for so far; a smaller
+    per kappa_M label with the largest bound asked for so far; a smaller
     bound filters the memoised list, whose order it keeps.
     """
     memo = ctx.dominant_translations
-    label = ctx.datum.kappa_label(lam)
+    label = coset_reduce(lam, ctx.coroot_hnf)
     hit = memo.get(label)
     if hit is None or hit[0] < bound:
         hit = memo[label] = (bound, _enumerate_dominant(ctx, lam, bound))
@@ -311,28 +308,28 @@ def _enumerate_dominant(ctx, lam, bound) -> list[tuple[IntVector, int]]:
     """`_dominant_translations`, enumerated in lexicographic order of y.
 
     Such mu are lam + sum_i c_i alpha_i^vee with integral c solving
-    C c = y - <alpha, lam>, where C is the Cartan matrix and
-    y_i = <alpha_i, mu> >= 0; so the y are enumerated under
-    sum_i h_i y_i <= bound with h_i = <2 rho, varpi_i^vee> > 0.  That
-    sum is <mu, 2 rho>, since 2 rho = sum_i h_i alpha_i, and the order
-    of the y does not depend on which lam of the coset is given.
+    C c = y - <alpha, lam>, where C is the Cartan matrix of M and
+    y_i = <alpha_i, mu> >= 0 over the M-simple roots alpha_i; so the y
+    are enumerated under sum_i h_i y_i <= bound with
+    h_i = <2 rho_M, varpi_i^vee> > 0.  That sum is <mu, 2 rho_M>, since
+    2 rho_M = sum_i h_i alpha_i, and the order of the y does not depend
+    on which lam of the coset is given.
     """
-    datum = ctx.datum
+    simple = ctx.m_simple_roots
+    coroots = [ctx.datum.coroot[a] for a in simple]
     if ctx.dominant_chamber is None:
-        simple, coroots = datum.simple_roots, datum.simple_coroots
         inv = rational_inverse(
             [[dot(a, cv) for cv in coroots] for a in simple])
         den = lcm(*(x.denominator for row in inv for x in row))
         scaled = [[int(x * den) for x in row] for row in inv]
         # varpi_i^vee is column i of the inverse in the simple coroots;
-        # h_i is the alpha_i-coefficient of 2 rho, an integer
-        pair = [dot(datum.two_rho, cv) for cv in coroots]
+        # h_i is the alpha_i-coefficient of 2 rho_M, an integer
+        pair = [dot(ctx.two_rho_m, cv) for cv in coroots]
         heights = [int(sum(row[i] * p for row, p in zip(inv, pair)))
                    for i in range(len(simple))]
         ctx.dominant_chamber = (scaled, den, heights)
     scaled, den, heights = ctx.dominant_chamber
-    shift = [dot(a, lam) for a in datum.simple_roots]
-    coroots = datum.simple_coroots
+    shift = [dot(a, lam) for a in simple]
     out = []
     for y in product(*(range(bound // h + 1) for h in heights)):
         if sum(h * yi for h, yi in zip(heights, y)) > bound:
@@ -343,16 +340,14 @@ def _enumerate_dominant(ctx, lam, bound) -> list[tuple[IntVector, int]]:
             continue
         mu = tuple(x + sum(ci // den * cv[j] for ci, cv in zip(c, coroots))
                    for j, x in enumerate(lam))
-        out.append((mu, dot(datum.two_rho, mu)))
+        out.append((mu, dot(ctx.two_rho_m, mu)))
     return out
 
 
 def canonical_class_rep(ctx, w: AffineWeylElement) -> AffineWeylElement:
     """The canonical key of the full conjugacy class of w: the least
     minimal-length element of the class.  This is the support key used
-    by the cocenter normal forms; only the ambient group has it."""
-    if type(ctx) is not AffineWeylGroup:
-        raise LogicError("canonical_class_rep needs the ambient group")
+    by the cocenter normal forms of the context."""
     rep = ctx.class_reps.get(w)
     if rep is None:
         w_min, path = reduce_to_min(ctx, w)

@@ -285,9 +285,6 @@ class RootDatum:
         self._enumerate_weyl(self._close_roots())
         self.coroot_hnf = hnf_columns(list(self.simple_coroots))
         self.omega_is_finite = len(self.coroot_hnf) == rank
-        self.two_rho: Covector = tuple(
-            sum(a[i] for a in self.positive_roots) for i in range(rank)
-        )
 
     # -- construction ------------------------------------------------
 

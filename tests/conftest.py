@@ -12,6 +12,15 @@ def group(label, lattice="sc"):
     return _GROUPS[key]
 
 
+def kappa_labels(m):
+    """The distinct kappa labels of a context at 0 and at the unit
+    vectors with both signs."""
+    n = m.datum.rank
+    units = [tuple(sign * int(i == j) for j in range(n))
+             for i in range(n) for sign in (1, -1)]
+    return sorted({m.kappa(m.translation(lam)) for lam in [(0,) * n] + units})
+
+
 @pytest.fixture
 def a1():
     return group("A1")

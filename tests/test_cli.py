@@ -272,6 +272,22 @@ def test_out_of_range_counts_are_input_errors(argv, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["--group", "A2", "alcove-test", "t[0,0]", "--v", "1/0,0"],
+    ["--group", "A2", "positivity", "t[0,0]", "--v", "1/0,0"],
+    ["--group", "A2", "levi", "--v", "1/0,0", "describe"],
+    ["--group", "A2", "induce", "--v", "1/0,0", "T[t[0,0]]"],
+    ["--group", "A2", "newton", "t[1/0,0]"],
+    ["--config", "CONFIG", "describe"],
+])
+def test_zero_denominators_and_bad_config_numbers_are_input_errors(argv, tmp_path, capsys):
+    cfg = tmp_path / "group.cfg"
+    cfg.write_text("type = GL\nrank = two\n")
+    code = main([str(cfg) if a == "CONFIG" else a for a in argv])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_unexpected_error_exit_code(capsys, monkeypatch):
     # exit 1 means "verification failed"; any other exception is a bug
     from newton_cocenter import cli

@@ -84,7 +84,7 @@ def ambient_walls(g):
 
 
 def levi_walls(m):
-    return [(a, m.datum.coroot[a]) for a in m._m_simple_roots]
+    return [(a, m.datum.coroot[a]) for a in m.m_simple_roots]
 
 
 @pytest.mark.parametrize("label,lattice,radius", GROUPS)

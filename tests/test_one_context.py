@@ -4,7 +4,9 @@ The ball walker (`AffineWeylGroup.ball`) is a breadth-first walk that
 never consults the length function; the length-filtered walk that the
 ambient and the Levi groups each ran before is kept here as its oracle.
 The Levi of v = 0 must be the ambient group itself, which is the
-contract that lets both share every method.
+contract that lets both share every method, and every memo of those
+methods is declared on every context: only the ambient group's memo of
+its Levis is its own.
 """
 
 import pytest
@@ -12,8 +14,9 @@ import pytest
 from newton_cocenter import AffineWeylGroup, build_root_datum
 from newton_cocenter.affine_weyl import multiply
 from newton_cocenter.levi_alcove import levi_weyl_group
-from newton_cocenter.reduction import wa_ball_count
+from newton_cocenter.reduction import canonical_class_rep, wa_ball_count
 from newton_cocenter.verify import _levi_grid
+from conftest import kappa_labels
 
 GROUPS = [("A1", "sc"), ("A2", "sc"), ("B2", "sc"), ("C2", "sc"), ("G2", "sc"),
           ("C2", "ad"), ("GL3", "gl"), ("GL4", "gl")]
@@ -44,19 +47,11 @@ def filtered_ball(ctx, max_length, labels):
     return out
 
 
-def levi_labels(m):
-    """The distinct kappa_M labels of 0 and of the unit vectors with
-    both signs."""
-    n = m.datum.rank
-    units = [tuple(sign * int(i == j) for j in range(n)) for i in range(n) for sign in (1, -1)]
-    return sorted({m.kappa(m.translation(lam)) for lam in [(0,) * n] + units})
-
-
 def contexts(g):
     yield g, g.datum.omega_labels() or [(0,) * g.datum.rank]
     for v in _levi_grid(g, 4):
         m = levi_weyl_group(g, v)
-        yield m, levi_labels(m)
+        yield m, kappa_labels(m)
 
 
 @pytest.mark.parametrize("label,lattice", GROUPS)
@@ -85,3 +80,12 @@ def test_levi_of_zero_is_the_ambient_group(label, lattice):
         assert m.length(w) == g.length(w)
         assert m.kappa(w) == g.kappa(w)
         assert m.word(w) == g.word(w)
+        assert canonical_class_rep(m, w) == canonical_class_rep(g, w)
+
+
+@pytest.mark.parametrize("label,lattice", GROUPS)
+def test_levis_declare_every_memo_but_the_levi_memo(label, lattice):
+    g = fresh_group(label, lattice)
+    for v in _levi_grid(g, 4):
+        m = levi_weyl_group(g, v)
+        assert set(vars(g)) - set(vars(m)) == {"levi_groups"}, m

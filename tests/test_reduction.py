@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from newton_cocenter import (
@@ -8,7 +6,6 @@ from newton_cocenter import (
     is_conjugate, is_min_in_class, minimal_class, multiply, newton_index,
     parse_element, reduce_to_min, standard_triple,
 )
-from newton_cocenter.levi_alcove import levi_weyl_group
 from newton_cocenter.reduction import replay, wa_ball_count
 from newton_cocenter.root_datum import mat_act
 from conftest import group
@@ -254,16 +251,6 @@ def test_class_minimal_set_matches_ball_search(label, lattice, radius):
     for w_min in sorted(classes, key=g.sort_key):
         assert class_minimal_set(g, w_min) == \
             _ball_class_minimal_set(g, w_min, balls), element_str(g, w_min)
-
-
-def test_class_search_refuses_levi_contexts(a2):
-    m = levi_weyl_group(a2, (Fraction(1), Fraction(0)))
-    w = a2.translation([1, 0])
-    assert m.is_member(w) and is_min_in_class(m, w)
-    with pytest.raises(LogicError):
-        class_minimal_set(m, w)
-    with pytest.raises(LogicError):
-        canonical_class_rep(m, w)
 
 
 def test_long_translation_class_is_its_weyl_orbit(a2):

@@ -314,6 +314,6 @@ def test_levi_dominant_rep_equals_fraction_walk(label, lattice):
     g = AffineWeylGroup(d)
     for v in _levi_grid(d)[::3]:
         m = LeviWeylGroup(g, v)
-        walls = [(a, d.coroot[a]) for a in m._m_simple_roots]
+        walls = [(a, d.coroot[a]) for a in m.m_simple_roots]
         for x in _levi_grid(d)[::5]:
             assert m.dominant_rep(x) == fraction_walk(x, walls, d.rank)
