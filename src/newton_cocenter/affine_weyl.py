@@ -139,17 +139,18 @@ class AffineWeylGroup:
         if ball_cap is None:
             ball_cap = DEFAULT_BALL_CAP_LOW_RANK if datum.rank <= 2 else DEFAULT_BALL_CAP
         self._context(datum, ball_cap, datum.roots, datum.simple_roots,
-                      datum.coroot_hnf, datum.weyl_elements, {}, {})
+                      datum.coroot_hnf, datum.weyl_elements, {}, {},
+                      wall_order=None)
         # the one memo of the ambient group only: its Levis (levi_alcove)
         self.levi_groups: dict[Coweight, AffineWeylGroup] = {}
-        self._simples = self._build_simples()
 
     def _context(self, datum, ball_cap, phi_m, m_simple_roots, coroot_hnf,
-                 w_m, newton_points, coweights):
+                 w_m, newton_points, coweights, wall_order):
         """The state of the group of M, with roots phi_m, simple roots
         m_simple_roots, coroot lattice coroot_hnf and finite Weyl group
-        w_m, and the memos of every method.  A Levi shares the Newton
-        points and interned coweights of its ambient group."""
+        w_m, its walls labelled as `_build_walls` says, and the memos of
+        every method.  A Levi shares the Newton points and interned
+        coweights of its ambient group."""
         self.datum = datum
         self.ball_cap = ball_cap
         self.identity = AffineWeylElement((0,) * datum.rank, datum.weyl_identity)
@@ -196,6 +197,7 @@ class AffineWeylGroup:
         # hecke_cocenter._nf_basis
         self._orbits: dict[IntVector, set[IntVector]] = {}
         self.nf_cache: dict = {}
+        self._build_walls(phi_m, wall_order)
 
     def newton_memos(self) -> tuple[dict, dict]:
         """The Newton points and the interned coweights, which the Levis
@@ -261,19 +263,43 @@ class AffineWeylGroup:
 
     # -- affine simple reflections --------------------------------------
 
-    def _build_simples(self):
-        datum = self.datum
-        items = [(i, self.reflection(AffineRoot(a, 0)))
-                 for i, a in enumerate(datum.simple_roots, start=1)]
-        if datum.positive_roots:
-            theta = max(datum.positive_roots, key=datum.height.__getitem__)
-            s0 = self.reflection(AffineRoot(theta, 1))
-            if self.length(s0) != 1:
-                raise LogicError("the affine wall reflection must have length 1")
-            items.append((0, s0))
-        if any(self.length(s) != 1 for _, s in items):
+    def _build_walls(self, phi_m, wall_order):
+        """The walls of the base M-alcove and the affine Coxeter diagram.
+
+        The walls are the M-simple roots at level 0 and, for each
+        connected component of the M-Dynkin diagram, its highest root at
+        level 1 (Humphreys, Reflection Groups and Coxeter Groups, ch. 4):
+        of the M-positive roots pairing nonzero with a coroot of the
+        component, the one of greatest height.  With wall_order None
+        (the ambient group) the simple walls are labelled 1..r and the
+        highest root 0; a Levi labels its walls 0, 1, ... in wall_order,
+        the ambient sort key.  `coxeter_diagram` holds the labels of the
+        walls of each component.
+        """
+        datum, coroot = self.datum, self.datum.coroot
+        # the M-Dynkin components: each simple root merges those it links to
+        components = []
+        for a in self.m_simple_roots:
+            linked = [c for c in components if any(dot(b, coroot[a]) for b in c)]
+            components = [c for c in components if c not in linked] + [sum(linked, [a])]
+        positive = [b for b in phi_m if datum.is_positive_root(b)]
+        simple = {a: self.reflection(AffineRoot(a, 0)) for a in self.m_simple_roots}
+        affine = [self.reflection(AffineRoot(max(
+            (b for b in positive if any(dot(b, coroot[c]) for c in comp)),
+            key=datum.height.__getitem__), 1)) for comp in components]
+        walls = [*simple.values(), *affine]
+        if any(self.length(s) != 1 for s in walls):
             raise LogicError("affine simple reflections must have length 1")
-        return tuple(sorted(items))
+        if wall_order is None:
+            if len(affine) > 1:
+                raise LogicError("the ambient root system must be irreducible")
+            labels = dict(zip(walls, [*range(1, len(simple) + 1), 0]))
+        else:
+            labels = {s: i for i, s in enumerate(sorted(walls, key=wall_order))}
+        self._simples = tuple(sorted((lab, s) for s, lab in labels.items()))
+        self.coxeter_diagram = tuple(sorted(
+            tuple(sorted([labels[simple[a]] for a in comp] + [labels[s]]))
+            for comp, s in zip(components, affine)))
 
     def simple_items(self) -> tuple[tuple[int, AffineWeylElement], ...]:
         """(label, reflection) pairs, ascending label; for the ambient

@@ -152,6 +152,9 @@ def _add_term(terms: dict, key, c: QPoly) -> None:
 
 
 _MONOMIAL = re.compile(r"^([+-]?)(\d+)?(?:\*?q(?:\^(\d+))?)?$")
+# far above any degree a normal form reaches, far below a dense
+# coefficient tuple that would exhaust memory
+_MAX_EXPONENT = 10 ** 6
 
 
 def parse_poly(text: str) -> QPoly:
@@ -172,7 +175,12 @@ def parse_poly(text: str) -> QPoly:
         sign = -1 if m.group(1) == "-" else 1
         coeff = int(m.group(2)) if m.group(2) is not None else 1
         if "q" in chunk:
-            exp = int(m.group(3)) if m.group(3) is not None else 1
+            digits = (m.group(3) or "1").lstrip("0") or "0"
+            # the digit count comes first: int() refuses very long strings
+            if len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT:
+                raise InputError(
+                    f"exponent of {chunk!r} exceeds {_MAX_EXPONENT} (production 'poly')")
+            exp = int(digits)
         else:
             exp = 0
         result = result + QPoly.monomial(sign * coeff, exp)

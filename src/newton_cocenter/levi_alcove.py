@@ -7,22 +7,20 @@ carries its own length function, computed by counting inversions over
 the Levi roots only; it genuinely differs from the restriction of the
 ambient length.  `LeviWeylGroup` is an `AffineWeylGroup` over the Levi
 roots: it adds only what the ambient group lacks, namely v, its root
-data, the weak reference to the ambient group, membership, boxes, and
-its affine simple reflections, the walls of the M-alcove containing the
-ambient base alcove, which here means the reflections of M-length one.
+data, membership and boxes.  Its walls, those of the M-alcove containing
+the ambient base alcove, are built as the ambient group builds its own,
+from the M-simple roots and the highest root of each M-component, and
+are labelled in the ambient canonical order, which the Levi is given at
+construction; it holds no reference to the ambient group.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from itertools import product
 from math import lcm
 
-from .affine_weyl import (
-    AffineRoot, AffineWeylElement, AffineWeylGroup, act_on_affine_root,
-    inverse, is_positive_affine_root, multiply,
-)
+from .affine_weyl import AffineWeylElement, AffineWeylGroup, multiply
 from .errors import InputError, LogicError
 from .newton import NewtonIndex, newton_point
 from .reduction import max_finite_parabolic_order, wa_ball_count
@@ -41,52 +39,14 @@ class LeviWeylGroup(AffineWeylGroup):
 
     def __init__(self, parent: AffineWeylGroup, v):
         datum = parent.datum
-        self._parent = weakref.ref(parent)
         self.levi = levi_datum(datum, v)
         self.v = self.levi.v
         phi_m = self.levi.phi_zero
         self._context(datum, parent.ball_cap, phi_m, _m_simples(datum, phi_m),
                       hnf_columns([datum.coroot[a] for a in phi_m]),
-                      self.levi.w_m, *parent.newton_memos())
+                      self.levi.w_m, *parent.newton_memos(),
+                      wall_order=parent.sort_key)
         self._boxes: dict[tuple, list[AffineWeylElement]] = {}
-        self._simples = self._find_affine_simples()
-
-    @property
-    def parent(self) -> AffineWeylGroup:
-        """The ambient group, held by a weak reference: the group keeps
-        its Levis in a memo, and a strong reference back would make each
-        such group a reference cycle, freed only by the cyclic garbage
-        collector."""
-        parent = self._parent()
-        if parent is None:
-            raise LogicError("the ambient group of this Levi has been freed")
-        return parent
-
-    def _find_affine_simples(self):
-        """Reflections of M-length one: the walls of the base M-alcove,
-        labelled 0, 1, ... in the ambient canonical order.
-
-        Wall levels lie in {0, 1} because the ambient base alcove pins
-        every root value into (-1, 1); the scan range is wider only as
-        a safety margin, with the count checked against the expected
-        rank-plus-components total.
-        """
-        found = []
-        for a in self.levi.phi_zero:
-            if not self.datum.is_positive_root(a):
-                continue
-            for k in range(-2, 3):
-                s = self.reflection(AffineRoot(a, k))
-                if self.length(s) == 1 and s not in found:
-                    found.append(s)
-        found.sort(key=self.parent.sort_key)
-        items = tuple(enumerate(found))
-        n_components = len(_components_of_roots(self.datum, self.m_simple_roots))
-        expected = len(self.m_simple_roots) + n_components
-        if len(items) != expected:
-            raise LogicError(
-                f"found {len(items)} M-walls, expected {expected}")
-        return items
 
     def is_member(self, w: AffineWeylElement) -> bool:
         return self._w_m is None or w.finite in self._w_m
@@ -138,24 +98,6 @@ def _m_simples(datum, phi_m):
     return tuple(sorted(simples))
 
 
-def _components_of_roots(datum, m_simple_roots):
-    comps = []
-    seen = set()
-    for a in m_simple_roots:
-        if a in seen:
-            continue
-        comp, frontier = {a}, [a]
-        while frontier:
-            b = frontier.pop()
-            for c in m_simple_roots:
-                if c not in comp and dot(b, datum.coroot[c]) != 0:
-                    comp.add(c)
-                    frontier.append(c)
-        seen |= comp
-        comps.append(tuple(sorted(comp)))
-    return comps
-
-
 def levi_weyl_group(group: AffineWeylGroup, v) -> LeviWeylGroup:
     v = coweight(v)
     cache = group.levi_groups
@@ -193,24 +135,23 @@ def is_v_alcove(group: AffineWeylGroup, w: AffineWeylElement, v) -> bool:
 
     Requires the finite part to fix v, and that w never pulls a positive
     affine root with vector part strictly positive on v from a negative
-    one: for every such b, w^{-1}(b) positive implies b positive.  Only
-    levels within the translation window can change sign, so the check
-    is finite.
+    one: for every such b, w^{-1}(b) positive implies b positive.  For
+    w = t^lam u, w^{-1}(beta, k) = (u^{-1} beta, k - <beta, lam>), so
+    with tau(a) = 1 for a positive and 0 otherwise this is one
+    comparison per v-positive root beta = u(alpha):
+    tau(alpha) + <beta, lam> >= tau(beta).
     """
     _, x = scaled(v)
-    if mat_act(w.finite, x) != tuple(x):
+    lam, u = w
+    if mat_act(u, x) != tuple(x):
         return False
     datum = group.datum
-    plus = [a for a in datum.roots if dot(a, x) > 0]
-    winv = inverse(w)
-    window = max((abs(dot(a, w.translation)) for a in datum.roots), default=0) + 1
-    for beta in plus:
-        for k in range(-window, window + 1):
-            b = AffineRoot(beta, k)
-            pre = act_on_affine_root(datum, winv, b)
-            if is_positive_affine_root(datum, pre) and \
-                    not is_positive_affine_root(datum, b):
-                return False
+    roots = datum.roots
+    for alpha, j in zip(roots, datum.root_permutation(u)):
+        beta = roots[j]
+        if dot(beta, x) > 0 and datum.is_positive_root(alpha) + dot(beta, lam) \
+                < datum.is_positive_root(beta):
+            return False
     return True
 
 
@@ -243,13 +184,24 @@ def positivity_exponent(group: AffineWeylGroup, w: AffineWeylElement,
     Precondition: the finite part of w lies in the Levi of v.  When the
     Newton point of w is strictly positive on the v-positive roots the
     search must succeed within the bound; running past it then raises
-    LogicError.
+    LogicError.  Otherwise no power is strictly v-positive, and the
+    input is refused before the search.
     """
     v = coweight(v)
     m = levi_weyl_group(group, v)
     if not m.is_member(w):
         raise InputError("positivity_exponent requires w in the Levi of v")
     plus = m.levi.phi_plus
+    # If w^i = t^mu u is strictly v-positive, then summing the
+    # translations of its powers up to the order n of u gives
+    # <beta, n i nu> >= n for every v-positive beta, since u in W_M
+    # permutes those roots; so a Newton point not strictly positive on
+    # them admits no such power, and is refused before any search.
+    nu = newton_point(group, w)
+    if not all(dot(beta, nu) > 0 for beta in plus):
+        raise InputError(
+            "no positive power of w is strictly v-positive: its Newton point "
+            "is not strictly positive on the v-positive roots")
     denom = lcm(*(c.denominator for c in v))
     n0 = wa_ball_count(m, m.length(w))
     n1 = max_finite_parabolic_order(m)
@@ -262,14 +214,9 @@ def positivity_exponent(group: AffineWeylGroup, w: AffineWeylElement,
             return PositivityCertificate(
                 w, v, i, bound, n0, n1, denom,
                 min(shifts) if shifts else 0)
-    nu = newton_point(group, w)
-    if all(dot(beta, nu) > 0 for beta in plus):
-        raise LogicError(
-            "quasi-positivity must hold within the bound for strictly "
-            "v-positive Newton points")
-    raise InputError(
-        "no positive power of w is strictly v-positive: its Newton point "
-        "is not strictly positive on the v-positive roots")
+    raise LogicError(
+        "quasi-positivity must hold within the bound for strictly "
+        "v-positive Newton points")
 
 
 def m_in_g_stratum_check(group: AffineWeylGroup, m: LeviWeylGroup,

@@ -368,38 +368,15 @@ def finite_parabolics(ctx) -> tuple[tuple[int, ...], ...]:
     then lexicographically; computed once per context.
 
     K generates a finite group iff it misses at least one node of every
-    connected component of the diagram.
+    connected component of the diagram, as the context stores them.
     """
     if ctx.finite_parabolics is None:
-        components = coxeter_components(ctx)
         labels = [lab for lab, _ in ctx.simple_items()]
         ctx.finite_parabolics = tuple(
             sub for size in range(len(labels) + 1)
             for sub in combinations(labels, size)
-            if not any(set(comp) <= set(sub) for comp in components))
+            if not any(set(comp) <= set(sub) for comp in ctx.coxeter_diagram))
     return ctx.finite_parabolics
-
-
-def coxeter_components(ctx) -> tuple[tuple[int, ...], ...]:
-    """Connected components of the diagram on the simple reflections
-    (edges between non-commuting pairs)."""
-    items = ctx.simple_items()
-    labels = [lab for lab, _ in items]
-    elem = dict(items)
-    seen, comps = set(), []
-    for lab in labels:
-        if lab in seen:
-            continue
-        comp, frontier = {lab}, [lab]
-        while frontier:
-            a = frontier.pop()
-            for b in labels:
-                if b not in comp and multiply(elem[a], elem[b]) != multiply(elem[b], elem[a]):
-                    comp.add(b)
-                    frontier.append(b)
-        seen |= comp
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
 
 
 def parabolic_elements(ctx, k_labels) -> frozenset[AffineWeylElement]:

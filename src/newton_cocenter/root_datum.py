@@ -13,6 +13,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from operator import mul
 
@@ -466,21 +467,14 @@ class RootDatum:
         return coset_reduce(tuple(lam), self.coroot_hnf)
 
     def omega_labels(self):
-        """All coroot-lattice cosets when the quotient is finite, else None."""
+        """All coroot-lattice cosets when the quotient is finite, else None.
+
+        The Hermite form then has a pivot p_i in every row i, and the
+        canonical representatives are exactly the vectors with
+        0 <= x_i < p_i."""
         if not self.omega_is_finite:
             return None
-        labels = {self.kappa_label((0,) * self.rank)}
-        frontier = list(labels)
-        basis = [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]
-        while frontier:
-            lab = frontier.pop()
-            for e in basis:
-                for sgn in (1, -1):
-                    nxt = self.kappa_label(tuple(x + sgn * y for x, y in zip(lab, e)))
-                    if nxt not in labels:
-                        labels.add(nxt)
-                        frontier.append(nxt)
-        return tuple(sorted(labels))
+        return tuple(product(*(range(col[row]) for row, col in self.coroot_hnf)))
 
     def descriptor(self) -> str:
         if self.type_label.startswith("GL"):

@@ -2,6 +2,10 @@ import pytest
 
 from newton_cocenter import AffineWeylGroup, build_root_datum
 
+# every supported (label, lattice) pair
+ALL_DATA = [(label, lattice) for label in ("A1", "A2", "B2", "C2", "G2")
+            for lattice in ("sc", "ad")] + [(f"GL{n}", "gl") for n in range(1, 6)]
+
 _GROUPS = {}
 
 

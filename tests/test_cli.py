@@ -109,6 +109,29 @@ def test_positivity(capsys):
     assert payload["exponent"] <= payload["bound"]
 
 
+def test_positivity_refuses_a_non_positive_newton_point_without_searching(
+        capsys, monkeypatch):
+    # the a-priori bound grows with the denominator of v: 4 * 10^8 here
+    import newton_cocenter
+    from newton_cocenter import affine_weyl
+    calls = []
+    counted = affine_weyl.multiply
+
+    def counting(w1, w2):
+        calls.append(None)
+        return counted(w1, w2)
+
+    for module in vars(newton_cocenter).values():
+        if getattr(module, "multiply", None) is counted:
+            monkeypatch.setattr(module, "multiply", counting)
+    code = main(["--group", "A1", "positivity", "t[0]", "--v", "1/100000000"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert "not strictly positive" in out.err
+    assert len(calls) < 1000
+
+
 def test_levi_describe(capsys):
     code, out = run_cli(capsys, "--group", "GL5", "--json", "levi", "--v",
                         '["2/3","2/3","2/3","1/2","1/2"]', "describe")
@@ -265,6 +288,8 @@ def test_no_normal_form_is_read_from_or_written_to_disk(tmp_path, capsys, monkey
     ["--ball-cap", "-1", "describe"],
     ["verify", "cocenter", "--seeds", "0"],
     ["verify", "cocenter", "--pair-budget", "0"],
+    ["cocenter-reduce", "q^10000000000000*T[e]"],
+    ["induce", "--v", "0", "q^10000000000000*T[e]"],
 ])
 def test_out_of_range_counts_are_input_errors(argv, capsys):
     code = main(["--group", "A1", *argv])

@@ -13,7 +13,8 @@ from newton_cocenter.levi_alcove import (
     newton_index_map, positivity_exponent,
 )
 from newton_cocenter.root_datum import dot, mat_act
-from conftest import group
+from newton_cocenter.verify import _is_v_alcove_wide, _levi_grid
+from conftest import ALL_DATA, group
 
 F = Fraction
 
@@ -166,6 +167,19 @@ def test_alcove_window_is_exact(c2):
     for w in c2.enumerate_ball(5):
         v = newton_point(c2, w)
         assert is_v_alcove(c2, w, v) == alcove_window_oracle(c2, w, v)
+
+
+@pytest.mark.parametrize("label,lattice", ALL_DATA)
+def test_closed_form_alcove_test_equals_level_window(label, lattice):
+    """One comparison per v-positive root against the walk over every
+    affine root in a doubled level window, for the Newton point of each
+    ball element and every direction of the Levi grid."""
+    g = group(label, lattice)
+    radius = 3 if g.datum.rank <= 2 else 2
+    grid = _levi_grid(g, 2)
+    for w in g.enumerate_ball(radius):
+        for v in [newton_point(g, w), *grid]:
+            assert is_v_alcove(g, w, v) == _is_v_alcove_wide(g, w, v), (w, v)
 
 
 def shift_oracle(g, power, v):

@@ -1,14 +1,14 @@
 """The per-context state of the reduction module against brute force.
 
 The finite parabolic subsets and the largest finite parabolic order are
-read off the Coxeter diagram once per context; here they are checked on
+read off the Coxeter diagram that each context stores with its walls
+(itself checked in test_walls.py); here they are checked on
 every context of `_levi_grid` for every supported group by closing each
 label subset under multiplication.  A finite subgroup of X_* ⋊ W_M maps
 injectively to W_M, so a closure that outgrows |W_M| is infinite.  The
 move-orbit memo must give the same answers whatever it already holds.
 """
 
-from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -17,9 +17,7 @@ from newton_cocenter import (
     AffineWeylGroup, LogicError, build_root_datum, canonical_min_rep,
     is_min_in_class, minimal_class,
 )
-from newton_cocenter import reduction
 from newton_cocenter.affine_weyl import multiply
-from newton_cocenter.cli import main
 from newton_cocenter.levi_alcove import levi_weyl_group
 from newton_cocenter.reduction import (
     finite_parabolics, max_finite_parabolic_order, parabolic_elements,
@@ -86,11 +84,8 @@ def move_orbit_answers(make_ctx, w):
 ])
 def test_move_orbit_memo_warm_equals_cold(label, radius, v):
     datum = build_root_datum(label)
-    ambient = []
-
     def make_ctx():
         g = AffineWeylGroup(datum)
-        ambient.append(g)           # a Levi holds its ambient group weakly
         return g if v is None else levi_weyl_group(g, v)
 
     warm = make_ctx()
@@ -103,17 +98,3 @@ def test_move_orbit_memo_warm_equals_cold(label, radius, v):
         orbit = minimal_class(warm, w) if minimal else None
         assert (minimal, orbit, reps[w]) == move_orbit_answers(make_ctx, w), w
 
-
-def test_coxeter_diagram_built_once_per_context(capsys, monkeypatch):
-    built = []
-
-    def counting(ctx):
-        built.append(ctx)
-        return components(ctx)
-
-    components = reduction.coxeter_components
-    monkeypatch.setattr(reduction, "coxeter_components", counting)
-    assert main(["--group", "GL4", "--jobs", "1", "verify", "reduction"]) == 0
-    assert "result PASS" in capsys.readouterr().out
-    # built holds every context, so no two of them share an id
-    assert built and max(Counter(map(id, built)).values()) == 1

@@ -7,6 +7,7 @@ from newton_cocenter import (
 )
 from newton_cocenter.errors import LogicError
 from newton_cocenter.root_datum import RootDatum, dot, mat_act
+from conftest import ALL_DATA
 
 F = Fraction
 
@@ -163,6 +164,32 @@ def test_adjoint_component_group(label, fundamental_group_order):
     # every coroot must reduce to the trivial coset
     for av in d.coroot.values():
         assert d.kappa_label(av) == (0,) * d.rank
+
+
+def omega_labels_by_search(d):
+    """The coroot-lattice cosets, found by a breadth-first walk from 0
+    along the unit vectors."""
+    labels = {d.kappa_label((0,) * d.rank)}
+    frontier = list(labels)
+    basis = [tuple(int(i == j) for j in range(d.rank)) for i in range(d.rank)]
+    while frontier:
+        lab = frontier.pop()
+        for e in basis:
+            for sgn in (1, -1):
+                nxt = d.kappa_label(tuple(x + sgn * y for x, y in zip(lab, e)))
+                if nxt not in labels:
+                    labels.add(nxt)
+                    frontier.append(nxt)
+    return tuple(sorted(labels))
+
+
+@pytest.mark.parametrize("label,lattice", ALL_DATA)
+def test_omega_labels_equal_coset_search(label, lattice):
+    d = build_root_datum(label, lattice)
+    if d.omega_is_finite:
+        assert d.omega_labels() == omega_labels_by_search(d)
+    else:
+        assert d.omega_labels() is None
 
 
 def test_sc_component_group_trivial():
