@@ -139,18 +139,16 @@ class AffineWeylGroup:
         if ball_cap is None:
             ball_cap = DEFAULT_BALL_CAP_LOW_RANK if datum.rank <= 2 else DEFAULT_BALL_CAP
         self._context(datum, ball_cap, datum.roots, datum.simple_roots,
-                      datum.coroot_hnf, datum.weyl_elements, {}, {},
-                      wall_order=None)
+                      datum.coroot_hnf, {}, {}, wall_order=None)
         # the one memo of the ambient group only: its Levis (levi_alcove)
         self.levi_groups: dict[Coweight, AffineWeylGroup] = {}
 
     def _context(self, datum, ball_cap, phi_m, m_simple_roots, coroot_hnf,
-                 w_m, newton_points, coweights, wall_order):
+                 newton_points, coweights, wall_order):
         """The state of the group of M, with roots phi_m, simple roots
-        m_simple_roots, coroot lattice coroot_hnf and finite Weyl group
-        w_m, its walls labelled as `_build_walls` says, and the memos of
-        every method.  A Levi shares the Newton points and interned
-        coweights of its ambient group."""
+        m_simple_roots and coroot lattice coroot_hnf, its walls labelled as
+        `_build_walls` says, and the memos of every method.  A Levi shares
+        the Newton points and interned coweights of its ambient group."""
         self.datum = datum
         self.ball_cap = ball_cap
         self.identity = AffineWeylElement((0,) * datum.rank, datum.weyl_identity)
@@ -160,12 +158,11 @@ class AffineWeylGroup:
         self._walls = tuple((a, datum.coroot[a], datum.reflection(a))
                             for a in m_simple_roots)
         self.coroot_hnf = coroot_hnf
-        self._finite = w_m
-        # None when W_M = W0, so that length tests no membership
-        self._w_m = None if len(w_m) == datum.w0_order else frozenset(w_m)
+        # None when W_M = W0: length tests no membership, nor builds W0
+        self._w_m = None if len(phi_m) == len(datum.roots) \
+            else frozenset(self.finite_elements())
         self.two_rho_m = tuple(sum(a[i] for a in phi_m if datum.is_positive_root(a))
                                for i in range(datum.rank))
-        self.parabolic_cap = len(w_m) + 1
         self._length_cache: dict[AffineWeylElement, int] = {}
         self._levels: dict[IntVector, list[int]] = {}
         self._omega_cache: dict[IntVector, AffineWeylElement] = {}
@@ -186,7 +183,6 @@ class AffineWeylGroup:
         self.coinvariant_hnfs: dict[Matrix, list] = {}
         self.finite_parabolics: tuple[tuple[int, ...], ...] | None = None
         self.parabolics: dict[tuple[int, ...], frozenset] = {}
-        self.max_parabolic: int | None = None
         self.wa_ball_counts: dict[int, int] = {}
         self.standard_triples: dict = {}
         self.full_classes: dict[AffineWeylElement, tuple] = {}
@@ -222,7 +218,7 @@ class AffineWeylGroup:
                                  self.datum.reflection(a.vector_part))
 
     def finite_elements(self):
-        return self._finite
+        return self.datum.reflection_subgroup(self.m_simple_roots)
 
     # -- length --------------------------------------------------------
 
@@ -442,7 +438,7 @@ class AffineWeylGroup:
         """The W_M-orbit of the translation mu (memoised)."""
         orbit = self._orbits.get(mu)
         if orbit is None:
-            orbit = self._orbits[mu] = {mat_act(u, mu) for u in self._finite}
+            orbit = self._orbits[mu] = {mat_act(u, mu) for u in self.finite_elements()}
         return orbit
 
     # -- balls ------------------------------------------------------------
@@ -530,7 +526,10 @@ def parse_element(group: AffineWeylGroup, text: str) -> AffineWeylElement:
         for c in coords:
             if not _RATIONAL.match(c):
                 raise InputError(f"bad rational {c!r} (production 'rational')")
-            val = Fraction(c)
+            try:
+                val = Fraction(c)
+            except ValueError as exc:  # more digits than int() reads
+                raise InputError(f"bad rational (production 'rational'): {exc}") from exc
             if val.denominator != 1:
                 raise InputError(
                     f"translation coordinate {c!r} is not in the "

@@ -173,7 +173,10 @@ def parse_poly(text: str) -> QPoly:
         if not m or (m.group(2) is None and "q" not in chunk):
             raise InputError(f"bad monomial {chunk!r} (production 'poly')")
         sign = -1 if m.group(1) == "-" else 1
-        coeff = int(m.group(2)) if m.group(2) is not None else 1
+        try:
+            coeff = int(m.group(2)) if m.group(2) is not None else 1
+        except ValueError as exc:  # more digits than int() reads
+            raise InputError(f"bad coefficient (production 'poly'): {exc}") from exc
         if "q" in chunk:
             digits = (m.group(3) or "1").lstrip("0") or "0"
             # the digit count comes first: int() refuses very long strings

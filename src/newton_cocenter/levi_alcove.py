@@ -42,9 +42,9 @@ class LeviWeylGroup(AffineWeylGroup):
         self.levi = levi_datum(datum, v)
         self.v = self.levi.v
         phi_m = self.levi.phi_zero
-        self._context(datum, parent.ball_cap, phi_m, _m_simples(datum, phi_m),
+        self._context(datum, parent.ball_cap, phi_m, self.levi.simple_roots,
                       hnf_columns([datum.coroot[a] for a in phi_m]),
-                      self.levi.w_m, *parent.newton_memos(),
+                      *parent.newton_memos(),
                       wall_order=parent.sort_key)
         self._boxes: dict[tuple, list[AffineWeylElement]] = {}
 
@@ -84,18 +84,6 @@ class LeviWeylGroup(AffineWeylGroup):
 
     def __repr__(self):
         return f"LeviWeylGroup(v={tuple(map(str, self.v))})"
-
-
-def _m_simples(datum, phi_m):
-    """Indecomposable elements of the M-positive roots."""
-    pos = [a for a in phi_m if datum.is_positive_root(a)]
-    pos_set = set(pos)
-    simples = []
-    for a in pos:
-        if not any(tuple(x - y for x, y in zip(a, b)) in pos_set
-                   for b in pos if b != a):
-            simples.append(a)
-    return tuple(sorted(simples))
 
 
 def levi_weyl_group(group: AffineWeylGroup, v) -> LeviWeylGroup:

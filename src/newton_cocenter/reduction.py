@@ -23,7 +23,7 @@ the ambient group or a `LeviWeylGroup`, whose methods compute with the
 M-length, over W_M and the M-simple roots.  Their memos are attributes
 of every context, declared where it is built: `move_orbits` (each
 element seen to its sorted move orbit if it is minimal, else None),
-`coinvariant_hnfs`, `finite_parabolics`, `parabolics`, `max_parabolic`,
+`coinvariant_hnfs`, `finite_parabolics`, `parabolics`,
 `wa_ball_counts`, `standard_triples`, and for the class keys
 `full_classes`, `class_reps`, `dominant_translations` and
 `dominant_chamber`.
@@ -380,42 +380,36 @@ def finite_parabolics(ctx) -> tuple[tuple[int, ...], ...]:
 
 
 def parabolic_elements(ctx, k_labels) -> frozenset[AffineWeylElement]:
-    """The subgroup generated by the reflections in k_labels, enumerated
-    with a cap; exceeding the cap means the subgroup is infinite."""
+    """The subgroup generated by the reflections in k_labels.  A finite
+    one holds no translation: two elements with one finite part cap the
+    enumeration, as the subgroup is then infinite."""
     key = tuple(sorted(k_labels))
     cache = ctx.parabolics
     if key in cache:
         return cache[key]
     elem = dict(ctx.simple_items())
     gens = [elem[lab] for lab in key]
-    cap = ctx.parabolic_cap
-    members = {ctx.identity}
+    members = {ctx.identity.finite: ctx.identity}
     frontier = [ctx.identity]
     while frontier:
         u = frontier.pop()
         for s in gens:
             v = multiply(s, u)
-            if v not in members:
-                if len(members) >= cap:
-                    raise LogicError(
-                        f"parabolic on {key} exceeded cap {cap}; "
-                        f"the finiteness pre-check must have missed it")
-                members.add(v)
+            first = members.setdefault(v.finite, v)
+            if first is v:
                 frontier.append(v)
-    result = frozenset(members)
-    cache[key] = result
+            elif first != v:
+                raise LogicError(
+                    f"parabolic on {key} exceeded cap |W_M|: two of its elements "
+                    f"share a finite part; the finiteness pre-check must have missed it")
+    result = cache[key] = frozenset(members.values())
     return result
 
 
 def max_finite_parabolic_order(ctx) -> int:
-    """Largest order of a finite parabolic, by explicit enumeration of
-    the maximal ones: the largest subsets, which miss exactly one node
-    of each component."""
-    if ctx.max_parabolic is None:
-        subsets = finite_parabolics(ctx)
-        ctx.max_parabolic = max(len(parabolic_elements(ctx, sub))
-                                for sub in subsets if len(sub) == len(subsets[-1]))
-    return ctx.max_parabolic
+    """Largest order of a finite parabolic: |W_M|.  A finite W_K holds no
+    translation, so it injects into W_M, and the M-simple walls give W_M."""
+    return len(ctx.finite_elements())
 
 
 def wa_ball_count(ctx, max_length: int) -> int:

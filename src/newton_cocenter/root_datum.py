@@ -265,15 +265,14 @@ class RootDatum:
     Construction is integer arithmetic only.  The roots are the closure
     of the simple roots under the simple reflections, each with its
     coroot and its height (`height`; simple roots have height 1, and
-    the positive roots are those of positive height).  W0 is then
-    generated one length at a time, each element exactly once.  It is
-    held as interned `WeylElement`s with per-datum tables: each
-    element's root permutation (u(alpha) as a root index) is built with
-    the group; inverses, products and element orders are filled in on
-    demand.  The table methods accept any matrix equal to an element of
-    W0 and raise `LogicError` on any other.  Nothing is shared between
-    data, and apart from those lazily filled memos the datum is
-    immutable after construction.
+    the positive roots are those of positive height).  W0 is built on
+    demand: an element becomes an interned `WeylElement`, with its root
+    permutation (u(alpha) as a root index), when a query first reaches
+    it, and `weyl_elements` completes W0 when a query reads all of it;
+    inverses, products and orders are memoised on demand.  The table
+    methods accept any matrix equal to an element of W0 and raise
+    `LogicError` on any other.  Nothing is shared between data, and
+    apart from those tables the datum is immutable after construction.
     """
 
     def __init__(self, type_label: str, lattice: str, rank: int,
@@ -283,9 +282,25 @@ class RootDatum:
         self.rank = rank
         self.simple_roots: tuple[Covector, ...] = tuple(map(tuple, simple_roots))
         self.simple_coroots: tuple[IntVector, ...] = tuple(map(tuple, simple_coroots))
-        self._enumerate_weyl(self._close_roots())
+        images = self._close_roots()
         self.coroot_hnf = hnf_columns(list(self.simple_coroots))
         self.omega_is_finite = len(self.coroot_hnf) == rank
+        self.root_index = index = {a: i for i, a in enumerate(self.roots)}
+        # tau[i] = 1 if roots[i] is positive, else 0: the least level of a
+        # positive affine root over roots[i]
+        self.tau = tuple(int(a in self._positive_set) for a in self.roots)
+        # (index of alpha_s, alpha_s, s on root indices) for each simple s
+        self._simple = [(index[a], a, tuple([index[image[b]] for b in self.roots]))
+                        for a, image in zip(self.simple_roots, images)]
+        # the elements met so far, in the order met: u.index is the place
+        # of u here and in the per-element tables _perms and _products
+        self.materialised: list[WeylElement] = []
+        self._perms, self._products, self._perm_index, self._interned = [], [], {}, {}
+        self._inverses, self._orders, self._subgroups = {}, {}, {}
+        self.weyl_identity = self._materialise(  # the seed of every descent chain
+            mat_identity(rank), tuple(range(len(self.roots))))
+        self.simple_reflections = tuple(self._element(p) for _, _, p in self._simple)
+        self._reflections = dict(zip(self.simple_roots, self.simple_reflections))
 
     # -- construction ------------------------------------------------
 
@@ -325,61 +340,73 @@ class RootDatum:
                 raise LogicError(f"root {a} must pair to 2 with its coroot")
         return images
 
-    def _enumerate_weyl(self, images):
-        """W0 level by level in length, each element built exactly once.
-
-        Every w != 1 is u s for a unique simple s, its least right
-        descent, with l(u) = l(w) - 1 (Humphreys, Reflection Groups and
-        Coxeter Groups, 5.10).  So u s is new exactly when u(alpha_s) > 0
-        and (u s)(alpha_t) > 0 for every t < s, both read off u's root
-        permutation.  Its matrix is the rank-one update
-        u s = u - u(alpha_s^vee) alpha_s^T, where u(alpha_s^vee) is the
-        coroot of the root u(alpha_s), and its root permutation is u o s.
+    def _element(self, perm: tuple[int, ...]) -> WeylElement:
+        """The element w of W0 with root permutation perm, the one routine
+        that creates elements.  A new w is followed down least right
+        descents s (w(alpha_s) < 0) to an element met before, and each
+        w = u s on the way is built from u by the rank-one update
+        u s = u - u(alpha_s^vee) alpha_s^T, u(alpha_s^vee) = -w(alpha_s)^vee.
         """
-        roots, coroots = self.roots, [self.coroot[a] for a in self.roots]
-        self.root_index = root_index = {a: i for i, a in enumerate(roots)}
-        # tau[i] = 1 if roots[i] is positive, else 0: the least level of a
-        # positive affine root over roots[i]
-        self.tau = tau = tuple(int(a in self._positive_set) for a in roots)
-        simple_perms = [tuple([root_index[image[a]] for a in roots]) for image in images]
-        # (index of alpha_s, alpha_s, s on root indices, indices of the
-        # s(alpha_t) for t < s) for each simple s
-        simple = [(root_index[a], a, sperm,
-                   [sperm[root_index[b]] for b in self.simple_roots[:j]])
-                  for j, (a, sperm) in enumerate(zip(self.simple_roots, simple_perms))]
-        table = [(mat_identity(self.rank), tuple(range(len(roots))))]
-        level = table[:]
-        # no element of W0 is longer than the number of positive roots
-        for _ in range(len(self.positive_roots) + 1):
-            new = []
-            for u, perm in level:
-                for i, a, sperm, lower in simple:
-                    k = perm[i]
-                    if tau[k] and all([tau[perm[j]] for j in lower]):
-                        us = tuple([tuple([x - ci * y for x, y in zip(row, a)]) if ci else row
-                                    for row, ci in zip(u, coroots[k])])
-                        new.append((us, tuple(map(perm.__getitem__, sperm))))
-            table += new
-            level = new
-        if level:
-            raise LogicError("W0 must have no element longer than its positive roots")
-        table.sort()
-        self.weyl_elements: tuple[WeylElement, ...] = tuple(
-            WeylElement(u, self, i) for i, (u, _) in enumerate(table))
-        self.w0_order = len(table)
-        self._interned = {u: u for u in self.weyl_elements}
-        self._perms = tuple(perm for _, perm in table)
-        self._perm_index = {perm: i for i, perm in enumerate(self._perms)}
-        if not len(self._perm_index) == len(self._interned) == self.w0_order:
+        k = self._perm_index.get(perm)
+        if k is not None:
+            return self.materialised[k]
+        tau, chain = self.tau, []
+        while k is None:
+            for i, a, sperm in self._simple:
+                if not tau[perm[i]]:
+                    break
+            else:
+                raise LogicError(f"{perm} is not the root permutation of an element of W0")
+            if len(chain) == len(self.positive_roots):
+                raise LogicError("W0 must have no element longer than its positive roots")
+            chain.append((perm, self.coroot[self.roots[perm[i]]], a))
+            perm = tuple(map(perm.__getitem__, sperm))
+            k = self._perm_index.get(perm)
+        u = self.materialised[k]
+        for perm, c, a in reversed(chain):
+            u = self._materialise(tuple([tuple([x + ci * y for x, y in zip(row, a)]) if ci
+                                         else row for row, ci in zip(u, c)]), perm)
+        return u
+
+    def _materialise(self, u: Matrix, perm: tuple[int, ...]) -> WeylElement:
+        element = WeylElement(u, self, len(self.materialised))
+        if self._interned.setdefault(element, element) is not element \
+                or self._perm_index.setdefault(perm, element.index) != element.index:
             raise LogicError("W0 must act faithfully on the roots")
-        self._inverses: dict[int, int] = {}
-        self._products: dict[int, int] = {}
-        self._orders: dict[int, int] = {}
-        self.weyl_identity = self._interned[mat_identity(self.rank)]
-        self.simple_reflections: tuple[WeylElement, ...] = tuple(
-            self.weyl_elements[self._perm_index[p]] for p in simple_perms)
-        self._reflections: dict[Covector, WeylElement] = dict(
-            zip(self.simple_roots, self.simple_reflections))
+        self.materialised.append(element)
+        self._perms.append(perm)
+        self._products.append({})
+        return element
+
+    def reflection_subgroup(self, simple_roots) -> tuple[WeylElement, ...]:
+        """The group generated by the reflections in simple_roots, the
+        simple roots of Phi_M ∩ Phi+ for a root subsystem Phi_M, sorted
+        by matrix (memoised).  Each u' s is reached once, from u', as s
+        is its least right descent (Humphreys, Reflection Groups and
+        Coxeter Groups, 5.10): u'(alpha_s) > 0 and (u' s)(alpha_t) > 0
+        for every t < s."""
+        key = tuple(simple_roots)
+        members = self._subgroups.get(key)
+        if members is None:
+            tau, index, perms = self.tau, self.root_index, self._perms
+            gens = [(index[a], perms[self.reflection(a).index]) for a in key]
+            gens = [(i, sperm, [sperm[j] for j, _ in gens[:n]])
+                    for n, (i, sperm) in enumerate(gens)]
+            members = [self.weyl_identity]
+            for u in members:  # the list grows while it is walked
+                perm = perms[u.index]
+                for i, sperm, lower in gens:
+                    if tau[perm[i]] and all([tau[perm[j]] for j in lower]):
+                        members.append(self._element(tuple(map(perm.__getitem__, sperm))))
+            members = self._subgroups[key] = tuple(sorted(members))
+        return members
+
+    @property
+    def weyl_elements(self) -> tuple[WeylElement, ...]:
+        """All of W0, sorted by matrix."""
+        return self.reflection_subgroup(self.simple_roots)
+
+    w0_order = property(lambda self: len(self.weyl_elements))
 
     # -- queries -----------------------------------------------------
 
@@ -393,6 +420,8 @@ class RootDatum:
         """The interned element equal to u; LogicError if u is not in W0."""
         if type(u) is WeylElement and u._datum() is self:
             return u
+        if u not in self._interned:  # not met yet: complete W0
+            self.reflection_subgroup(self.simple_roots)
         iu = self._interned.get(u)
         if iu is None:
             raise LogicError(f"{tuple(u)} is not in W0 of {self.descriptor()}")
@@ -405,40 +434,31 @@ class RootDatum:
             iu, iv = u.index, v.index
         else:
             iu, iv = self.intern(u).index, self.intern(v).index
-        key = iu * self.w0_order + iv
-        k = self._products.get(key)
-        if k is None:
+        row = self._products[iu]
+        uv = row.get(iv)
+        if uv is None:
             pu = self._perms[iu]
-            k = self._products[key] = self._perm_index[
-                tuple([pu[p] for p in self._perms[iv]])]
-        return self.weyl_elements[k]
+            uv = row[iv] = self._element(tuple([pu[p] for p in self._perms[iv]]))
+        return uv
 
     def finite_inverse(self, u: Matrix) -> WeylElement:
         """u^{-1}, by inverting the root permutation (memoised)."""
         iu = self.intern(u).index
-        k = self._inverses.get(iu)
-        if k is None:
-            perm = self._perms[iu]
-            inv = [0] * len(perm)
-            for i, p in enumerate(perm):
-                inv[p] = i
-            k = self._inverses[iu] = self._perm_index[tuple(inv)]
-        return self.weyl_elements[k]
+        inv = self._inverses.get(iu)
+        if inv is None:
+            p = self._perms[iu]
+            inv = self._inverses[iu] = self._element(tuple(map(p.index, range(len(p)))))
+        return inv
 
     def element_order(self, u: Matrix) -> int:
-        """The order of u: the lcm of the cycle lengths of its root
-        permutation (W0 acts faithfully on the roots)."""
+        """The order of u, that of its root permutation (W0 acts
+        faithfully on the roots)."""
         iu = self.intern(u).index
         order = self._orders.get(iu)
         if order is None:
-            perm, seen, order = self._perms[iu], set(), 1
-            for start in perm:
-                size, i = 0, start
-                while i not in seen:
-                    seen.add(i)
-                    i, size = perm[i], size + 1
-                if size:
-                    order = lcm(order, size)
+            perm, power, order = self._perms[iu], self._perms[iu], 1
+            while power != self._perms[0]:  # the identity's
+                power, order = tuple([perm[p] for p in power]), order + 1
             self._orders[iu] = order
         return order
 
@@ -451,8 +471,8 @@ class RootDatum:
         s = self._reflections.get(a)
         if s is None:
             av = self.coroot[a]
-            s = self._reflections[a] = self.weyl_elements[self._perm_index[tuple(
-                [self.root_index[_reflect(b, av, a)] for b in self.roots])]]
+            s = self._reflections[a] = self._element(tuple(
+                [self.root_index[_reflect(b, av, a)] for b in self.roots]))
         return s
 
     def act_covector(self, u: Matrix, a: Covector) -> Covector:
@@ -492,6 +512,7 @@ class LeviDatum:
     v: Coweight
     phi_zero: tuple[Covector, ...]      # roots vanishing on v
     phi_plus: tuple[Covector, ...]      # roots strictly positive on v
+    simple_roots: tuple[Covector, ...]  # the simple roots of phi_zero ∩ Phi+
     w_m: tuple[Matrix, ...]             # the subgroup of W0 fixing v pointwise
 
     @property
@@ -500,26 +521,21 @@ class LeviDatum:
 
 
 def levi_datum(datum: RootDatum, v) -> LeviDatum:
-    """Partition the roots by their sign on v and close up the fixer group.
-
-    Both are read off the integer vector d v, d the common denominator.
+    """Partition the roots by their sign on v, read off the integer
+    vector d v (d the common denominator), and generate the fixer W_M.
+    It is generated by the s_alpha with <alpha, v> = 0 (Steinberg), so
+    by those of the simple roots of Phi_M ∩ Phi+, the indecomposable ones.
     """
     v = coweight(v)
     _, x = scaled(v)
-    x = tuple(x)
-    zero, plus = [], []
-    for a in datum.roots:
-        c = dot(a, x)
-        if c == 0:
-            zero.append(a)
-        elif c > 0:
-            plus.append(a)
+    zero = tuple(a for a in datum.roots if dot(a, x) == 0)
+    plus = tuple(a for a in datum.roots if dot(a, x) > 0)
     if len(zero) + 2 * len(plus) != len(datum.roots):
         raise LogicError("the roots positive on v must pair with the negative ones")
-    # W_M is the stabiliser of v: it is generated by the reflections it
-    # contains (Steinberg), and those are the s_alpha with <alpha, v> = 0
-    members = tuple(u for u in datum.weyl_elements if mat_act(u, x) == x)
-    return LeviDatum(v, tuple(sorted(zero)), tuple(sorted(plus)), members)
+    pos = {a for a in zero if datum.is_positive_root(a)}
+    simple = tuple(a for a in zero if a in pos and not any(
+        tuple([p - q for p, q in zip(a, b)]) in pos for b in pos))
+    return LeviDatum(v, zero, plus, simple, datum.reflection_subgroup(simple))
 
 
 def build_root_datum(kind: str, lattice: str = "sc", rank: int | None = None) -> RootDatum:

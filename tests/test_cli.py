@@ -290,6 +290,9 @@ def test_no_normal_form_is_read_from_or_written_to_disk(tmp_path, capsys, monkey
     ["verify", "cocenter", "--pair-budget", "0"],
     ["cocenter-reduce", "q^10000000000000*T[e]"],
     ["induce", "--v", "0", "q^10000000000000*T[e]"],
+    # more digits than Python's int() converts
+    ["newton", "t[1" + "0" * 5000 + "]"],
+    ["cocenter-reduce", "1" + "0" * 5000 + "*T[e]"],
 ])
 def test_out_of_range_counts_are_input_errors(argv, capsys):
     code = main(["--group", "A1", *argv])

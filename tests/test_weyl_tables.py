@@ -6,21 +6,29 @@ breadth-first closure of the simple reflections under matrix products,
 exact inverses, matrix powers for the order, and the dominant-chamber
 walk on Fractions.  The root heights and positive roots are checked
 against the height coweight the datum once solved for over Fractions.
+W0, which the datum now builds on demand, is checked against the
+level-by-level enumeration that once built all of it with the datum,
+and the Levi groups it now generates from their reflections against
+the filter of W0 by the fixer condition that once cut them out.
 """
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
-from newton_cocenter import AffineWeylElement, AffineWeylGroup, build_root_datum
+from newton_cocenter import AffineWeylElement, AffineWeylGroup, build_root_datum, cli
 from newton_cocenter.affine_weyl import AffineRoot, inverse, multiply
 from newton_cocenter.errors import LogicError
 from newton_cocenter.levi_alcove import LeviWeylGroup
 from newton_cocenter.root_datum import (
     WeylElement, coweight, dot, levi_datum, mat_act, mat_identity, mat_mul,
-    rational_inverse,
+    rational_inverse, scaled,
 )
+from newton_cocenter.verify import _levi_grid as verify_levi_grid
 
 F = Fraction
 
@@ -102,8 +110,10 @@ def test_elements_match_matrix_bfs(label, lattice):
     assert d.w0_order == len(d.weyl_elements)
     assert tuple(map(plain, d.simple_reflections)) == tuple(gens)
     assert d.weyl_identity == mat_identity(d.rank)
-    for i, u in enumerate(d.weyl_elements):
-        assert type(u) is WeylElement and u.index == i and u.datum is d
+    # the index is a dense handle into the elements met, in the order met
+    assert sorted(u.index for u in d.weyl_elements) == list(range(d.w0_order))
+    for u in d.weyl_elements:
+        assert type(u) is WeylElement and d.materialised[u.index] is u and u.datum is d
 
 
 def fraction_height(d):
@@ -204,7 +214,7 @@ def test_products_inverses_orders_and_root_action(label, lattice):
         for v in elems:
             uv = d.product(u, v)
             assert uv == mat_mul(u, v)
-            assert uv is elems[uv.index]
+            assert uv is d.intern(plain(uv)) and d.materialised[uv.index] is uv
         inv = d.finite_inverse(u)
         assert inv == matrix_inverse(u) and type(inv) is WeylElement
         assert d.element_order(u) == matrix_order(u)
@@ -249,22 +259,155 @@ def test_elements_of_another_datum_are_looked_up_by_value():
         for v in d2.weyl_elements:
             assert d1.product(u, v) == mat_mul(u, v)
             assert d1.product(u, v).datum is d1
-        assert d2.intern(u) is d2.weyl_elements[u.index]
+        w = d2.intern(u)
+        assert w == u and w.datum is d2 and d2.materialised[w.index] is w
 
 
 def test_matrices_outside_w0_are_refused():
-    d = datum_of("A2", "sc")
+    d = build_root_datum("A2")
+    gl2 = build_root_datum("GL", rank=2)
     u = d.simple_reflections[0]
     outside = ((2, 0), (0, 1))
-    for call in (lambda: d.intern(outside),
-                 lambda: d.product(u, outside), lambda: d.product(outside, u),
-                 lambda: d.finite_inverse(outside), lambda: d.element_order(outside),
-                 lambda: d.root_permutation(outside),
-                 lambda: d.act_covector(outside, d.roots[0])):
-        with pytest.raises(LogicError, match="not in W0"):
-            call()
+    calls = (lambda: d.intern(outside),
+             lambda: d.product(u, outside), lambda: d.product(outside, u),
+             lambda: d.finite_inverse(outside), lambda: d.element_order(outside),
+             lambda: d.root_permutation(outside),
+             lambda: d.act_covector(outside, d.roots[0]),
+             # -1 permutes the roots of GL2 as s1 does, but is not in W0
+             lambda: gl2.intern(((-1, 0), (0, -1))),
+             lambda: gl2.product(gl2.weyl_identity, ((-1, 0), (0, -1))))
+    # refused with W0 not yet complete (the first call completes it), then again
+    assert len(d.materialised) < 6 and len(gl2.materialised) == 2
+    for _ in range(2):
+        for call in calls:
+            with pytest.raises(LogicError, match="not in W0"):
+                call()
+        assert d.w0_order == 6 and gl2.w0_order == 2
     with pytest.raises(LogicError, match="not a root"):
         d.act_covector(u, (1, 0))
+
+
+def level_enumeration(d):
+    """W0 as the datum once built it, all at once: level by level in
+    length, each u s built exactly when s is the least right descent of
+    u s, by the rank-one update u s = u - u(alpha_s^vee) alpha_s^T.
+    Returns {root permutation: matrix}; it reads only the roots and
+    coroots of d."""
+    roots, index = d.roots, d.root_index
+    tau = [int(d.is_positive_root(a)) for a in roots]
+    coroots = [d.coroot[a] for a in roots]
+    simple_perms = [tuple(index[tuple(x - dot(a, bv) * y for x, y in zip(a, b))]
+                          for a in roots)
+                    for b, bv in zip(d.simple_roots, d.simple_coroots)]
+    simple = [(index[a], a, sperm, [sperm[index[b]] for b in d.simple_roots[:j]])
+              for j, (a, sperm) in enumerate(zip(d.simple_roots, simple_perms))]
+    level = [(tuple(range(len(roots))), mat_identity(d.rank))]
+    table = dict(level)
+    for _ in range(len(d.positive_roots) + 1):
+        new = []
+        for perm, u in level:
+            for i, a, sperm, lower in simple:
+                k = perm[i]
+                if tau[k] and all(tau[perm[j]] for j in lower):
+                    us = tuple(tuple(x - ci * y for x, y in zip(row, a))
+                               for row, ci in zip(u, coroots[k]))
+                    new.append((tuple(perm[p] for p in sperm), us))
+        table.update(new)
+        level = new
+    assert level == [] and len(set(table.values())) == len(table)
+    return table
+
+
+def compose(p, q):
+    return tuple(p[i] for i in q)
+
+
+def perm_inverse(p):
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
+
+
+def perm_order(p):
+    """The lcm of the cycle lengths of p."""
+    seen, order = set(), 1
+    for start in range(len(p)):
+        size, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i, size = p[i], size + 1
+        if size:
+            order = lcm(order, size)
+    return order
+
+
+def check_against(oracle, d, u):
+    """u, its root permutation, inverse and order as the oracle has them."""
+    perm = d.root_permutation(u)
+    assert type(u) is WeylElement and u.datum is d and oracle[perm] == u
+    inv = d.finite_inverse(u)
+    assert d.root_permutation(inv) == perm_inverse(perm) and oracle[perm_inverse(perm)] == inv
+    assert d.element_order(u) == perm_order(perm)
+    return perm
+
+
+@pytest.mark.parametrize("label,lattice", DATA)
+def test_lazy_tables_equal_the_level_enumeration(label, lattice):
+    d = build_root_datum(label, lattice)
+    oracle = level_enumeration(d)
+    # on demand: reflections, then products among the elements their
+    # descent chains built, all before W0 is complete
+    for a in d.roots:
+        av = d.coroot[a]
+        s_a = tuple(d.root_index[tuple(x - dot(b, av) * y for x, y in zip(b, a))]
+                    for b in d.roots)
+        assert d.root_permutation(d.reflection(a)) == s_a
+        assert d.reflection(a) == oracle[s_a]
+    met = list(d.materialised)
+    for u in met:
+        pu = check_against(oracle, d, u)
+        for v in met[:12]:
+            pv = d.root_permutation(v)
+            uv = d.product(u, v)
+            assert d.root_permutation(uv) == compose(pu, pv) and oracle[compose(pu, pv)] == uv
+    assert [u.index for u in d.materialised] == list(range(len(d.materialised)))
+    assert len(set(d.materialised)) == len(d.materialised)
+    # complete: every element, and products over a stride of pairs
+    assert tuple(map(plain, d.weyl_elements)) == tuple(sorted(oracle.values()))
+    assert sorted(d.materialised) == list(d.weyl_elements)
+    elems = d.weyl_elements
+    step = 1 if len(elems) <= 24 else 7
+    for i, u in enumerate(elems):
+        pu = check_against(oracle, d, u)
+        for v in elems[i % step::step]:
+            assert oracle[compose(pu, d.root_permutation(v))] == d.product(u, v)
+
+
+def test_small_gl5_queries_build_part_of_w0(monkeypatch):
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(build_root_datum(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_root_datum", recording)
+    for argv in (["newton", "t[2,-1,0,1,0]*s1*s2*s4"],
+                 ["reduce", "t[2,-1,0,1,0]*s1*s2*s4"],
+                 ["levi", "--v", '["-1/2", "2/3", "-1", "1/3", "2/3"]', "describe"]):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert cli.main(["--group", "GL5", *argv]) == 0
+        assert 0 < len(built[-1].materialised) < 120, argv
+    assert built[-1].w0_order == 120
+
+
+def test_permutations_outside_w0_are_refused():
+    d = build_root_datum("A2")
+    # the diagram automorphism swaps the simple roots: no descent, not 1
+    swap = tuple(d.root_index[a[::-1]] for a in d.roots)
+    with pytest.raises(LogicError, match="not the root permutation"):
+        d._element(swap)
+    assert len(d.materialised) == 3
 
 
 # the dominant_rep samples of test_root_datum.py, with their W0 images
@@ -301,11 +444,19 @@ def _levi_grid(d):
 
 @pytest.mark.parametrize("label,lattice", DATA)
 def test_levi_fixer_equals_reflection_closure(label, lattice):
-    d = datum_of(label, lattice)
-    for v in _levi_grid(d):
+    # W_M generated on a fresh datum, before W0 is complete, against a
+    # matrix closure of its reflections and, order included, against the
+    # filter of W0 by the fixer condition that once cut it out
+    d = build_root_datum(label, lattice)
+    grid = _levi_grid(d) + verify_levi_grid(AffineWeylGroup(d))
+    generated = [levi_datum(d, v) for v in grid]
+    for v, m in zip(grid, generated):
         zero = [a for a in d.roots if dot(a, v) == 0]
         gens = [reflection_matrix(a, d.coroot[a]) for a in zero]
-        assert tuple(map(plain, levi_datum(d, v).w_m)) == matrix_bfs(gens, d.rank)
+        assert tuple(map(plain, m.w_m)) == matrix_bfs(gens, d.rank)
+        x = tuple(scaled(v)[1])
+        assert m.w_m == tuple(u for u in d.weyl_elements if mat_act(u, x) == x)
+        assert all(type(u) is WeylElement and u.datum is d for u in m.w_m)
 
 
 @pytest.mark.parametrize("label,lattice", [("C2", "sc"), ("G2", "ad"), ("GL4", "gl")])
