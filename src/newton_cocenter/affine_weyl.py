@@ -17,7 +17,10 @@ the unique orientation for which a permutation-with-translation in
 GL(5) sends e4 - e3 to e5 - e2 - 1 (pinned by a test in
 tests/test_affine_weyl.py).  Length is the number of positive affine
 roots sent to negative ones, computed in closed form per finite-root
-family.
+family.  A wall s with positive affine root a_s has length(s w) <
+length(w) iff w^{-1}(a_s) < 0, and length(w s) < length(w) iff w(a_s) <
+0 (Humphreys, Reflection Groups and Coxeter Groups, 4.4 and 5.6): a
+descent is a sign, read off without a product or a length.
 """
 
 from __future__ import annotations
@@ -239,12 +242,7 @@ class AffineWeylGroup:
         lam, u = w
         if self._w_m is not None and u not in self._w_m:
             raise InputError("M-length is only defined on the Levi subgroup")
-        level = self._levels.get(lam)
-        if level is None:
-            roots = self.datum.roots
-            level = self._levels[lam] = [0] * len(roots)
-            for j, t in self._m_taus:
-                level[j] = t - sum(map(mul, roots[j], lam))
+        level = self._level(lam)
         perm = self.datum.root_permutation(u)
         total = 0
         for i, t in self._m_taus:
@@ -254,8 +252,35 @@ class AffineWeylGroup:
         self._length_cache[w] = total
         return total
 
+    def _level(self, lam: IntVector) -> list[int]:
+        """level[j] = tau(beta) - <beta, lam>, beta = roots[j] in Phi_M: t^lam u
+        sends (alpha, k) to a negative root iff k < level[u(alpha)]."""
+        level = self._levels.get(lam)
+        if level is None:
+            roots = self.datum.roots
+            level = self._levels[lam] = [0] * len(roots)
+            for j, t in self._m_taus:
+                level[j] = t - sum(map(mul, roots[j], lam))
+        return level
+
     def finite_length(self, u: Matrix) -> int:
         return self.length(self.finite_element(u))
+
+    def left_descents(self, w: AffineWeylElement) -> list[bool]:
+        """Flag i: length(s w) < length(w) for the wall s of label i, with
+        root (beta, k): w^{-1}(beta, k) = (u^{-1} beta, k - <beta, lam>) < 0."""
+        lam, u = w
+        level, tau = self._level(lam), self.datum.tau
+        perm = self.datum.root_permutation(u)
+        return [k - tau[j] + level[j] < tau[perm.index(j)] for j, k in self._wall_roots]
+
+    def right_descents(self, w: AffineWeylElement) -> list[bool]:
+        """Flag i: length(w s) < length(w) for the wall s of label i, with
+        root (beta, k): w(beta, k) = (u beta, k + <u beta, lam>) < 0."""
+        lam, u = w
+        level = self._level(lam)
+        perm = self.datum.root_permutation(u)
+        return [level[perm[j]] > k for j, k in self._wall_roots]
 
     # -- affine simple reflections --------------------------------------
 
@@ -270,7 +295,8 @@ class AffineWeylGroup:
         (the ambient group) the simple walls are labelled 1..r and the
         highest root 0; a Levi labels its walls 0, 1, ... in wall_order,
         the ambient sort key.  `coxeter_diagram` holds the labels of the
-        walls of each component.
+        walls of each component, `_wall_roots` their positive affine roots
+        (-alpha, 0) and (theta, 1) as (root index, level), in label order.
         """
         datum, coroot = self.datum, self.datum.coroot
         # the M-Dynkin components: each simple root merges those it links to
@@ -279,11 +305,13 @@ class AffineWeylGroup:
             linked = [c for c in components if any(dot(b, coroot[a]) for b in c)]
             components = [c for c in components if c not in linked] + [sum(linked, [a])]
         positive = [b for b in phi_m if datum.is_positive_root(b)]
-        simple = {a: self.reflection(AffineRoot(a, 0)) for a in self.m_simple_roots}
-        affine = [self.reflection(AffineRoot(max(
-            (b for b in positive if any(dot(b, coroot[c]) for c in comp)),
-            key=datum.height.__getitem__), 1)) for comp in components]
-        walls = [*simple.values(), *affine]
+        roots = [AffineRoot(tuple(-x for x in a), 0) for a in self.m_simple_roots] + [
+            AffineRoot(max((b for b in positive if any(dot(b, coroot[c]) for c in comp)),
+                           key=datum.height.__getitem__), 1) for comp in components]
+        wall_roots = {self.reflection(a): (datum.root_index[a.vector_part], a.level)
+                      for a in roots}
+        walls = list(wall_roots)
+        simple, affine = dict(zip(self.m_simple_roots, walls)), walls[len(self.m_simple_roots):]
         if any(self.length(s) != 1 for s in walls):
             raise LogicError("affine simple reflections must have length 1")
         if wall_order is None:
@@ -293,6 +321,7 @@ class AffineWeylGroup:
         else:
             labels = {s: i for i, s in enumerate(sorted(walls, key=wall_order))}
         self._simples = tuple(sorted((lab, s) for s, lab in labels.items()))
+        self._wall_roots = tuple(wall_roots[s] for _, s in self._simples)
         self.coxeter_diagram = tuple(sorted(
             tuple(sorted([labels[simple[a]] for a in comp] + [labels[s]]))
             for comp, s in zip(components, affine)))
@@ -309,12 +338,10 @@ class AffineWeylGroup:
         return finite + extra
 
     def _descent(self, w: AffineWeylElement, length: int):
-        """(label, s w, length of s w) for the least label s with s w shorter."""
-        for lab, s in self._simples:
-            sw = multiply(s, w)
-            lsw = self.length(sw)
-            if lsw < length:
-                return lab, sw, lsw
+        """(label, s w, length - 1) for the least label s with s w shorter."""
+        for (lab, s), down in zip(self._simples, self.left_descents(w)):
+            if down:
+                return lab, multiply(s, w), length - 1
         raise LogicError("descent must exist while length is positive")
 
     # -- Omega ----------------------------------------------------------
@@ -367,18 +394,18 @@ class AffineWeylGroup:
         return word
 
     def finite_word(self, u: Matrix) -> tuple[int, ...]:
-        """Lex-least reduced word of u in the finite simple reflections."""
-        word = []
-        cur = u
-        length = self.finite_length(cur)
-        while length > 0:
-            for i, s in enumerate(self.datum.simple_reflections, start=1):
-                su = self.datum.product(s, cur)
-                lsu = self.finite_length(su)
-                if lsu < length:
+        """Lex-least reduced word of u in the finite simple reflections:
+        the least i with u^{-1}(alpha_i) < 0, then the word of s_i u."""
+        datum, word = self.datum, []
+        while u != datum.weyl_identity:
+            inv = datum.root_permutation(datum.finite_inverse(u))
+            for i, (a, s) in enumerate(zip(datum.simple_roots, datum.simple_reflections), 1):
+                if not datum.tau[inv[datum.root_index[a]]]:
                     word.append(i)
-                    cur, length = su, lsu
+                    u = datum.product(s, u)
                     break
+            else:
+                raise LogicError("descent must exist while length is positive")
         return tuple(word)
 
     def sort_key(self, w: AffineWeylElement):
@@ -446,16 +473,18 @@ class AffineWeylGroup:
     def ball(self, max_length: int, label) -> dict[AffineWeylElement, int]:
         """Every w of length <= max_length in the kappa coset of label,
         with its length: a breadth-first walk from omega_rep(label) by
-        left multiplication with the simple reflections.  The depth of
-        w is its word length, which is its length, so the walk never
-        calls `length`."""
+        left multiplication with the simple reflections s that are not
+        left descents.  The depth of w is its word length, which is its
+        length, so the walk never calls `length`."""
         start = self.omega_rep(label)
         depths = {start: 0}
         frontier = [start]
         for depth in range(1, max_length + 1):
             new = []
             for w in frontier:
-                for _, s in self._simples:
+                for (_, s), down in zip(self._simples, self.left_descents(w)):
+                    if down:
+                        continue
                     sw = multiply(s, w)
                     if sw not in depths:
                         depths[sw] = depth

@@ -31,7 +31,7 @@ from .levi_alcove import (
     LeviWeylGroup, levi_weyl_group, newton_index_map,
 )
 from .newton import NewtonIndex, newton_point
-from .reduction import _scan, canonical_class_rep, conj_step, is_min_in_class
+from .reduction import canonical_class_rep, conj_step, is_min_in_class, lowering_move
 from .root_datum import dot, mat_act
 
 
@@ -248,18 +248,18 @@ def hecke_mul(group: AffineWeylGroup, f: HeckeElement, g: HeckeElement) -> Hecke
         word, omega = group.wa_omega_split(y)
         part = dict(f.terms)
         for lab in word:
-            part = _mul_by_generator(group, part, simples[lab])
+            part = _mul_by_generator(group, part, lab, simples[lab])
         if omega != group.identity:
             part = {multiply(x, omega): c for x, c in part.items()}
         out = out + HeckeElement(part).scale(cy)
     return out
 
 
-def _mul_by_generator(group, terms, s):
+def _mul_by_generator(group, terms, label, s):
     out: dict[AffineWeylElement, QPoly] = {}
     for x, c in terms.items():
         xs = multiply(x, s)
-        if group.length(xs) > group.length(x):
+        if not group.right_descents(x)[label]:
             _add_term(out, xs, c)
         else:
             _add_term(out, xs, c * Q)
@@ -321,11 +321,12 @@ def _nf_basis(group: AffineWeylGroup, w: AffineWeylElement) -> dict:
             continue
         frame = pending.get(cur)
         if frame is None:
-            if is_min_in_class(group, cur):
+            frame = _lowering_move(group, cur)
+            if frame is None:
                 cache[cur] = {canonical_class_rep(group, cur): ONE}
                 stack.pop()
                 continue
-            frame = pending[cur] = _lowering_move(group, cur)
+            pending[cur] = frame
         parents, sy, z = frame
         if sy not in cache:
             stack.append(sy)
@@ -347,11 +348,11 @@ def _nf_basis(group: AffineWeylGroup, w: AffineWeylElement) -> dict:
 
 def _lowering_move(group, w):
     """(length-preserving orbit of w, s y, s y s) for the first lowering
-    move s y s of the orbit."""
-    parents, descent = _scan(group, w)
-    if descent is None:
-        raise LogicError("non-minimal element must admit a lowering move")
-    y, label, z = descent
+    move s y s of the orbit, or None when w is minimal."""
+    move = lowering_move(group, w)
+    if move is None:
+        return None
+    parents, (y, label, z) = move
     s = dict(group.simple_items())[label]
     sy = multiply(s, y)
     if group.length(sy) != group.length(y) - 1:

@@ -99,7 +99,7 @@ def newton_index_map(group: AffineWeylGroup, m: LeviWeylGroup,
     """Push an M-Newton index to an ambient one: the coset label goes
     along the lattice inclusion, the coweight to its dominant orbit
     representative."""
-    label = group.datum.kappa_label(nu_m.omega)
+    label = coset_reduce(tuple(nu_m.omega), group.coroot_hnf)
     nu_bar, _ = group.dominant_rep(nu_m.nu_bar)
     return NewtonIndex(label, nu_bar)
 

@@ -1,11 +1,13 @@
 """Conjugation moves, minimal-length reduction and standard triples.
 
-The elementary move for a simple affine reflection s sends w to s w s;
-it lowers length by 2, keeps it, or raises it by 2.  Every element can
-be brought to a minimal-length element of its conjugacy class using
-only non-raising moves, and the minimal elements of a class form a
-single orbit under the length-preserving ones.  The deterministic
-reducer below explores the length-preserving orbit breadth-first with
+The elementary move for a simple affine reflection s sends w to s w s.
+By Deodhar's lemma, if s is a left and a right descent of w then
+s w s = w or it is shorter by 2; if exactly one, it keeps the length;
+if neither, s w s = w or it is longer by 2.  Every element can be
+brought to a minimal-length element of its conjugacy class using only
+non-raising moves, and the minimal elements of a class form a single
+orbit under the length-preserving ones.  The deterministic reducer
+below explores the length-preserving orbit breadth-first with
 generators scanned in ascending label order and descends as soon as a
 lowering move appears; the path it records therefore never needs the
 left-multiplication fallback move.
@@ -113,20 +115,23 @@ def _scan(ctx, start: AffineWeylElement):
 
     Returns (parents, descent) where parents maps every explored element
     to its (predecessor, label) and descent is the first lowering move
-    (y, label, s y s) in deterministic scan order, or None.
+    (y, label, s y s) in deterministic scan order, or None.  s y s is
+    built only for a move whose flags say it does not raise length.
     """
     simples = ctx.simple_items()
     parents: dict[AffineWeylElement, tuple | None] = {start: None}
     queue = deque([start])
-    base = ctx.length(start)
     while queue:
         y = queue.popleft()
-        for label, s in simples:
+        for (label, s), left, right in zip(simples, ctx.left_descents(y),
+                                           ctx.right_descents(y)):
+            if not (left or right):
+                continue
             z = multiply(multiply(s, y), s)
-            lz = ctx.length(z)
-            if lz == base - 2:
-                return parents, (y, label, z)
-            if lz == base and z not in parents:
+            if left and right:
+                if z != y:
+                    return parents, (y, label, z)
+            elif z not in parents:
                 parents[z] = (y, label)
                 queue.append(z)
     return parents, None
@@ -148,24 +153,25 @@ def reduce_to_min(ctx, w: AffineWeylElement):
     deterministic move path that reaches it."""
     steps: list[ReductionStep] = []
     cur = w
-    while True:
-        parents, descent = _scan(ctx, cur)
-        if descent is None:
-            _cache_minimal_closure(ctx, parents)
-            return cur, ReductionPath(w, tuple(steps), cur)
-        y, label, z = descent
+    while (move := lowering_move(ctx, cur)) is not None:
+        parents, (y, label, z) = move
         for elem, lab in _path_to(parents, y):
             steps.append(ReductionStep(lab, CONJ_EQUAL, elem))
         steps.append(ReductionStep(label, CONJ_DOWN, z))
-        ctx.move_orbits.update(dict.fromkeys(parents, None))
         cur = z
+    return cur, ReductionPath(w, tuple(steps), cur)
 
 
-def _cache_minimal_closure(ctx, parents):
-    """Record the explored length-preserving orbit of a minimal element:
-    each member maps to the whole orbit in canonical order."""
-    members = tuple(sorted(parents, key=ctx.sort_key))
+def lowering_move(ctx, w: AffineWeylElement):
+    """(parents, (y, label, s y s)) as `_scan` returns them from w, or
+    None when w is minimal.  The scanned orbit goes to the move-orbit
+    memo, a minimal one as its members in canonical order."""
+    if ctx.move_orbits.get(w):
+        return None
+    parents, descent = _scan(ctx, w)
+    members = None if descent else tuple(sorted(parents, key=ctx.sort_key))
     ctx.move_orbits.update(dict.fromkeys(parents, members))
+    return None if descent is None else (parents, descent)
 
 
 def is_min_in_class(ctx, w: AffineWeylElement) -> bool:
@@ -173,12 +179,7 @@ def is_min_in_class(ctx, w: AffineWeylElement) -> bool:
     orbits = ctx.move_orbits
     if w in orbits:
         return orbits[w] is not None
-    parents, descent = _scan(ctx, w)
-    if descent is None:
-        _cache_minimal_closure(ctx, parents)
-        return True
-    orbits.update(dict.fromkeys(parents, None))
-    return False
+    return lowering_move(ctx, w) is None
 
 
 def minimal_class(ctx, w_min: AffineWeylElement) -> tuple[AffineWeylElement, ...]:
@@ -452,9 +453,8 @@ def _try_triple(ctx, y, k_labels, elem) -> StandardTriple | None:
     while changed:
         changed = False
         for lab in k_labels:
-            sx = multiply(elem[lab], x)
-            if ctx.length(sx) < ctx.length(x):
-                x, u = sx, multiply(u, elem[lab])
+            if ctx.left_descents(x)[lab]:
+                x, u = multiply(elem[lab], x), multiply(u, elem[lab])
                 changed = True
     if not ctx.is_straight(x):
         return None

@@ -108,9 +108,9 @@ def _ball(group, length, labels=None):
 
 
 def _bfs_lengths(group, max_depth, labels):
-    """Word lengths by plain breadth-first multiplication (the walk of
-    `AffineWeylGroup.ball`): the oracle never consults the
-    inversion-count length function."""
+    """Word lengths by breadth-first multiplication (the walk of
+    `AffineWeylGroup.ball`, which skips left descents by their sign):
+    the oracle never calls the inversion-count length function."""
     out = {}
     for label in labels:
         out.update(group.ball(max_depth, label))

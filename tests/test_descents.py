@@ -1,0 +1,233 @@
+"""Descents read off affine-root signs, against products and lengths.
+
+`AffineWeylGroup.left_descents` and `right_descents` decide
+length(s w) < length(w) and length(w s) < length(w) by the sign of the
+affine root of the wall s under w^{-1} and w.  The flags are checked
+against products and `length`, and each walker built on them (`ball`,
+`word`, `omega_rep`, `finite_word` and the move scan of the reduction
+module) against the product-and-length walker it replaced, kept below
+as an oracle; on the ambient group and every Levi of `_levi_grid` of
+every supported datum.  The last tests count the products and lengths
+of the hot paths.
+"""
+
+from collections import deque
+
+import pytest
+
+from newton_cocenter import AffineWeylGroup, build_root_datum
+from newton_cocenter import affine_weyl, reduction
+from newton_cocenter.affine_weyl import inverse, multiply, parse_element
+from newton_cocenter.errors import LogicError
+from newton_cocenter.hecke_cocenter import HeckeElement, cocenter_reduce
+from newton_cocenter.levi_alcove import levi_weyl_group
+from newton_cocenter.reduction import _scan
+from newton_cocenter.root_datum import coset_reduce
+from newton_cocenter.verify import _levi_grid
+from conftest import ALL_DATA, group, kappa_labels
+
+
+def contexts(g):
+    yield g
+    for v in _levi_grid(g):
+        yield levi_weyl_group(g, v)
+
+
+def radius(ctx):
+    return max(2, 6 - ctx.datum.rank)
+
+
+# -- the product-and-length oracles ------------------------------------------
+
+
+def old_descent(ctx, w):
+    length = ctx.length(w)
+    for lab, s in ctx.simple_items():
+        sw = multiply(s, w)
+        if ctx.length(sw) < length:
+            return lab, sw
+    raise AssertionError("no descent")
+
+
+def old_omega(ctx, label):
+    w = ctx.translation(coset_reduce(tuple(label), ctx.coroot_hnf))
+    while ctx.length(w) > 0:
+        w = old_descent(ctx, w)[1]
+    return w
+
+
+def old_word(ctx, w):
+    cur, word = multiply(w, inverse(old_omega(ctx, ctx.kappa(w)))), []
+    while ctx.length(cur) > 0:
+        lab, cur = old_descent(ctx, cur)
+        word.append(lab)
+    assert cur == ctx.identity
+    return tuple(word)
+
+
+def old_ball(ctx, max_length, label):
+    start = old_omega(ctx, label)
+    depths, frontier = {start: 0}, [start]
+    for depth in range(1, max_length + 1):
+        new = []
+        for w in frontier:
+            for _, s in ctx.simple_items():
+                sw = multiply(s, w)
+                if sw not in depths:
+                    depths[sw] = depth
+                    new.append(sw)
+        frontier = new
+    return depths
+
+
+def old_scan(ctx, start):
+    parents, queue = {start: None}, deque([start])
+    base = ctx.length(start)
+    while queue:
+        y = queue.popleft()
+        for label, s in ctx.simple_items():
+            z = multiply(multiply(s, y), s)
+            lz = ctx.length(z)
+            if lz == base - 2:
+                return parents, (y, label, z)
+            if lz == base and z not in parents:
+                parents[z] = (y, label)
+                queue.append(z)
+    return parents, None
+
+
+def old_finite_word(g, u):
+    datum, word = g.datum, []
+    length = g.finite_length(u)
+    while length > 0:
+        for i, s in enumerate(datum.simple_reflections, start=1):
+            su = datum.product(s, u)
+            if g.finite_length(su) < length:
+                word.append(i)
+                u, length = su, length - 1
+                break
+    return tuple(word)
+
+
+# -- differential tests ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("label,lattice", ALL_DATA)
+def test_flags_are_the_descents_by_product_and_length(label, lattice):
+    for ctx in contexts(group(label, lattice)):
+        walls = [s for _, s in ctx.simple_items()]
+        for lab in kappa_labels(ctx):
+            for w in ctx.ball(radius(ctx), lab):
+                length = ctx.length(w)
+                assert ctx.left_descents(w) == [
+                    ctx.length(multiply(s, w)) < length for s in walls], (ctx, w)
+                assert ctx.right_descents(w) == [
+                    ctx.length(multiply(w, s)) < length for s in walls], (ctx, w)
+
+
+@pytest.mark.parametrize("label,lattice", ALL_DATA)
+def test_ball_omega_and_word_match_the_product_walkers(label, lattice):
+    for ctx in contexts(group(label, lattice)):
+        for lab in kappa_labels(ctx):
+            assert ctx.omega_rep(lab) == old_omega(ctx, lab)
+            ball = ctx.ball(radius(ctx), lab)
+            old = old_ball(ctx, radius(ctx), lab)
+            assert list(ball.items()) == list(old.items()), (ctx, lab)
+            for w in ball:
+                assert ctx.word(w) == old_word(ctx, w), (ctx, w)
+
+
+@pytest.mark.parametrize("label,lattice", ALL_DATA)
+def test_scan_matches_the_product_scan(label, lattice):
+    for ctx in contexts(group(label, lattice)):
+        for lab in kappa_labels(ctx)[:3]:
+            for w in list(ctx.ball(radius(ctx), lab))[::2]:
+                parents, descent = _scan(ctx, w)
+                old_parents, old_descent_ = old_scan(ctx, w)
+                assert list(parents.items()) == list(old_parents.items()), (ctx, w)
+                assert descent == old_descent_, (ctx, w)
+
+
+@pytest.mark.parametrize("label,lattice", ALL_DATA)
+def test_finite_word_matches_the_product_walker(label, lattice):
+    g = group(label, lattice)
+    for u in g.datum.weyl_elements:
+        assert g.finite_word(u) == old_finite_word(g, u)
+
+
+def test_finite_word_without_a_descent_raises(monkeypatch):
+    g = AffineWeylGroup(build_root_datum("A2"))
+    identity = g.datum.root_permutation(g.datum.weyl_identity)
+    # every root reads as its own image, so no simple root turns negative
+    monkeypatch.setattr(g.datum, "root_permutation", lambda u: identity)
+    assert g.finite_word(g.datum.weyl_identity) == ()
+    with pytest.raises(LogicError, match="descent must exist"):
+        g.finite_word(g.datum.simple_reflections[0])
+
+
+# -- counts on the hot paths -------------------------------------------------
+
+
+def counting(monkeypatch, module, calls):
+    real = module.multiply
+
+    def counted(a, b):
+        out = real(a, b)
+        calls.append((a, b, out))
+        return out
+
+    monkeypatch.setattr(module, "multiply", counted)
+
+
+def test_word_descends_by_flags_with_one_product_per_letter(monkeypatch):
+    g = AffineWeylGroup(build_root_datum("GL5", "gl"))
+    elems = [w for lab in kappa_labels(g)[:3] for w in g.ball(3, lab)]
+    for w in elems:
+        g.omega_rep(g.kappa(w))
+    lengths, products = [], []
+    real_length = g.length
+    monkeypatch.setattr(g, "length", lambda w: lengths.append(w) or real_length(w))
+    counting(monkeypatch, affine_weyl, products)
+    for w in elems:
+        lengths.clear()
+        products.clear()
+        word = g.word(w)
+        assert len(lengths) <= 1, w  # the length of w omega^{-1}, not from _descent
+        assert len(products) <= len(word) + 2, w
+        assert len(word) == real_length(w)
+
+
+def test_scan_builds_no_raising_move(monkeypatch):
+    g = AffineWeylGroup(build_root_datum("GL5", "gl"))
+    elems = [w for lab in kappa_labels(g)[:3] for w in g.ball(3, lab)][::3]
+    products = []
+    counting(monkeypatch, reduction, products)
+    for w in elems:
+        products.clear()
+        _scan(g, w)
+        assert len(products) % 2 == 0
+        for (s, y, _), (_, _, z) in zip(products[::2], products[1::2]):
+            assert g.length(z) <= g.length(y), (w, y, z)
+
+
+def test_ball_multiplies_only_on_ascents(monkeypatch):
+    g = AffineWeylGroup(build_root_datum("GL5", "gl"))
+    for lab in kappa_labels(g)[:3]:
+        g.omega_rep(lab)
+    products = []
+    counting(monkeypatch, affine_weyl, products)
+    for lab in kappa_labels(g)[:3]:
+        g.ball(3, lab)
+    assert products
+    for s, w, sw in products:
+        assert g.length(sw) == g.length(w) + 1, (s, w)
+
+
+def test_normal_form_scans_each_element_once(monkeypatch):
+    g = AffineWeylGroup(build_root_datum("A1"))
+    w = parse_element(g, "t[21]*s1")
+    starts = []
+    real = reduction._scan
+    monkeypatch.setattr(reduction, "_scan", lambda ctx, y: starts.append(y) or real(ctx, y))
+    cocenter_reduce(g, HeckeElement.basis(w))
+    assert starts and len(starts) == len(set(starts))

@@ -281,6 +281,18 @@ def test_induce_ambient_minimal_gl5_key(gl5):
     assert nf.terms == {rep: ONE}
 
 
+def test_induce_into_a_levi_labels_kappa_in_that_levi():
+    # torus T inside L = GL2 x GL1 of GL3: the target kappa is taken mod
+    # the coroot lattice of L, not of GL3, so the image is one term
+    g = group("GL3", "gl")
+    m = levi_weyl_group(g, (F(2), F(1), F(0)))
+    ell = levi_weyl_group(g, (F(1), F(1), F(0)))
+    x = g.translation([2, 1, 0])
+    nf = induce(ell, m, HeckeElement.basis(x), m.newton_index(x))
+    assert nf.terms == {canonical_class_rep(ell, x): ONE}
+    assert list(nf.components()) == [ell.newton_index(x)]
+
+
 # -- rigid decomposition ---------------------------------------------------
 
 def test_rigid_sl2_ball4(a1):
