@@ -14,6 +14,11 @@ conjugation preserves length, and when it drops by two,
 Iterating lands every class on its canonical minimal representative;
 the resulting normal form realizes the cocenter on the span of the
 tested elements, which the commutator and confluence suites verify.
+
+Each rewrite step multiplies coefficients by q or by q-1 and adds
+them, so a coefficient is q^e times one int, its other factor evaluated
+at q = 2^B (`QPoly`): the steps are C-level shifts, subtractions and
+additions, exact at any coefficient size.
 """
 
 from __future__ import annotations
@@ -36,15 +41,36 @@ from .root_datum import dot, mat_act
 
 
 class QPoly:
-    """Integer polynomials in q, stored as trimmed ascending coefficients."""
+    """An integer polynomial in q, kept as q^valuation * P(q) with P(0) != 0.
 
-    __slots__ = ("coeffs",)
+    P is one int, P(2^width) (Kronecker substitution), in balanced
+    digits: every coefficient c of P has |c| <= bound < 2^(width-1), so
+    the digits read back exactly and q p, (q-1) p and p + p' are one
+    shift, subtraction or addition of ints.  The valuation keeps the
+    zero low coefficients out of P: q^a - q^(a-1) is two digits.  Every
+    operation tracks the bound of its result; one that could reach
+    2^(width-1) first takes its operands' exact bounds from their digits
+    and, if those do not fit either, re-encodes them at a doubled width,
+    so no digit overflows whatever the coefficients.  `coeffs` is the
+    dense ascending view; zero is P = 0 at valuation 0.
+    """
+
+    __slots__ = ("valuation", "packed", "width", "bound")
 
     def __init__(self, coeffs=()):
-        c = list(coeffs)
-        while c and c[-1] == 0:
-            c.pop()
-        object.__setattr__(self, "coeffs", tuple(c))
+        digits = list(coeffs)
+        e = next((i for i, c in enumerate(digits) if c), len(digits))
+        digits = digits[e:]
+        self.bound = max(map(abs, digits), default=0)
+        self.width = _width(self.bound)
+        self.packed = _encode(digits, self.width)
+        self.valuation = e if self.packed else 0
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        if not self.packed:
+            return ()
+        return (0,) * self.valuation + tuple(_digits(self))
 
     @classmethod
     def const(cls, n: int) -> "QPoly":
@@ -52,27 +78,51 @@ class QPoly:
 
     @classmethod
     def monomial(cls, coeff: int, exp: int) -> "QPoly":
-        return cls((0,) * exp + (coeff,))
+        if not coeff:
+            return cls()
+        return _poly(exp, coeff, _width(abs(coeff)), abs(coeff))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.packed)
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self.coeffs == QPoly.const(other).coeffs
-        return isinstance(other, QPoly) and self.coeffs == other.coeffs
+            other = QPoly.const(other)
+        elif not isinstance(other, QPoly):
+            return False
+        if self.valuation != other.valuation:
+            return False
+        if self.width == other.width:
+            return self.packed == other.packed
+        return _digits(self) == _digits(other)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.valuation, tuple(_digits(self))))
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return QPoly(tuple(x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)))
+        if not other.packed:
+            return self
+        if not self.packed:
+            return other
+        w, bound = self.width, self.bound + other.bound
+        if other.width == w and not bound >> (w - 1):
+            a, b = self.packed, other.packed
+        else:
+            w, bound, a, b = _refit(lambda x, y: x + y, self, other)
+        ea, eb = self.valuation, other.valuation
+        if ea > eb:
+            a <<= w * (ea - eb)
+        elif eb > ea:
+            b <<= w * (eb - ea)
+        s = a + b
+        if not s:
+            return QPoly()
+        # the lowest nonzero digit, below 2^(w-1), ends in fewer than w - 1 zero bits
+        k = ((s & -s).bit_length() - 1) // w
+        return _poly(min(ea, eb) + k, s >> w * k, w, bound)
 
     def __neg__(self):
-        return QPoly(tuple(-x for x in self.coeffs))
+        return _poly(self.valuation, -self.packed, self.width, self.bound)
 
     def __sub__(self, other):
         return self + (-other)
@@ -80,15 +130,25 @@ class QPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             other = QPoly.const(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.packed, other.packed
         if not a or not b:
             return QPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return QPoly(out)
+        e = self.valuation + other.valuation
+        if a == 1:  # q^e times other
+            return _poly(e, b, other.width, other.bound)
+        w, bound = self.width, self.bound
+        if b == 1:  # times q^e'
+            return _poly(e, a, w, bound)
+        if not other.valuation and b == (1 << other.width) - 1:  # times q - 1
+            bound *= 2
+            if bound >> (w - 1):
+                w, bound, a = _refit(lambda x: 2 * x, self)
+            return _poly(e, (a << w) - a, w, bound)
+        n = min(abs(a).bit_length() // w, abs(b).bit_length() // other.width) + 1
+        bound *= other.bound * n
+        if other.width != w or bound >> (w - 1):
+            w, bound, a, b = _refit(lambda x, y: x * y * n, self, other)
+        return _poly(e, a * b, w, bound)
 
     def divexact(self, other: "QPoly") -> "QPoly":
         """Exact division; raises if the quotient is not in Z[q]."""
@@ -110,17 +170,14 @@ class QPoly:
 
     def evaluate(self, x: int) -> int:
         total = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(_digits(self)):
             total = total * x + c
-        return total
+        return total * x ** self.valuation
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
         parts = []
-        for e in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[e]
-            if c == 0:
+        for e, c in reversed(list(enumerate(_digits(self), self.valuation))):
+            if not c:
                 continue
             sign = "-" if c < 0 else ("+" if parts else "")
             mag = abs(c)
@@ -130,10 +187,57 @@ class QPoly:
                 head = "" if mag == 1 else f"{mag}*"
                 tail = "q" if e == 1 else f"q^{e}"
                 parts.append(f"{sign}{head}{tail}")
-        return "".join(parts)
+        return "".join(parts) or "0"
 
     def __repr__(self):
         return f"QPoly({self})"
+
+
+def _poly(valuation: int, packed: int, width: int, bound: int) -> QPoly:
+    p = object.__new__(QPoly)
+    p.valuation, p.packed, p.width, p.bound = valuation, packed, width, bound
+    return p
+
+
+def _width(bound: int, width: int = 24) -> int:
+    """The least width in 24, 48, 96, ..., at least `width`, whose
+    balanced digits hold coefficients of absolute value <= bound."""
+    while bound >> (width - 1):
+        width *= 2
+    return width
+
+
+def _digits(p: QPoly) -> list[int]:
+    """The coefficients of P, ascending, read off its balanced digits."""
+    x, w = p.packed, p.width
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    out = []
+    while x:
+        d = x & mask
+        if d >= half:
+            d -= mask + 1
+        out.append(d)
+        x = (x - d) >> w
+    return out
+
+
+def _encode(digits, width: int) -> int:
+    x = 0
+    for c in reversed(digits):
+        x = (x << width) + c
+    return x
+
+
+def _refit(need, *polys):
+    """(width, bound, packed ints) for an operation on polys whose result
+    has coefficients of absolute value <= need(*bounds): the bounds are
+    read exactly off the digits, and the width is the least one that
+    holds the result and is no narrower than any operand's."""
+    digits = [_digits(p) for p in polys]
+    bound = need(*(max(map(abs, d), default=0) for d in digits))
+    width = _width(bound, max(p.width for p in polys))
+    return (width, bound, *(p.packed if p.width == width else _encode(d, width)
+                            for p, d in zip(polys, digits)))
 
 
 Q = QPoly((0, 1))
@@ -152,8 +256,9 @@ def _add_term(terms: dict, key, c: QPoly) -> None:
 
 
 _MONOMIAL = re.compile(r"^([+-]?)(\d+)?(?:\*?q(?:\^(\d+))?)?$")
-# far above any degree a normal form reaches, far below a dense
-# coefficient tuple that would exhaust memory
+# far above any degree a normal form reaches, far below a polynomial
+# whose packed digits (a sum with a low term keeps every one up to the
+# degree) would exhaust memory
 _MAX_EXPONENT = 10 ** 6
 
 

@@ -414,10 +414,42 @@ def max_finite_parabolic_order(ctx) -> int:
 
 
 def wa_ball_count(ctx, max_length: int) -> int:
-    """Number of elements of the affine Weyl part with length <= L."""
+    """Number of elements of the affine Weyl part W_a(M) with length <= L.
+
+    Counted without a walk, by Bott's formula: the lengths of W_a(M)
+    have the generating series prod_i (1 + q + ... + q^{m_i}) / (1 - q^{m_i})
+    over the exponents m_i of W_M, the product over the components of M
+    of their own series.  The exponents are the dual partition of the
+    numbers of positive roots of M by M-height (Humphreys, Reflection
+    Groups and Coxeter Groups, 3.20 and 8.9): m occurs n_m - n_{m+1}
+    times, n_h counting the roots of height h.  A root of M-height h + 1
+    is one of height h plus an M-simple root.  The series is cut at L
+    and summed.
+    """
     cache = ctx.wa_ball_counts
     if max_length not in cache:
-        cache[max_length] = len(ctx.ball(max_length, ctx.kappa(ctx.identity)))
+        is_root = ctx.datum.is_root
+        simple = ctx.m_simple_roots
+        levels, seen = [list(simple)], set(simple)
+        while levels[-1]:
+            up = []
+            for b in levels[-1]:
+                for a in simple:
+                    c = tuple([x + y for x, y in zip(a, b)])
+                    if c not in seen and is_root(c):
+                        seen.add(c)
+                        up.append(c)
+            levels.append(up)
+        series = [1] + [0] * max_length
+        for m in range(1, len(levels)):
+            for _ in range(len(levels[m - 1]) - len(levels[m])):
+                # times (1 - q^{m+1}) / (1 - q), then over (1 - q^m)
+                for i in range(max_length, m, -1):
+                    series[i] -= series[i - m - 1]
+                for step in (1, m):
+                    for i in range(step, max_length + 1):
+                        series[i] += series[i - step]
+        cache[max_length] = sum(series)
     return cache[max_length]
 
 

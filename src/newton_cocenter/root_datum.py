@@ -467,12 +467,16 @@ class RootDatum:
         return self._perms[self.intern(u).index]
 
     def reflection(self, a: Covector) -> WeylElement:
-        """The reflection in the root a."""
+        """The reflection in the root a, the same element as in -a."""
         s = self._reflections.get(a)
         if s is None:
-            av = self.coroot[a]
-            s = self._reflections[a] = self._element(tuple(
-                [self.root_index[_reflect(b, av, a)] for b in self.roots]))
+            if self.height[a] < 0:
+                s = self.reflection(tuple([-x for x in a]))
+            else:
+                av = self.coroot[a]
+                s = self._element(tuple(
+                    [self.root_index[_reflect(b, av, a)] for b in self.roots]))
+            self._reflections[a] = s
         return s
 
     def act_covector(self, u: Matrix, a: Covector) -> Covector:

@@ -161,6 +161,20 @@ def test_cocenter_reduce_expr_with_poly(capsys):
     assert {"elem": "t[0]*s1", "poly": "1"} in terms
 
 
+@pytest.mark.parametrize("expr, text", [
+    # a coefficient far wider than any digit of a packed polynomial
+    ("123456789012345678901234567890*T[S1]",
+     "  (123456789012345678901234567890) * T[t[0]*s1]\n"),
+    # a valuation of a million, held as an exponent, not as zeros
+    ("-q^1000000*T[E]", "  (-q^1000000) * T[t[0]]\n"),
+    ("(q-1)*T[S0]+q*T[E]", "  (q) * T[t[0]]\n  (q-1) * T[t[1]*s1]\n"),
+])
+def test_cocenter_reduce_exact_coefficients(expr, text, capsys):
+    code, out = run_cli(capsys, "--group", "A1", "cocenter-reduce", "--", expr)
+    assert code == 0
+    assert out == "component (0;0):\n" + text
+
+
 def test_induce(capsys):
     code, out = run_cli(capsys, "--group", "A1", "--json", "induce",
                         "--v", '["1"]', "T[t[-1]]")

@@ -14,6 +14,7 @@ processes.  Re-record a file only for an intended change of output:
     PYTHONPATH=src python -m newton_cocenter.cli ARGV... > tests/golden/NAME.out
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -128,3 +129,15 @@ def test_slow_golden_gl5_verify_all_in_two_workers(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode() == (GOLDEN / "slow" / "verify-GL5-all.out").read_bytes()
+
+
+@pytest.mark.slow
+def test_slow_golden_a1_depth_600(capsys):
+    # 600 Newton components of one class each, coefficients q^a - q^(a-1)
+    # up to q^599; the digest is of the transcript that the dense-tuple
+    # coefficients printed
+    code = main(["--group", "A1", "cocenter-reduce", "T[t[600]*s1]"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "d49314e634757a798a3e56ee9b6392061ca344fd4c99812ad8f7601ba9fb8942"

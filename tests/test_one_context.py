@@ -2,7 +2,9 @@
 
 The ball walker (`AffineWeylGroup.ball`) is a breadth-first walk that
 never consults the length function; the length-filtered walk that the
-ambient and the Levi groups each ran before is kept here as its oracle.
+ambient and the Levi groups each ran before is kept here as its oracle,
+and the walker in turn is the oracle of the ball counts that
+`wa_ball_count` reads off Bott's formula.
 The Levi of v = 0 must be the ambient group itself, which is the
 contract that lets both share every method, and every memo of those
 methods is declared on every context: only the ambient group's memo of
@@ -16,7 +18,7 @@ from newton_cocenter.affine_weyl import multiply
 from newton_cocenter.levi_alcove import levi_weyl_group
 from newton_cocenter.reduction import canonical_class_rep, wa_ball_count
 from newton_cocenter.verify import _levi_grid
-from conftest import kappa_labels
+from conftest import ALL_DATA, kappa_labels
 
 GROUPS = [("A1", "sc"), ("A2", "sc"), ("B2", "sc"), ("C2", "sc"), ("G2", "sc"),
           ("C2", "ad"), ("GL3", "gl"), ("GL4", "gl")]
@@ -89,3 +91,15 @@ def test_levis_declare_every_memo_but_the_levi_memo(label, lattice):
     for v in _levi_grid(g, 4):
         m = levi_weyl_group(g, v)
         assert set(vars(g)) - set(vars(m)) == {"levi_groups"}, m
+
+
+@pytest.mark.parametrize("label,lattice", ALL_DATA)
+def test_ball_count_by_bott_formula_equals_the_walk(label, lattice):
+    # the count of W_a(M) up to length L, read off the exponents of W_M,
+    # against the walk it replaced, on the ambient group and every Levi
+    g = fresh_group(label, lattice)
+    top = 5 if label == "GL5" else 6
+    for ctx in [g] + [levi_weyl_group(g, v) for v in _levi_grid(g)]:
+        for radius in range(top + 1):
+            walk = ctx.ball(radius, ctx.kappa(ctx.identity))
+            assert wa_ball_count(ctx, radius) == len(walk), (ctx, radius)

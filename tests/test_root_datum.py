@@ -206,3 +206,13 @@ def test_hnf_keeps_all_generators():
     assert len(hnf) == 2
     for v in [(1, 0), (0, 1), (5, -7)]:
         assert coset_reduce(v, hnf) == (0, 0)
+
+
+@pytest.mark.parametrize("label,lattice", ALL_DATA)
+def test_a_negative_root_reuses_the_reflection_of_its_negative(label, lattice):
+    d = build_root_datum(label, lattice)
+    for b in d.roots:
+        s = d.reflection(b)
+        assert s is d.reflection(tuple(-x for x in b))
+        assert d.act_covector(s, b) == tuple(-x for x in b)
+        assert d.product(s, s) == d.weyl_identity
