@@ -130,12 +130,13 @@ class AffineWeylGroup:
     """The Iwahori-Weyl group X_* ⋊ W_M of a Levi M: length, affine
     simple reflections, kappa, words, Newton indices and balls.
 
-    Everything is computed over the roots Phi_M of M.  Built from a root
-    datum it is the ambient group: M = G, Phi_M is every root, W_M = W0
-    and the simple labels are 0..r.  `levi_alcove.LeviWeylGroup` is the
-    group of the Levi of a rational coweight v, built by the same
-    methods over its own Phi_M; the ambient group is the one of v = 0.
-    Either is the group "context" of the reduction module.
+    Everything is computed over the roots Phi_M of M (`phi_m`), and W_M
+    is `finite_elements()`.  Built from a root datum it is the ambient
+    group: M = G, Phi_M is every root, W_M = W0 and the simple labels
+    are 0..r.  `levi_alcove.LeviWeylGroup` is the group of the Levi of
+    a rational coweight v, built by the same methods over its own Phi_M;
+    the ambient group is the one of v = 0.  Either is the group
+    "context" of the reduction module.
     """
 
     def __init__(self, datum: RootDatum, ball_cap: int | None = None):
@@ -155,6 +156,7 @@ class AffineWeylGroup:
         self.datum = datum
         self.ball_cap = ball_cap
         self.identity = AffineWeylElement((0,) * datum.rank, datum.weyl_identity)
+        self.phi_m = phi_m
         self._m_taus = tuple((datum.root_index[a], int(datum.is_positive_root(a)))
                              for a in phi_m)
         self.m_simple_roots = m_simple_roots
@@ -196,7 +198,7 @@ class AffineWeylGroup:
         # hecke_cocenter._nf_basis
         self._orbits: dict[IntVector, set[IntVector]] = {}
         self.nf_cache: dict = {}
-        self._build_walls(phi_m, wall_order)
+        self._build_walls(wall_order)
 
     def newton_memos(self) -> tuple[dict, dict]:
         """The Newton points and the interned coweights, which the Levis
@@ -284,7 +286,7 @@ class AffineWeylGroup:
 
     # -- affine simple reflections --------------------------------------
 
-    def _build_walls(self, phi_m, wall_order):
+    def _build_walls(self, wall_order):
         """The walls of the base M-alcove and the affine Coxeter diagram.
 
         The walls are the M-simple roots at level 0 and, for each
@@ -304,7 +306,7 @@ class AffineWeylGroup:
         for a in self.m_simple_roots:
             linked = [c for c in components if any(dot(b, coroot[a]) for b in c)]
             components = [c for c in components if c not in linked] + [sum(linked, [a])]
-        positive = [b for b in phi_m if datum.is_positive_root(b)]
+        positive = [b for b in self.phi_m if datum.is_positive_root(b)]
         roots = [AffineRoot(tuple(-x for x in a), 0) for a in self.m_simple_roots] + [
             AffineRoot(max((b for b in positive if any(dot(b, coroot[c]) for c in comp)),
                            key=datum.height.__getitem__), 1) for comp in components]
@@ -330,12 +332,6 @@ class AffineWeylGroup:
         """(label, reflection) pairs, ascending label; for the ambient
         group label 0 is the affine one."""
         return self._simples
-
-    def simple_affine_reflections(self) -> list[AffineWeylElement]:
-        """Finite simple reflections s1..sr first, then the affine s0."""
-        finite = [s for lab, s in self._simples if lab != 0]
-        extra = [s for lab, s in self._simples if lab == 0]
-        return finite + extra
 
     def _descent(self, w: AffineWeylElement, length: int):
         """(label, s w, length - 1) for the least label s with s w shorter."""

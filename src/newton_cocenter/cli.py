@@ -21,7 +21,7 @@ from fractions import Fraction
 from .affine_weyl import AffineWeylGroup, element_str, parse_element
 from .errors import ConfigurationError, InputError, LogicError, ResourceError
 from .hecke_cocenter import (
-    HeckeElement, QPoly, cocenter_reduce, induce, parse_poly,
+    HeckeElement, QPoly, cocenter_reduce, induce, newton_components, parse_poly,
     rigid_decomposition,
 )
 from .levi_alcove import (
@@ -217,7 +217,7 @@ def _nf_json(group, nf) -> dict:
                                        key=lambda kv: group.sort_key(kv[0]))
                 ],
             }
-            for nu, part in nf.components().items()
+            for nu, part in newton_components(group, nf).items()
         ]
     }
 
@@ -229,7 +229,7 @@ def _print_nf(group, nf, as_json):
     if not nf.terms:
         print("0")
         return
-    for nu, part in nf.components().items():
+    for nu, part in newton_components(group, nf).items():
         print(f"component {nu}:")
         for w, c in sorted(part.terms.items(), key=lambda kv: group.sort_key(kv[0])):
             print(f"  ({c}) * T[{element_str(group, w)}]")
@@ -396,9 +396,9 @@ def cmd_levi(group, args) -> int:
     m = levi_weyl_group(group, v)
     info = {
         "v": coweight_json(v),
-        "phi_zero": [list(a) for a in m.levi.phi_zero],
-        "phi_plus": [list(a) for a in m.levi.phi_plus],
-        "w_m_order": m.levi.order,
+        "phi_zero": [list(a) for a in m.phi_m],
+        "phi_plus": [list(a) for a in m.phi_plus],
+        "w_m_order": len(m.finite_elements()),
         "affine_simple_reflections": {
             f"S{lab}": element_str(group, s) for lab, s in m.simple_items()},
     }

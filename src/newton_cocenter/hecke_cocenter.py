@@ -12,8 +12,10 @@ conjugation preserves length, and when it drops by two,
         = (q-1) T_{sw} + q T_{sws}   mod [H, H].
 
 Iterating lands every class on its canonical minimal representative;
-the resulting normal form realizes the cocenter on the span of the
-tested elements, which the commutator and confluence suites verify.
+the resulting normal form, a `HeckeElement` on those representatives
+that `newton_components` splits by Newton index, realizes the cocenter
+on the span of the tested elements, which the commutator and
+confluence suites verify.
 
 Each rewrite step multiplies coefficients by q or by q-1 and adds
 them, so a coefficient is q^e times one int, its other factor evaluated
@@ -372,34 +374,15 @@ def _mul_by_generator(group, terms, label, s):
     return out
 
 
-class CocenterNormalForm:
-    """A cocenter element written on canonical minimal representatives."""
-
-    __slots__ = ("group", "terms")
-
-    def __init__(self, group: AffineWeylGroup, terms):
-        self.group = group
-        self.terms: dict[AffineWeylElement, QPoly] = {
-            w: c for w, c in terms.items() if c}
-
-    def components(self) -> dict[NewtonIndex, HeckeElement]:
-        split: dict[NewtonIndex, dict] = {}
-        for w, c in self.terms.items():
-            split.setdefault(self.group.newton_index(w), {})[w] = c
-        return {nu: HeckeElement(t)
-                for nu, t in sorted(split.items(), key=lambda kv: kv[0].sort_key())}
-
-    def component(self, nu: NewtonIndex) -> HeckeElement:
-        return self.components().get(nu, HeckeElement.zero())
-
-    def __eq__(self, other):
-        return isinstance(other, CocenterNormalForm) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def evaluate_q(self, x: int):
-        return HeckeElement(self.terms).evaluate_q(x)
+def newton_components(group: AffineWeylGroup,
+                      f: HeckeElement) -> dict[NewtonIndex, HeckeElement]:
+    """f split by the Newton index, in `group`, of its support, in index
+    order: the components of a cocenter normal form."""
+    split: dict[NewtonIndex, dict] = {}
+    for w, c in f.terms.items():
+        split.setdefault(group.newton_index(w), {})[w] = c
+    return {nu: HeckeElement(t)
+            for nu, t in sorted(split.items(), key=lambda kv: kv[0].sort_key())}
 
 
 def _nf_basis(group: AffineWeylGroup, w: AffineWeylElement) -> dict:
@@ -465,18 +448,18 @@ def _lowering_move(group, w):
     return parents, sy, z
 
 
-def cocenter_reduce(group: AffineWeylGroup, f: HeckeElement) -> CocenterNormalForm:
+def cocenter_reduce(group: AffineWeylGroup, f: HeckeElement) -> HeckeElement:
     """Rewrite f modulo commutators onto canonical minimal classes."""
     out: dict[AffineWeylElement, QPoly] = {}
     for w, c in f.terms.items():
         for rep, x in _nf_basis(group, w).items():
             _add_term(out, rep, c * x)
-    return CocenterNormalForm(group, out)
+    return HeckeElement(out)
 
 
 def cocenter_reduce_randomized(group: AffineWeylGroup, f: HeckeElement,
                                rng: random.Random,
-                               max_steps: int = 10000) -> CocenterNormalForm:
+                               max_steps: int = 10000) -> HeckeElement:
     """Reduce with randomly scheduled rewrite moves; used to check that
     the normal form does not depend on the rewriting strategy.  Running
     out of max_steps raises ResourceError rather than finishing by the
@@ -490,7 +473,7 @@ def cocenter_reduce_randomized(group: AffineWeylGroup, f: HeckeElement,
             if not is_min_in_class(group, w) or w != canonical_class_rep(group, w):
                 pending.append(w)
         if not pending:
-            return CocenterNormalForm(group, terms)
+            return HeckeElement(terms)
         pending.sort(key=group.sort_key)
         w = pending[rng.randrange(len(pending))]
         c = terms.pop(w)
@@ -517,7 +500,7 @@ def cocenter_reduce_randomized(group: AffineWeylGroup, f: HeckeElement,
 
 
 def induce(group: AffineWeylGroup, m: LeviWeylGroup, f: HeckeElement,
-           nu_m: NewtonIndex) -> CocenterNormalForm:
+           nu_m: NewtonIndex) -> HeckeElement:
     """Push a Levi cocenter element into the ambient cocenter.
 
     Every support key must lie in W(M), be M-minimal, and carry the
@@ -537,7 +520,7 @@ def induce(group: AffineWeylGroup, m: LeviWeylGroup, f: HeckeElement,
         if not is_min_in_class(m, w):
             raise InputError("induce: support keys must be M-minimal")
     nf = cocenter_reduce(group, f)
-    for nu in nf.components():
+    for nu in newton_components(group, nf):
         if nu != target:
             raise InputError(
                 f"induce: image met component {nu} besides {target}; the "
@@ -554,12 +537,12 @@ class RigidRow:
 
 
 def _levi_label(group: AffineWeylGroup, m: LeviWeylGroup) -> str:
-    if len(m.levi.phi_zero) == len(group.datum.roots):
+    if len(m.phi_m) == len(group.datum.roots):
         return "G"
-    if not m.levi.phi_zero:
+    if not m.phi_m:
         return "T"
     idx = [str(i) for i, a in enumerate(group.datum.simple_roots, start=1)
-           if a in set(m.levi.phi_zero)]
+           if a in m.phi_m]
     return "M{" + ",".join(idx) + "}"
 
 
@@ -583,7 +566,7 @@ def rigid_decomposition(group: AffineWeylGroup, max_length: int,
     for nu in sorted(fibers, key=NewtonIndex.sort_key):
         v = nu.nu_bar
         m = levi_weyl_group(group, v)
-        if any(dot(a, v) != 0 for a in m.levi.phi_zero):
+        if any(dot(a, v) != 0 for a in m.phi_m):
             raise LogicError("the dominant coweight must be central in its Levi")
         covered = all(_covers(group, nu, x) for x in sorted(fibers[nu],
                                                             key=group.sort_key))

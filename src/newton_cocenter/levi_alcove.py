@@ -6,18 +6,19 @@ X_* ⋊ W_M sits inside the ambient extended affine Weyl group but
 carries its own length function, computed by counting inversions over
 the Levi roots only; it genuinely differs from the restriction of the
 ambient length.  `LeviWeylGroup` is an `AffineWeylGroup` over the Levi
-roots: it adds only what the ambient group lacks, namely v, its root
-data, membership and boxes.  Its walls, those of the M-alcove containing
-the ambient base alcove, are built as the ambient group builds its own,
-from the M-simple roots and the highest root of each M-component, and
-are labelled in the ambient canonical order, which the Levi is given at
+roots `phi_m`, with W_M its `finite_elements()`: it adds only what the
+ambient group lacks, namely v, the roots `phi_plus` strictly positive
+on v, membership, and the memo of the boxes that the verify suites
+sample.  Its walls, those of the M-alcove containing the ambient base
+alcove, are built as the ambient group builds its own, from the
+M-simple roots and the highest root of each M-component, and are
+labelled in the ambient canonical order, which the Levi is given at
 construction; it holds no reference to the ambient group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import lcm
 
 from .affine_weyl import AffineWeylElement, AffineWeylGroup, multiply
@@ -25,8 +26,7 @@ from .errors import InputError, LogicError
 from .newton import NewtonIndex, newton_point
 from .reduction import max_finite_parabolic_order, wa_ball_count
 from .root_datum import (
-    Coweight, Matrix, coweight, coset_reduce, dot, hnf_columns, levi_datum,
-    mat_act, scaled,
+    Coweight, Matrix, coweight, coset_reduce, dot, hnf_columns, mat_act, scaled,
 )
 
 
@@ -38,49 +38,30 @@ class LeviWeylGroup(AffineWeylGroup):
     """
 
     def __init__(self, parent: AffineWeylGroup, v):
+        """Split the roots by their sign on v, read off the integer vector
+        d v (d the common denominator): Phi_M vanishes on v, and W_M, the
+        fixer of v, is generated by the s_alpha with <alpha, v> = 0
+        (Steinberg), so by those of the simple roots of Phi_M ∩ Phi+,
+        the indecomposable ones."""
         datum = parent.datum
-        self.levi = levi_datum(datum, v)
-        self.v = self.levi.v
-        phi_m = self.levi.phi_zero
-        self._context(datum, parent.ball_cap, phi_m, self.levi.simple_roots,
+        self.v = coweight(v)
+        _, x = scaled(self.v)
+        phi_m = tuple(a for a in datum.roots if dot(a, x) == 0)
+        self.phi_plus = tuple(a for a in datum.roots if dot(a, x) > 0)
+        if len(phi_m) + 2 * len(self.phi_plus) != len(datum.roots):
+            raise LogicError("the roots positive on v must pair with the negative ones")
+        pos = {a for a in phi_m if datum.is_positive_root(a)}
+        simple = tuple(a for a in phi_m if a in pos and not any(
+            tuple([p - q for p, q in zip(a, b)]) in pos for b in pos))
+        self._context(datum, parent.ball_cap, phi_m, simple,
                       hnf_columns([datum.coroot[a] for a in phi_m]),
                       *parent.newton_memos(),
                       wall_order=parent.sort_key)
-        self._boxes: dict[tuple, list[AffineWeylElement]] = {}
+        # the Levi boxes of the verify suites (`verify._levi_box`)
+        self.boxes: dict[tuple, list[AffineWeylElement]] = {}
 
     def is_member(self, w: AffineWeylElement) -> bool:
         return self._w_m is None or w.finite in self._w_m
-
-    def box(self, max_m_length: int, box: int,
-            cap: int | None) -> list[AffineWeylElement]:
-        """All t^lam u with u in W_M and sup-norm of lam at most `box`,
-        filtered to M-length <= max_m_length, in M-sort order and cut to
-        the first `cap` (memoised).
-
-        The candidates are grouped by (M-length, kappa_M), the prefix of
-        the M-sort key, and only the tiers that reach the first `cap`
-        places are sorted, so no M-word is built for the rest.
-        """
-        key = (max_m_length, box, cap)
-        out = self._boxes.get(key)
-        if out is None:
-            tiers = {}
-            for lam in product(range(-box, box + 1), repeat=self.datum.rank):
-                label = None
-                for u in self.levi.w_m:
-                    w = AffineWeylElement(lam, u)
-                    length = self.length(w)
-                    if length <= max_m_length:
-                        if label is None:
-                            label = self.kappa(w)
-                        tiers.setdefault((length, label), []).append(w)
-            out = []
-            for tier in sorted(tiers):
-                if cap is not None and len(out) >= cap:
-                    break
-                out.extend(sorted(tiers[tier], key=self.sort_key))
-            out = self._boxes[key] = out if cap is None else out[:cap]
-        return out
 
     def __repr__(self):
         return f"LeviWeylGroup(v={tuple(map(str, self.v))})"
@@ -179,7 +160,7 @@ def positivity_exponent(group: AffineWeylGroup, w: AffineWeylElement,
     m = levi_weyl_group(group, v)
     if not m.is_member(w):
         raise InputError("positivity_exponent requires w in the Levi of v")
-    plus = m.levi.phi_plus
+    plus = m.phi_plus
     # If w^i = t^mu u is strictly v-positive, then summing the
     # translations of its powers up to the order n of u gives
     # <beta, n i nu> >= n for every v-positive beta, since u in W_M

@@ -9,8 +9,9 @@ non-raising moves, and the minimal elements of a class form a single
 orbit under the length-preserving ones.  The deterministic reducer
 below explores the length-preserving orbit breadth-first with
 generators scanned in ascending label order and descends as soon as a
-lowering move appears; the path it records therefore never needs the
-left-multiplication fallback move.
+lowering move appears, so its path is made of conjugation moves only:
+`conj-down`, which lowers the length by 2, and `conj-equal`, which keeps
+it.
 
 The minimal elements of a full conjugacy class can span several move
 orbits.  class_minimal_set lists them directly: the conjugates of
@@ -46,7 +47,8 @@ from .root_datum import (
 
 CONJ_DOWN = "conj-down"
 CONJ_EQUAL = "conj-equal"
-LEFT_MULT = "left-mult"
+# the length drop of each step kind
+_DROPS = {CONJ_DOWN: 2, CONJ_EQUAL: 0}
 
 
 @dataclass(frozen=True)
@@ -87,24 +89,16 @@ def conj_step(ctx, w: AffineWeylElement, label: int):
 
 
 def replay(ctx, path: ReductionPath) -> bool:
-    """Check that the recorded path is valid: each step replays, lengths
-    never increase, and down steps drop by exactly 2."""
+    """Check that the recorded path is valid: each step is a conjugation
+    move that replays, down steps drop the length by exactly 2 and equal
+    steps keep it; a step of any other kind fails the replay."""
     by_label = dict(ctx.simple_items())
     cur = path.start
     for step in path.steps:
         s = by_label[step.label]
-        if step.kind == LEFT_MULT:
-            nxt = multiply(s, cur)
-            if ctx.length(nxt) >= ctx.length(cur):
-                return False
-        else:
-            nxt = multiply(multiply(s, cur), s)
-            drop = ctx.length(cur) - ctx.length(nxt)
-            if step.kind == CONJ_DOWN and drop != 2:
-                return False
-            if step.kind == CONJ_EQUAL and drop != 0:
-                return False
-        if nxt != step.result:
+        nxt = multiply(multiply(s, cur), s)
+        if _DROPS.get(step.kind) != ctx.length(cur) - ctx.length(nxt) \
+                or nxt != step.result:
             return False
         cur = nxt
     return cur == path.end

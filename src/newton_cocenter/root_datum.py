@@ -11,7 +11,6 @@ computation downstream is exact.  No floating point anywhere.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -37,21 +36,12 @@ _PAIRING = {
 _MAX_GL_RANK = 5
 
 
-def frac(text: str | int) -> Fraction:
-    """Parse an exact rational, accepting "p/q" and plain integers."""
-    return Fraction(text)
-
-
 def frac_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def coweight(coords) -> Coweight:
     return tuple(Fraction(c) for c in coords)
-
-
-def is_integral(v: Coweight) -> bool:
-    return all(Fraction(c).denominator == 1 for c in v)
 
 
 def mat_identity(n: int) -> Matrix:
@@ -507,39 +497,6 @@ class RootDatum:
 
     def __repr__(self):
         return f"RootDatum({self.descriptor()}, rank={self.rank})"
-
-
-@dataclass(frozen=True)
-class LeviDatum:
-    """The root-theoretic data attached to a rational coweight v."""
-
-    v: Coweight
-    phi_zero: tuple[Covector, ...]      # roots vanishing on v
-    phi_plus: tuple[Covector, ...]      # roots strictly positive on v
-    simple_roots: tuple[Covector, ...]  # the simple roots of phi_zero ∩ Phi+
-    w_m: tuple[Matrix, ...]             # the subgroup of W0 fixing v pointwise
-
-    @property
-    def order(self) -> int:
-        return len(self.w_m)
-
-
-def levi_datum(datum: RootDatum, v) -> LeviDatum:
-    """Partition the roots by their sign on v, read off the integer
-    vector d v (d the common denominator), and generate the fixer W_M.
-    It is generated by the s_alpha with <alpha, v> = 0 (Steinberg), so
-    by those of the simple roots of Phi_M ∩ Phi+, the indecomposable ones.
-    """
-    v = coweight(v)
-    _, x = scaled(v)
-    zero = tuple(a for a in datum.roots if dot(a, x) == 0)
-    plus = tuple(a for a in datum.roots if dot(a, x) > 0)
-    if len(zero) + 2 * len(plus) != len(datum.roots):
-        raise LogicError("the roots positive on v must pair with the negative ones")
-    pos = {a for a in zero if datum.is_positive_root(a)}
-    simple = tuple(a for a in zero if a in pos and not any(
-        tuple([p - q for p, q in zip(a, b)]) in pos for b in pos))
-    return LeviDatum(v, zero, plus, simple, datum.reflection_subgroup(simple))
 
 
 def build_root_datum(kind: str, lattice: str = "sc", rank: int | None = None) -> RootDatum:

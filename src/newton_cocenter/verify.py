@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .affine_weyl import (
-    AffineRoot, AffineWeylGroup, act_on_affine_root,
+    AffineRoot, AffineWeylElement, AffineWeylGroup, act_on_affine_root,
     conjugate, element_str, inverse, is_positive_affine_root, multiply,
     parse_element,
 )
@@ -154,12 +154,39 @@ def _levi_grid(group, max_den=6):
 
 
 def _levi_box(group, m, max_m_length, box=2, cap=None):
-    """`LeviWeylGroup.box` of the Levi m.  High ranks shrink the box and
-    cap the sample to keep suites tractable."""
+    """All t^lam u with u in W_M and sup-norm of lam at most `box`,
+    filtered to M-length <= max_m_length, in M-sort order and cut to
+    the first `cap`, memoised on the Levi m (`m.boxes`).  High ranks
+    shrink the box and cap the sample to keep suites tractable.
+
+    The candidates are grouped by (M-length, kappa_M), the prefix of
+    the M-sort key, and only the tiers that reach the first `cap`
+    places are sorted, so no M-word is built for the rest.
+    """
     if group.datum.rank > 2:
         box = 1
         cap = 150 if cap is None else cap
-    return m.box(max_m_length, box, cap)
+    key = (max_m_length, box, cap)
+    out = m.boxes.get(key)
+    if out is None:
+        tiers = {}
+        w_m = m.finite_elements()
+        for lam in product(range(-box, box + 1), repeat=group.datum.rank):
+            label = None
+            for u in w_m:
+                w = AffineWeylElement(lam, u)
+                length = m.length(w)
+                if length <= max_m_length:
+                    if label is None:
+                        label = m.kappa(w)
+                    tiers.setdefault((length, label), []).append(w)
+        out = []
+        for tier in sorted(tiers):
+            if cap is not None and len(out) >= cap:
+                break
+            out.extend(sorted(tiers[tier], key=m.sort_key))
+        out = m.boxes[key] = out if cap is None else out[:cap]
+    return out
 
 
 # -- individual suites ---------------------------------------------------
@@ -188,10 +215,7 @@ def suite_grammar(group, params):
 def suite_length(group, params):
     rep = SuiteReport("length", group.datum.descriptor(), params)
     L = params["length"]
-    labels = group.datum.omega_labels()
-    if labels is None:
-        labels = sorted({group.datum.kappa_label(l) for l in params.get(
-            "gl_labels", [(0,) * group.datum.rank])})
+    labels = group.datum.omega_labels() or [(0,) * group.datum.rank]
     oracle = _bfs_lengths(group, L, labels)
     fails = 0
     first = None
@@ -357,8 +381,8 @@ def _is_v_alcove_wide(group, w, v):
 
 def suite_levi(group, params):
     rep = SuiteReport("levi", group.datum.descriptor(), params)
-    grid = _levi_grid(group, params.get("max_den", 6))
-    lm = params.get("m_length", 6)
+    grid = _levi_grid(group, params["max_den"])
+    lm = params["m_length"]
     boxes = {v: _levi_box(group, levi_weyl_group(group, v), lm) for v in grid}
 
     n = fails = 0
@@ -414,12 +438,12 @@ def _vstr(v):
 
 def suite_positivity(group, params):
     rep = SuiteReport("positivity", group.datum.descriptor(), params)
-    grid = _levi_grid(group, params.get("max_den", 6))
+    grid = _levi_grid(group, params["max_den"])
     n = fails = skipped = 0
     first = None
     for v in grid:
         m = levi_weyl_group(group, v)
-        plus = m.levi.phi_plus
+        plus = m.phi_plus
         for w in _levi_box(group, m, 4, box=1):
             _, scaled_nu = scaled(newton_point(group, w))
             if not all(dot(beta, scaled_nu) > 0 for beta in plus):
@@ -440,7 +464,7 @@ def suite_positivity(group, params):
 
 def suite_cocenter(group, params):
     rep = SuiteReport("cocenter", group.datum.descriptor(), params)
-    budget = params.get("pair_budget", 6)
+    budget = params["pair_budget"]
     ball = _ball(group, budget)
 
     n = fails = 0
@@ -470,8 +494,8 @@ def suite_cocenter(group, params):
     rep.add("residue-rank-zero", 1, 0 if rank == 0 else 1, None,
             detail=f"rank={rank}")
 
-    seeds = params.get("seeds", 50)
-    base = params.get("seed", 0)
+    seeds = params["seeds"]
+    base = params["seed"]
     sample = [w for w in _ball(group, min(budget, 4)) if group.length(w) >= 2][:4]
     f = HeckeElement()
     for i, w in enumerate(sample):
@@ -535,6 +559,11 @@ def run_suite(name: str, group: AffineWeylGroup, overrides: dict,
               jobs: int = 1) -> list[SuiteReport]:
     """Run one suite or, for "all", every suite in `SUITES` order.
 
+    A suite takes the parameters of its `SUITES` defaults and `seed`
+    (0 unless overridden).  An override of any other parameter, None
+    meaning none, is an InputError for a single suite; "all" gives
+    each override to the suites that take it.
+
     With jobs > 1 and more than one suite, the suites run in forked
     worker processes (`_run_forked`); the reports, and the exception of
     the first failing suite, are those of the serial loop.
@@ -546,13 +575,16 @@ def run_suite(name: str, group: AffineWeylGroup, overrides: dict,
     else:
         raise InputError(f"unknown suite {name!r}; choose from "
                          f"{', '.join(sorted(SUITES))} or 'all'")
+    given = {k: v for k, v in overrides.items() if v is not None and k != "seed"}
     tasks = []
     for n in names:
         defaults = SUITES[n][1]
-        params = dict(defaults)
-        for k, v in overrides.items():
-            if v is not None and (k in defaults or k in ("length", "seed")):
-                params[k] = v
+        unknown = sorted(given.keys() - defaults.keys())
+        if unknown and name != "all":
+            raise InputError(f"suite {n!r} takes no {', '.join(unknown)}; its "
+                             f"parameters are {', '.join(sorted(defaults))} and seed")
+        params = {**defaults, "seed": overrides.get("seed") or 0}
+        params.update((k, v) for k, v in given.items() if k in defaults)
         tasks.append((n, params))
     if jobs > 1 and len(tasks) > 1:
         if hasattr(os, "fork"):

@@ -186,7 +186,7 @@ def test_c07_levi_stratum_compatibility():
         for v in _levi_reps(g, 6):
             m = levi_weyl_group(g, v)
             for coords in product(range(-2, 3), repeat=g.datum.rank):
-                for u in m.levi.w_m:
+                for u in m.finite_elements():
                     w = AffineWeylElement(tuple(coords), u)
                     if m.length(w) > 6:
                         continue
@@ -214,7 +214,7 @@ def test_c08_positivity_exponent_bound():
             m = levi_weyl_group(gg, vv)
             plus = [a for a in gg.datum.roots if dot(a, vv) > 0]
             for coords in product(range(-1, 2), repeat=gg.datum.rank):
-                for u in m.levi.w_m:
+                for u in m.finite_elements():
                     cand = AffineWeylElement(tuple(coords), u)
                     nu = newton_point(gg, cand)
                     if not all(dot(b, nu) > 0 for b in plus):

@@ -57,7 +57,7 @@ def test_group_law_associative_random():
 
 
 def test_sl2_affine_reflection_involution(a1):
-    s1, s0 = a1.simple_affine_reflections()
+    (_, s0), (_, s1) = a1.simple_items()
     assert multiply(s0, s0) == a1.identity
     assert s0 == multiply(a1.translation([1]), s1)  # t^{coroot} s1
 
@@ -112,7 +112,7 @@ def test_exactly_one_of_pm_a_positive(a2):
 
 
 def test_length_basics(a1):
-    s1, s0 = a1.simple_affine_reflections()
+    (_, s0), (_, s1) = a1.simple_items()
     assert a1.length(a1.identity) == 0
     assert a1.length(s0) == 1 and a1.length(s1) == 1
     assert a1.length(a1.translation([1])) == 2
@@ -178,10 +178,12 @@ def test_length_matches_bfs_oracle(label, depth):
 
 
 def test_simple_reflection_order_and_labels(a1):
-    listed = a1.simple_affine_reflections()
-    items = dict(a1.simple_items())
-    # finite reflections first, the affine one last
-    assert listed == [items[1], items[0]]
+    items = a1.simple_items()
+    # ascending labels: the affine reflection 0 first, then the finite one
+    assert [lab for lab, _ in items] == [0, 1]
+    (_, s0), (_, s1) = items
+    assert s1 == a1.finite_element(a1.datum.simple_reflections[0])
+    assert s0 == multiply(a1.translation([1]), s1)
 
 
 def test_kappa_homomorphism_and_values(a1, gl2):

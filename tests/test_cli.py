@@ -233,6 +233,35 @@ def test_verify_unknown_suite(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "levi", "--length", "1"],
+    ["verify", "positivity", "--length", "1"],
+    ["verify", "cocenter", "--length", "2"],
+    ["verify", "length", "--max-den", "3"],
+])
+def test_single_suite_refuses_a_parameter_it_does_not_take(argv, capsys):
+    code = main(["--group", "A2", *argv])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert "its parameters are" in out.err
+
+
+def test_verify_all_gives_length_to_the_suites_that_take_it(capsys):
+    from newton_cocenter.verify import SUITES
+    code, out = run_cli(capsys, "--group", "A1", "verify", "all", "--length", "2")
+    assert code == 0
+    headers = [line.split() for line in out.splitlines() if line.startswith("suite ")]
+    assert [h[1] for h in headers] == list(SUITES)
+    with_length = [h[1] for h in headers if "length=2" in h[4:]]
+    assert with_length == ["grammar", "length", "newton", "straightness",
+                           "reduction", "alcove", "rigid"]
+    assert with_length == [name for name, (_, defaults) in SUITES.items()
+                           if "length" in defaults]
+    assert not any(field.startswith("length=") for h in headers
+                   if h[1] not in with_length for field in h[4:])
+
+
 def test_verify_tsv_output(capsys):
     code, out = run_cli(capsys, "--group", "A1", "--tsv", "verify", "newton",
                         "--length", "4")

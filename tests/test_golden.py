@@ -45,8 +45,7 @@ CASES = {
     "verify-GL5-newton-l2": ["--group", "GL5", "--json", "verify", "newton", "--length", "2"],
     "verify-GL5-reduction-l2": ["--group", "GL5", "--json", "verify", "reduction",
                                 "--length", "2"],
-    "verify-GL5-cocenter-l2": ["--group", "GL5", "--json", "verify", "cocenter",
-                               "--length", "2"],
+    "verify-GL5-cocenter": ["--group", "GL5", "--json", "verify", "cocenter"],
     "verify-GL5-rigid-l2": ["--group", "GL5", "--json", "verify", "rigid", "--length", "2"],
     "gl5-newton": ["--group", "GL5", "--json", "newton", "t[2,-1,0,1,0]*s1*s2*s4"],
     "gl5-reduce": ["--group", "GL5", "--json", "reduce", "t[0,0,1,1,0]*s2*s1*s3"],
@@ -80,9 +79,8 @@ CASES = {
 # Heavy GL5 suites, recorded in golden/slow/ and deselected by default
 # (pyproject addopts); run them with `python -m pytest -m slow`.
 SLOW_CASES = {
-    "verify-GL5-levi-l1": ["--group", "GL5", "--json", "verify", "levi", "--length", "1"],
-    "verify-GL5-positivity-l1": ["--group", "GL5", "--json", "verify", "positivity",
-                                 "--length", "1"],
+    "verify-GL5-levi": ["--group", "GL5", "--json", "verify", "levi"],
+    "verify-GL5-positivity": ["--group", "GL5", "--json", "verify", "positivity"],
     "verify-GL5-all": ["--group", "GL5", "--json", "verify", "all"],
 }
 

@@ -111,3 +111,30 @@ def test_library_reads_no_environment_variables():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if knobs.intersection(_names(node))]
     assert found == [], "read no environment variable: " + ", ".join(found)
+
+
+def test_suites_read_only_their_own_parameters():
+    # each suite reads its parameters as params[key], only the keys of
+    # its `SUITES` defaults and "seed", so no second default can
+    # contradict `SUITES`; and every default is read by its suite
+    from newton_cocenter.verify import SUITES
+    defaults = {fn.__name__: set(params) for fn, params in SUITES.values()}
+    tree = ast.parse((SOURCE / "verify.py").read_text(encoding="utf-8"))
+    suites = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name.startswith("suite_")]
+    assert sorted(node.name for node in suites) == sorted(defaults)
+    found = []
+    for node in suites:
+        read = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Name) \
+                    and sub.value.id == "params" and isinstance(sub.slice, ast.Constant):
+                read.add(sub.slice.value)
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) \
+                    and sub.value.id == "params":
+                found.append(f"{node.name}:{sub.lineno}: params.{sub.attr}")
+        if not read <= defaults[node.name] | {"seed"}:
+            found.append(f"{node.name} reads {sorted(read - defaults[node.name])}")
+        if not defaults[node.name] <= read:
+            found.append(f"{node.name} never reads {sorted(defaults[node.name] - read)}")
+    assert found == [], "read params[key] for the SUITES keys only: " + ", ".join(found)

@@ -138,7 +138,7 @@ def full_sort_levi_box(group, m, max_m_length, box=2, cap=None):
     out = []
     rng = range(-box, box + 1)
     for coords in product(rng, repeat=group.datum.rank):
-        for u in m.levi.w_m:
+        for u in m.finite_elements():
             w = AffineWeylElement(tuple(coords), u)
             if m.length(w) <= max_m_length:
                 out.append(w)

@@ -23,7 +23,7 @@ from newton_cocenter import AffineWeylGroup, NewtonIndex, build_root_datum
 from newton_cocenter.affine_weyl import inverse, multiply
 from newton_cocenter.levi_alcove import levi_weyl_group
 from newton_cocenter.newton import newton_index, newton_point
-from newton_cocenter.root_datum import dot, levi_datum, mat_identity, mat_mul
+from newton_cocenter.root_datum import dot, mat_identity, mat_mul
 from newton_cocenter.verify import _levi_box, _levi_grid
 
 GROUPS = [(label, lattice, radius) for label in ("A1", "A2", "B2", "C2", "G2")
@@ -139,8 +139,8 @@ def test_integer_levi_pairings_equal_fraction_pairings(label, lattice):
         assert grid == fraction_levi_grid(g, max_den)
         assert all(type(c) is Fraction for v in grid for c in v)
         for v in grid:
-            levi = levi_datum(g.datum, v)
-            assert levi.phi_zero == tuple(a for a in g.datum.roots if dot(a, v) == 0)
+            levi = levi_weyl_group(g, v)
+            assert levi.phi_m == tuple(a for a in g.datum.roots if dot(a, v) == 0)
             assert levi.phi_plus == tuple(a for a in g.datum.roots if dot(a, v) > 0)
 
 

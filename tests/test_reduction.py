@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from newton_cocenter import (
@@ -46,6 +48,23 @@ def test_reduce_sl2_example(a1):
     assert w_min == parse_element(a1, "S0")
     assert [st.kind for st in path.steps] == ["conj-down"]
     assert replay(a1, path)
+
+
+@pytest.mark.parametrize("kind", ["left-mult", "conj-up", ""])
+def test_replay_fails_on_a_step_kind_it_does_not_know(kind):
+    # the G2 ball of radius 4 records steps of both kinds, each of which
+    # is refused once its kind is changed
+    g = group("G2")
+    seen = set()
+    for w in g.enumerate_ball(4):
+        _, path = reduce_to_min(g, w)
+        assert replay(g, path)
+        for i, step in enumerate(path.steps):
+            seen.add(step.kind)
+            steps = list(path.steps)
+            steps[i] = dataclasses.replace(step, kind=kind)
+            assert not replay(g, dataclasses.replace(path, steps=tuple(steps)))
+    assert seen == {"conj-down", "conj-equal"}
 
 
 def test_reduce_already_minimal(a1):

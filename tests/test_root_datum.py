@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from newton_cocenter import (
-    AffineWeylGroup, ConfigurationError, build_root_datum, coweight, levi_datum,
+    AffineWeylGroup, ConfigurationError, build_root_datum, coweight,
 )
 from newton_cocenter.errors import LogicError
+from newton_cocenter.levi_alcove import levi_weyl_group
 from newton_cocenter.root_datum import RootDatum, dot, mat_act
 from conftest import ALL_DATA
 
@@ -118,38 +119,40 @@ def test_dominant_rep_idempotent_and_orbit_invariant():
 def test_levi_datum_gl5_anchor_levi():
     d = build_root_datum("GL", rank=5)
     v = coweight([F(2, 3), F(2, 3), F(2, 3), F(1, 2), F(1, 2)])
-    m = levi_datum(d, v)
+    m = levi_weyl_group(AffineWeylGroup(d), v)
     # GL3 x GL2 inside GL5
-    assert m.order == 12
-    assert len(m.phi_zero) == 8
+    assert len(m.finite_elements()) == 12
+    assert len(m.phi_m) == 8
     assert len(m.phi_plus) == 6
 
 
 def test_levi_datum_extremes():
     d = build_root_datum("A2")
-    regular = levi_datum(d, coweight([F(1, 5), F(1, 7)]))
-    assert regular.phi_zero == ()
-    assert regular.order == 1
-    full = levi_datum(d, coweight([0, 0]))
-    assert set(full.phi_zero) == set(d.roots)
-    assert full.order == d.w0_order
+    g = AffineWeylGroup(d)
+    regular = levi_weyl_group(g, coweight([F(1, 5), F(1, 7)]))
+    assert regular.phi_m == ()
+    assert len(regular.finite_elements()) == 1
+    full = levi_weyl_group(g, coweight([0, 0]))
+    assert set(full.phi_m) == set(d.roots)
+    assert len(full.finite_elements()) == d.w0_order
 
 
 def test_levi_datum_conjugation_consistency():
     d = build_root_datum("C2")
     v = coweight([F(1, 2), F(1, 2)])
-    m = levi_datum(d, v)
-    vbar, u = AffineWeylGroup(d).dominant_rep(v)
-    mbar = levi_datum(d, vbar)
-    moved = {d.act_covector(u, a) for a in m.phi_zero}
-    assert moved == set(mbar.phi_zero)
+    g = AffineWeylGroup(d)
+    m = levi_weyl_group(g, v)
+    vbar, u = g.dominant_rep(v)
+    mbar = levi_weyl_group(g, vbar)
+    moved = {d.act_covector(u, a) for a in m.phi_m}
+    assert moved == set(mbar.phi_m)
 
 
 def test_levi_fixes_v():
     d = build_root_datum("G2")
     v = coweight([F(1, 2), 0])
-    m = levi_datum(d, v)
-    for u in m.w_m:
+    m = levi_weyl_group(AffineWeylGroup(d), v)
+    for u in m.finite_elements():
         assert mat_act(u, v) == v
 
 

@@ -24,7 +24,7 @@ def contexts(g):
     yield g, g.datum.roots
     for v in _levi_grid(g):
         m = levi_weyl_group(g, v)
-        yield m, m.levi.phi_zero
+        yield m, m.phi_m
 
 
 def dynkin_components(datum, simple_roots):

@@ -25,7 +25,7 @@ from newton_cocenter.affine_weyl import AffineRoot, inverse, multiply
 from newton_cocenter.errors import LogicError
 from newton_cocenter.levi_alcove import LeviWeylGroup
 from newton_cocenter.root_datum import (
-    WeylElement, coweight, dot, levi_datum, mat_act, mat_identity, mat_mul,
+    WeylElement, coweight, dot, mat_act, mat_identity, mat_mul,
     rational_inverse, scaled,
 )
 from newton_cocenter.verify import _levi_grid as verify_levi_grid
@@ -448,15 +448,16 @@ def test_levi_fixer_equals_reflection_closure(label, lattice):
     # matrix closure of its reflections and, order included, against the
     # filter of W0 by the fixer condition that once cut it out
     d = build_root_datum(label, lattice)
-    grid = _levi_grid(d) + verify_levi_grid(AffineWeylGroup(d))
-    generated = [levi_datum(d, v) for v in grid]
-    for v, m in zip(grid, generated):
+    g = AffineWeylGroup(d)
+    grid = _levi_grid(d) + verify_levi_grid(g)
+    generated = [LeviWeylGroup(g, v).finite_elements() for v in grid]
+    for v, w_m in zip(grid, generated):
         zero = [a for a in d.roots if dot(a, v) == 0]
         gens = [reflection_matrix(a, d.coroot[a]) for a in zero]
-        assert tuple(map(plain, m.w_m)) == matrix_bfs(gens, d.rank)
+        assert tuple(map(plain, w_m)) == matrix_bfs(gens, d.rank)
         x = tuple(scaled(v)[1])
-        assert m.w_m == tuple(u for u in d.weyl_elements if mat_act(u, x) == x)
-        assert all(type(u) is WeylElement and u.datum is d for u in m.w_m)
+        assert w_m == tuple(u for u in d.weyl_elements if mat_act(u, x) == x)
+        assert all(type(u) is WeylElement and u.datum is d for u in w_m)
 
 
 @pytest.mark.parametrize("label,lattice", [("C2", "sc"), ("G2", "ad"), ("GL4", "gl")])
