@@ -298,7 +298,9 @@ class AffineWeylGroup:
         highest root 0; a Levi labels its walls 0, 1, ... in wall_order,
         the ambient sort key.  `coxeter_diagram` holds the labels of the
         walls of each component, `_wall_roots` their positive affine roots
-        (-alpha, 0) and (theta, 1) as (root index, level), in label order.
+        (-alpha, 0) and (theta, 1) as (root index, level), in label order,
+        and `_wall_data` each as (root index, level, root, coroot,
+        reflection), for the wall products.
         """
         datum, coroot = self.datum, self.datum.coroot
         # the M-Dynkin components: each simple root merges those it links to
@@ -324,6 +326,9 @@ class AffineWeylGroup:
             labels = {s: i for i, s in enumerate(sorted(walls, key=wall_order))}
         self._simples = tuple(sorted((lab, s) for s, lab in labels.items()))
         self._wall_roots = tuple(wall_roots[s] for _, s in self._simples)
+        self._wall_data = tuple(
+            (j, k, datum.roots[j], coroot[datum.roots[j]], datum.reflection(datum.roots[j]))
+            for j, k in self._wall_roots)
         self.coxeter_diagram = tuple(sorted(
             tuple(sorted([labels[simple[a]] for a in comp] + [labels[s]]))
             for comp, s in zip(components, affine)))
@@ -333,11 +338,33 @@ class AffineWeylGroup:
         group label 0 is the affine one."""
         return self._simples
 
+    def wall_times(self, i: int, w: AffineWeylElement) -> AffineWeylElement:
+        """s w for the wall s of label i, with root (beta, k), in O(rank):
+        s (lam, u) = (lam - (<beta, lam> - k) beta^vee, r_beta u)."""
+        lam, u = w
+        _, k, beta, beta_vee, r = self._wall_data[i]
+        c = sum(map(mul, beta, lam)) - k
+        if c:
+            lam = tuple([x - c * y for x, y in zip(lam, beta_vee)])
+        return _new(AffineWeylElement, (lam, self.datum.product(r, u)))
+
+    def times_wall(self, w: AffineWeylElement, i: int) -> AffineWeylElement:
+        """w s for the wall s of label i, with root (beta, k), in O(rank):
+        (lam, u) s = (lam + k (u beta)^vee, u r_beta), u beta read off the
+        root permutation of u."""
+        lam, u = w
+        datum = self.datum
+        j, k, _, _, r = self._wall_data[i]
+        if k:
+            u_beta_vee = datum.coroot[datum.roots[datum.root_permutation(u)[j]]]
+            lam = tuple([x + k * y for x, y in zip(lam, u_beta_vee)])
+        return _new(AffineWeylElement, (lam, datum.product(u, r)))
+
     def _descent(self, w: AffineWeylElement, length: int):
         """(label, s w, length - 1) for the least label s with s w shorter."""
-        for (lab, s), down in zip(self._simples, self.left_descents(w)):
+        for lab, down in enumerate(self.left_descents(w)):
             if down:
-                return lab, multiply(s, w), length - 1
+                return lab, self.wall_times(lab, w), length - 1
         raise LogicError("descent must exist while length is positive")
 
     # -- Omega ----------------------------------------------------------
@@ -411,6 +438,37 @@ class AffineWeylGroup:
         if key is None:
             key = self._sort_key_cache[w] = (self.length(w), self.kappa(w), self.word(w))
         return key
+
+    def canonical_order(self, elems):
+        """Yield elems in `sort_key` order, without building a word.
+
+        Elements are grouped by (length, kappa).  Within a group the
+        first letter of the word of w is its least left descent s, so a
+        group splits into buckets by that letter, in ascending order,
+        and a bucket of several members is ordered as the s w of its
+        members are: they share a length and a kappa, and their words
+        are those of the members with the first letter dropped.  An
+        explicit stack of (length, [(element, current)]) buckets keeps
+        deep inputs off the recursion limit, and a bucket is split only
+        when the order reaches it, so the least element costs one
+        descent chain through the least buckets.  Equal elements are
+        yielded in input order, as by a stable sort.
+        """
+        groups: dict = {}
+        for w in elems:
+            groups.setdefault((self.length(w), self.kappa(w)), []).append((w, w))
+        stack = [(key[0], groups[key]) for key in sorted(groups, reverse=True)]
+        while stack:
+            length, bucket = stack.pop()
+            if len(bucket) == 1 or length == 0:
+                for w, _ in bucket:
+                    yield w
+                continue
+            letters: dict[int, list] = {}
+            for w, cur in bucket:
+                i = self.left_descents(cur).index(True)
+                letters.setdefault(i, []).append((w, self.wall_times(i, cur)))
+            stack.extend((length - 1, letters[i]) for i in sorted(letters, reverse=True))
 
     # -- Newton indices -------------------------------------------------
 

@@ -547,9 +547,10 @@ def _levi_label(group: AffineWeylGroup, m: LeviWeylGroup) -> str:
 
 
 def rigid_decomposition(group: AffineWeylGroup, max_length: int,
-                        omega_labels=None) -> list[RigidRow]:
+                        omega_labels=None, cap: int | None = None) -> list[RigidRow]:
     """Cover each Newton component of the length ball from the Levi
-    attached to its dominant coweight.
+    attached to its dominant coweight; the ball is enumerated under
+    `cap`, the group's cap by default.
 
     For a canonical minimal representative x the witness chain is: its
     finite part fixes nu_x, so x lies in the Levi of nu_x (a conjugate
@@ -557,7 +558,7 @@ def rigid_decomposition(group: AffineWeylGroup, max_length: int,
     M-index maps to the component; inducing T^M_x back returns exactly
     T_x.  `covered` records that every representative admits this chain.
     """
-    ball = group.enumerate_ball(max_length, omega_labels)
+    ball = group.enumerate_ball(max_length, omega_labels, cap)
     fibers: dict[NewtonIndex, set] = {}
     for w in ball:
         rep = canonical_class_rep(group, w)

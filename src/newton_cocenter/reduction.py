@@ -18,14 +18,23 @@ orbits.  class_minimal_set lists them directly: the conjugates of
 t^lam a are the t^mu a' with a' = u a u^{-1} and mu in the coset
 u(lam) + im(1 - a'), and a minimal one has a translation part of
 bounded length, so only the Weyl orbits of finitely many dominant mu
-are tested against those cosets.  The least of them in canonical order
-is the class key canonical_class_rep.
+are tested against those cosets, all of them modulo the one lattice
+im(1 - a) of the class.  The least of them in canonical order is the
+class key canonical_class_rep.
+
+The canonical order (`AffineWeylGroup.canonical_order`) is decided on
+demand, letter by letter, and never from a whole reduced word: a move
+orbit is memoised in scan order, its least member costs one descent
+chain, and a standard triple walks the orbit only as far as its search
+goes.  Every move s w s is built by the wall products `wall_times` and
+`times_wall` of the context.
 
 The functions take a group "context": an `AffineWeylGroup`, either
 the ambient group or a `LeviWeylGroup`, whose methods compute with the
 M-length, over W_M and the M-simple roots.  Their memos are attributes
 of every context, declared where it is built: `move_orbits` (each
-element seen to its sorted move orbit if it is minimal, else None),
+element seen to its move orbit, in scan order, if it is minimal, else
+None),
 `coinvariant_hnfs`, `finite_parabolics`, `parabolics`,
 `wa_ball_counts`, `standard_triples`, and for the class keys
 `full_classes`, `class_reps`, `dominant_translations` and
@@ -39,8 +48,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import lcm
 
-from .affine_weyl import AffineWeylElement, conjugate, multiply
-from .errors import LogicError
+from .affine_weyl import AffineWeylElement, conjugate
+from .errors import InputError, LogicError
 from .root_datum import (
     IntVector, coset_reduce, dot, hnf_columns, mat_act, rational_inverse,
 )
@@ -76,8 +85,9 @@ class StandardTriple:
 
 def conj_step(ctx, w: AffineWeylElement, label: int):
     """Classify the move w -> s w s as ("down"|"equal"|"up", s w s)."""
-    s = dict(ctx.simple_items())[label]
-    sws = multiply(multiply(s, w), s)
+    if label not in range(len(ctx.simple_items())):
+        raise InputError(f"{label!r} is not a wall label")
+    sws = ctx.times_wall(ctx.wall_times(label, w), label)
     diff = ctx.length(sws) - ctx.length(w)
     if diff == -2:
         return "down", sws
@@ -91,12 +101,14 @@ def conj_step(ctx, w: AffineWeylElement, label: int):
 def replay(ctx, path: ReductionPath) -> bool:
     """Check that the recorded path is valid: each step is a conjugation
     move that replays, down steps drop the length by exactly 2 and equal
-    steps keep it; a step of any other kind fails the replay."""
-    by_label = dict(ctx.simple_items())
+    steps keep it; a step of any other kind, or whose label is not a
+    wall of the context, fails the replay."""
+    labels = range(len(ctx.simple_items()))
     cur = path.start
     for step in path.steps:
-        s = by_label[step.label]
-        nxt = multiply(multiply(s, cur), s)
+        if step.label not in labels:
+            return False
+        nxt = ctx.times_wall(ctx.wall_times(step.label, cur), step.label)
         if _DROPS.get(step.kind) != ctx.length(cur) - ctx.length(nxt) \
                 or nxt != step.result:
             return False
@@ -110,18 +122,18 @@ def _scan(ctx, start: AffineWeylElement):
     Returns (parents, descent) where parents maps every explored element
     to its (predecessor, label) and descent is the first lowering move
     (y, label, s y s) in deterministic scan order, or None.  s y s is
-    built only for a move whose flags say it does not raise length.
+    built only for a move whose flags say it does not raise length, by
+    the wall products of the context.
     """
-    simples = ctx.simple_items()
     parents: dict[AffineWeylElement, tuple | None] = {start: None}
     queue = deque([start])
     while queue:
         y = queue.popleft()
-        for (label, s), left, right in zip(simples, ctx.left_descents(y),
-                                           ctx.right_descents(y)):
+        for label, (left, right) in enumerate(zip(ctx.left_descents(y),
+                                                  ctx.right_descents(y))):
             if not (left or right):
                 continue
-            z = multiply(multiply(s, y), s)
+            z = ctx.times_wall(ctx.wall_times(label, y), label)
             if left and right:
                 if z != y:
                     return parents, (y, label, z)
@@ -159,11 +171,11 @@ def reduce_to_min(ctx, w: AffineWeylElement):
 def lowering_move(ctx, w: AffineWeylElement):
     """(parents, (y, label, s y s)) as `_scan` returns them from w, or
     None when w is minimal.  The scanned orbit goes to the move-orbit
-    memo, a minimal one as its members in canonical order."""
+    memo, a minimal one as its members in scan order."""
     if ctx.move_orbits.get(w):
         return None
     parents, descent = _scan(ctx, w)
-    members = None if descent else tuple(sorted(parents, key=ctx.sort_key))
+    members = None if descent else tuple(parents)
     ctx.move_orbits.update(dict.fromkeys(parents, members))
     return None if descent is None else (parents, descent)
 
@@ -181,7 +193,7 @@ def minimal_class(ctx, w_min: AffineWeylElement) -> tuple[AffineWeylElement, ...
     canonical order."""
     if not is_min_in_class(ctx, w_min):
         raise LogicError("minimal_class called on a non-minimal element")
-    return ctx.move_orbits[w_min]
+    return tuple(ctx.canonical_order(ctx.move_orbits[w_min]))
 
 
 def canonical_min_rep(ctx, w: AffineWeylElement) -> AffineWeylElement:
@@ -190,7 +202,7 @@ def canonical_min_rep(ctx, w: AffineWeylElement) -> AffineWeylElement:
     orbit = ctx.move_orbits.get(w)
     if orbit is None:
         orbit = ctx.move_orbits[reduce_to_min(ctx, w)[0]]
-    return orbit[0]
+    return next(ctx.canonical_order(orbit))
 
 
 # -- conjugacy across move-orbits ------------------------------------------
@@ -247,8 +259,17 @@ def class_minimal_set(ctx, w_min: AffineWeylElement) -> tuple[AffineWeylElement,
     <mu_dom, 2 rho_M>, mu_dom the M-dominant one.  So the candidates are
     the W_M-orbits of the M-dominant mu = lam mod the coroot lattice of
     M with <mu, 2 rho_M> <= L + max length(a'), paired with each a' in
-    the W_M-class of a; a pair is a conjugate exactly when mu lies in
-    one of the cosets u(lam) + im(1 - a') with u a u^{-1} = a'.
+    the W_M-class of a; a pair t^mu' a' is a conjugate exactly when mu'
+    lies in one of the cosets u'(lam) + im(1 - a') with u' a u'^{-1} = a'.
+
+    One lattice serves the whole class.  Fix one u per a' = u a u^{-1};
+    the other u' are the u c with c in the centraliser Z(a) of a in
+    W_M, and u carries im(1 - a) onto im(1 - a'), since
+    u (1 - a) u^{-1} = 1 - a'.  So mu' = u(nu) is in a coset of a'
+    exactly when nu lies in R = {c(lam) mod im(1 - a) : c in Z(a)}, and
+    nu runs over the W_M-orbit of mu as mu' does.  Each orbit is reduced
+    modulo the one Hermite form of im(1 - a), once, and every a' reads
+    the survivors nu as t^{u(nu)} a'.
     """
     if w_min in ctx.full_classes:
         return ctx.full_classes[w_min]
@@ -257,26 +278,28 @@ def class_minimal_set(ctx, w_min: AffineWeylElement) -> tuple[AffineWeylElement,
     datum = ctx.datum
     length = ctx.length(w_min)
     lam, a = w_min.translation, w_min.finite
-    # for each conjugate a' = u a u^{-1}: the cosets u(lam) mod im(1 - a')
-    cosets: dict = {}
+    hnf = _coinvariant_hnf(ctx, a)
+    # one u per conjugate a' = u a u^{-1}, and the cosets R of Z(a)
+    conjugators: dict = {}
+    cosets = set()
     for u in ctx.finite_elements():
         a_conj = datum.product(datum.product(u, a), datum.finite_inverse(u))
-        hnf = _coinvariant_hnf(ctx, a_conj)
-        cosets.setdefault(a_conj, set()).add(coset_reduce(mat_act(u, lam), hnf))
-    bounds = {a_conj: length + ctx.finite_length(a_conj) for a_conj in cosets}
+        conjugators.setdefault(a_conj, u)
+        if a_conj == a:
+            cosets.add(coset_reduce(mat_act(u, lam), hnf))
+    bounds = {a_conj: length + ctx.finite_length(a_conj) for a_conj in conjugators}
     dominant = _dominant_translations(ctx, lam, max(bounds.values()))
     members = []
-    for a_conj, reps in cosets.items():
-        hnf = _coinvariant_hnf(ctx, a_conj)
-        for mu, mu_length in dominant:
-            if mu_length > bounds[a_conj]:
+    for mu, mu_length in dominant:
+        for nu in ctx.translation_orbit(mu):
+            if coset_reduce(nu, hnf) not in cosets:
                 continue
-            for nu in ctx.translation_orbit(mu):
-                if coset_reduce(nu, hnf) in reps:
-                    z = AffineWeylElement(nu, a_conj)
+            for a_conj, u in conjugators.items():
+                if mu_length <= bounds[a_conj]:
+                    z = AffineWeylElement(mat_act(u, nu), a_conj)
                     if ctx.length(z) == length:
                         members.append(z)
-    members = tuple(sorted(members, key=ctx.sort_key))
+    members = tuple(ctx.canonical_order(members))
     ctx.full_classes.update(dict.fromkeys(members, members))
     return members
 
@@ -382,14 +405,12 @@ def parabolic_elements(ctx, k_labels) -> frozenset[AffineWeylElement]:
     cache = ctx.parabolics
     if key in cache:
         return cache[key]
-    elem = dict(ctx.simple_items())
-    gens = [elem[lab] for lab in key]
     members = {ctx.identity.finite: ctx.identity}
     frontier = [ctx.identity]
     while frontier:
         u = frontier.pop()
-        for s in gens:
-            v = multiply(s, u)
+        for lab in key:
+            v = ctx.wall_times(lab, u)
             first = members.setdefault(v.finite, v)
             if first is v:
                 frontier.append(v)
@@ -453,8 +474,10 @@ def wa_ball_count(ctx, max_length: int) -> int:
 def standard_triple(ctx, w_min: AffineWeylElement) -> StandardTriple:
     """A standard triple (x, K, u) with u x in the minimal class of w_min.
 
-    Searched deterministically: class elements in canonical order, K
-    over finite parabolic subsets by increasing size.  Failure would
+    Searched deterministically: the members of the move orbit of w_min
+    in canonical order, taken lazily, and K over finite parabolic
+    subsets by increasing size.  The search depends only on the orbit,
+    so its triple is memoised for every member.  Failure would
     contradict minimal-length theory, so it raises LogicError.
     """
     cache = ctx.standard_triples
@@ -464,11 +487,12 @@ def standard_triple(ctx, w_min: AffineWeylElement) -> StandardTriple:
         raise LogicError("standard_triple requires a minimal-length element")
     elem = dict(ctx.simple_items())
     subsets = finite_parabolics(ctx)
-    for y in minimal_class(ctx, w_min):
+    orbit = ctx.move_orbits[w_min]
+    for y in ctx.canonical_order(orbit):
         for sub in subsets:
             triple = _try_triple(ctx, y, sub, elem)
             if triple is not None:
-                cache[w_min] = triple
+                cache.update(dict.fromkeys(orbit, triple))
                 return triple
     raise LogicError(f"no standard triple found in the class of {w_min}")
 
@@ -480,7 +504,7 @@ def _try_triple(ctx, y, k_labels, elem) -> StandardTriple | None:
         changed = False
         for lab in k_labels:
             if ctx.left_descents(x)[lab]:
-                x, u = multiply(elem[lab], x), multiply(u, elem[lab])
+                x, u = ctx.wall_times(lab, x), ctx.times_wall(u, lab)
                 changed = True
     if not ctx.is_straight(x):
         return None

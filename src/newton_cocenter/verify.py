@@ -103,8 +103,14 @@ class SuiteReport:
         }
 
 
+def _cap(group, length):
+    """The ball cap of a suite: a suite enumerates every length it is
+    given, while the group's cap bounds the ball queries of the CLI."""
+    return max(length, group.ball_cap)
+
+
 def _ball(group, length, labels=None):
-    return group.enumerate_ball(length, labels, cap=max(length, group.ball_cap))
+    return group.enumerate_ball(length, labels, cap=_cap(group, length))
 
 
 def _bfs_lengths(group, max_depth, labels):
@@ -277,7 +283,7 @@ def suite_newton(group, params):
                 first = first or f"{element_str(group, w)}^#{k}"
     rep.add("straight-powers", n, fails, first)
 
-    fibers = strata(group, L)
+    fibers = strata(group, L, cap=_cap(group, L))
     sizes = "/".join(str(len(v)) for v in fibers.values())
     total = sum(len(v) for v in fibers.values())
     rep.add("strata-partition", len(ball), 0 if total == len(ball) else 1,
@@ -532,7 +538,7 @@ def suite_cocenter(group, params):
 
 def suite_rigid(group, params):
     rep = SuiteReport("rigid", group.datum.descriptor(), params)
-    rows = rigid_decomposition(group, params["length"])
+    rows = rigid_decomposition(group, params["length"], cap=_cap(group, params["length"]))
     fails = sum(0 if r.covered else 1 for r in rows)
     first = next((str(r.nu) for r in rows if not r.covered), None)
     detail = " ".join(

@@ -405,3 +405,11 @@ def test_jobs_below_one_is_an_input_error(capsys):
         assert code == 2
         assert out.out == ""
         assert "--jobs" in out.err and "at least 1" in out.err
+
+
+@pytest.mark.parametrize("suite", ["newton", "rigid", "grammar", "all"])
+def test_verify_length_above_the_ball_cap(suite, capsys):
+    # the A1 ball cap is 12; the suites enumerate any length they are given
+    code, out = run_cli(capsys, "--group", "A1", "--json", "verify", suite, "--length", "13")
+    assert code == 0
+    assert out and all(json.loads(line)["passed"] for line in out.splitlines())

@@ -197,17 +197,31 @@ def test_word_descends_by_flags_with_one_product_per_letter(monkeypatch):
         assert len(word) == real_length(w)
 
 
+def counting_walls(monkeypatch, ctx, calls):
+    """Record each wall product of ctx as (s w: label, w, s w) or
+    (w s: w, label, w s)."""
+    left, right = ctx.wall_times, ctx.times_wall
+    monkeypatch.setattr(ctx, "wall_times",
+                        lambda i, w: calls.append((i, w, out := left(i, w))) or out)
+    monkeypatch.setattr(ctx, "times_wall",
+                        lambda w, i: calls.append((w, i, out := right(w, i))) or out)
+
+
 def test_scan_builds_no_raising_move(monkeypatch):
+    # _scan builds s y s as (s y) s by the wall products of the context
     g = AffineWeylGroup(build_root_datum("GL5", "gl"))
     elems = [w for lab in kappa_labels(g)[:3] for w in g.ball(3, lab)][::3]
-    products = []
-    counting(monkeypatch, reduction, products)
+    products, moves = [], 0
+    counting_walls(monkeypatch, g, products)
     for w in elems:
         products.clear()
         _scan(g, w)
         assert len(products) % 2 == 0
-        for (s, y, _), (_, _, z) in zip(products[::2], products[1::2]):
+        for (s, y, sy), (left, _, z) in zip(products[::2], products[1::2]):
+            assert left == sy
             assert g.length(z) <= g.length(y), (w, y, z)
+        moves += len(products) // 2
+    assert moves
 
 
 def test_ball_multiplies_only_on_ascents(monkeypatch):

@@ -82,6 +82,9 @@ SLOW_CASES = {
     "verify-GL5-levi": ["--group", "GL5", "--json", "verify", "levi"],
     "verify-GL5-positivity": ["--group", "GL5", "--json", "verify", "positivity"],
     "verify-GL5-all": ["--group", "GL5", "--json", "verify", "all"],
+    # a length-32 element: deep class listings by class_minimal_set
+    "cocenter-GL5-t3m120m4s2s1s4s3": ["--group", "GL5", "cocenter-reduce",
+                                      "T[t[3,-1,2,0,-4]*s2*s1*s4*s3]"],
 }
 
 

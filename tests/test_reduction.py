@@ -8,6 +8,7 @@ from newton_cocenter import (
     is_conjugate, is_min_in_class, minimal_class, multiply, newton_index,
     parse_element, reduce_to_min, standard_triple,
 )
+from newton_cocenter.errors import InputError
 from newton_cocenter.reduction import replay, wa_ball_count
 from newton_cocenter.root_datum import mat_act
 from conftest import group
@@ -65,6 +66,22 @@ def test_replay_fails_on_a_step_kind_it_does_not_know(kind):
             steps[i] = dataclasses.replace(step, kind=kind)
             assert not replay(g, dataclasses.replace(path, steps=tuple(steps)))
     assert seen == {"conj-down", "conj-equal"}
+
+
+@pytest.mark.parametrize("label", [7, 2, -1, None])
+def test_replay_fails_on_a_label_that_is_not_a_wall(label, a1):
+    # A1 has the walls 0 and 1; a negative label must not be read from
+    # the end of the wall table
+    _, path = reduce_to_min(a1, parse_element(a1, "S1*S0*S1"))
+    assert replay(a1, path)
+    step = dataclasses.replace(path.steps[0], label=label)
+    assert not replay(a1, dataclasses.replace(path, steps=(step,)))
+
+
+@pytest.mark.parametrize("label", [2, -1])
+def test_conj_step_refuses_a_label_that_is_not_a_wall(label, a1):
+    with pytest.raises(InputError, match="not a wall label"):
+        conj_step(a1, parse_element(a1, "S1*S0*S1"), label)
 
 
 def test_reduce_already_minimal(a1):
