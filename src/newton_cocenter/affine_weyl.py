@@ -33,7 +33,7 @@ from operator import itemgetter, mul
 from .errors import InputError, LogicError, ResourceError
 from .root_datum import (
     Coweight, Covector, IntVector, InternedCoweight, Matrix, RootDatum,
-    coset_reduce, dominant_walk, dot, mat_act, scaled, weyl_inverse, weyl_product,
+    coset_reduce, dominant_walk, dot, scaled, weyl_inverse, weyl_product,
 )
 
 DEFAULT_BALL_CAP_LOW_RANK = 12
@@ -194,10 +194,11 @@ class AffineWeylGroup:
         self.class_reps: dict[AffineWeylElement, AffineWeylElement] = {}
         self.dominant_translations: dict[IntVector, tuple] = {}
         self.dominant_chamber: tuple | None = None
-        # the W_M-orbits of translation_orbit, and the normal forms of
-        # hecke_cocenter._nf_basis
+        # the W_M-orbits of translation_orbit; the normal forms of the
+        # inputs of hecke_cocenter.cocenter_reduce, and its rewrite steps
         self._orbits: dict[IntVector, set[IntVector]] = {}
         self.nf_cache: dict = {}
+        self.nf_steps: dict[AffineWeylElement, tuple] = {}
         self._build_walls(wall_order)
 
     def newton_memos(self) -> tuple[dict, dict]:
@@ -516,10 +517,19 @@ class AffineWeylGroup:
         return v
 
     def translation_orbit(self, mu: IntVector) -> set[IntVector]:
-        """The W_M-orbit of the translation mu (memoised)."""
+        """The W_M-orbit of the translation mu (memoised), walked by the
+        reflections in the M-simple roots, without W_M."""
         orbit = self._orbits.get(mu)
         if orbit is None:
-            orbit = self._orbits[mu] = {mat_act(u, mu) for u in self.finite_elements()}
+            orbit = self._orbits[mu] = {mu}
+            frontier = [mu]
+            for x in frontier:
+                for a, a_vee, _ in self._walls:
+                    c = dot(a, x)
+                    y = tuple([xi - c * vi for xi, vi in zip(x, a_vee)])
+                    if y not in orbit:
+                        orbit.add(y)
+                        frontier.append(y)
         return orbit
 
     # -- balls ------------------------------------------------------------

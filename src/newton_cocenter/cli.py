@@ -212,9 +212,8 @@ def _nf_json(group, nf) -> dict:
                 "nu": coweight_json(nu.nu_bar),
                 "omega": list(nu.omega),
                 "terms": [
-                    {"elem": element_str(group, w), "poly": str(c)}
-                    for w, c in sorted(part.terms.items(),
-                                       key=lambda kv: group.sort_key(kv[0]))
+                    {"elem": element_str(group, w), "poly": str(part.terms[w])}
+                    for w in group.canonical_order(part.terms)
                 ],
             }
             for nu, part in newton_components(group, nf).items()
@@ -231,8 +230,8 @@ def _print_nf(group, nf, as_json):
         return
     for nu, part in newton_components(group, nf).items():
         print(f"component {nu}:")
-        for w, c in sorted(part.terms.items(), key=lambda kv: group.sort_key(kv[0])):
-            print(f"  ({c}) * T[{element_str(group, w)}]")
+        for w in group.canonical_order(part.terms):
+            print(f"  ({part.terms[w]}) * T[{element_str(group, w)}]")
 
 
 # -- per-command handlers ------------------------------------------------
@@ -423,7 +422,7 @@ def cmd_induce(group, args) -> int:
     f = parse_hecke_expr(group, args.expr)
     if not f.terms:
         raise InputError("induce needs a nonzero element")
-    first = sorted(f.terms, key=m.sort_key)[0]
+    first = next(m.canonical_order(f.terms))
     nu_m = m.newton_index(first)
     nf = induce(group, m, f, nu_m)
     _print_nf(group, nf, args.json)

@@ -11,11 +11,11 @@ conjugation preserves length, and when it drops by two,
     T_w = T_s T_{sw} = T_{sw} T_s + [T_s, T_{sw}]
         = (q-1) T_{sw} + q T_{sws}   mod [H, H].
 
-Iterating lands every class on its canonical minimal representative;
-the resulting normal form, a `HeckeElement` on those representatives
-that `newton_components` splits by Newton index, realizes the cocenter
-on the span of the tested elements, which the commutator and
-confluence suites verify.
+Iterating, longest element first, lands every class on its canonical
+minimal representative; the resulting normal form, a `HeckeElement` on
+those representatives that `newton_components` splits by Newton index,
+realizes the cocenter on the span of the tested elements, which the
+commutator and confluence suites verify.
 
 Each rewrite step multiplies coefficients by q or by q-1 and adds
 them, so a coefficient is q^e times one int, its other factor evaluated
@@ -385,74 +385,64 @@ def newton_components(group: AffineWeylGroup,
             for nu, t in sorted(split.items(), key=lambda kv: kv[0].sort_key())}
 
 
-def _nf_basis(group: AffineWeylGroup, w: AffineWeylElement) -> dict:
-    """Normal form of a single T_w, memoized per conjugacy class.
+def _normal_form(group: AffineWeylGroup, w: AffineWeylElement) -> dict:
+    """The normal form of T_w, by one work-list, longest element first.
 
     Minimal elements map to the canonical representative of their full
     conjugacy class: identifying minimal representatives across the
     orbits of the elementary moves is exactly what makes commutators
     reduce to zero (the identification holds in the cocenter with q
     generically invertible, and every coefficient emitted here stays in
-    Z[q]).  A non-minimal w combines the forms of s y and s y s for the
-    first lowering move at y; those are resolved depth-first on an
-    explicit stack (s y before s y s), since the chain of descents is
-    as long as the input.  The forms are memoised on the group
-    (`group.nf_cache`) for the life of the group, never persisted.
+    Z[q]).  A non-minimal element passes (q-1) c to s y and q c to
+    s y s; both are shorter, so each element is popped once, with its
+    coefficient summed over every path to it.  Ties go by the element
+    itself, so no word is built.
     """
-    cache = group.nf_cache
-    pending: dict[AffineWeylElement, tuple] = {}
-    stack = [w]
-    while stack:
-        cur = stack[-1]
-        if cur in cache:
-            stack.pop()
+    from heapq import heappop, heappush
+
+    coeffs, heap, out = {w: ONE}, [(-group.length(w), w)], {}
+    while heap:
+        cur = heappop(heap)[1]
+        c = coeffs.pop(cur, None)
+        if c is None:  # its coefficient summed to zero
             continue
-        frame = pending.get(cur)
-        if frame is None:
-            frame = _lowering_move(group, cur)
-            if frame is None:
-                cache[cur] = {canonical_class_rep(group, cur): ONE}
-                stack.pop()
-                continue
-            pending[cur] = frame
-        parents, sy, z = frame
-        if sy not in cache:
-            stack.append(sy)
+        step = group.nf_steps.get(cur) or _rewrite_step(group, cur)
+        if len(step) == 1:
+            _add_term(out, step[0], c)
             continue
-        if z not in cache:
-            stack.append(z)
-            continue
-        result: dict[AffineWeylElement, QPoly] = {}
-        for rep, c in cache[sy].items():
-            _add_term(result, rep, c * Q_MINUS_1)
-        for rep, c in cache[z].items():
-            _add_term(result, rep, c * Q)
-        for elem in parents:
-            cache[elem] = result
-        del pending[cur]
-        stack.pop()
-    return cache[w]
+        for target, x in zip(step, (c * Q_MINUS_1, c * Q)):
+            if target not in coeffs:
+                heappush(heap, (-group.length(target), target))
+            _add_term(coeffs, target, x)
+    return out
 
 
-def _lowering_move(group, w):
-    """(length-preserving orbit of w, s y, s y s) for the first lowering
-    move s y s of the orbit, or None when w is minimal."""
+def _rewrite_step(group, w):
+    """(class representative,) for a minimal w, else (s y, s y s) for the
+    first lowering move s y s of its length-preserving orbit; memoised in
+    `group.nf_steps`, for every member of that orbit."""
     move = lowering_move(group, w)
     if move is None:
-        return None
+        return group.nf_steps.setdefault(w, (canonical_class_rep(group, w),))
     parents, (y, label, z) = move
-    s = dict(group.simple_items())[label]
-    sy = multiply(s, y)
+    sy = group.wall_times(label, y)
     if group.length(sy) != group.length(y) - 1:
         raise LogicError("lowering moves must factor through a one-step descent")
-    return parents, sy, z
+    step = (sy, z)
+    group.nf_steps.update(dict.fromkeys(parents, step))
+    return step
 
 
 def cocenter_reduce(group: AffineWeylGroup, f: HeckeElement) -> HeckeElement:
-    """Rewrite f modulo commutators onto canonical minimal classes."""
+    """Rewrite f modulo commutators onto canonical minimal classes; the
+    form of each basis element of f is memoised in `group.nf_cache`."""
+    cache = group.nf_cache
     out: dict[AffineWeylElement, QPoly] = {}
     for w, c in f.terms.items():
-        for rep, x in _nf_basis(group, w).items():
+        form = cache.get(w)
+        if form is None:
+            form = cache[w] = _normal_form(group, w)
+        for rep, x in form.items():
             _add_term(out, rep, c * x)
     return HeckeElement(out)
 
@@ -569,8 +559,7 @@ def rigid_decomposition(group: AffineWeylGroup, max_length: int,
         m = levi_weyl_group(group, v)
         if any(dot(a, v) != 0 for a in m.phi_m):
             raise LogicError("the dominant coweight must be central in its Levi")
-        covered = all(_covers(group, nu, x) for x in sorted(fibers[nu],
-                                                            key=group.sort_key))
+        covered = all(_covers(group, nu, x) for x in fibers[nu])
         rows.append(RigidRow(nu, _levi_label(group, m), len(fibers[nu]), covered))
     return rows
 

@@ -16,10 +16,10 @@ it.
 The minimal elements of a full conjugacy class can span several move
 orbits.  class_minimal_set lists them directly: the conjugates of
 t^lam a are the t^mu a' with a' = u a u^{-1} and mu in the coset
-u(lam) + im(1 - a'), and a minimal one has a translation part of
-bounded length, so only the Weyl orbits of finitely many dominant mu
-are tested against those cosets, all of them modulo the one lattice
-im(1 - a) of the class.  The least of them in canonical order is the
+u(lam) + im(1 - a'), and a minimal one has a translation part whose
+length is within length(a') of the class's, so only the Weyl orbits of
+finitely many dominant mu are tested against those cosets, all of them
+modulo the one lattice im(1 - a) of the class.  The least of them in canonical order is the
 class key canonical_class_rep.
 
 The canonical order (`AffineWeylGroup.canonical_order`) is decided on
@@ -43,10 +43,12 @@ None),
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import lcm
+from operator import itemgetter
 
 from .affine_weyl import AffineWeylElement, conjugate
 from .errors import InputError, LogicError
@@ -253,14 +255,15 @@ def class_minimal_set(ctx, w_min: AffineWeylElement) -> tuple[AffineWeylElement,
 
     Built from the conjugation identity above rather than by searching
     a length ball.  Write w_min = t^lam a and L = length(w_min).  Since
-    length(t^mu a') >= length(t^mu) - length(a'), every minimal
-    conjugate t^mu a' has length(t^mu) <= L + length(a'), and the
-    translation lengths are W_M-invariant: length(t^mu) =
-    <mu_dom, 2 rho_M>, mu_dom the M-dominant one.  So the candidates are
-    the W_M-orbits of the M-dominant mu = lam mod the coroot lattice of
-    M with <mu, 2 rho_M> <= L + max length(a'), paired with each a' in
-    the W_M-class of a; a pair t^mu' a' is a conjugate exactly when mu'
-    lies in one of the cosets u'(lam) + im(1 - a') with u' a u'^{-1} = a'.
+    length(t^mu) - length(a') <= length(t^mu a') <= length(t^mu) +
+    length(a'), every minimal conjugate t^mu a' has
+    |length(t^mu) - L| <= length(a'), and the translation lengths are
+    W_M-invariant: length(t^mu) = <mu_dom, 2 rho_M>, mu_dom the
+    M-dominant one.  So the candidates are the W_M-orbits of the
+    M-dominant mu = lam mod the coroot lattice of M in that window,
+    paired with each a' in the W_M-class of a; a pair t^mu' a' is a
+    conjugate exactly when mu' lies in one of the cosets
+    u'(lam) + im(1 - a') with u' a u'^{-1} = a'.
 
     One lattice serves the whole class.  Fix one u per a' = u a u^{-1};
     the other u' are the u c with c in the centraliser Z(a) of a in
@@ -270,6 +273,11 @@ def class_minimal_set(ctx, w_min: AffineWeylElement) -> tuple[AffineWeylElement,
     nu runs over the W_M-orbit of mu as mu' does.  Each orbit is reduced
     modulo the one Hermite form of im(1 - a), once, and every a' reads
     the survivors nu as t^{u(nu)} a'.
+
+    Nothing walks W_M: the a' and their u are reached by conjugating
+    with the M-simple reflections s, and Z(a) is generated by the
+    Schreier elements v^{-1} s u, v the u of s a' s (Schreier's lemma),
+    which act on the cosets modulo im(1 - a) since they commute with a.
     """
     if w_min in ctx.full_classes:
         return ctx.full_classes[w_min]
@@ -279,23 +287,37 @@ def class_minimal_set(ctx, w_min: AffineWeylElement) -> tuple[AffineWeylElement,
     length = ctx.length(w_min)
     lam, a = w_min.translation, w_min.finite
     hnf = _coinvariant_hnf(ctx, a)
-    # one u per conjugate a' = u a u^{-1}, and the cosets R of Z(a)
-    conjugators: dict = {}
-    cosets = set()
-    for u in ctx.finite_elements():
-        a_conj = datum.product(datum.product(u, a), datum.finite_inverse(u))
-        conjugators.setdefault(a_conj, u)
-        if a_conj == a:
-            cosets.add(coset_reduce(mat_act(u, lam), hnf))
-    bounds = {a_conj: length + ctx.finite_length(a_conj) for a_conj in conjugators}
-    dominant = _dominant_translations(ctx, lam, max(bounds.values()))
+    # one u per conjugate a' = u a u^{-1}, and the Schreier generators of Z(a)
+    walls = [datum.reflection(b) for b in ctx.m_simple_roots]
+    conjugators = {a: datum.weyl_identity}
+    frontier, centraliser = [a], set()
+    for a_conj in frontier:
+        u = conjugators[a_conj]
+        for s in walls:
+            b, su = datum.product(datum.product(s, a_conj), s), datum.product(s, u)
+            v = conjugators.get(b)
+            if v is None:
+                conjugators[b] = su
+                frontier.append(b)
+            elif v != su:
+                centraliser.add(datum.product(datum.finite_inverse(v), su))
+    cosets = {coset_reduce(lam, hnf)}
+    frontier = list(cosets)
+    for x in frontier:
+        for c in centraliser:
+            y = coset_reduce(mat_act(c, x), hnf)
+            if y not in cosets:
+                cosets.add(y)
+                frontier.append(y)
+    spans = {a_conj: ctx.finite_length(a_conj) for a_conj in conjugators}
+    reach = max(spans.values())
     members = []
-    for mu, mu_length in dominant:
+    for mu, mu_length in _dominant_translations(ctx, lam, length + reach, length - reach):
         for nu in ctx.translation_orbit(mu):
             if coset_reduce(nu, hnf) not in cosets:
                 continue
             for a_conj, u in conjugators.items():
-                if mu_length <= bounds[a_conj]:
+                if abs(mu_length - length) <= spans[a_conj]:
                     z = AffineWeylElement(mat_act(u, nu), a_conj)
                     if ctx.length(z) == length:
                         members.append(z)
@@ -304,26 +326,28 @@ def class_minimal_set(ctx, w_min: AffineWeylElement) -> tuple[AffineWeylElement,
     return members
 
 
-def _dominant_translations(ctx, lam, bound) -> list[tuple[IntVector, int]]:
+def _dominant_translations(ctx, lam, bound, low=0) -> list[tuple[IntVector, int]]:
     """The M-dominant mu = lam mod the coroot lattice of M with
-    length(t^mu) = <mu, 2 rho_M> <= bound, each with that length.
+    low <= length(t^mu) = <mu, 2 rho_M> <= bound, each with that length,
+    by length.
 
     The list depends on lam only through its coset, so it is memoised
-    per kappa_M label with the largest bound asked for so far; a smaller
-    bound filters the memoised list, whose order it keeps.
+    per kappa_M label with the largest bound asked for so far; every
+    window is cut from the memoised list by bisection at both ends.
     """
     memo = ctx.dominant_translations
     label = coset_reduce(lam, ctx.coroot_hnf)
     hit = memo.get(label)
     if hit is None or hit[0] < bound:
         hit = memo[label] = (bound, _enumerate_dominant(ctx, lam, bound))
-    if hit[0] == bound:
-        return hit[1]
-    return [item for item in hit[1] if item[1] <= bound]
+    items = hit[1]
+    return items[bisect_left(items, low, key=itemgetter(1)):
+                 bisect_right(items, bound, key=itemgetter(1))]
 
 
 def _enumerate_dominant(ctx, lam, bound) -> list[tuple[IntVector, int]]:
-    """`_dominant_translations`, enumerated in lexicographic order of y.
+    """`_dominant_translations` from 0 to bound, enumerated in
+    lexicographic order of y and then sorted by length.
 
     Such mu are lam + sum_i c_i alpha_i^vee with integral c solving
     C c = y - <alpha, lam>, where C is the Cartan matrix of M and
@@ -359,6 +383,7 @@ def _enumerate_dominant(ctx, lam, bound) -> list[tuple[IntVector, int]]:
         mu = tuple(x + sum(ci // den * cv[j] for ci, cv in zip(c, coroots))
                    for j, x in enumerate(lam))
         out.append((mu, dot(ctx.two_rho_m, mu)))
+    out.sort(key=itemgetter(1))
     return out
 
 

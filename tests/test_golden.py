@@ -142,3 +142,15 @@ def test_slow_golden_a1_depth_600(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "d49314e634757a798a3e56ee9b6392061ca344fd4c99812ad8f7601ba9fb8942"
+
+
+@pytest.mark.slow
+def test_slow_golden_a1_depth_1000(capsys):
+    # 1,000 classes, each listed from a constant window of dominant
+    # translations; the digest was recorded before the normal forms
+    # became one longest-first work-list
+    code = main(["--group", "A1", "cocenter-reduce", "T[t[1000]*s1]"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "8ff97168ed4a344710ed58706b572df97bdebca8d6f479890c6d4f89800f7a57"
