@@ -349,23 +349,22 @@ class HeckeElement:
 
 def hecke_mul(group: AffineWeylGroup, f: HeckeElement, g: HeckeElement) -> HeckeElement:
     """Product in the Iwahori-Matsumoto basis."""
-    simples = dict(group.simple_items())
     out = HeckeElement()
     for y, cy in sorted(g.terms.items(), key=lambda kv: group.sort_key(kv[0])):
         word, omega = group.wa_omega_split(y)
         part = dict(f.terms)
         for lab in word:
-            part = _mul_by_generator(group, part, lab, simples[lab])
+            part = _mul_by_generator(group, part, lab)
         if omega != group.identity:
             part = {multiply(x, omega): c for x, c in part.items()}
         out = out + HeckeElement(part).scale(cy)
     return out
 
 
-def _mul_by_generator(group, terms, label, s):
+def _mul_by_generator(group, terms, label):
     out: dict[AffineWeylElement, QPoly] = {}
     for x, c in terms.items():
-        xs = multiply(x, s)
+        xs = group.times_wall(x, label)
         if not group.right_descents(x)[label]:
             _add_term(out, xs, c)
         else:
@@ -481,9 +480,7 @@ def cocenter_reduce_randomized(group: AffineWeylGroup, f: HeckeElement,
         if kind == "equal":
             _add_term(terms, z, c)
         else:
-            s = dict(group.simple_items())[lab]
-            sw = multiply(s, w)
-            _add_term(terms, sw, c * Q_MINUS_1)
+            _add_term(terms, group.wall_times(lab, w), c * Q_MINUS_1)
             _add_term(terms, z, c * Q)
     raise ResourceError(
         f"randomized reduction did not finish within {max_steps} steps")

@@ -2,8 +2,11 @@
 
 Each suite runs a family of exhaustive or seeded checks over a length
 ball of the configured group and reports (property, instances tested,
-failures, first counterexample).  Reports are canonical: fixed ordering
-everywhere, timing kept out of the payload so runs are byte-identical.
+failures, first counterexample).  Every property but two single
+verdicts runs through one runner, `SuiteReport.check`, which counts its
+(subject, ok) cases and formats only the first failing subject.
+Reports are canonical: fixed ordering everywhere, timing kept out of
+the payload so runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -65,6 +68,22 @@ class SuiteReport:
     def add(self, property_id, instances, failures, first=None, detail=""):
         self.checks.append(CheckResult(property_id, instances, failures,
                                        first, detail))
+
+    def check(self, property_id, cases, show) -> CheckResult:
+        """Run one property over `cases`, lazily yielded (subject, ok)
+        pairs: count the instances and failures and format, by `show`,
+        the first failing subject only.  Returns the appended result,
+        whose `detail` the suite may set."""
+        instances = failures = 0
+        first = None
+        for subject, ok in cases:
+            instances += 1
+            if not ok:
+                if not failures:
+                    first = show(subject)
+                failures += 1
+        self.checks.append(result := CheckResult(property_id, instances, failures, first))
+        return result
 
     def to_text(self) -> str:
         lines = [f"suite {self.suite} group {self.group} "
@@ -137,11 +156,14 @@ def _omega_conjugators(group):
 def _levi_grid(group, max_den=6):
     """Representative rational coweights, one per distinct Levi.
 
-    Low ranks scan the full denominator grid; higher ranks use a small
-    value set (the Levi only depends on which roots vanish, so a coarse
-    grid already meets every stabilizer pattern the suite needs).  The
-    walk runs on the grid scaled by the common denominator d of the
-    values; only the representatives kept become Fractions.
+    Low ranks scan the full denominator grid; higher ranks use the
+    value set {0, 1/2, 1, 2}, on which the Levi depends only on which
+    roots vanish.  That set misses every Levi whose coweight needs more
+    than 4 distinct coordinates: GL3 and GL4 get the torus, but GL5's
+    grid finds 51 Levis, and the torus is not among them (ROADMAP item
+    11 lists the Levis from the root datum instead).  The walk runs on
+    the grid scaled by the common denominator d of the values; only
+    the representatives kept become Fractions.
     """
     if group.datum.rank <= 2:
         values = sorted({Fraction(p, q) for q in range(1, max_den + 1)
@@ -200,38 +222,33 @@ def _levi_box(group, m, max_m_length, box=2, cap=None):
 
 def suite_grammar(group, params):
     rep = SuiteReport("grammar", group.datum.descriptor(), params)
-    ball = _ball(group, params["length"])
-    fails = 0
-    first = None
-    for w in ball:
-        text = element_str(group, w)
-        back = parse_element(group, text)
-        word, omega = group.wa_omega_split(w)
-        alt = ("*".join(f"S{i}" for i in word) or "E")
-        if omega != group.identity:
-            alt += "#[" + ",".join(str(x) for x in group.kappa(w)) + "]"
-        if back != w or parse_element(group, alt) != w \
-                or element_str(group, parse_element(group, text)) != text:
-            fails += 1
-            first = first or text
-    rep.add("print-parse-round-trip", len(ball), fails, first)
+    rep.check("print-parse-round-trip",
+              ((w, _round_trips(group, w)) for w in _ball(group, params["length"])),
+              functools.partial(element_str, group))
     return rep
+
+
+def _round_trips(group, w):
+    """w parses back from its text, and from its wall word and kappa,
+    and its text prints back from the parse."""
+    text = element_str(group, w)
+    back = parse_element(group, text)
+    word, omega = group.wa_omega_split(w)
+    alt = ("*".join(f"S{i}" for i in word) or "E")
+    if omega != group.identity:
+        alt += "#[" + ",".join(str(x) for x in group.kappa(w)) + "]"
+    return back == w and parse_element(group, alt) == w \
+        and element_str(group, back) == text
 
 
 def suite_length(group, params):
     rep = SuiteReport("length", group.datum.descriptor(), params)
-    L = params["length"]
     labels = group.datum.omega_labels() or [(0,) * group.datum.rank]
-    oracle = _bfs_lengths(group, L, labels)
-    fails = 0
-    first = None
-    n = 0
-    for w, depth in sorted(oracle.items(), key=lambda kv: group.sort_key(kv[0])):
-        n += 1
-        if group.length(w) != depth:
-            fails += 1
-            first = first or f"{element_str(group, w)}:{group.length(w)}!={depth}"
-    rep.add("inversion-length-equals-bfs-word-length", n, fails, first)
+    oracle = _bfs_lengths(group, params["length"], labels)
+    rep.check("inversion-length-equals-bfs-word-length",
+              (((w, depth), group.length(w) == depth) for w, depth
+               in sorted(oracle.items(), key=lambda kv: group.sort_key(kv[0]))),
+              lambda wd: f"{element_str(group, wd[0])}:{group.length(wd[0])}!={wd[1]}")
     return rep
 
 
@@ -239,49 +256,17 @@ def suite_newton(group, params):
     rep = SuiteReport("newton", group.datum.descriptor(), params)
     L = params["length"]
     ball = _ball(group, L)
-    omegas = _omega_conjugators(group)
-
-    fails, first, n = 0, None, 0
-    for w in ball:
-        pi = group.newton_index(w)
-        for _, s in group.simple_items():
-            n += 1
-            if group.newton_index(conjugate(s, w)) != pi:
-                fails += 1
-                first = first or element_str(group, w)
-        for om in omegas:
-            n += 1
-            if group.newton_index(conjugate(om, w)) != pi:
-                fails += 1
-                first = first or element_str(group, w)
-    rep.add("conjugation-invariance", n, fails, first)
-
-    fails, first = 0, None
-    for w in ball:
-        order = group.datum.element_order(w.finite)
-        total1 = _orbit_sum(w, order)
-        total2 = _orbit_sum(w, 2 * order)
-        if tuple(Fraction(x, order) for x in total1) != \
-                tuple(Fraction(x, 2 * order) for x in total2):
-            fails += 1
-            first = first or element_str(group, w)
-    rep.add("exponent-independence", len(ball), fails, first)
-
-    fails, first, n = 0, None, 0
-    for w in ball:
-        if not group.is_straight(w):
-            continue
-        base = group.newton_index(w).nu_bar
-        power = w
-        for k in range(2, 7):
-            power = multiply(power, w)
-            n += 1
-            ok_len = group.length(power) == k * group.length(w)
-            ok_nu = group.newton_index(power).nu_bar == tuple(k * c for c in base)
-            if not (ok_len and ok_nu):
-                fails += 1
-                first = first or f"{element_str(group, w)}^#{k}"
-    rep.add("straight-powers", n, fails, first)
+    show = functools.partial(element_str, group)
+    conjugators = [s for _, s in group.simple_items()] + _omega_conjugators(group)
+    rep.check("conjugation-invariance",
+              ((w, group.newton_index(conjugate(x, w)) == pi)
+               for w in ball for pi in [group.newton_index(w)] for x in conjugators),
+              show)
+    rep.check("exponent-independence",
+              ((w, _orbit_average(w, n) == _orbit_average(w, 2 * n))
+               for w in ball for n in [group.datum.element_order(w.finite)]), show)
+    rep.check("straight-powers", _straight_powers(group, ball),
+              lambda wk: f"{element_str(group, wk[0])}^#{wk[1]}")
 
     fibers = strata(group, L, cap=_cap(group, L))
     sizes = "/".join(str(len(v)) for v in fibers.values())
@@ -289,6 +274,10 @@ def suite_newton(group, params):
     rep.add("strata-partition", len(ball), 0 if total == len(ball) else 1,
             None, detail=f"sizes={sizes}")
     return rep
+
+
+def _orbit_average(w, n):
+    return tuple(Fraction(x, n) for x in _orbit_sum(w, n))
 
 
 def _orbit_sum(w, n):
@@ -300,71 +289,70 @@ def _orbit_sum(w, n):
     return tuple(total)
 
 
+def _straight_powers(group, ball):
+    """((w, k), ok) for each straight w of the ball and k = 2..6: w^k
+    has k times the length and the Newton point of w."""
+    for w in filter(group.is_straight, ball):
+        length, nu = group.length(w), group.newton_index(w).nu_bar
+        power = w
+        for k in range(2, 7):
+            power = multiply(power, w)
+            yield (w, k), group.length(power) == k * length \
+                and group.newton_index(power).nu_bar == tuple(k * c for c in nu)
+
+
 def suite_straightness(group, params):
     rep = SuiteReport("straightness", group.datum.descriptor(), params)
-    ball = _ball(group, params["length"])
-    fails, first = 0, None
-    for w in ball:
-        if group.is_straight(w) != is_straight_by_powers(group, w):
-            fails += 1
-            first = first or element_str(group, w)
-    rep.add("pairing-criterion-equals-power-condition", len(ball), fails, first)
+    rep.check("pairing-criterion-equals-power-condition",
+              ((w, group.is_straight(w) == is_straight_by_powers(group, w))
+               for w in _ball(group, params["length"])),
+              functools.partial(element_str, group))
     return rep
 
 
 def suite_reduction(group, params):
     rep = SuiteReport("reduction", group.datum.descriptor(), params)
-    ball = _ball(group, params["length"])
-    failed = {prop: [] for prop in (
-        "path-replays", "newton-constant-along-path", "end-is-minimal",
-        "path-length-bound", "standard-triple-exists")}
-    for w in ball:
-        w_min, path = reduce_to_min(group, w)
-        if not replay(group, path):
-            failed["path-replays"].append(w)
-        pi = group.newton_index(w)
-        if not all(group.newton_index(st.result) == pi for st in path.steps):
-            failed["newton-constant-along-path"].append(w)
-        if not is_min_in_class(group, w_min):
-            failed["end-is-minimal"].append(w)
-        if len(path.steps) > wa_ball_count(group, group.length(w)):
-            failed["path-length-bound"].append(w)
-        try:
-            triple = standard_triple(group, w_min)
-            ux = multiply(triple.u, triple.x)
-            ok = is_min_in_class(group, ux) and \
-                group.newton_index(ux) == group.newton_index(triple.x) == pi and \
-                group.is_straight(triple.x)
-        except LogicError:
-            ok = False
-        if not ok:
-            failed["standard-triple-exists"].append(w)
-    for prop, bad in failed.items():
-        rep.add(prop, len(ball), len(bad),
-                element_str(group, bad[0]) if bad else None)
+    show = functools.partial(element_str, group)
+    runs = [(w, group.newton_index(w), *reduce_to_min(group, w))
+            for w in _ball(group, params["length"])]
+    rep.check("path-replays", ((w, replay(group, path)) for w, _, _, path in runs), show)
+    rep.check("newton-constant-along-path",
+              ((w, all(group.newton_index(st.result) == pi for st in path.steps))
+               for w, pi, _, path in runs), show)
+    rep.check("end-is-minimal",
+              ((w, is_min_in_class(group, w_min)) for w, _, w_min, _ in runs), show)
+    rep.check("path-length-bound",
+              ((w, len(path.steps) <= wa_ball_count(group, group.length(w)))
+               for w, _, _, path in runs), show)
+    rep.check("standard-triple-exists",
+              ((w, _standard_triple_holds(group, w_min, pi)) for w, pi, w_min, _ in runs),
+              show)
     return rep
+
+
+def _standard_triple_holds(group, w_min, pi):
+    """w_min has a standard triple (x, u): u x minimal with x straight,
+    both of Newton index pi."""
+    try:
+        triple = standard_triple(group, w_min)
+        ux = multiply(triple.u, triple.x)
+        return is_min_in_class(group, ux) and \
+            group.newton_index(ux) == group.newton_index(triple.x) == pi and \
+            group.is_straight(triple.x)
+    except LogicError:
+        return False
 
 
 def suite_alcove(group, params):
     rep = SuiteReport("alcove", group.datum.descriptor(), params)
     ball = _ball(group, params["length"])
-    fails, first, n = 0, None, 0
-    minimal = [w for w in ball if is_min_in_class(group, w)]
-    for w in minimal:
-        n += 1
-        if not is_v_alcove(group, w, newton_point(group, w)):
-            fails += 1
-            first = first or element_str(group, w)
-    rep.add("minimal-implies-newton-alcove", n, fails, first)
-
-    fails, first, n = 0, None, 0
-    for w in ball[: 40]:
-        v = newton_point(group, w)
-        n += 1
-        if is_v_alcove(group, w, v) != _is_v_alcove_wide(group, w, v):
-            fails += 1
-            first = first or element_str(group, w)
-    rep.add("window-matches-doubled-window", n, fails, first)
+    show = functools.partial(element_str, group)
+    rep.check("minimal-implies-newton-alcove",
+              ((w, is_v_alcove(group, w, newton_point(group, w)))
+               for w in ball if is_min_in_class(group, w)), show)
+    rep.check("window-matches-doubled-window",
+              ((w, is_v_alcove(group, w, v) == _is_v_alcove_wide(group, w, v))
+               for w in ball[: 40] for v in [newton_point(group, w)]), show)
     return rep
 
 
@@ -387,163 +375,125 @@ def _is_v_alcove_wide(group, w, v):
 
 def suite_levi(group, params):
     rep = SuiteReport("levi", group.datum.descriptor(), params)
-    grid = _levi_grid(group, params["max_den"])
-    lm = params["m_length"]
-    boxes = {v: _levi_box(group, levi_weyl_group(group, v), lm) for v in grid}
+    boxes = [(v, m, _levi_box(group, m, params["m_length"]))
+             for v in _levi_grid(group, params["max_den"])
+             for m in [levi_weyl_group(group, v)]]
+    show = functools.partial(_levi_case_str, group)
 
-    n = fails = 0
-    strict = 0
-    first = None
-    for v in grid:
-        m = levi_weyl_group(group, v)
-        for w in boxes[v]:
-            n += 1
-            if m.length(w) > group.length(w):
-                fails += 1
-                first = first or f"v={_vstr(v)} w={element_str(group, w)}"
-            elif m.length(w) < group.length(w):
-                strict += 1
-    rep.add("levi-length-at-most-ambient", n, fails, first,
-            detail=f"strict={strict}")
+    excess = [((v, w), m.length(w) - group.length(w)) for v, m, box in boxes for w in box]
+    rep.check("levi-length-at-most-ambient", ((vw, d <= 0) for vw, d in excess),
+              show).detail = f"strict={sum(d < 0 for _, d in excess)}"
+    rep.check("levi-stratum-inside-ambient-stratum",
+              (((v, w), m_in_g_stratum_check(group, m, w, m.newton_index(w)))
+               for v, m, box in boxes for w in box), show)
+    rep.check("conjugation-compatible-strata", _conjugation_cases(group, boxes), show)
+    return rep
 
-    n = fails = 0
-    first = None
-    for v in grid:
-        m = levi_weyl_group(group, v)
-        for w in boxes[v]:
-            n += 1
-            if not m_in_g_stratum_check(group, m, w, m.newton_index(w)):
-                fails += 1
-                first = first or f"v={_vstr(v)} w={element_str(group, w)}"
-    rep.add("levi-stratum-inside-ambient-stratum", n, fails, first)
 
-    n = fails = 0
-    first = None
+def _conjugation_cases(group, boxes):
+    """((v, w), ok) for each Levi M of v, conjugator u0 and short w of
+    its box: the index map of u0 M u0^-1 sends the M-Newton index of w
+    to that of u0 w u0^-1."""
     conjugators = group.datum.weyl_elements if group.datum.w0_order <= 16 \
         else group.datum.simple_reflections
-    for v in grid:
-        m = levi_weyl_group(group, v)
-        small = [w for w in boxes[v]
-                 if m.length(w) <= 3
+    for v, m, box in boxes:
+        small = [w for w in box if m.length(w) <= 3
                  and all(abs(x) <= 1 for x in w.translation)][:60]
         for u0 in conjugators:
             m2, index_map = conjugate_levi(group, u0, m)
             x0 = group.finite_element(u0)
             for w in small:
-                n += 1
-                if m2.newton_index(conjugate(x0, w)) != index_map(m.newton_index(w)):
-                    fails += 1
-                    first = first or f"v={_vstr(v)} w={element_str(group, w)}"
-    rep.add("conjugation-compatible-strata", n, fails, first)
-    return rep
+                yield (v, w), \
+                    m2.newton_index(conjugate(x0, w)) == index_map(m.newton_index(w))
 
 
-def _vstr(v):
-    return "[" + ",".join(frac_str(Fraction(c)) for c in v) + "]"
+def _levi_case_str(group, vw):
+    return f"v=[{','.join(frac_str(Fraction(c)) for c in vw[0])}] w={element_str(group, vw[1])}"
 
 
 def suite_positivity(group, params):
     rep = SuiteReport("positivity", group.datum.descriptor(), params)
-    grid = _levi_grid(group, params["max_den"])
-    n = fails = skipped = 0
-    first = None
-    for v in grid:
-        m = levi_weyl_group(group, v)
-        plus = m.phi_plus
-        for w in _levi_box(group, m, 4, box=1):
-            _, scaled_nu = scaled(newton_point(group, w))
-            if not all(dot(beta, scaled_nu) > 0 for beta in plus):
-                skipped += 1
-                continue
-            n += 1
-            try:
-                cert = positivity_exponent(group, w, v)
-                if cert.exponent > cert.bound:
-                    fails += 1
-                    first = first or f"v={_vstr(v)} w={element_str(group, w)}"
-            except InputError:
-                fails += 1
-                first = first or f"v={_vstr(v)} w={element_str(group, w)}"
-    rep.add("exponent-within-bound", n, fails, first, detail=f"skipped={skipped}")
+    boxes = [(v, m, _levi_box(group, m, 4, box=1))
+             for v in _levi_grid(group, params["max_den"])
+             for m in [levi_weyl_group(group, v)]]
+    result = rep.check(
+        "exponent-within-bound",
+        (((v, w), _exponent_within_bound(group, w, v))
+         for v, m, box in boxes for w in box if _newton_point_v_positive(group, m, w)),
+        functools.partial(_levi_case_str, group))
+    result.detail = f"skipped={sum(len(box) for _, _, box in boxes) - result.instances}"
     return rep
+
+
+def _newton_point_v_positive(group, m, w):
+    _, scaled_nu = scaled(newton_point(group, w))
+    return all(dot(beta, scaled_nu) > 0 for beta in m.phi_plus)
+
+
+def _exponent_within_bound(group, w, v):
+    try:
+        cert = positivity_exponent(group, w, v)
+    except InputError:
+        return False
+    return cert.exponent <= cert.bound
 
 
 def suite_cocenter(group, params):
     rep = SuiteReport("cocenter", group.datum.descriptor(), params)
     budget = params["pair_budget"]
-    ball = _ball(group, budget)
+    show = functools.partial(element_str, group)
 
-    n = fails = 0
-    first = None
-    residues = []
-    for x, y in combinations(ball, 2):
-        if group.length(x) + group.length(y) > budget:
-            continue
-        n += 1
-        tx, ty = HeckeElement.basis(x), HeckeElement.basis(y)
-        comm = hecke_mul(group, tx, ty) - hecke_mul(group, ty, tx)
-        nf = cocenter_reduce(group, comm)
-        if nf:
-            fails += 1
-            first = first or f"[{element_str(group, x)},{element_str(group, y)}]"
-            residues.append(nf)
-    rep.add("commutators-vanish", n, fails, first)
-
-    basis_keys = sorted({rep_ for r in residues for rep_ in r.terms},
-                        key=group.sort_key)
-    if residues:
-        matrix = [[r.terms.get(k, QPoly()) for k in basis_keys]
-                  for r in residues]
-        rank = fraction_free_rank(matrix)
-    else:
-        rank = 0
+    forms = [((x, y), cocenter_reduce(group, _commutator(group, x, y)))
+             for x, y in combinations(_ball(group, budget), 2)
+             if group.length(x) + group.length(y) <= budget]
+    rep.check("commutators-vanish", ((xy, not nf) for xy, nf in forms),
+              lambda xy: f"[{show(xy[0])},{show(xy[1])}]")
+    residues = [nf for _, nf in forms if nf]
+    keys = sorted({k for r in residues for k in r.terms}, key=group.sort_key)
+    rank = fraction_free_rank([[r.terms.get(k, QPoly()) for k in keys] for r in residues])
     rep.add("residue-rank-zero", 1, 0 if rank == 0 else 1, None,
             detail=f"rank={rank}")
 
-    seeds = params["seeds"]
     base = params["seed"]
     sample = [w for w in _ball(group, min(budget, 4)) if group.length(w) >= 2][:4]
-    f = HeckeElement()
-    for i, w in enumerate(sample):
-        f = f + HeckeElement.basis(w, QPoly((i + 1, 1)))
+    f = HeckeElement({w: QPoly((i + 1, 1)) for i, w in enumerate(sample)})
     target = cocenter_reduce(group, f)
-    n = fails = 0
-    first = None
-    for seed in range(base, base + seeds):
-        n += 1
-        rng = random.Random(seed)
-        try:
-            ok = cocenter_reduce_randomized(group, f, rng) == target
-        except ResourceError:
-            ok = False
-        if not ok:
-            fails += 1
-            first = first or f"seed={seed}"
-    rep.add("confluence-under-random-strategies", n, fails, first)
-
-    n = fails = 0
-    first = None
-    for w in _ball(group, min(budget, 5)):
-        n += 1
-        nf = cocenter_reduce(group, HeckeElement.basis(w))
-        at_one = nf.evaluate_q(1)
-        expected = {canonical_class_rep(group, w): 1}
-        kappa_ok = all(group.kappa(k) == group.kappa(w) for k in nf.terms)
-        if at_one != expected or not kappa_ok:
-            fails += 1
-            first = first or element_str(group, w)
-    rep.add("q1-specializes-to-class-map", n, fails, first)
+    rep.check("confluence-under-random-strategies",
+              ((seed, _reduces_to(group, f, random.Random(seed), target))
+               for seed in range(base, base + params["seeds"])),
+              lambda seed: f"seed={seed}")
+    rep.check("q1-specializes-to-class-map",
+              ((w, _specializes_to_class(group, w)) for w in _ball(group, min(budget, 5))),
+              show)
     return rep
+
+
+def _commutator(group, x, y):
+    tx, ty = HeckeElement.basis(x), HeckeElement.basis(y)
+    return hecke_mul(group, tx, ty) - hecke_mul(group, ty, tx)
+
+
+def _reduces_to(group, f, rng, target):
+    try:
+        return cocenter_reduce_randomized(group, f, rng) == target
+    except ResourceError:
+        return False
+
+
+def _specializes_to_class(group, w):
+    """At q = 1 the normal form of T_w is its class, and every term has
+    the kappa of w."""
+    nf = cocenter_reduce(group, HeckeElement.basis(w))
+    return nf.evaluate_q(1) == {canonical_class_rep(group, w): 1} \
+        and all(group.kappa(k) == group.kappa(w) for k in nf.terms)
 
 
 def suite_rigid(group, params):
     rep = SuiteReport("rigid", group.datum.descriptor(), params)
     rows = rigid_decomposition(group, params["length"], cap=_cap(group, params["length"]))
-    fails = sum(0 if r.covered else 1 for r in rows)
-    first = next((str(r.nu) for r in rows if not r.covered), None)
-    detail = " ".join(
+    rep.check("all-components-covered", ((r, r.covered) for r in rows),
+              lambda r: str(r.nu)).detail = " ".join(
         f"{r.nu}:{r.levi_label}:{r.class_count}" for r in rows)
-    rep.add("all-components-covered", len(rows), fails, first, detail=detail)
     return rep
 
 

@@ -138,3 +138,21 @@ def test_suites_read_only_their_own_parameters():
         if not defaults[node.name] <= read:
             found.append(f"{node.name} never reads {sorted(defaults[node.name] - read)}")
     assert found == [], "read params[key] for the SUITES keys only: " + ", ".join(found)
+
+
+def test_suites_keep_no_failure_counters():
+    # every property counts its instances and failures in
+    # SuiteReport.check, so no suite keeps a counter or a first
+    # counterexample of its own
+    tree = ast.parse((SOURCE / "verify.py").read_text(encoding="utf-8"))
+    found = []
+    for suite in tree.body:
+        if not (isinstance(suite, ast.FunctionDef) and suite.name.startswith("suite_")):
+            continue
+        for node in ast.walk(suite):
+            if isinstance(node, ast.AugAssign):
+                found.append(f"{suite.name}:{node.lineno}: {ast.unparse(node)}")
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) \
+                    and node.id in ("fails", "first", "failed"):
+                found.append(f"{suite.name}:{node.lineno}: assigns {node.id}")
+    assert found == [], "count through SuiteReport.check: " + ", ".join(found)
