@@ -26,13 +26,12 @@ descent is a sign, read off without a product or a length.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, mul
 
 from .errors import InputError, LogicError, ResourceError
 from .root_datum import (
-    Coweight, Covector, IntVector, InternedCoweight, Matrix, RootDatum,
+    Coweight, Covector, FrozenRecord, IntVector, InternedCoweight, Matrix, RootDatum,
     coset_reduce, dominant_walk, dot, scaled, weyl_inverse, weyl_product,
 )
 
@@ -72,12 +71,14 @@ class AffineWeylElement(tuple):
 _new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class AffineRoot:
+class AffineRoot(FrozenRecord):
     """The affine function x -> <vector_part, x> + level."""
 
-    vector_part: Covector
-    level: int
+    __slots__ = ("vector_part", "level")
+
+    def __init__(self, vector_part: Covector, level: int):
+        object.__setattr__(self, "vector_part", vector_part)
+        object.__setattr__(self, "level", level)
 
     def __neg__(self) -> "AffineRoot":
         return AffineRoot(tuple(-a for a in self.vector_part), -self.level)

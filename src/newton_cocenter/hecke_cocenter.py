@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .affine_weyl import (
@@ -515,12 +515,7 @@ def induce(group: AffineWeylGroup, m: LeviWeylGroup, f: HeckeElement,
     return nf
 
 
-@dataclass(frozen=True)
-class RigidRow:
-    nu: NewtonIndex
-    levi_label: str
-    class_count: int
-    covered: bool
+RigidRow = namedtuple("RigidRow", "nu levi_label class_count covered")
 
 
 def _levi_label(group: AffineWeylGroup, m: LeviWeylGroup) -> str:

@@ -18,7 +18,7 @@ construction; it holds no reference to the ambient group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import lcm
 
 from .affine_weyl import AffineWeylElement, AffineWeylGroup, multiply
@@ -26,7 +26,7 @@ from .errors import InputError, LogicError
 from .newton import NewtonIndex, newton_point
 from .reduction import max_finite_parabolic_order, wa_ball_count
 from .root_datum import (
-    Coweight, Matrix, coweight, coset_reduce, dot, hnf_columns, mat_act, scaled,
+    Matrix, coweight, coset_reduce, dot, hnf_columns, mat_act, scaled,
 )
 
 
@@ -124,26 +124,16 @@ def is_v_alcove(group: AffineWeylGroup, w: AffineWeylElement, v) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PositivityCertificate:
-    """Witness that a power of w shifts every v-positive level up.
-
-    exponent is the least i such that w^i raises the level of every
-    affine root with vector part strictly positive on v by at least 1
-    (equivalently lowers the strictly negative ones); bound is the
-    a-priori value (2 N0 + N1 + 1) * i0 where N0 counts the M-ball of
-    radius length_M(w), N1 is the largest finite parabolic of W(M) and
-    i0 clears the denominator of v.
-    """
-
-    w: AffineWeylElement
-    v: Coweight
-    exponent: int
-    bound: int
-    n0: int
-    n1: int
-    denominator_scale: int
-    min_shift_at_exponent: int
+# Witness that a power of w shifts every v-positive level up.  exponent
+# is the least i such that w^i raises the level of every affine root
+# with vector part strictly positive on v by at least 1 (equivalently
+# lowers the strictly negative ones); bound is the a-priori value
+# (2 N0 + N1 + 1) * i0 where N0 counts the M-ball of radius
+# length_M(w), N1 is the largest finite parabolic of W(M) and i0 clears
+# the denominator of v.
+PositivityCertificate = namedtuple("PositivityCertificate", [
+    "w", "v", "exponent", "bound", "n0", "n1", "denominator_scale",
+    "min_shift_at_exponent"])
 
 
 def positivity_exponent(group: AffineWeylGroup, w: AffineWeylElement,

@@ -9,19 +9,20 @@ representative of nu_w.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 
 from .affine_weyl import AffineWeylElement, AffineWeylGroup, multiply
-from .root_datum import Coweight, IntVector, frac_str, mat_act
+from .root_datum import Coweight, FrozenRecord, IntVector, frac_str, mat_act
 
 
-@dataclass(frozen=True)
-class NewtonIndex:
+class NewtonIndex(FrozenRecord):
     """A coroot-lattice coset label plus a dominant rational coweight."""
 
-    omega: IntVector
-    nu_bar: Coweight
+    __slots__ = ("omega", "nu_bar")
+
+    def __init__(self, omega: IntVector, nu_bar: Coweight):
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "nu_bar", nu_bar)
 
     def sort_key(self):
         return (self.nu_bar, self.omega)

@@ -19,8 +19,9 @@ t^lam a are the t^mu a' with a' = u a u^{-1} and mu in the coset
 u(lam) + im(1 - a'), and a minimal one has a translation part whose
 length is within length(a') of the class's, so only the Weyl orbits of
 finitely many dominant mu are tested against those cosets, all of them
-modulo the one lattice im(1 - a) of the class.  The least of them in canonical order is the
-class key canonical_class_rep.
+modulo the one lattice im(1 - a) of the class.  The least of them in
+canonical order is the class key canonical_class_rep, which is read
+off the unsorted, memoised listing without ordering the rest.
 
 The canonical order (`AffineWeylGroup.canonical_order`) is decided on
 demand, letter by letter, and never from a whole reduced word: a move
@@ -44,16 +45,15 @@ None),
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from itertools import combinations, product
-from math import lcm
+from math import lcm, prod
 from operator import itemgetter
 
 from .affine_weyl import AffineWeylElement, conjugate
 from .errors import InputError, LogicError
 from .root_datum import (
-    IntVector, coset_reduce, dot, hnf_columns, mat_act, rational_inverse,
+    IntVector, coset_reduce, dot, hnf_columns, mat_act, rational_inverse, weyl_exponents,
 )
 
 CONJ_DOWN = "conj-down"
@@ -62,27 +62,10 @@ CONJ_EQUAL = "conj-equal"
 _DROPS = {CONJ_DOWN: 2, CONJ_EQUAL: 0}
 
 
-@dataclass(frozen=True)
-class ReductionStep:
-    label: int
-    kind: str
-    result: AffineWeylElement
-
-
-@dataclass(frozen=True)
-class ReductionPath:
-    start: AffineWeylElement
-    steps: tuple[ReductionStep, ...]
-    end: AffineWeylElement
-
-
-@dataclass(frozen=True)
-class StandardTriple:
-    """x straight and K-coset-minimal, Ad(x)(K) = K finite, u in W_K."""
-
-    x: AffineWeylElement
-    k_labels: tuple[int, ...]
-    u: AffineWeylElement
+ReductionStep = namedtuple("ReductionStep", "label kind result")
+ReductionPath = namedtuple("ReductionPath", "start steps end")
+# x straight and K-coset-minimal, Ad(x)(K) = K finite, u in W_K
+StandardTriple = namedtuple("StandardTriple", "x k_labels u")
 
 
 def conj_step(ctx, w: AffineWeylElement, label: int):
@@ -251,7 +234,12 @@ def is_conjugate(ctx, w1: AffineWeylElement, w2: AffineWeylElement) -> bool:
 
 def class_minimal_set(ctx, w_min: AffineWeylElement) -> tuple[AffineWeylElement, ...]:
     """All minimal-length elements of the full conjugacy class of w_min,
-    in canonical order.
+    in canonical order."""
+    return tuple(ctx.canonical_order(_class_members(ctx, w_min)))
+
+
+def _class_members(ctx, w_min: AffineWeylElement) -> tuple[AffineWeylElement, ...]:
+    """`class_minimal_set` in no fixed order, memoised for every member.
 
     Built from the conjugation identity above rather than by searching
     a length ball.  Write w_min = t^lam a and L = length(w_min).  Since
@@ -321,7 +309,7 @@ def class_minimal_set(ctx, w_min: AffineWeylElement) -> tuple[AffineWeylElement,
                     z = AffineWeylElement(mat_act(u, nu), a_conj)
                     if ctx.length(z) == length:
                         members.append(z)
-    members = tuple(ctx.canonical_order(members))
+    members = tuple(members)
     ctx.full_classes.update(dict.fromkeys(members, members))
     return members
 
@@ -394,8 +382,8 @@ def canonical_class_rep(ctx, w: AffineWeylElement) -> AffineWeylElement:
     rep = ctx.class_reps.get(w)
     if rep is None:
         w_min, path = reduce_to_min(ctx, w)
-        members = class_minimal_set(ctx, w_min)
-        rep = members[0]
+        members = _class_members(ctx, w_min)
+        rep = next(ctx.canonical_order(members))
         ctx.class_reps.update(dict.fromkeys(members, rep))
         for step in path.steps:
             ctx.class_reps[step.result] = rep
@@ -448,9 +436,10 @@ def parabolic_elements(ctx, k_labels) -> frozenset[AffineWeylElement]:
 
 
 def max_finite_parabolic_order(ctx) -> int:
-    """Largest order of a finite parabolic: |W_M|.  A finite W_K holds no
-    translation, so it injects into W_M, and the M-simple walls give W_M."""
-    return len(ctx.finite_elements())
+    """Largest order of a finite parabolic: |W_M| = prod_i (m_i + 1) over
+    the exponents of W_M.  A finite W_K holds no translation, so it
+    injects into W_M, and the M-simple walls give W_M."""
+    return prod(m + 1 for m in weyl_exponents(ctx.m_simple_roots, ctx.datum.is_root))
 
 
 def wa_ball_count(ctx, max_length: int) -> int:
@@ -458,37 +447,20 @@ def wa_ball_count(ctx, max_length: int) -> int:
 
     Counted without a walk, by Bott's formula: the lengths of W_a(M)
     have the generating series prod_i (1 + q + ... + q^{m_i}) / (1 - q^{m_i})
-    over the exponents m_i of W_M, the product over the components of M
-    of their own series.  The exponents are the dual partition of the
-    numbers of positive roots of M by M-height (Humphreys, Reflection
-    Groups and Coxeter Groups, 3.20 and 8.9): m occurs n_m - n_{m+1}
-    times, n_h counting the roots of height h.  A root of M-height h + 1
-    is one of height h plus an M-simple root.  The series is cut at L
-    and summed.
+    over the exponents m_i of W_M (Humphreys, Reflection Groups and
+    Coxeter Groups, 8.9), the product over the components of M of their
+    own series.  The series is cut at L and summed.
     """
     cache = ctx.wa_ball_counts
     if max_length not in cache:
-        is_root = ctx.datum.is_root
-        simple = ctx.m_simple_roots
-        levels, seen = [list(simple)], set(simple)
-        while levels[-1]:
-            up = []
-            for b in levels[-1]:
-                for a in simple:
-                    c = tuple([x + y for x, y in zip(a, b)])
-                    if c not in seen and is_root(c):
-                        seen.add(c)
-                        up.append(c)
-            levels.append(up)
         series = [1] + [0] * max_length
-        for m in range(1, len(levels)):
-            for _ in range(len(levels[m - 1]) - len(levels[m])):
-                # times (1 - q^{m+1}) / (1 - q), then over (1 - q^m)
-                for i in range(max_length, m, -1):
-                    series[i] -= series[i - m - 1]
-                for step in (1, m):
-                    for i in range(step, max_length + 1):
-                        series[i] += series[i - step]
+        for m in weyl_exponents(ctx.m_simple_roots, ctx.datum.is_root):
+            # times (1 - q^{m+1}) / (1 - q), then over (1 - q^m)
+            for i in range(max_length, m, -1):
+                series[i] -= series[i - m - 1]
+            for step in (1, m):
+                for i in range(step, max_length + 1):
+                    series[i] += series[i - step]
         cache[max_length] = sum(series)
     return cache[max_length]
 

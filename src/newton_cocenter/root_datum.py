@@ -13,8 +13,8 @@ from __future__ import annotations
 import weakref
 from fractions import Fraction
 from itertools import product
-from math import lcm
-from operator import mul
+from math import lcm, prod
+from operator import attrgetter, mul
 
 from .errors import ConfigurationError, LogicError
 
@@ -226,6 +226,69 @@ class InternedCoweight(tuple):
         return tuple, (tuple(self),)
 
 
+class Record:
+    """A value made of the fields named by `__slots__`, in order, that
+    compares, prints and pickles as a dataclass does: equal only to a
+    record of its own class with equal fields, and unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init_subclass__(cls):
+        if cls.__slots__:
+            # the fields of a record as one tuple (its one field if it
+            # has one), read in C
+            cls.field_values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        get = self.field_values
+        return get(self) == get(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+
+
+class FrozenRecord(Record):
+    """A hashed record whose fields its `__init__` sets once, by
+    `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __hash__(self):
+        return hash(self.field_values(self))
+
+
+def weyl_exponents(simple_roots, is_root) -> list[int]:
+    """The exponents m_i of the Weyl group of the root system with these
+    simple roots, is_root testing membership: the dual partition of the
+    numbers n_h of its positive roots by height (Humphreys, Reflection
+    Groups and Coxeter Groups, 3.20), so m occurs n_m - n_{m+1} times.
+    A root of height h + 1 is one of height h plus a simple root.  The
+    group has order prod_i (m_i + 1).
+    """
+    levels, seen = [list(simple_roots)], set(simple_roots)
+    while levels[-1]:
+        up = []
+        for b in levels[-1]:
+            for a in simple_roots:
+                c = tuple([x + y for x, y in zip(a, b)])
+                if c not in seen and is_root(c):
+                    seen.add(c)
+                    up.append(c)
+        levels.append(up)
+    return [m for m in range(1, len(levels))
+            for _ in range(len(levels[m - 1]) - len(levels[m]))]
+
+
 def _owner(u: Matrix) -> "RootDatum | None":
     return u._datum() if type(u) is WeylElement else None
 
@@ -258,11 +321,12 @@ class RootDatum:
     the positive roots are those of positive height).  W0 is built on
     demand: an element becomes an interned `WeylElement`, with its root
     permutation (u(alpha) as a root index), when a query first reaches
-    it, and `weyl_elements` completes W0 when a query reads all of it;
-    inverses, products and orders are memoised on demand.  The table
-    methods accept any matrix equal to an element of W0 and raise
-    `LogicError` on any other.  Nothing is shared between data, and
-    apart from those tables the datum is immutable after construction.
+    it, and `weyl_elements` completes W0 when a query reads all of it
+    (`w0_order` reads the exponents instead); inverses, products and
+    orders are memoised on demand.  The table methods accept any matrix
+    equal to an element of W0 and raise `LogicError` on any other.
+    Nothing is shared between data, and apart from those tables the
+    datum is immutable after construction.
     """
 
     def __init__(self, type_label: str, lattice: str, rank: int,
@@ -396,7 +460,10 @@ class RootDatum:
         """All of W0, sorted by matrix."""
         return self.reflection_subgroup(self.simple_roots)
 
-    w0_order = property(lambda self: len(self.weyl_elements))
+    @property
+    def w0_order(self) -> int:
+        """|W0| from the exponents, without building W0."""
+        return prod(m + 1 for m in weyl_exponents(self.simple_roots, self.is_root))
 
     # -- queries -----------------------------------------------------
 

@@ -17,7 +17,6 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -41,25 +40,31 @@ from .reduction import (
     canonical_class_rep, is_min_in_class, reduce_to_min, replay,
     standard_triple, wa_ball_count,
 )
-from .root_datum import dot, frac_str, mat_act, scaled
+from .root_datum import Record, dot, frac_str, mat_act, scaled
 
 
-@dataclass
-class CheckResult:
-    property_id: str
-    instances: int
-    failures: int
-    first_counterexample: str | None = None
-    detail: str = ""
+class CheckResult(Record):
+    __slots__ = ("property_id", "instances", "failures", "first_counterexample", "detail")
+
+    def __init__(self, property_id: str, instances: int, failures: int,
+                 first_counterexample: str | None = None, detail: str = ""):
+        self.property_id = property_id
+        self.instances = instances
+        self.failures = failures
+        self.first_counterexample = first_counterexample
+        self.detail = detail
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    group: str
-    params: dict
-    checks: list[CheckResult] = field(default_factory=list)
-    wall_time: float = 0.0
+class SuiteReport(Record):
+    __slots__ = ("suite", "group", "params", "checks", "wall_time")
+
+    def __init__(self, suite: str, group: str, params: dict,
+                 checks: list[CheckResult] | None = None, wall_time: float = 0.0):
+        self.suite = suite
+        self.group = group
+        self.params = params
+        self.checks = [] if checks is None else checks
+        self.wall_time = wall_time
 
     @property
     def passed(self) -> bool:

@@ -1,7 +1,8 @@
 """Source guards: theorem guards survive `python -O`, which strips
 `assert`; modules keep to their own private attributes; every attribute
-set from outside its class is declared in one; and the library reads no
-environment variable."""
+set from outside its class is declared in one; the library reads no
+environment variable; and no module imports at start-up what a CLI call
+need not pay for."""
 
 import ast
 from pathlib import Path
@@ -66,15 +67,6 @@ def _assigned_attributes(tree):
                 yield node.lineno, target.value.id, target.attr
 
 
-def _dataclass_fields(tree):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and any(
-                "dataclass" in ast.unparse(d) for d in node.decorator_list):
-            yield from (item.target.id for item in node.body
-                        if isinstance(item, ast.AnnAssign)
-                        and isinstance(item.target, ast.Name))
-
-
 def test_attributes_set_from_outside_are_declared():
     # a memo that a module keeps on another object, such as
     # ctx.dominant_chamber or report.wall_time, is declared by the
@@ -85,12 +77,39 @@ def test_attributes_set_from_outside_are_declared():
     for tree in trees.values():
         declared.update(attr for _, base, attr in _assigned_attributes(tree)
                         if base == "self")
-        declared.update(_dataclass_fields(tree))
     found = [f"{name}:{line}: {base}.{attr}"
              for name, tree in trees.items()
              for line, base, attr in _assigned_attributes(tree)
              if base not in ("self", "cls") and attr not in declared]
     assert found == [], "declare these attributes in their class: " + ", ".join(found)
+
+
+def _run_at_import(node):
+    """The statements and expressions under node outside function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _run_at_import(child)
+
+
+def test_no_module_level_import_of_slow_stdlib_modules():
+    # `dataclasses` pulls in `inspect`, and with `typing` they cost a CLI
+    # call more start-up than a GL5 query takes; a function may still
+    # import what only its own path needs (`traceback` on a crash)
+    slow = {"dataclasses", "inspect", "typing"}
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in _run_at_import(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] in slow]
+    assert found == [], "import these inside the function that needs them: " \
+        + ", ".join(found)
 
 
 def _names(node):

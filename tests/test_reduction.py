@@ -1,4 +1,3 @@
-import dataclasses
 
 import pytest
 
@@ -63,8 +62,8 @@ def test_replay_fails_on_a_step_kind_it_does_not_know(kind):
         for i, step in enumerate(path.steps):
             seen.add(step.kind)
             steps = list(path.steps)
-            steps[i] = dataclasses.replace(step, kind=kind)
-            assert not replay(g, dataclasses.replace(path, steps=tuple(steps)))
+            steps[i] = step._replace(kind=kind)
+            assert not replay(g, path._replace(steps=tuple(steps)))
     assert seen == {"conj-down", "conj-equal"}
 
 
@@ -74,8 +73,8 @@ def test_replay_fails_on_a_label_that_is_not_a_wall(label, a1):
     # the end of the wall table
     _, path = reduce_to_min(a1, parse_element(a1, "S1*S0*S1"))
     assert replay(a1, path)
-    step = dataclasses.replace(path.steps[0], label=label)
-    assert not replay(a1, dataclasses.replace(path, steps=(step,)))
+    step = path.steps[0]._replace(label=label)
+    assert not replay(a1, path._replace(steps=(step,)))
 
 
 @pytest.mark.parametrize("label", [2, -1])

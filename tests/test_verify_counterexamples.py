@@ -8,8 +8,6 @@ counterexample, detail).  Each test builds a fresh group, so a patched
 predicate cannot leave a wrong value in a memo of the shared groups.
 """
 
-import dataclasses
-
 from newton_cocenter import AffineWeylGroup, build_root_datum
 from newton_cocenter import verify
 from newton_cocenter.errors import InputError, LogicError, ResourceError
@@ -131,7 +129,7 @@ def test_positivity_label(monkeypatch):
         if grp.length(w) == 1:
             raise InputError("not v-positive")
         cert = orig(grp, w, v)
-        return dataclasses.replace(cert, exponent=cert.bound + 1) \
+        return cert._replace(exponent=cert.bound + 1) \
             if grp.length(w) == 2 else cert
 
     _patch(monkeypatch, "positivity_exponent", exponent)
@@ -165,7 +163,7 @@ def test_rigid_label(monkeypatch):
     g = _fresh("A2")
     _patch(monkeypatch, "rigid_decomposition",
            lambda orig, grp, length, cap: [
-               dataclasses.replace(r, covered=i % 2 == 0)
+               r._replace(covered=i % 2 == 0)
                for i, r in enumerate(orig(grp, length, cap=cap))])
     assert _run("rigid", g) == [
         ("all-components-covered", 4, 2, "(0,0;1/2,1)",

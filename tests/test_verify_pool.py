@@ -2,6 +2,7 @@
 processes; its output, exit code and stderr message are those of the
 serial loop, and no worker outlives the call."""
 
+import json
 import os
 import signal
 import subprocess
@@ -192,6 +193,26 @@ def test_describe_does_not_import_multiprocessing():
                           text=True, env=env, timeout=60, check=False)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_describe_imports_no_dataclasses_and_builds_little_of_w0():
+    # a CLI call pays neither for `dataclasses` (which imports `inspect`)
+    # nor for the 120 elements of W0 of GL5 that describe does not read
+    src = str(Path(newton_cocenter.__file__).resolve().parent.parent)
+    code = ("import json, sys\n"
+            "from newton_cocenter import cli\n"
+            "groups, make = [], cli._make_group\n"
+            "cli._make_group = lambda args: groups.append(make(args)) or groups[-1]\n"
+            "assert cli.main(['--group', 'GL5', 'describe']) == 0\n"
+            "print(json.dumps([sorted({'dataclasses', 'inspect'} & set(sys.modules)),\n"
+            "                  [len(g.datum.materialised) for g in groups]]))\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    modules, materialised = json.loads(proc.stdout.splitlines()[-1])
+    assert modules == []
+    assert len(materialised) == 1 and materialised[0] < 120
 
 
 ORPHAN_SCRIPT = """

@@ -9,7 +9,9 @@ against the height coweight the datum once solved for over Fractions.
 W0, which the datum now builds on demand, is checked against the
 level-by-level enumeration that once built all of it with the datum,
 and the Levi groups it now generates from their reflections against
-the filter of W0 by the fixer condition that once cut them out.
+the filter of W0 by the fixer condition that once cut them out.  The
+orders of W0 and of the Levi groups, now read off the exponents, are
+checked against the elements.
 """
 
 import io
@@ -23,10 +25,11 @@ import pytest
 from newton_cocenter import AffineWeylElement, AffineWeylGroup, build_root_datum, cli
 from newton_cocenter.affine_weyl import AffineRoot, inverse, multiply
 from newton_cocenter.errors import LogicError
-from newton_cocenter.levi_alcove import LeviWeylGroup
+from newton_cocenter.levi_alcove import LeviWeylGroup, levi_weyl_group
+from newton_cocenter.reduction import max_finite_parabolic_order
 from newton_cocenter.root_datum import (
     WeylElement, coweight, dot, mat_act, mat_identity, mat_mul,
-    rational_inverse, scaled,
+    rational_inverse, scaled, weyl_exponents,
 )
 from newton_cocenter.verify import _levi_grid as verify_levi_grid
 
@@ -458,6 +461,25 @@ def test_levi_fixer_equals_reflection_closure(label, lattice):
         x = tuple(scaled(v)[1])
         assert w_m == tuple(u for u in d.weyl_elements if mat_act(u, x) == x)
         assert all(type(u) is WeylElement and u.datum is d for u in w_m)
+
+
+@pytest.mark.parametrize("label,lattice", DATA)
+def test_levi_order_from_exponents_equals_its_elements(label, lattice):
+    # |W_M| = prod (m_i + 1) over the exponents, against W_M itself, for
+    # every Levi the verify suites meet and for G
+    g = AffineWeylGroup(build_root_datum(label, lattice))
+    for m in [g] + [levi_weyl_group(g, v) for v in verify_levi_grid(g)]:
+        assert max_finite_parabolic_order(m) == len(m.finite_elements()), m.phi_m
+    assert g.datum.w0_order == len(g.datum.weyl_elements)
+
+
+@pytest.mark.parametrize("label,exponents", [
+    ("A1", [1]), ("A2", [1, 2]), ("B2", [1, 3]), ("C2", [1, 3]), ("G2", [1, 5]),
+    ("GL1", []), ("GL4", [1, 2, 3]), ("GL5", [1, 2, 3, 4]),
+])
+def test_exponents_of_the_simple_types(label, exponents):
+    d = datum_of(label, "gl" if label.startswith("GL") else "sc")
+    assert weyl_exponents(d.simple_roots, d.is_root) == exponents
 
 
 @pytest.mark.parametrize("label,lattice", [("C2", "sc"), ("G2", "ad"), ("GL4", "gl")])
