@@ -571,9 +571,8 @@ class AffineWeylGroup:
                 f"ball of radius {max_length} exceeds the cap {cap}")
         if omega_labels is None:
             omega_labels = self.datum.omega_labels() or ((0,) * self.datum.rank,)
-        out = [w for label in omega_labels for w in self.ball(max_length, label)]
-        out.sort(key=self.sort_key)
-        return out
+        return list(self.canonical_order(
+            w for label in omega_labels for w in self.ball(max_length, label)))
 
 
 # -- element grammar ----------------------------------------------------

@@ -6,13 +6,19 @@ deterministic for a fixed configuration and seed; timing goes to stderr
 so reports compare byte-for-byte.  Exit codes: 0 success, 1 verify
 failures, 2 parse/input errors, 3 internal logic errors and any other
 unexpected exception (traceback on stderr).
+
+A call loads and builds only what its subcommand uses.  The arguments
+are parsed by a parser that holds that subcommand alone (`_COMMANDS`
+drives both it and the full parser); where it would print help or an
+error, the full parser parses again and prints, so every message is the
+full parser's.  `json`, `hecke_cocenter`, `levi_alcove` and `verify`
+are imported by the handlers that use them, not at start-up.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 import time
@@ -20,17 +26,9 @@ from fractions import Fraction
 
 from .affine_weyl import AffineWeylGroup, element_str, parse_element
 from .errors import ConfigurationError, InputError, LogicError, ResourceError
-from .hecke_cocenter import (
-    HeckeElement, QPoly, cocenter_reduce, induce, newton_components, parse_poly,
-    rigid_decomposition,
-)
-from .levi_alcove import (
-    is_v_alcove, levi_weyl_group, positivity_exponent,
-)
 from .newton import newton_point, strata
 from .reduction import canonical_min_rep, reduce_to_min, standard_triple
-from .root_datum import build_root_datum, frac_str, parse_group_label
-from .verify import run_suite
+from .root_datum import build_root_datum, frac_str, mat_act, parse_group_label
 
 
 def _int_at_least(low: int):
@@ -47,11 +45,61 @@ def _int_at_least(low: int):
     return parse
 
 
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_ELEM = _arg("elem")
+_EXPR = _arg("expr")
+_V = _arg("--v", required=True)
+_LENGTH = _arg("--length", type=_int_at_least(0), required=True)
+
+# subcommand -> (help, arguments in the order they are added)
+_COMMANDS = {
+    "describe": ("print the root datum and affine data", []),
+    "newton": ("Newton point, index and straightness", [_ELEM]),
+    "strata": ("Newton stratification of a length ball", [
+        _LENGTH, _arg("--omega", action="append",
+                      help="kappa label like [0,1]; repeatable")]),
+    "reduce": ("reduce to a minimal-length element", [_ELEM]),
+    "triple": ("standard triple of the minimal class", [_ELEM]),
+    "alcove-test": ("the v-alcove condition", [_ELEM, _V]),
+    "positivity": ("quasi-positivity exponent", [_ELEM, _V]),
+    "levi": ("Levi data for a coweight", [_V, _arg("action", choices=["describe"])]),
+    "cocenter-reduce": ("normal form in the cocenter", [_EXPR]),
+    "induce": ("induce a Levi cocenter element", [_V, _EXPR]),
+    "rigid": ("rigid decomposition report", [_LENGTH]),
+    "verify": ("run a verification suite", [
+        _arg("suite"), _arg("--length", type=_int_at_least(0)),
+        _arg("--max-den", type=_int_at_least(1)),
+        _arg("--pair-budget", type=_int_at_least(1)),
+        _arg("--seeds", type=_int_at_least(1))]),
+}
+# the top-level options that take a value
+_VALUED = ("--group", "--config", "--seed", "--jobs", "--ball-cap")
+
+
+class _Retry(Exception):
+    """A one-subcommand parser would print here."""
+
+
+class _PartialParser(argparse.ArgumentParser):
+    """Raises _Retry where a parser prints help or an error (and then
+    exits), so that every message comes from the full parser."""
+
+    def print_help(self, file=None):
+        raise _Retry
+
+    def error(self, message):
+        raise _Retry
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parse_args keeps no state in
-    it between calls."""
-    p = argparse.ArgumentParser(
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The full parser, or with a command a parser that holds only that
+    subcommand; each is built once per process, and parse_args keeps no
+    state in it between calls."""
+    p = (argparse.ArgumentParser if command is None else _PartialParser)(
         prog="newton-cocenter",
         description="Exact computations in extended affine Weyl groups and "
                     "the cocenter of the generic affine Hecke algebra.")
@@ -66,52 +114,39 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tsv", action="store_true", help="TSV output")
     p.add_argument("--ball-cap", type=_int_at_least(0), help="override the ball radius cap")
     sub = p.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("describe", help="print the root datum and affine data")
-
-    s = sub.add_parser("newton", help="Newton point, index and straightness")
-    s.add_argument("elem")
-
-    s = sub.add_parser("strata", help="Newton stratification of a length ball")
-    s.add_argument("--length", type=_int_at_least(0), required=True)
-    s.add_argument("--omega", action="append",
-                   help="kappa label like [0,1]; repeatable")
-
-    s = sub.add_parser("reduce", help="reduce to a minimal-length element")
-    s.add_argument("elem")
-
-    s = sub.add_parser("triple", help="standard triple of the minimal class")
-    s.add_argument("elem")
-
-    s = sub.add_parser("alcove-test", help="the v-alcove condition")
-    s.add_argument("elem")
-    s.add_argument("--v", required=True)
-
-    s = sub.add_parser("positivity", help="quasi-positivity exponent")
-    s.add_argument("elem")
-    s.add_argument("--v", required=True)
-
-    s = sub.add_parser("levi", help="Levi data for a coweight")
-    s.add_argument("--v", required=True)
-    s.add_argument("action", choices=["describe"])
-
-    s = sub.add_parser("cocenter-reduce", help="normal form in the cocenter")
-    s.add_argument("expr")
-
-    s = sub.add_parser("induce", help="induce a Levi cocenter element")
-    s.add_argument("--v", required=True)
-    s.add_argument("expr")
-
-    s = sub.add_parser("rigid", help="rigid decomposition report")
-    s.add_argument("--length", type=_int_at_least(0), required=True)
-
-    s = sub.add_parser("verify", help="run a verification suite")
-    s.add_argument("suite")
-    s.add_argument("--length", type=_int_at_least(0))
-    s.add_argument("--max-den", type=_int_at_least(1), dest="max_den")
-    s.add_argument("--pair-budget", type=_int_at_least(1), dest="pair_budget")
-    s.add_argument("--seeds", type=_int_at_least(1))
+    for name in _COMMANDS if command is None else [command]:
+        help_text, arguments = _COMMANDS[name]
+        s = sub.add_parser(name, help=help_text)
+        for flags, kwargs in arguments:
+            s.add_argument(*flags, **kwargs)
     return p
+
+
+def _parse_args(argv):
+    """Parse with the parser of the subcommand alone, guessed as the first
+    token that is neither an option nor the value of one of `_VALUED`.
+    Where that parser would print, or the guess is no subcommand, parse
+    again with the full parser, which makes every message and exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    tokens = iter(argv)
+    for token in tokens:
+        if token in _VALUED:
+            next(tokens, None)
+        elif not token.startswith("-"):
+            if token in _COMMANDS:
+                try:
+                    return _build_parser(token).parse_args(argv)
+                except _Retry:
+                    pass
+            break
+    return _build_parser().parse_args(argv)
+
+
+def _dumps(obj) -> str:
+    """obj as canonical JSON.  json is imported on first use, here and in
+    `parse_coweight`: text output and most inputs never read it."""
+    import json
+    return json.dumps(obj, sort_keys=True)
 
 
 def load_config(path: str) -> tuple[str, str, int | None]:
@@ -153,6 +188,7 @@ def parse_coweight(group, text: str):
     text = text.strip()
     try:
         if text.startswith("["):
+            import json
             items = json.loads(text)
         else:
             items = text.split(",")
@@ -168,12 +204,14 @@ def coweight_json(v) -> list[str]:
     return [frac_str(Fraction(c)) for c in v]
 
 
-def parse_hecke_expr(group, text: str) -> HeckeElement:
-    """expr := term (("+"|"-") term)*; term := poly "*" "T[" elem "]".
+def parse_hecke_expr(group, text: str):
+    """The HeckeElement of text.
 
+    expr := term (("+"|"-") term)*; term := poly "*" "T[" elem "]".
     Signs separate terms only right after a closing "]"; all other
     +/- belong to the polynomial coefficient.
     """
+    from .hecke_cocenter import HeckeElement, QPoly, parse_poly
     chunks = []
     cur = []
     sign = 1
@@ -206,6 +244,7 @@ def parse_hecke_expr(group, text: str) -> HeckeElement:
 
 
 def _nf_json(group, nf) -> dict:
+    from .hecke_cocenter import newton_components
     return {
         "components": [
             {
@@ -222,8 +261,9 @@ def _nf_json(group, nf) -> dict:
 
 
 def _print_nf(group, nf, as_json):
+    from .hecke_cocenter import newton_components
     if as_json:
-        print(json.dumps(_nf_json(group, nf), sort_keys=True))
+        print(_dumps(_nf_json(group, nf)))
         return
     if not nf.terms:
         print("0")
@@ -251,7 +291,7 @@ def cmd_describe(group, args) -> int:
         "omega_finite": datum.omega_is_finite,
     }
     if args.json:
-        print(json.dumps(info, sort_keys=True))
+        print(_dumps(info))
     else:
         for k, v in info.items():
             print(f"{k}: {v}")
@@ -270,7 +310,7 @@ def cmd_newton(group, args) -> int:
         "kappa": list(idx.omega),
         "straight": group.is_straight(w),
     }
-    print(json.dumps(payload, sort_keys=True))
+    print(_dumps(payload))
     return 0
 
 
@@ -281,12 +321,12 @@ def cmd_strata(group, args) -> int:
     if args.json:
         for nu, elems in fibers.items():
             for w in elems:
-                print(json.dumps({
+                print(_dumps({
                     "elem": element_str(group, w),
                     "length": group.length(w),
                     "kappa": list(nu.omega),
                     "newton": coweight_json(nu.nu_bar),
-                }, sort_keys=True))
+                }))
         return 0
     print("nu_bar\tkappa\tcount\tmin_length_in_fiber")
     for nu, elems in fibers.items():
@@ -316,7 +356,7 @@ def cmd_reduce(group, args) -> int:
     w_min, path = reduce_to_min(group, w)
     triple = standard_triple(group, w_min)
     if args.json:
-        print(json.dumps({
+        print(_dumps({
             "start": element_str(group, w),
             "steps": [{"kind": st.kind, "s": f"S{st.label}",
                        "elem": element_str(group, st.result),
@@ -325,7 +365,7 @@ def cmd_reduce(group, args) -> int:
             "min": element_str(group, w_min),
             "canonical": element_str(group, canonical_min_rep(group, w_min)),
             "triple": _triple_json(group, triple),
-        }, sort_keys=True))
+        }))
         return 0
     print(f"start {element_str(group, w)} length {group.length(w)}")
     for st in path.steps:
@@ -353,31 +393,32 @@ def cmd_triple(group, args) -> int:
     w_min, _ = reduce_to_min(group, w)
     triple = standard_triple(group, w_min)
     if args.json:
-        print(json.dumps(_triple_json(group, triple), sort_keys=True))
+        print(_dumps(_triple_json(group, triple)))
     else:
         _print_triple(group, triple)
     return 0
 
 
 def cmd_alcove_test(group, args) -> int:
+    from .levi_alcove import is_v_alcove
     w = parse_element(group, args.elem)
     v = parse_coweight(group, args.v)
-    from .root_datum import mat_act
     result = {
         "elem": element_str(group, w),
         "v": coweight_json(v),
         "fixes_v": tuple(mat_act(w.finite, v)) == v,
         "v_alcove": is_v_alcove(group, w, v),
     }
-    print(json.dumps(result, sort_keys=True))
+    print(_dumps(result))
     return 0
 
 
 def cmd_positivity(group, args) -> int:
+    from .levi_alcove import positivity_exponent
     w = parse_element(group, args.elem)
     v = parse_coweight(group, args.v)
     cert = positivity_exponent(group, w, v)
-    print(json.dumps({
+    print(_dumps({
         "elem": element_str(group, w),
         "v": coweight_json(v),
         "exponent": cert.exponent,
@@ -386,11 +427,12 @@ def cmd_positivity(group, args) -> int:
         "n1": cert.n1,
         "denominator_scale": cert.denominator_scale,
         "min_shift_at_exponent": cert.min_shift_at_exponent,
-    }, sort_keys=True))
+    }))
     return 0
 
 
 def cmd_levi(group, args) -> int:
+    from .levi_alcove import levi_weyl_group
     v = parse_coweight(group, args.v)
     m = levi_weyl_group(group, v)
     info = {
@@ -402,7 +444,7 @@ def cmd_levi(group, args) -> int:
             f"S{lab}": element_str(group, s) for lab, s in m.simple_items()},
     }
     if args.json:
-        print(json.dumps(info, sort_keys=True))
+        print(_dumps(info))
     else:
         for k, val in info.items():
             print(f"{k}: {val}")
@@ -410,6 +452,7 @@ def cmd_levi(group, args) -> int:
 
 
 def cmd_cocenter_reduce(group, args) -> int:
+    from .hecke_cocenter import cocenter_reduce
     f = parse_hecke_expr(group, args.expr)
     nf = cocenter_reduce(group, f)
     _print_nf(group, nf, args.json)
@@ -417,6 +460,8 @@ def cmd_cocenter_reduce(group, args) -> int:
 
 
 def cmd_induce(group, args) -> int:
+    from .hecke_cocenter import induce
+    from .levi_alcove import levi_weyl_group
     v = parse_coweight(group, args.v)
     m = levi_weyl_group(group, v)
     f = parse_hecke_expr(group, args.expr)
@@ -430,16 +475,17 @@ def cmd_induce(group, args) -> int:
 
 
 def cmd_rigid(group, args) -> int:
+    from .hecke_cocenter import rigid_decomposition
     rows = rigid_decomposition(group, args.length)
     if args.json:
         for r in rows:
-            print(json.dumps({
+            print(_dumps({
                 "nu_bar": coweight_json(r.nu.nu_bar),
                 "kappa": list(r.nu.omega),
                 "levi": r.levi_label,
                 "count": r.class_count,
                 "covered": r.covered,
-            }, sort_keys=True))
+            }))
         return 0
     print("nu_bar\tkappa\tlevi\tcount\tcovered")
     for r in rows:
@@ -451,6 +497,7 @@ def cmd_rigid(group, args) -> int:
 
 
 def cmd_verify(group, args) -> int:
+    from .verify import run_suite
     overrides = {
         "length": args.length,
         "max_den": args.max_den,
@@ -462,7 +509,7 @@ def cmd_verify(group, args) -> int:
     ok = all(r.passed for r in reports)
     for r in reports:
         if args.json:
-            print(json.dumps(r.to_json_obj(), sort_keys=True))
+            print(_dumps(r.to_json_obj()))
         elif args.tsv:
             print(r.to_tsv())
         else:
@@ -488,9 +535,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     start = time.monotonic()

@@ -463,7 +463,7 @@ def cocenter_reduce_randomized(group: AffineWeylGroup, f: HeckeElement,
                 pending.append(w)
         if not pending:
             return HeckeElement(terms)
-        pending.sort(key=group.sort_key)
+        pending = list(group.canonical_order(pending))
         w = pending[rng.randrange(len(pending))]
         c = terms.pop(w)
         if is_min_in_class(group, w):

@@ -156,8 +156,8 @@ def positivity_exponent(group: AffineWeylGroup, w: AffineWeylElement,
     # <beta, n i nu> >= n for every v-positive beta, since u in W_M
     # permutes those roots; so a Newton point not strictly positive on
     # them admits no such power, and is refused before any search.
-    nu = newton_point(group, w)
-    if not all(dot(beta, nu) > 0 for beta in plus):
+    _, scaled_nu = scaled(newton_point(group, w))
+    if not all(dot(beta, scaled_nu) > 0 for beta in plus):
         raise InputError(
             "no positive power of w is strictly v-positive: its Newton point "
             "is not strictly positive on the v-positive roots")

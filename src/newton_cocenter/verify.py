@@ -18,7 +18,7 @@ import random
 import sys
 import time
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 from .affine_weyl import (
     AffineRoot, AffineWeylElement, AffineWeylGroup, act_on_affine_root,
@@ -190,35 +190,18 @@ def _levi_box(group, m, max_m_length, box=2, cap=None):
     """All t^lam u with u in W_M and sup-norm of lam at most `box`,
     filtered to M-length <= max_m_length, in M-sort order and cut to
     the first `cap`, memoised on the Levi m (`m.boxes`).  High ranks
-    shrink the box and cap the sample to keep suites tractable.
-
-    The candidates are grouped by (M-length, kappa_M), the prefix of
-    the M-sort key, and only the tiers that reach the first `cap`
-    places are sorted, so no M-word is built for the rest.
-    """
+    shrink the box and cap the sample to keep suites tractable.  The
+    canonical order is lazy, so only the first `cap` are ordered."""
     if group.datum.rank > 2:
         box = 1
         cap = 150 if cap is None else cap
     key = (max_m_length, box, cap)
     out = m.boxes.get(key)
     if out is None:
-        tiers = {}
-        w_m = m.finite_elements()
-        for lam in product(range(-box, box + 1), repeat=group.datum.rank):
-            label = None
-            for u in w_m:
-                w = AffineWeylElement(lam, u)
-                length = m.length(w)
-                if length <= max_m_length:
-                    if label is None:
-                        label = m.kappa(w)
-                    tiers.setdefault((length, label), []).append(w)
-        out = []
-        for tier in sorted(tiers):
-            if cap is not None and len(out) >= cap:
-                break
-            out.extend(sorted(tiers[tier], key=m.sort_key))
-        out = m.boxes[key] = out if cap is None else out[:cap]
+        candidates = [w for lam in product(range(-box, box + 1), repeat=group.datum.rank)
+                      for u in m.finite_elements() for w in [AffineWeylElement(lam, u)]
+                      if m.length(w) <= max_m_length]
+        out = m.boxes[key] = list(islice(m.canonical_order(candidates), cap))
     return out
 
 
@@ -251,8 +234,8 @@ def suite_length(group, params):
     labels = group.datum.omega_labels() or [(0,) * group.datum.rank]
     oracle = _bfs_lengths(group, params["length"], labels)
     rep.check("inversion-length-equals-bfs-word-length",
-              (((w, depth), group.length(w) == depth) for w, depth
-               in sorted(oracle.items(), key=lambda kv: group.sort_key(kv[0]))),
+              (((w, oracle[w]), group.length(w) == oracle[w])
+               for w in group.canonical_order(oracle)),
               lambda wd: f"{element_str(group, wd[0])}:{group.length(wd[0])}!={wd[1]}")
     return rep
 
@@ -404,12 +387,12 @@ def _conjugation_cases(group, boxes):
     for v, m, box in boxes:
         small = [w for w in box if m.length(w) <= 3
                  and all(abs(x) <= 1 for x in w.translation)][:60]
+        indexed = [(w, m.newton_index(w)) for w in small]
         for u0 in conjugators:
             m2, index_map = conjugate_levi(group, u0, m)
             x0 = group.finite_element(u0)
-            for w in small:
-                yield (v, w), \
-                    m2.newton_index(conjugate(x0, w)) == index_map(m.newton_index(w))
+            for w, nu in indexed:
+                yield (v, w), m2.newton_index(conjugate(x0, w)) == index_map(nu)
 
 
 def _levi_case_str(group, vw):
@@ -454,7 +437,7 @@ def suite_cocenter(group, params):
     rep.check("commutators-vanish", ((xy, not nf) for xy, nf in forms),
               lambda xy: f"[{show(xy[0])},{show(xy[1])}]")
     residues = [nf for _, nf in forms if nf]
-    keys = sorted({k for r in residues for k in r.terms}, key=group.sort_key)
+    keys = list(group.canonical_order({k for r in residues for k in r.terms}))
     rank = fraction_free_rank([[r.terms.get(k, QPoly()) for k in keys] for r in residues])
     rep.add("residue-rank-zero", 1, 0 if rank == 0 else 1, None,
             detail=f"rank={rank}")

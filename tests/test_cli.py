@@ -113,7 +113,9 @@ def test_positivity_refuses_a_non_positive_newton_point_without_searching(
         capsys, monkeypatch):
     # the a-priori bound grows with the denominator of v: 4 * 10^8 here
     import newton_cocenter
-    from newton_cocenter import affine_weyl
+    # levi_alcove is imported here so that the loop below patches it:
+    # the CLI imports it only when positivity runs
+    from newton_cocenter import affine_weyl, levi_alcove  # noqa: F401
     calls = []
     counted = affine_weyl.multiply
 
@@ -375,9 +377,9 @@ def test_unexpected_error_exit_code(capsys, monkeypatch):
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):
-    # the parser is cached per process; consecutive parses, with an
-    # `append` option given, repeated and left out, must print what a
-    # fresh parser prints
+    # the parsers are cached per process, the full one and one per
+    # subcommand; consecutive parses, with an `append` option given,
+    # repeated and left out, must print what fresh parsers print
     from newton_cocenter import cli
 
     calls = [
@@ -389,6 +391,8 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
         ["--group", "A1", "describe"],
     ]
     assert cli._build_parser() is cli._build_parser()
+    assert cli._build_parser("strata") is cli._build_parser("strata")
+    assert cli._build_parser("strata") is not cli._build_parser("newton")
     cached = [run_cli(capsys, *argv) for argv in calls]
     fresh = []
     for argv in calls:

@@ -4,9 +4,9 @@
 against the plain-matrix path and a direct formula.  Newton indices are
 read from the Newton-point and dominant-representative memos of a group
 and its Levis, dominant translations are memoised per kappa coset,
-and Levi boxes per Levi with only the needed (M-length, kappa_M) tiers
-sorted; each memo is checked against a cold recomputation or against
-the full-sort code it replaced.
+and Levi boxes per Levi, ordered lazily by the canonical order; each
+memo is checked against a cold recomputation or against the full-sort
+code it replaced.
 """
 
 import pickle

@@ -298,7 +298,7 @@ def test_long_translation_class_is_its_weyl_orbit(a2):
 
 
 def test_memoised_words_match_fresh_greedy_words():
-    # sorting the ball fills the memo; a fresh group derives each word
+    # the sort keys of the ball fill the memo; a fresh group derives each word
     # from that element alone
     warm = AffineWeylGroup(build_root_datum("C2"))
     for w in warm.enumerate_ball(6):

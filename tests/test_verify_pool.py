@@ -197,21 +197,32 @@ def test_describe_does_not_import_multiprocessing():
 
 def test_describe_imports_no_dataclasses_and_builds_little_of_w0():
     # a CLI call pays neither for `dataclasses` (which imports `inspect`)
-    # nor for the 120 elements of W0 of GL5 that describe does not read
+    # nor for the 120 elements of W0 of GL5 that describe does not read,
+    # nor for json, the modules describe does not call or the parsers of
+    # the other subcommands
     src = str(Path(newton_cocenter.__file__).resolve().parent.parent)
-    code = ("import json, sys\n"
+    code = ("import argparse, sys\n"
+            "parsers, init = [], argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    parsers.append(kwargs.get('prog'))\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
             "from newton_cocenter import cli\n"
             "groups, make = [], cli._make_group\n"
             "cli._make_group = lambda args: groups.append(make(args)) or groups[-1]\n"
             "assert cli.main(['--group', 'GL5', 'describe']) == 0\n"
-            "print(json.dumps([sorted({'dataclasses', 'inspect'} & set(sys.modules)),\n"
-            "                  [len(g.datum.materialised) for g in groups]]))\n")
+            "loaded = sorted({'dataclasses', 'inspect', 'json', 'newton_cocenter.verify',\n"
+            "                 'newton_cocenter.hecke_cocenter', 'newton_cocenter.levi_alcove'}\n"
+            "                & set(sys.modules))\n"
+            "import json\n"
+            "print(json.dumps([loaded, parsers, [len(g.datum.materialised) for g in groups]]))\n")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=60, check=False)
     assert proc.returncode == 0, proc.stderr
-    modules, materialised = json.loads(proc.stdout.splitlines()[-1])
+    modules, parsers, materialised = json.loads(proc.stdout.splitlines()[-1])
     assert modules == []
+    assert parsers == ["newton-cocenter", "newton-cocenter describe"]
     assert len(materialised) == 1 and materialised[0] < 120
 
 
