@@ -75,8 +75,6 @@ _COMMANDS = {
         _arg("--pair-budget", type=_int_at_least(1)),
         _arg("--seeds", type=_int_at_least(1))]),
 }
-# the top-level options that take a value
-_VALUED = ("--group", "--config", "--seed", "--jobs", "--ball-cap")
 
 
 class _Retry(Exception):
@@ -123,22 +121,17 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
 
 
 def _parse_args(argv):
-    """Parse with the parser of the subcommand alone, guessed as the first
-    token that is neither an option nor the value of one of `_VALUED`.
-    Where that parser would print, or the guess is no subcommand, parse
-    again with the full parser, which makes every message and exit code."""
+    """Parse with the parser of the first token that names a subcommand.
+    Where that parser would print, or no token names one, parse again
+    with the full parser, which makes every message and exit code; a
+    wrong guess, such as a group named like a command, lands there too."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    tokens = iter(argv)
-    for token in tokens:
-        if token in _VALUED:
-            next(tokens, None)
-        elif not token.startswith("-"):
-            if token in _COMMANDS:
-                try:
-                    return _build_parser(token).parse_args(argv)
-                except _Retry:
-                    pass
-            break
+    command = next((t for t in argv if t in _COMMANDS), None)
+    if command is not None:
+        try:
+            return _build_parser(command).parse_args(argv)
+        except _Retry:
+            pass
     return _build_parser().parse_args(argv)
 
 
