@@ -26,7 +26,9 @@ descent is a sign, read off without a product or a length.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import islice
 from operator import itemgetter, mul
 
 from .errors import InputError, LogicError, ResourceError
@@ -107,8 +109,11 @@ def inverse(w: AffineWeylElement) -> AffineWeylElement:
 
 
 def conjugate(x: AffineWeylElement, w: AffineWeylElement) -> AffineWeylElement:
-    """x w x^{-1}."""
-    return multiply(multiply(x, w), inverse(x))
+    """x w x^{-1} = t^{a + u(b) - c(a)} c for x = t^a u, w = t^b v, c = u v u^-1."""
+    (a, u), (b, v) = x, w
+    c = weyl_product(weyl_product(u, v), weyl_inverse(u))
+    return _new(AffineWeylElement, (tuple([p + sum(map(mul, row, b)) - sum(map(mul, r, a))
+                                           for p, row, r in zip(a, u, c)]), c))
 
 
 def act_on_affine_root(datum: RootDatum, w: AffineWeylElement, a: AffineRoot) -> AffineRoot:
@@ -145,8 +150,8 @@ class AffineWeylGroup:
             ball_cap = DEFAULT_BALL_CAP_LOW_RANK if datum.rank <= 2 else DEFAULT_BALL_CAP
         self._context(datum, ball_cap, datum.roots, datum.simple_roots,
                       datum.coroot_hnf, {}, {}, wall_order=None)
-        # the one memo of the ambient group only: its Levis (levi_alcove)
-        self.levi_groups: dict[Coweight, AffineWeylGroup] = {}
+        # the one memo of the ambient group only: its Levis by (d, *d v)
+        self.levi_groups: dict[IntVector, AffineWeylGroup] = {}
 
     def _context(self, datum, ball_cap, phi_m, m_simple_roots, coroot_hnf,
                  newton_points, coweights, wall_order):
@@ -170,6 +175,8 @@ class AffineWeylGroup:
         self.two_rho_m = tuple(sum(a[i] for a in phi_m if datum.is_positive_root(a))
                                for i in range(datum.rank))
         self._length_cache: dict[AffineWeylElement, int] = {}
+        self._newton_indices: dict[AffineWeylElement, NewtonIndex] = {}
+        self._balls: dict[tuple, tuple[int, list[AffineWeylElement]]] = {}
         self._levels: dict[IntVector, list[int]] = {}
         self._omega_cache: dict[IntVector, AffineWeylElement] = {}
         # the descent words of `word`, and the keys of `sort_key`
@@ -477,8 +484,11 @@ class AffineWeylGroup:
     def newton_index(self, w: AffineWeylElement) -> NewtonIndex:
         """kappa(w) and the dominant representative of nu_w, both taken
         in this group (for a Levi: kappa_M and the M-dominant one)."""
-        nu_bar, _ = self.dominant_rep(newton_point(self, w))
-        return NewtonIndex(self.kappa(w), nu_bar)
+        index = self._newton_indices.get(w)
+        if index is None:
+            nu_bar, _ = self.dominant_rep(newton_point(self, w))
+            index = self._newton_indices[w] = NewtonIndex(self.kappa(w), nu_bar)
+        return index
 
     def is_straight(self, w: AffineWeylElement) -> bool:
         """Straightness via the pairing criterion length(w) =
@@ -557,13 +567,43 @@ class AffineWeylGroup:
             frontier = new
         return depths
 
+    def short_translates(self, lams, max_length: int, cap: int | None = None):
+        """The first `cap` (all with cap None), in canonical order, of the t^lam u
+        with lam in lams, u in W_M and length <= max_length, built length by length
+        with their lengths memoised.  The roots of Phi_M at level >= 1 for lam
+        (`_level`) are a positive system x(Phi_M+); summing `length` over them gives
+        length(t^lam u) = base + length(x^-1 u), base the sum of their level - 1."""
+        datum, taus = self.datum, self._m_taus
+        x_of, layers = {}, [[] for _ in range(max_length + 1)]
+        for u in self.finite_elements():  # u by u(Phi_M+) as a bit mask, and by length
+            perm = datum.root_permutation(u)
+            x_of[sum(1 << perm[i] for i, t in taus if t)] = u
+            if (n := self.finite_length(u)) <= max_length:
+                layers[n].append(u)
+        starts = []
+        for lam in lams:
+            level = self._level(lam)
+            high = [j for j, _ in taus if level[j] > 0]
+            if (base := sum(level[j] for j in high) - len(high)) <= max_length:
+                starts.append((base, lam, x_of[sum(1 << j for j in high)]))
+        out = []
+        for n in range(max_length + 1):
+            if cap is not None and len(out) >= cap:
+                break
+            elems = [_new(AffineWeylElement, (lam, datum.product(x, y)))
+                     for base, lam, x in starts if base <= n for y in layers[n - base]]
+            self._length_cache.update(dict.fromkeys(elems, n))
+            out += elems
+        return list(islice(self.canonical_order(out), cap))
+
     def enumerate_ball(self, max_length: int, omega_labels=None,
                        cap: int | None = None) -> list[AffineWeylElement]:
         """All w with length <= max_length and kappa among the given labels.
 
         omega_labels defaults to every label of the ambient group when
         its Omega is finite and to the trivial one otherwise.
-        Deterministic canonical order.
+        Deterministic canonical order, by length first: the largest ball
+        per labels is memoised, and a smaller one is a copy of its prefix.
         """
         cap = self.ball_cap if cap is None else cap
         if max_length > cap:
@@ -571,8 +611,12 @@ class AffineWeylGroup:
                 f"ball of radius {max_length} exceeds the cap {cap}")
         if omega_labels is None:
             omega_labels = self.datum.omega_labels() or ((0,) * self.datum.rank,)
-        return list(self.canonical_order(
-            w for label in omega_labels for w in self.ball(max_length, label)))
+        key = tuple(map(tuple, omega_labels))
+        radius, ball = self._balls.get(key, (-1, None))
+        if radius < max_length:
+            radius, ball = self._balls[key] = max_length, list(self.canonical_order(
+                w for label in omega_labels for w in self.ball(max_length, label)))
+        return ball[:bisect_right(ball, max_length, key=self.length)]
 
 
 # -- element grammar ----------------------------------------------------

@@ -124,10 +124,13 @@ def _parse_args(argv):
     """Parse with the parser of the first token that names a subcommand.
     Where that parser would print, or no token names one, parse again
     with the full parser, which makes every message and exit code; a
-    wrong guess, such as a group named like a command, lands there too."""
+    wrong guess, such as a group named like a command, lands there too.
+    A "--" just before the command is dropped: argparse reads it as one."""
     argv = sys.argv[1:] if argv is None else list(argv)
     command = next((t for t in argv if t in _COMMANDS), None)
     if command is not None:
+        if (i := argv.index(command)) and argv[i - 1] == "--":
+            del argv[i - 1]
         try:
             return _build_parser(command).parse_args(argv)
         except _Retry:

@@ -19,14 +19,13 @@ construction; it holds no reference to the ambient group.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import lcm
 
 from .affine_weyl import AffineWeylElement, AffineWeylGroup, multiply
 from .errors import InputError, LogicError
 from .newton import NewtonIndex, newton_point
 from .reduction import max_finite_parabolic_order, wa_ball_count
 from .root_datum import (
-    Matrix, coweight, coset_reduce, dot, hnf_columns, mat_act, scaled,
+    Matrix, coset_reduce, dot, hnf_columns, mat_act, scaled,
 )
 
 
@@ -44,8 +43,8 @@ class LeviWeylGroup(AffineWeylGroup):
         (Steinberg), so by those of the simple roots of Phi_M ∩ Phi+,
         the indecomposable ones."""
         datum = parent.datum
-        self.v = coweight(v)
-        _, x = scaled(self.v)
+        d, x = scaled(v)
+        self.v = parent.intern_coweight(d, x)
         phi_m = tuple(a for a in datum.roots if dot(a, x) == 0)
         self.phi_plus = tuple(a for a in datum.roots if dot(a, x) > 0)
         if len(phi_m) + 2 * len(self.phi_plus) != len(datum.roots):
@@ -68,11 +67,11 @@ class LeviWeylGroup(AffineWeylGroup):
 
 
 def levi_weyl_group(group: AffineWeylGroup, v) -> LeviWeylGroup:
-    v = coweight(v)
-    cache = group.levi_groups
-    if v not in cache:
-        cache[v] = LeviWeylGroup(group, v)
-    return cache[v]
+    d, x = scaled(v)
+    m = group.levi_groups.get(key := (d, *x))
+    if m is None:
+        m = group.levi_groups[key] = LeviWeylGroup(group, v)
+    return m
 
 
 def newton_index_map(group: AffineWeylGroup, m: LeviWeylGroup,
@@ -87,11 +86,10 @@ def newton_index_map(group: AffineWeylGroup, m: LeviWeylGroup,
 
 def conjugate_levi(group: AffineWeylGroup, u0: Matrix, m: LeviWeylGroup):
     """The Levi of u0(v) together with the induced index bijection."""
-    v_new = tuple(mat_act(u0, m.v))
-    m_new = levi_weyl_group(group, v_new)
+    m_new = levi_weyl_group(group, mat_act(u0, m.v))
 
     def index_map(nu_m: NewtonIndex) -> NewtonIndex:
-        label = coset_reduce(tuple(mat_act(u0, nu_m.omega)), m_new.coroot_hnf)
+        label = coset_reduce(mat_act(u0, nu_m.omega), m_new.coroot_hnf)
         d, x = scaled(nu_m.nu_bar)
         nu_bar, _ = m_new.dominant_rep_scaled(d, mat_act(u0, x))
         return NewtonIndex(label, nu_bar)
@@ -146,7 +144,6 @@ def positivity_exponent(group: AffineWeylGroup, w: AffineWeylElement,
     LogicError.  Otherwise no power is strictly v-positive, and the
     input is refused before the search.
     """
-    v = coweight(v)
     m = levi_weyl_group(group, v)
     if not m.is_member(w):
         raise InputError("positivity_exponent requires w in the Levi of v")
@@ -161,7 +158,7 @@ def positivity_exponent(group: AffineWeylGroup, w: AffineWeylElement,
         raise InputError(
             "no positive power of w is strictly v-positive: its Newton point "
             "is not strictly positive on the v-positive roots")
-    denom = lcm(*(c.denominator for c in v))
+    denom, _ = scaled(m.v)
     n0 = wa_ball_count(m, m.length(w))
     n1 = max_finite_parabolic_order(m)
     bound = (2 * n0 + n1 + 1) * denom
@@ -171,7 +168,7 @@ def positivity_exponent(group: AffineWeylGroup, w: AffineWeylElement,
         shifts = [dot(beta, power.translation) for beta in plus]
         if not plus or min(shifts) >= 1:
             return PositivityCertificate(
-                w, v, i, bound, n0, n1, denom,
+                w, m.v, i, bound, n0, n1, denom,
                 min(shifts) if shifts else 0)
     raise LogicError(
         "quasi-positivity must hold within the bound for strictly "

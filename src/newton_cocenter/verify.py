@@ -18,12 +18,11 @@ import random
 import sys
 import time
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import combinations, product
 
 from .affine_weyl import (
-    AffineRoot, AffineWeylElement, AffineWeylGroup, act_on_affine_root,
-    conjugate, element_str, inverse, is_positive_affine_root, multiply,
-    parse_element,
+    AffineRoot, AffineWeylGroup, act_on_affine_root, conjugate, element_str, inverse,
+    is_positive_affine_root, multiply, parse_element,
 )
 from .errors import InputError, LogicError, ResourceError
 from .hecke_cocenter import (
@@ -187,21 +186,19 @@ def _levi_grid(group, max_den=6):
 
 
 def _levi_box(group, m, max_m_length, box=2, cap=None):
-    """All t^lam u with u in W_M and sup-norm of lam at most `box`,
-    filtered to M-length <= max_m_length, in M-sort order and cut to
-    the first `cap`, memoised on the Levi m (`m.boxes`).  High ranks
-    shrink the box and cap the sample to keep suites tractable.  The
-    canonical order is lazy, so only the first `cap` are ordered."""
+    """All t^lam u with u in W_M, sup-norm of lam at most `box` and
+    M-length <= max_m_length, in M-sort order and cut to the first `cap`,
+    memoised on the Levi m (`m.boxes`); generated from their M-lengths
+    by `m.short_translates`, not filtered from the box.  High ranks
+    shrink the box and cap the sample to keep suites tractable."""
     if group.datum.rank > 2:
         box = 1
         cap = 150 if cap is None else cap
     key = (max_m_length, box, cap)
     out = m.boxes.get(key)
     if out is None:
-        candidates = [w for lam in product(range(-box, box + 1), repeat=group.datum.rank)
-                      for u in m.finite_elements() for w in [AffineWeylElement(lam, u)]
-                      if m.length(w) <= max_m_length]
-        out = m.boxes[key] = list(islice(m.canonical_order(candidates), cap))
+        out = m.boxes[key] = m.short_translates(
+            product(range(-box, box + 1), repeat=group.datum.rank), max_m_length, cap)
     return out
 
 
@@ -387,12 +384,11 @@ def _conjugation_cases(group, boxes):
     for v, m, box in boxes:
         small = [w for w in box if m.length(w) <= 3
                  and all(abs(x) <= 1 for x in w.translation)][:60]
-        indexed = [(w, m.newton_index(w)) for w in small]
         for u0 in conjugators:
             m2, index_map = conjugate_levi(group, u0, m)
             x0 = group.finite_element(u0)
-            for w, nu in indexed:
-                yield (v, w), m2.newton_index(conjugate(x0, w)) == index_map(nu)
+            for w in small:
+                yield (v, w), m2.newton_index(conjugate(x0, w)) == index_map(m.newton_index(w))
 
 
 def _levi_case_str(group, vw):
@@ -406,7 +402,7 @@ def suite_positivity(group, params):
              for m in [levi_weyl_group(group, v)]]
     result = rep.check(
         "exponent-within-bound",
-        (((v, w), _exponent_within_bound(group, w, v))
+        (((v, w), _exponent_within_bound(group, w, m.v))
          for v, m, box in boxes for w in box if _newton_point_v_positive(group, m, w)),
         functools.partial(_levi_case_str, group))
     result.detail = f"skipped={sum(len(box) for _, _, box in boxes) - result.instances}"

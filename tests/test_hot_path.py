@@ -4,9 +4,9 @@
 against the plain-matrix path and a direct formula.  Newton indices are
 read from the Newton-point and dominant-representative memos of a group
 and its Levis, dominant translations are memoised per kappa coset,
-and Levi boxes per Levi, ordered lazily by the canonical order; each
-memo is checked against a cold recomputation or against the full-sort
-code it replaced.
+Levi boxes per Levi, generated from their M-lengths, and the canonical
+ball per tuple of kappa labels; each memo is checked against a cold
+recomputation or against the filter-and-sort code it replaced.
 """
 
 import pickle
@@ -18,12 +18,14 @@ from newton_cocenter import (
     AffineRoot, AffineWeylElement, AffineWeylGroup, NewtonIndex,
     build_root_datum,
 )
-from newton_cocenter.affine_weyl import inverse, multiply
+from newton_cocenter.affine_weyl import conjugate, inverse, multiply
 from newton_cocenter.levi_alcove import levi_weyl_group
 from newton_cocenter.newton import newton_index
 from newton_cocenter.reduction import _dominant_translations, _enumerate_dominant
 from newton_cocenter.root_datum import mat_act, mat_mul, rational_inverse
+from newton_cocenter.errors import ResourceError
 from newton_cocenter.verify import _levi_box, _levi_grid
+from conftest import ALL_DATA
 
 
 def fresh_group(label, lattice="sc"):
@@ -67,6 +69,7 @@ def test_element_is_never_an_affine_root_or_a_newton_index():
 
 
 def test_multiply_and_inverse_agree_with_the_plain_matrix_path():
+    # conjugate too, which reads x w x^-1 off one product formula
     g = fresh_group("GL4")
     ball = g.enumerate_ball(3, cap=3)
     for i, w1 in enumerate(ball):
@@ -81,6 +84,7 @@ def test_multiply_and_inverse_agree_with_the_plain_matrix_path():
             expected = multiply(w1, w2)
             assert type(expected) is AffineWeylElement
             assert multiply(p1, p2) == expected
+            assert conjugate(w1, w2) == conjugate(p1, p2) == multiply(expected, inv)
             assert expected == (
                 tuple(a + b for a, b in zip(w1.translation, mat_act(w1.finite, w2.translation))),
                 mat_mul(w1.finite, w2.finite))
@@ -147,8 +151,11 @@ def full_sort_levi_box(group, m, max_m_length, box=2, cap=None):
 
 
 @pytest.mark.parametrize("label,lattice", [
-    ("A2", "sc"), ("B2", "sc"), ("G2", "sc"), ("C2", "ad"), ("GL3", "gl"), ("GL4", "gl")])
+    pytest.param(*data, marks=pytest.mark.slow) if data == ("GL5", "gl") else data
+    for data in ALL_DATA])
 def test_tiered_levi_box_equals_full_sort(label, lattice):
+    """The generated boxes against the whole box filtered and sorted,
+    on every Levi of the verify grid (the name predates the generator)."""
     g, oracle = fresh_group(label, lattice), fresh_group(label, lattice)
     for v in _levi_grid(g, 4):
         m, m_oracle = levi_weyl_group(g, v), levi_weyl_group(oracle, v)
@@ -156,3 +163,37 @@ def test_tiered_levi_box_equals_full_sort(label, lattice):
             box = _levi_box(g, m, *args, **kwargs)
             assert box == full_sort_levi_box(oracle, m_oracle, *args, **kwargs)
             assert _levi_box(g, m, *args, **kwargs) is box
+
+
+def test_gl4_levi_boxes_call_m_length_less_often_than_the_box_has_candidates(monkeypatch):
+    g = fresh_group("GL4", "gl")
+    levis = [levi_weyl_group(g, v) for v in _levi_grid(g)]
+    candidates = 3 ** 4 * sum(len(m.finite_elements()) for m in levis)
+    assert candidates == 5913
+    calls = []
+    for m in levis:
+        length = m.length
+        monkeypatch.setattr(m, "length", lambda w, length=length: calls.append(w) or length(w))
+        assert _levi_box(g, m, 4)
+    assert len(calls) < candidates
+
+
+# -- balls ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("label,lattice", ALL_DATA)
+def test_memoised_ball_equals_fresh_enumeration(label, lattice):
+    fresh = {r: fresh_group(label, lattice).enumerate_ball(r, cap=6) for r in range(7)}
+    for radii in (range(7), range(6, -1, -1), (3, 3, 0, 5, 5, 2, 6, 6, 1, 4)):
+        g = fresh_group(label, lattice)
+        for r in radii:
+            ball = g.enumerate_ball(r, cap=6)
+            assert ball == fresh[r]
+            ball.clear()  # each call returns a list of its own
+            assert g.enumerate_ball(r, cap=6) == fresh[r]
+    # the cap is checked before the memo is read
+    with pytest.raises(ResourceError):
+        g.enumerate_ball(5, cap=4)
+    # another tuple of labels is another memo
+    label0 = [g.kappa(fresh[0][0])]
+    assert g.enumerate_ball(3, label0) == [w for w in fresh[3] if g.kappa(w) == label0[0]]

@@ -4,8 +4,8 @@ from itertools import product
 import pytest
 
 from newton_cocenter import (
-    AffineRoot, InputError, act_on_affine_root, conjugate, is_min_in_class,
-    multiply, newton_index, newton_point, parse_element,
+    AffineRoot, InputError, NewtonIndex, act_on_affine_root, conjugate,
+    is_min_in_class, multiply, newton_index, newton_point, parse_element,
 )
 from newton_cocenter.affine_weyl import AffineWeylElement
 from newton_cocenter.levi_alcove import (
@@ -265,3 +265,18 @@ def test_m_in_g_gl3_torus():
     for coords in product(range(-3, 4), repeat=3):
         t = g.translation(coords)
         assert m_in_g_stratum_check(g, m, t, m.newton_index(t))
+
+
+@pytest.mark.parametrize("label,lattice", [("A2", "sc"), ("C2", "ad"), ("GL3", "gl")])
+def test_m_in_g_stratum_check_refuses_a_wrong_m_newton_index(label, lattice):
+    # the guard compares nu_m with the M-Newton index of w, memoised or not
+    g = group(label, lattice)
+    for v in _levi_grid(g, 4):
+        m = levi_weyl_group(g, v)
+        box = levi_box(g, m)
+        indices = {m.newton_index(w) for w in box}
+        for w in box[:: max(1, len(box) // 12)]:
+            for wrong in sorted(indices - {m.newton_index(w)}, key=NewtonIndex.sort_key)[:3]:
+                with pytest.raises(InputError, match="nu_m is not the M-Newton index"):
+                    m_in_g_stratum_check(g, m, w, wrong)
+            assert m_in_g_stratum_check(g, m, w, m.newton_index(w))
