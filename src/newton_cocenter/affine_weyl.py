@@ -196,17 +196,19 @@ class AffineWeylGroup:
         self.coinvariant_hnfs: dict[Matrix, list] = {}
         self.finite_parabolics: tuple[tuple[int, ...], ...] | None = None
         self.parabolics: dict[tuple[int, ...], frozenset] = {}
+        self.exponents: tuple[int, ...] | None = None
         self.wa_ball_counts: dict[int, int] = {}
         self.standard_triples: dict = {}
         self.full_classes: dict[AffineWeylElement, tuple] = {}
         self.class_reps: dict[AffineWeylElement, AffineWeylElement] = {}
         self.dominant_translations: dict[IntVector, tuple] = {}
         self.dominant_chamber: tuple | None = None
-        # the W_M-orbits of translation_orbit; the normal forms of the
-        # inputs of hecke_cocenter.cocenter_reduce, and its rewrite steps
+        # the W_M-orbits of translation_orbit; the normal forms of the inputs
+        # of cocenter_reduce, its rewrite steps, and hecke_mul's T_x T_y
         self._orbits: dict[IntVector, set[IntVector]] = {}
         self.nf_cache: dict = {}
         self.nf_steps: dict[AffineWeylElement, tuple] = {}
+        self.hecke_products: dict[tuple, dict] = {}
         self._build_walls(wall_order)
 
     def newton_memos(self) -> tuple[dict, dict]:
@@ -304,12 +306,12 @@ class AffineWeylGroup:
         of the M-positive roots pairing nonzero with a coroot of the
         component, the one of greatest height.  With wall_order None
         (the ambient group) the simple walls are labelled 1..r and the
-        highest root 0; a Levi labels its walls 0, 1, ... in wall_order,
-        the ambient sort key.  `coxeter_diagram` holds the labels of the
-        walls of each component, `_wall_roots` their positive affine roots
-        (-alpha, 0) and (theta, 1) as (root index, level), in label order,
-        and `_wall_data` each as (root index, level, root, coroot,
-        reflection), for the wall products.
+        highest root 0; a Levi labels its walls 0, 1, ... in the order
+        wall_order, the ambient canonical order, yields them.
+        `coxeter_diagram` holds the labels of the walls of each component,
+        `_wall_roots` their positive affine roots (-alpha, 0) and (theta, 1)
+        as (root index, level), in label order, and `_wall_data` each as
+        (root index, level, root, coroot, reflection), for the wall products.
         """
         datum, coroot = self.datum, self.datum.coroot
         # the M-Dynkin components: each simple root merges those it links to
@@ -332,7 +334,7 @@ class AffineWeylGroup:
                 raise LogicError("the ambient root system must be irreducible")
             labels = dict(zip(walls, [*range(1, len(simple) + 1), 0]))
         else:
-            labels = {s: i for i, s in enumerate(sorted(walls, key=wall_order))}
+            labels = {s: i for i, s in enumerate(wall_order(walls))}
         self._simples = tuple(sorted((lab, s) for s, lab in labels.items()))
         self._wall_roots = tuple(wall_roots[s] for _, s in self._simples)
         self._wall_data = tuple(

@@ -348,17 +348,33 @@ class HeckeElement:
 
 
 def hecke_mul(group: AffineWeylGroup, f: HeckeElement, g: HeckeElement) -> HeckeElement:
-    """Product in the Iwahori-Matsumoto basis."""
-    out = HeckeElement()
-    for y, cy in sorted(g.terms.items(), key=lambda kv: group.sort_key(kv[0])):
-        word, omega = group.wa_omega_split(y)
-        part = dict(f.terms)
-        for lab in word:
-            part = _mul_by_generator(group, part, lab)
-        if omega != group.identity:
-            part = {multiply(x, omega): c for x, c in part.items()}
-        out = out + HeckeElement(part).scale(cy)
-    return out
+    """Product in the Iwahori-Matsumoto basis, bilinear over the basis
+    products T_x T_y of `_basis_product`, which are memoised per context."""
+    out: dict[AffineWeylElement, QPoly] = {}
+    for y, cy in g.terms.items():
+        for x, cx in f.terms.items():
+            for z, cz in _basis_product(group, x, y).items():
+                _add_term(out, z, cx * cy * cz)
+    return HeckeElement(out)
+
+
+def _basis_product(group, x, y):
+    """T_x T_y, memoised by (x, y) in `group.hecke_products` (never handed
+    out to mutate): T_{xy} for y of length zero, else (T_x T_{y'}) T_s for
+    y = y' s, s the least right descent of y, walked down to a memo hit
+    without a word and back up one wall at a time, memoising each prefix."""
+    memo, chain = group.hecke_products, []
+    while (x, y) not in memo:
+        down = group.right_descents(y)
+        if True not in down:
+            memo[x, y] = {multiply(x, y): ONE}
+            break
+        chain.append((y, s := down.index(True)))
+        y = group.times_wall(y, s)
+    terms = memo[x, y]
+    for y, s in reversed(chain):
+        terms = memo[x, y] = _mul_by_generator(group, terms, s)
+    return terms
 
 
 def _mul_by_generator(group, terms, label):

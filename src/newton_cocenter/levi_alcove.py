@@ -55,7 +55,7 @@ class LeviWeylGroup(AffineWeylGroup):
         self._context(datum, parent.ball_cap, phi_m, simple,
                       hnf_columns([datum.coroot[a] for a in phi_m]),
                       *parent.newton_memos(),
-                      wall_order=parent.sort_key)
+                      wall_order=parent.canonical_order)
         # the Levi boxes of the verify suites (`verify._levi_box`)
         self.boxes: dict[tuple, list[AffineWeylElement]] = {}
 

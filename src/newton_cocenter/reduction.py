@@ -37,7 +37,7 @@ of every context, declared where it is built: `move_orbits` (each
 element seen to its move orbit, in scan order, if it is minimal, else
 None),
 `coinvariant_hnfs`, `finite_parabolics`, `parabolics`,
-`wa_ball_counts`, `standard_triples`, and for the class keys
+`exponents`, `wa_ball_counts`, `standard_triples`, and for the class keys
 `full_classes`, `class_reps`, `dominant_translations` and
 `dominant_chamber`.
 """
@@ -439,7 +439,14 @@ def max_finite_parabolic_order(ctx) -> int:
     """Largest order of a finite parabolic: |W_M| = prod_i (m_i + 1) over
     the exponents of W_M.  A finite W_K holds no translation, so it
     injects into W_M, and the M-simple walls give W_M."""
-    return prod(m + 1 for m in weyl_exponents(ctx.m_simple_roots, ctx.datum.is_root))
+    return prod(m + 1 for m in _exponents(ctx))
+
+
+def _exponents(ctx) -> tuple[int, ...]:
+    """The exponents of W_M, memoised in `ctx.exponents`."""
+    if ctx.exponents is None:
+        ctx.exponents = tuple(weyl_exponents(ctx.m_simple_roots, ctx.datum.is_root))
+    return ctx.exponents
 
 
 def wa_ball_count(ctx, max_length: int) -> int:
@@ -454,7 +461,7 @@ def wa_ball_count(ctx, max_length: int) -> int:
     cache = ctx.wa_ball_counts
     if max_length not in cache:
         series = [1] + [0] * max_length
-        for m in weyl_exponents(ctx.m_simple_roots, ctx.datum.is_root):
+        for m in _exponents(ctx):
             # times (1 - q^{m+1}) / (1 - q), then over (1 - q^m)
             for i in range(max_length, m, -1):
                 series[i] -= series[i - m - 1]

@@ -1,0 +1,135 @@
+"""`hecke_mul` against the word walk it replaced.
+
+`hecke_mul` is bilinear over the basis products T_x T_y, which
+`_basis_product` memoises per context by peeling the least right
+descent of y, one wall at a time, without a reduced word.  Before, each
+right factor y was taken in `sort_key` order, and the left factor was
+multiplied along the whole reduced word of y from `wa_omega_split` and
+then by its length-zero part.  That algorithm is kept here as the
+oracle, with its own generator step that reads descents off lengths.
+"""
+
+import random
+import sys
+
+import pytest
+
+from newton_cocenter import AffineWeylGroup, build_root_datum, multiply
+from newton_cocenter.hecke_cocenter import (
+    ONE, Q, Q_MINUS_1, HeckeElement, QPoly, _add_term, hecke_mul,
+)
+from conftest import ALL_DATA
+
+
+def word_walk_mul(group, f, g):
+    """f g: each right factor y, in sort_key order, by walking its word
+    from `wa_omega_split` and then its length-zero part omega."""
+    walls = dict(group.simple_items())
+    out = HeckeElement()
+    for y, cy in sorted(g.terms.items(), key=lambda kv: group.sort_key(kv[0])):
+        word, omega = group.wa_omega_split(y)
+        part = dict(f.terms)
+        for lab in word:
+            nxt = {}
+            for x, c in part.items():
+                xs = multiply(x, walls[lab])
+                if group.length(xs) > group.length(x):
+                    _add_term(nxt, xs, c)
+                else:
+                    _add_term(nxt, xs, c * Q)
+                    _add_term(nxt, x, c * Q_MINUS_1)
+            part = nxt
+        if omega != group.identity:
+            part = {multiply(x, omega): c for x, c in part.items()}
+        out = out + HeckeElement(part).scale(cy)
+    return out
+
+
+def fresh(label, lattice):
+    return AffineWeylGroup(build_root_datum(label, lattice))
+
+
+def basis(w):
+    return HeckeElement.basis(w)
+
+
+@pytest.mark.parametrize("label,lattice", ALL_DATA)
+def test_basis_products_equal_word_walk(label, lattice):
+    # every ordered pair of the length <= 3 ball, on one warm memo
+    g = fresh(label, lattice)
+    ball = g.enumerate_ball(3)
+    for x in ball:
+        for y in ball:
+            assert hecke_mul(g, basis(x), basis(y)) == \
+                word_walk_mul(g, basis(x), basis(y)), (x, y)
+
+
+@pytest.mark.parametrize("label,lattice", [("A2", "ad"), ("C2", "ad"), ("G2", "sc"),
+                                           ("GL3", "gl"), ("GL4", "gl")])
+def test_polynomial_combinations_equal_word_walk(label, lattice):
+    g = fresh(label, lattice)
+    ball = g.enumerate_ball(4)
+    rng = random.Random(11)
+
+    def combination():
+        return HeckeElement({w: QPoly(tuple(rng.randint(-3, 3) for _ in range(3)))
+                             for w in rng.sample(ball, rng.randint(1, 4))})
+
+    for _ in range(30):
+        f, h = combination(), combination()
+        assert hecke_mul(g, f, h) == word_walk_mul(g, f, h)
+
+
+@pytest.mark.parametrize("label,lattice", [("A1", "ad"), ("B2", "sc"), ("GL4", "gl")])
+def test_cold_memo_equals_warm_memo_filled_in_another_order(label, lattice):
+    cold, warm = fresh(label, lattice), fresh(label, lattice)
+    ball = cold.enumerate_ball(3)
+    pairs = [(x, y) for x in ball for y in ball]
+    shuffled = pairs[::-1]
+    random.Random(5).shuffle(shuffled)
+    for x, y in shuffled:
+        hecke_mul(warm, basis(x), basis(y))
+    for x, y in pairs:
+        cold.hecke_products.clear()
+        assert hecke_mul(cold, basis(x), basis(y)) == hecke_mul(warm, basis(x), basis(y))
+
+
+def test_mutating_a_product_leaves_the_memo_intact():
+    g = fresh("C2", "sc")
+    ball = g.enumerate_ball(3)
+    for x in ball[:6]:
+        for y in ball:
+            prod = hecke_mul(g, basis(x), basis(y))
+            prod.terms.clear()
+            prod.terms[g.identity] = QPoly((5,))
+            assert hecke_mul(g, basis(x), basis(y)) == word_walk_mul(g, basis(x), basis(y))
+
+
+def test_deep_right_factor_walks_without_recursion():
+    # an A1 right factor of length 1500, past the recursion limit
+    g = fresh("A1", "sc")
+    (_, s0), (_, s1) = g.simple_items()
+    y, n = g.identity, 1500
+    assert n > sys.getrecursionlimit()
+    for i in range(n):
+        y = multiply(y, (s0, s1)[i % 2])
+    assert g.length(y) == n
+    assert hecke_mul(g, basis(g.identity), basis(y)).terms == {y: ONE}
+    prod = hecke_mul(g, basis(s1), basis(y))
+    assert prod.terms == {multiply(s1, y): ONE}
+    prod = hecke_mul(g, basis(s0), basis(y))
+    assert prod.terms == {multiply(s0, y): Q, y: Q_MINUS_1}
+
+
+def test_hecke_mul_builds_no_word(monkeypatch):
+    g = fresh("GL3", "gl")
+    ball = g.enumerate_ball(3)
+    expected = {(x, y): word_walk_mul(g, basis(x), basis(y)) for x in ball for y in ball}
+
+    def refuse(*args):
+        raise AssertionError("hecke_mul must not build a word")
+
+    for name in ("word", "wa_omega_split", "sort_key"):
+        monkeypatch.setattr(AffineWeylGroup, name, refuse)
+    for (x, y), prod in expected.items():
+        assert hecke_mul(g, basis(x), basis(y)) == prod

@@ -6,7 +6,9 @@ M-component at level 1.  Before, a Levi found its walls by reflecting
 every positive M-root at levels -2..2 and keeping those of M-length
 one, and the Coxeter diagram was found by testing which walls commute.
 Both searches are kept here as oracles, on the ambient group and every
-Levi of `_levi_grid` for each supported group.
+Levi of `_levi_grid` for each supported group.  The scan labels a
+Levi's walls by the word-based ambient `sort_key`, the oracle of the
+ambient `canonical_order` by which the Levi labels them.
 """
 
 import pytest

@@ -15,6 +15,7 @@ checked against the elements.
 """
 
 import io
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import product
@@ -22,7 +23,7 @@ from math import lcm
 
 import pytest
 
-from newton_cocenter import AffineWeylElement, AffineWeylGroup, build_root_datum, cli
+from newton_cocenter import AffineWeylElement, AffineWeylGroup, build_root_datum, cli, reduction
 from newton_cocenter.affine_weyl import AffineRoot, inverse, multiply
 from newton_cocenter.errors import LogicError
 from newton_cocenter.levi_alcove import LeviWeylGroup, levi_weyl_group
@@ -31,7 +32,7 @@ from newton_cocenter.root_datum import (
     WeylElement, coweight, dot, mat_act, mat_identity, mat_mul,
     rational_inverse, scaled, weyl_exponents,
 )
-from newton_cocenter.verify import _levi_grid as verify_levi_grid
+from newton_cocenter.verify import _levi_grid as verify_levi_grid, run_suite
 
 F = Fraction
 
@@ -470,7 +471,26 @@ def test_levi_order_from_exponents_equals_its_elements(label, lattice):
     g = AffineWeylGroup(build_root_datum(label, lattice))
     for m in [g] + [levi_weyl_group(g, v) for v in verify_levi_grid(g)]:
         assert max_finite_parabolic_order(m) == len(m.finite_elements()), m.phi_m
+        # and again from the exponents memoised on the context
+        assert max_finite_parabolic_order(m) == len(m.finite_elements()), m.phi_m
     assert g.datum.w0_order == len(g.datum.weyl_elements)
+
+
+def test_exponents_are_derived_once_per_context(monkeypatch):
+    # GL4 `verify positivity` asks each Levi for |W_M| and the W_a(M)
+    # ball counts hundreds of times; a context derives its exponents once
+    calls = []
+
+    def counted(simple_roots, is_root):
+        calls.append(tuple(simple_roots))
+        return weyl_exponents(simple_roots, is_root)
+
+    monkeypatch.setattr(reduction, "weyl_exponents", counted)
+    g = AffineWeylGroup(build_root_datum("GL4", "gl"))
+    run_suite("positivity", g, {})
+    owners = Counter(tuple(ctx.m_simple_roots) for ctx in [g, *g.levi_groups.values()])
+    assert calls
+    assert all(n <= owners[roots] for roots, n in Counter(calls).items())
 
 
 @pytest.mark.parametrize("label,exponents", [
