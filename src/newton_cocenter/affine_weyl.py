@@ -134,7 +134,8 @@ def is_positive_affine_root(datum: RootDatum, a: AffineRoot) -> bool:
 
 class AffineWeylGroup:
     """The Iwahori-Weyl group X_* ⋊ W_M of a Levi M: length, affine
-    simple reflections, kappa, words, Newton indices and balls.
+    simple reflections, kappa, the canonical order, Newton indices and
+    balls.
 
     Everything is computed over the roots Phi_M of M (`phi_m`), and W_M
     is `finite_elements()`.  Built from a root datum it is the ambient
@@ -179,9 +180,6 @@ class AffineWeylGroup:
         self._balls: dict[tuple, tuple[int, list[AffineWeylElement]]] = {}
         self._levels: dict[IntVector, list[int]] = {}
         self._omega_cache: dict[IntVector, AffineWeylElement] = {}
-        # the descent words of `word`, and the keys of `sort_key`
-        self._word_cache: dict[AffineWeylElement, tuple[int, ...]] = {}
-        self._sort_key_cache: dict[AffineWeylElement, tuple] = {}
         # Newton memos, filled on demand.  nu_w does not depend on a
         # Levi, so every Levi of a group shares its newton_points and
         # its interned coweights; each context keeps its own
@@ -190,7 +188,7 @@ class AffineWeylGroup:
         # tuples of ints hash in C, tuples of Fractions do not.
         self.newton_points: dict[AffineWeylElement, Coweight] = newton_points
         self._dominant_cache: dict[IntVector, tuple[Coweight, Matrix]] = {}
-        self._coweights: dict[IntVector, Coweight] = coweights
+        self.coweights: dict[IntVector, Coweight] = coweights
         # memos of the reduction module (see there)
         self.move_orbits: dict[AffineWeylElement, tuple | None] = {}
         self.coinvariant_hnfs: dict[Matrix, list] = {}
@@ -210,11 +208,6 @@ class AffineWeylGroup:
         self.nf_steps: dict[AffineWeylElement, tuple] = {}
         self.hecke_products: dict[tuple, dict] = {}
         self._build_walls(wall_order)
-
-    def newton_memos(self) -> tuple[dict, dict]:
-        """The Newton points and the interned coweights, which the Levis
-        of this group share."""
-        return self.newton_points, self._coweights
 
     # -- basic constructors -------------------------------------------
 
@@ -397,36 +390,6 @@ class AffineWeylGroup:
             cached = self._omega_cache[label] = w
         return cached
 
-    def wa_omega_split(self, w: AffineWeylElement):
-        """w = (product of the affine word) * omega, both canonical."""
-        return self.word(w), self.omega_rep(self.kappa(w))
-
-    def word(self, w: AffineWeylElement) -> tuple[int, ...]:
-        """Lex-least reduced word of a = w omega^{-1}, omega the
-        length-zero element of w's kappa coset.
-
-        The word is greedy: the least descent label s of a, then the word
-        of s a.  Every element met on that descent chain is memoised, so
-        words of elements sharing a tail are not rederived.
-        """
-        memo = self._word_cache
-        chain = []
-        cur = multiply(w, inverse(self.omega_rep(self.kappa(w))))
-        length = self.length(cur)
-        while length > 0 and cur not in memo:
-            lab, nxt, length = self._descent(cur, length)
-            chain.append((cur, lab))
-            cur = nxt
-        word = memo.get(cur)
-        if word is None:
-            if cur != self.identity:
-                raise LogicError("word extraction must terminate at the identity")
-            word = ()
-        for elem, lab in reversed(chain):
-            word = (lab,) + word
-            memo[elem] = word
-        return word
-
     def finite_word(self, u: Matrix) -> tuple[int, ...]:
         """Lex-least reduced word of u in the finite simple reflections:
         the least i with u^{-1}(alpha_i) < 0, then the word of s_i u."""
@@ -442,16 +405,11 @@ class AffineWeylGroup:
                 raise LogicError("descent must exist while length is positive")
         return tuple(word)
 
-    def sort_key(self, w: AffineWeylElement):
-        """(length, kappa, word): the canonical order, memoised.  The key
-        determines w, since w is the product of its word and omega."""
-        key = self._sort_key_cache.get(w)
-        if key is None:
-            key = self._sort_key_cache[w] = (self.length(w), self.kappa(w), self.word(w))
-        return key
-
     def canonical_order(self, elems):
-        """Yield elems in `sort_key` order, without building a word.
+        """Yield elems in the canonical order, without building a word:
+        by length, then kappa, then the lex-least reduced word, in the
+        wall labels, of w omega^{-1}, omega = omega_rep(kappa(w)).  The
+        order is total, since w is that word's product times omega.
 
         Elements are grouped by (length, kappa).  Within a group the
         first letter of the word of w is its least left descent s, so a
@@ -524,9 +482,9 @@ class AffineWeylGroup:
         store these copies, so each distinct value is built and held
         once."""
         key = (d, *x)
-        v = self._coweights.get(key)
+        v = self.coweights.get(key)
         if v is None:
-            v = self._coweights[key] = InternedCoweight(d, x)
+            v = self.coweights[key] = InternedCoweight(d, x)
         return v
 
     def translation_orbit(self, mu: IntVector) -> set[IntVector]:

@@ -324,7 +324,10 @@ class HeckeElement:
         return HeckeElement(out)
 
     def __sub__(self, other):
-        return self + other.scale(QPoly.const(-1))
+        out = dict(self.terms)
+        for w, c in other.terms.items():
+            _add_term(out, w, -c)
+        return HeckeElement(out)
 
     def scale(self, c: QPoly) -> "HeckeElement":
         return HeckeElement({w: x * c for w, x in self.terms.items()})

@@ -54,7 +54,7 @@ class LeviWeylGroup(AffineWeylGroup):
             tuple([p - q for p, q in zip(a, b)]) in pos for b in pos))
         self._context(datum, parent.ball_cap, phi_m, simple,
                       hnf_columns([datum.coroot[a] for a in phi_m]),
-                      *parent.newton_memos(),
+                      parent.newton_points, parent.coweights,
                       wall_order=parent.canonical_order)
         # the Levi boxes of the verify suites (`verify._levi_box`)
         self.boxes: dict[tuple, list[AffineWeylElement]] = {}

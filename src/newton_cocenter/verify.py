@@ -218,12 +218,21 @@ def _round_trips(group, w):
     and its text prints back from the parse."""
     text = element_str(group, w)
     back = parse_element(group, text)
-    word, omega = group.wa_omega_split(w)
-    alt = ("*".join(f"S{i}" for i in word) or "E")
-    if omega != group.identity:
-        alt += "#[" + ",".join(str(x) for x in group.kappa(w)) + "]"
+    alt = "*".join(f"S{i}" for i in _affine_word(group, w)) or "E"
+    if any(kappa := group.kappa(w)):
+        alt += "#[" + ",".join(map(str, kappa)) + "]"
     return back == w and parse_element(group, alt) == w \
         and element_str(group, back) == text
+
+
+def _affine_word(group, w):
+    """The lex-least reduced word of w omega^{-1}, omega = omega_rep(kappa(w)):
+    its least left descent, peeled off until the length is 0 (no memo)."""
+    cur, word = multiply(w, inverse(group.omega_rep(group.kappa(w)))), []
+    for _ in range(group.length(cur)):
+        word.append(i := group.left_descents(cur).index(True))
+        cur = group.wall_times(i, cur)
+    return tuple(word)
 
 
 def suite_length(group, params):

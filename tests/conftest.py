@@ -1,6 +1,8 @@
 import pytest
 
 from newton_cocenter import AffineWeylGroup, build_root_datum
+from newton_cocenter.affine_weyl import inverse, multiply
+from newton_cocenter.root_datum import coset_reduce
 
 # every supported (label, lattice) pair
 ALL_DATA = [(label, lattice) for label in ("A1", "A2", "B2", "C2", "G2")
@@ -23,6 +25,48 @@ def kappa_labels(m):
     units = [tuple(sign * int(i == j) for j in range(n))
              for i in range(n) for sign in (1, -1)]
     return sorted({m.kappa(m.translation(lam)) for lam in [(0,) * n] + units})
+
+
+# -- the word-based canonical order, from products and lengths --------------
+#
+# The oracles of `canonical_order` and of the grammar suite's affine
+# words, on the ambient group and on every Levi: each descent is found by
+# multiplying by every wall and comparing lengths, with no descent flag
+# and no memo of its own.
+
+
+def oracle_descent(ctx, w):
+    """(label, s w) for the least wall s of ctx with s w shorter than w."""
+    length = ctx.length(w)
+    for lab, s in ctx.simple_items():
+        sw = multiply(s, w)
+        if ctx.length(sw) < length:
+            return lab, sw
+    raise AssertionError("no descent")
+
+
+def oracle_omega(ctx, label):
+    """The length-zero element of the kappa coset of label."""
+    w = ctx.translation(coset_reduce(tuple(label), ctx.coroot_hnf))
+    while ctx.length(w) > 0:
+        w = oracle_descent(ctx, w)[1]
+    return w
+
+
+def oracle_word(ctx, w):
+    """The greedy lex-least reduced word of w omega^{-1}, omega the
+    length-zero element of w's kappa coset."""
+    cur, word = multiply(w, inverse(oracle_omega(ctx, ctx.kappa(w)))), []
+    while ctx.length(cur) > 0:
+        lab, cur = oracle_descent(ctx, cur)
+        word.append(lab)
+    assert cur == ctx.identity
+    return tuple(word)
+
+
+def oracle_sort_key(ctx, w):
+    """(length, kappa, word): the canonical order as a sort key."""
+    return ctx.length(w), ctx.kappa(w), oracle_word(ctx, w)
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ from newton_cocenter import (
     AffineRoot, InputError, ResourceError, act_on_affine_root, element_str,
     inverse, is_positive_affine_root, multiply, parse_element,
 )
+from newton_cocenter.verify import _affine_word
 from conftest import group
 
 
@@ -222,18 +223,20 @@ def test_module_doctests():
     assert results.failed == 0 and results.attempted >= 1
 
 
-def test_wa_omega_split_round_trips():
+def test_affine_word_round_trips():
+    # the grammar suite's affine word times omega_rep(kappa(w)) is w, on
+    # random A2 and GL2 elements and on the whole C2 length-6 ball
     rng = random.Random(6)
-    for label in ("A2", "GL2"):
-        g = group(label)
+    cases = [(group(label), [random_element(group(label), rng) for _ in range(150)])
+             for label in ("A2", "GL2")] + [(group("C2"), group("C2").enumerate_ball(6))]
+    for g, elems in cases:
         items = dict(g.simple_items())
-        for _ in range(150):
-            w = random_element(g, rng)
-            word, omega = g.wa_omega_split(w)
+        for w in elems:
+            word = _affine_word(g, w)
             rebuilt = g.identity
             for lab in word:
                 rebuilt = multiply(rebuilt, items[lab])
-            assert multiply(rebuilt, omega) == w
+            assert multiply(rebuilt, g.omega_rep(g.kappa(w))) == w
             assert len(word) == g.length(w)
 
 

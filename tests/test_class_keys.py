@@ -1,13 +1,15 @@
 """Class keys without reduced words, against the algorithms they replaced.
 
-`AffineWeylGroup.canonical_order` yields elements in `sort_key` order,
-deciding the order letter by letter; `class_minimal_set` reduces the
-orbits of the dominant translations modulo one coinvariant lattice per
-class; `wall_times` and `times_wall` multiply by a wall in O(rank).
-Each is checked against the algorithm it replaced, kept below as an
-oracle: sorting by `sort_key`, the class listing with one Hermite form
-and one coset set per conjugate a' of the finite part, and `multiply`.
-The last tests count the words and triples that the class keys build.
+`AffineWeylGroup.canonical_order` yields elements in the canonical
+order (length, kappa, then the lex-least reduced word of w omega^{-1}),
+deciding it letter by letter; `class_minimal_set` reduces the orbits of
+the dominant translations modulo one coinvariant lattice per class;
+`wall_times` and `times_wall` multiply by a wall in O(rank).  Each is
+checked against the algorithm it replaced, kept below as an oracle:
+sorting by the word-based `oracle_sort_key` of conftest, the class
+listing with one Hermite form and one coset set per conjugate a' of the
+finite part, and `multiply`.
+The last test follows the standard-triple search through an orbit.
 """
 
 import random
@@ -16,8 +18,8 @@ from itertools import islice
 import pytest
 
 from newton_cocenter import (
-    AffineWeylGroup, build_root_datum, canonical_min_rep, class_minimal_set,
-    element_str, parse_element, reduce_to_min, standard_triple,
+    AffineWeylGroup, build_root_datum, class_minimal_set, element_str,
+    parse_element, reduce_to_min, standard_triple,
 )
 from newton_cocenter import reduction
 from newton_cocenter.affine_weyl import AffineWeylElement, multiply
@@ -27,7 +29,7 @@ from newton_cocenter.reduction import (
 )
 from newton_cocenter.root_datum import coset_reduce, mat_act
 from newton_cocenter.verify import _levi_grid
-from conftest import ALL_DATA, group, kappa_labels
+from conftest import ALL_DATA, group, kappa_labels, oracle_sort_key
 
 
 def contexts(g, levis=3):
@@ -43,7 +45,7 @@ def mixed_ball(ctx):
     return [w for lab in kappa_labels(ctx)[:3] for w in ctx.ball(radius, lab)]
 
 
-# -- the canonical order against sorting by sort_key -------------------------
+# -- the canonical order against sorting by the word-based key --------------
 
 
 @pytest.mark.parametrize("label,lattice", ALL_DATA)
@@ -51,14 +53,15 @@ def test_canonical_order_equals_sort_key_order(label, lattice):
     rng = random.Random(f"{label}:{lattice}")
     for ctx in contexts(group(label, lattice)):
         elems = mixed_ball(ctx)
-        assert list(ctx.canonical_order(elems)) == sorted(elems, key=ctx.sort_key)
+        key = {w: oracle_sort_key(ctx, w) for w in elems}.__getitem__
+        assert list(ctx.canonical_order(elems)) == sorted(elems, key=key)
         for _ in range(20):
             sub = rng.sample(elems, rng.randint(0, min(len(elems), 40)))
-            assert list(ctx.canonical_order(sub)) == sorted(sub, key=ctx.sort_key), ctx
+            assert list(ctx.canonical_order(sub)) == sorted(sub, key=key), ctx
         # equal elements come out in input order, as from a stable sort
         sub = rng.sample(elems, min(len(elems), 10))
         sub += sub[::2]
-        assert list(ctx.canonical_order(sub)) == sorted(sub, key=ctx.sort_key)
+        assert list(ctx.canonical_order(sub)) == sorted(sub, key=key)
 
 
 def test_canonical_order_is_lazy(monkeypatch):
@@ -66,7 +69,7 @@ def test_canonical_order_is_lazy(monkeypatch):
     # lattice splits one bucket per letter, not every bucket
     g = AffineWeylGroup(build_root_datum("GL5", "gl"))
     elems = [w for w in g.ball(4, (0,) * 5) if g.length(w) == 4]
-    least = min(elems, key=g.sort_key)
+    least = min(elems, key=lambda w: oracle_sort_key(g, w))
     calls = []
     real = g.left_descents
     monkeypatch.setattr(g, "left_descents", lambda w: calls.append(w) or real(w))
@@ -95,7 +98,7 @@ def test_wall_products_equal_multiply(label, lattice):
 def per_conjugate_class_set(ctx, w_min):
     """The former listing: for each conjugate a' = u a u^{-1} the cosets
     u(lam) mod im(1 - a') over every such u, and each W_M-orbit reduced
-    modulo the Hermite form of im(1 - a'); sorted by sort_key."""
+    modulo the Hermite form of im(1 - a'); sorted by the word-based key."""
     datum = ctx.datum
     length = ctx.length(w_min)
     lam, a = w_min
@@ -117,7 +120,7 @@ def per_conjugate_class_set(ctx, w_min):
                     z = AffineWeylElement(nu, a_conj)
                     if ctx.length(z) == length:
                         members.append(z)
-    return tuple(sorted(members, key=ctx.sort_key))
+    return tuple(sorted(members, key=lambda w: oracle_sort_key(ctx, w)))
 
 
 # the balls of test_reduction.test_class_minimal_set_matches_ball_search
@@ -136,7 +139,7 @@ def test_class_minimal_set_matches_per_conjugate_listing(label, lattice, radius)
     classes = {reduce_to_min(g, w)[0]
                for w in g.enumerate_ball(radius, labels, cap=radius)}
     oracle = AffineWeylGroup(build_root_datum(label, lattice))
-    for w_min in sorted(classes, key=g.sort_key):
+    for w_min in sorted(classes, key=lambda w: oracle_sort_key(g, w)):
         assert class_minimal_set(g, w_min) == per_conjugate_class_set(oracle, w_min), \
             element_str(g, w_min)
 
@@ -149,20 +152,7 @@ def test_class_minimal_set_matches_per_conjugate_listing_in_levis():
             assert class_minimal_set(ctx, w_min) == per_conjugate_class_set(ctx, w_min)
 
 
-# -- what the class keys build -------------------------------------------------
-
-
-def test_gl5_keys_build_no_word(monkeypatch):
-    g = AffineWeylGroup(build_root_datum("GL5", "gl"))
-    words = []
-    real = AffineWeylGroup.word
-    monkeypatch.setattr(AffineWeylGroup, "word",
-                        lambda self, w: words.append(w) or real(self, w))
-    w = parse_element(g, "t[0,0,0,-1,1]*s2*s1")
-    w_min, _ = reduce_to_min(g, w)
-    standard_triple(g, w_min)
-    canonical_min_rep(g, w)
-    assert words == []
+# -- the standard-triple search ------------------------------------------------
 
 
 def test_standard_triple_walks_the_orbit_in_canonical_order(monkeypatch):

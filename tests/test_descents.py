@@ -4,11 +4,11 @@
 length(s w) < length(w) and length(w s) < length(w) by the sign of the
 affine root of the wall s under w^{-1} and w.  The flags are checked
 against products and `length`, and each walker built on them (`ball`,
-`word`, `omega_rep`, `finite_word` and the move scan of the reduction
-module) against the product-and-length walker it replaced, kept below
-as an oracle; on the ambient group and every Levi of `_levi_grid` of
-every supported datum.  The last tests count the products and lengths
-of the hot paths.
+`omega_rep`, `finite_word`, the move scan of the reduction module and
+the grammar suite's affine word) against the product-and-length walker
+it replaced, kept below and in conftest as an oracle; on the ambient
+group and every Levi of `_levi_grid` of every supported datum.  The
+last tests count the products and lengths of the hot paths.
 """
 
 from collections import deque
@@ -16,15 +16,14 @@ from collections import deque
 import pytest
 
 from newton_cocenter import AffineWeylGroup, build_root_datum
-from newton_cocenter import affine_weyl, reduction
-from newton_cocenter.affine_weyl import inverse, multiply, parse_element
+from newton_cocenter import affine_weyl, reduction, verify
+from newton_cocenter.affine_weyl import multiply, parse_element
 from newton_cocenter.errors import LogicError
 from newton_cocenter.hecke_cocenter import HeckeElement, cocenter_reduce
 from newton_cocenter.levi_alcove import levi_weyl_group
 from newton_cocenter.reduction import _scan
-from newton_cocenter.root_datum import coset_reduce
-from newton_cocenter.verify import _levi_grid
-from conftest import ALL_DATA, group, kappa_labels
+from newton_cocenter.verify import _affine_word, _levi_grid
+from conftest import ALL_DATA, group, kappa_labels, oracle_omega, oracle_word
 
 
 def contexts(g):
@@ -40,33 +39,8 @@ def radius(ctx):
 # -- the product-and-length oracles ------------------------------------------
 
 
-def old_descent(ctx, w):
-    length = ctx.length(w)
-    for lab, s in ctx.simple_items():
-        sw = multiply(s, w)
-        if ctx.length(sw) < length:
-            return lab, sw
-    raise AssertionError("no descent")
-
-
-def old_omega(ctx, label):
-    w = ctx.translation(coset_reduce(tuple(label), ctx.coroot_hnf))
-    while ctx.length(w) > 0:
-        w = old_descent(ctx, w)[1]
-    return w
-
-
-def old_word(ctx, w):
-    cur, word = multiply(w, inverse(old_omega(ctx, ctx.kappa(w)))), []
-    while ctx.length(cur) > 0:
-        lab, cur = old_descent(ctx, cur)
-        word.append(lab)
-    assert cur == ctx.identity
-    return tuple(word)
-
-
 def old_ball(ctx, max_length, label):
-    start = old_omega(ctx, label)
+    start = oracle_omega(ctx, label)
     depths, frontier = {start: 0}, [start]
     for depth in range(1, max_length + 1):
         new = []
@@ -129,12 +103,12 @@ def test_flags_are_the_descents_by_product_and_length(label, lattice):
 def test_ball_omega_and_word_match_the_product_walkers(label, lattice):
     for ctx in contexts(group(label, lattice)):
         for lab in kappa_labels(ctx):
-            assert ctx.omega_rep(lab) == old_omega(ctx, lab)
+            assert ctx.omega_rep(lab) == oracle_omega(ctx, lab)
             ball = ctx.ball(radius(ctx), lab)
             old = old_ball(ctx, radius(ctx), lab)
             assert list(ball.items()) == list(old.items()), (ctx, lab)
             for w in ball:
-                assert ctx.word(w) == old_word(ctx, w), (ctx, w)
+                assert _affine_word(ctx, w) == oracle_word(ctx, w), (ctx, w)
 
 
 @pytest.mark.parametrize("label,lattice", ALL_DATA)
@@ -188,11 +162,12 @@ def test_word_descends_by_flags_with_one_product_per_letter(monkeypatch):
     real_length = g.length
     monkeypatch.setattr(g, "length", lambda w: lengths.append(w) or real_length(w))
     counting(monkeypatch, affine_weyl, products)
+    counting(monkeypatch, verify, products)
     for w in elems:
         lengths.clear()
         products.clear()
-        word = g.word(w)
-        assert len(lengths) <= 1, w  # the length of w omega^{-1}, not from _descent
+        word = _affine_word(g, w)
+        assert len(lengths) <= 1, w  # the length of w omega^{-1}, not per letter
         assert len(products) <= len(word) + 2, w
         assert len(word) == real_length(w)
 

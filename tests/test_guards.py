@@ -1,8 +1,8 @@
 """Source guards: theorem guards survive `python -O`, which strips
 `assert`; modules keep to their own private attributes; every attribute
 set from outside its class is declared in one; the library reads no
-environment variable; and no module imports at start-up what a CLI call
-need not pay for."""
+environment variable; no module imports at start-up what a CLI call
+need not pay for; and no engine class builds reduced words."""
 
 import ast
 from pathlib import Path
@@ -175,3 +175,26 @@ def test_suites_keep_no_failure_counters():
                     and node.id in ("fails", "first", "failed"):
                 found.append(f"{suite.name}:{node.lineno}: assigns {node.id}")
     assert found == [], "count through SuiteReport.check: " + ", ".join(found)
+
+
+def test_words_stay_out_of_the_engine():
+    # canonical_order is the one definition of the canonical order: no
+    # class keeps a word-based twin of it, and only the grammar suite
+    # builds affine words (NewtonIndex.sort_key orders Newton indices)
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                found += [f"{path.name}:{node.lineno}: {cls.name}.{node.name}"
+                          for node in cls.body if isinstance(node, ast.FunctionDef)
+                          and node.name in ("word", "sort_key", "wa_omega_split")
+                          and (cls.name, node.name) != ("NewtonIndex", "sort_key")]
+        if path.stem != "verify":
+            found += [f"{path.name}:{node.lineno}: _affine_word" for node in ast.walk(tree)
+                      if "_affine_word" in _names(node) or (
+                          isinstance(node, ast.FunctionDef) and node.name == "_affine_word")]
+    assert found == [], "order by canonical_order, print words in verify: " + ", ".join(found)
+    verify = ast.parse((SOURCE / "verify.py").read_text(encoding="utf-8"))
+    assert any(isinstance(node, ast.Call) and _names(node.func) == ["_affine_word"]
+               for node in ast.walk(verify))

@@ -103,6 +103,24 @@ def test_associativity_random():
         assert left == right
 
 
+@pytest.mark.parametrize("label,lattice", [("A2", "sc"), ("C2", "ad"), ("GL3", "gl")])
+def test_subtraction_equals_adding_the_negation(label, lattice):
+    # f - h subtracts in place; the oracle scales h by the constant -1
+    g = group(label, lattice)
+    ball = g.enumerate_ball(4)
+    rng = random.Random(f"{label}:{lattice}")
+
+    def combination():
+        return HeckeElement({w: QPoly(tuple(rng.randint(-3, 3) for _ in range(3)))
+                             for w in rng.sample(ball, rng.randint(1, 4))})
+
+    for _ in range(40):
+        f, h = combination(), combination()
+        assert f - h == f + h.scale(QPoly.const(-1))
+        assert (f + h) - f == h
+        assert (f - f).terms == {}
+
+
 # -- cocenter reduction ----------------------------------------------------
 
 def test_sl2_single_down_step_normal_form(a1):

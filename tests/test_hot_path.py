@@ -25,7 +25,7 @@ from newton_cocenter.reduction import _dominant_translations, _enumerate_dominan
 from newton_cocenter.root_datum import mat_act, mat_mul, rational_inverse
 from newton_cocenter.errors import ResourceError
 from newton_cocenter.verify import _levi_box, _levi_grid
-from conftest import ALL_DATA
+from conftest import ALL_DATA, oracle_sort_key
 
 
 def fresh_group(label, lattice="sc"):
@@ -135,7 +135,7 @@ def test_dominant_translation_memo_equals_direct_enumeration(label, lams, bounds
 
 def full_sort_levi_box(group, m, max_m_length, box=2, cap=None):
     """The Levi box as built before the tiers: every candidate sorted by
-    the whole M-sort key, then cut to `cap`."""
+    the whole word-based M-sort key, then cut to `cap`."""
     if group.datum.rank > 2:
         box = 1
         cap = 150 if cap is None else cap
@@ -146,7 +146,7 @@ def full_sort_levi_box(group, m, max_m_length, box=2, cap=None):
             w = AffineWeylElement(tuple(coords), u)
             if m.length(w) <= max_m_length:
                 out.append(w)
-    out.sort(key=m.sort_key)
+    out.sort(key=lambda w: oracle_sort_key(m, w))
     return out if cap is None else out[:cap]
 
 

@@ -3,11 +3,11 @@ uncached computations.
 
 Newton points and dominant representatives are memoised per group (the
 Newton points on the ambient group, shared by its Levis; the dominant
-representatives per context), with equal values interned per group,
-and `LeviWeylGroup.word` memoises its descent chains.  The oracles
-below recompute everything from scratch in Fraction arithmetic: the
-orbit average with the order found by matrix powers, the dominant
-chamber walk on Fractions, and the greedy descent word without a memo.
+representatives per context), with equal values interned per group.
+The oracles below recompute everything from scratch in Fraction
+arithmetic: the orbit average with the order found by matrix powers and
+the dominant chamber walk on Fractions; the grammar suite's affine word
+in each Levi is checked against the greedy descent word of conftest.
 The verify coweight grid and the Levi root partitions, now paired on
 integers, are checked against the Fraction pairings they replaced.
 """
@@ -20,11 +20,11 @@ from itertools import product
 import pytest
 
 from newton_cocenter import AffineWeylGroup, NewtonIndex, build_root_datum
-from newton_cocenter.affine_weyl import inverse, multiply
 from newton_cocenter.levi_alcove import levi_weyl_group
 from newton_cocenter.newton import newton_index, newton_point
 from newton_cocenter.root_datum import dot, mat_identity, mat_mul
-from newton_cocenter.verify import _levi_box, _levi_grid
+from newton_cocenter.verify import _affine_word, _levi_box, _levi_grid
+from conftest import oracle_word
 
 GROUPS = [(label, lattice, radius) for label in ("A1", "A2", "B2", "C2", "G2")
           for lattice, radius in (("sc", 4), ("ad", 4))] + \
@@ -61,24 +61,6 @@ def oracle_dominant(x, walls):
             return tuple(x)
 
 
-def oracle_word(g, m, w):
-    """The greedy lex-least descent word of w omega^{-1}, with omega the
-    length-zero element of w's kappa_M coset, found without any memo;
-    g is the ambient group of the Levi m."""
-    omega = g.translation(m.kappa(w))
-    while m.length(omega) > 0:
-        omega = next(sw for sw in (multiply(s, omega) for _, s in m.simple_items())
-                     if m.length(sw) < m.length(omega))
-    cur, word = multiply(w, inverse(omega)), []
-    while m.length(cur) > 0:
-        lab, cur = next((lab, sw) for lab, sw in
-                        ((lab, multiply(s, cur)) for lab, s in m.simple_items())
-                        if m.length(sw) < m.length(cur))
-        word.append(lab)
-    assert cur == m.identity
-    return tuple(word)
-
-
 def ambient_walls(g):
     return list(zip(g.datum.simple_roots, g.datum.simple_coroots))
 
@@ -108,13 +90,13 @@ def test_memoised_levi_newton_and_word_equal_uncached(label, lattice, radius):
     for v in _levi_grid(g, 4):
         m = levi_weyl_group(g, v)
         assert m.newton_points is g.newton_points
+        assert m.coweights is g.coweights
         walls = levi_walls(m)
         for w in _levi_box(g, m, 3):
             expected = NewtonIndex(m.kappa(w), oracle_dominant(oracle_newton_point(w), walls))
             assert m.newton_index(w) == expected
             assert newton_index(m, w) == expected
-            assert m.word(w) == oracle_word(g, m, w)
-            assert m.word(w) == oracle_word(g, m, w)
+            assert _affine_word(m, w) == oracle_word(m, w)
 
 
 def fraction_levi_grid(g, max_den):
@@ -145,7 +127,7 @@ def test_integer_levi_pairings_equal_fraction_pairings(label, lattice):
 
 
 def _interned_ids(g):
-    return {id(x) for x in g._coweights.values()}
+    return {id(x) for x in g.coweights.values()}
 
 
 @pytest.mark.parametrize("label,lattice", [("G2", "ad"), ("GL3", "gl")])

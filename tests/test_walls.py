@@ -7,8 +7,9 @@ every positive M-root at levels -2..2 and keeping those of M-length
 one, and the Coxeter diagram was found by testing which walls commute.
 Both searches are kept here as oracles, on the ambient group and every
 Levi of `_levi_grid` for each supported group.  The scan labels a
-Levi's walls by the word-based ambient `sort_key`, the oracle of the
-ambient `canonical_order` by which the Levi labels them.
+Levi's walls by the word-based ambient `oracle_sort_key` of conftest,
+the oracle of the ambient `canonical_order` by which the Levi labels
+them.
 """
 
 import pytest
@@ -18,7 +19,7 @@ from newton_cocenter.affine_weyl import multiply
 from newton_cocenter.levi_alcove import levi_weyl_group
 from newton_cocenter.root_datum import dot
 from newton_cocenter.verify import _levi_grid
-from conftest import ALL_DATA
+from conftest import ALL_DATA, oracle_sort_key
 
 
 def contexts(g):
@@ -59,7 +60,7 @@ def level_scan(g, ctx, phi_m):
             s = ctx.reflection(AffineRoot(a, k))
             if ctx.length(s) == 1 and s not in found:
                 found.append(s)
-    found.sort(key=g.sort_key)
+    found.sort(key=lambda s: oracle_sort_key(g, s))
     expected = len(ctx.m_simple_roots) + len(dynkin_components(g.datum, ctx.m_simple_roots))
     assert len(found) == expected, (ctx, found)
     return tuple(enumerate(found))
