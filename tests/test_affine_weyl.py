@@ -223,6 +223,26 @@ def test_module_doctests():
     assert results.failed == 0 and results.attempted >= 1
 
 
+def test_wa_omega_split_round_trips():
+    # w = (w omega^{-1}) omega with omega = omega_rep(kappa(w)) of length 0
+    # and w omega^{-1} in W_a of the length of w, rebuilt from its word
+    rng = random.Random(6)
+    for label in ("A2", "GL2"):
+        g = group(label)
+        items = dict(g.simple_items())
+        zero = g.kappa(g.identity)
+        for _ in range(150):
+            w = random_element(g, rng)
+            omega = g.omega_rep(g.kappa(w))
+            wa = multiply(w, inverse(omega))
+            assert g.length(omega) == 0 and g.kappa(wa) == zero
+            assert g.length(wa) == g.length(w)
+            rebuilt = g.identity
+            for lab in _affine_word(g, w):
+                rebuilt = multiply(rebuilt, items[lab])
+            assert rebuilt == wa and multiply(rebuilt, omega) == w
+
+
 def test_affine_word_round_trips():
     # the grammar suite's affine word times omega_rep(kappa(w)) is w, on
     # random A2 and GL2 elements and on the whole C2 length-6 ball

@@ -9,7 +9,8 @@ checked against the algorithm it replaced, kept below as an oracle:
 sorting by the word-based `oracle_sort_key` of conftest, the class
 listing with one Hermite form and one coset set per conjugate a' of the
 finite part, and `multiply`.
-The last test follows the standard-triple search through an orbit.
+The last tests count the words that the class keys build and follow
+the standard-triple search through an orbit.
 """
 
 import random
@@ -18,10 +19,10 @@ from itertools import islice
 import pytest
 
 from newton_cocenter import (
-    AffineWeylGroup, build_root_datum, class_minimal_set, element_str,
-    parse_element, reduce_to_min, standard_triple,
+    AffineWeylGroup, build_root_datum, canonical_min_rep, class_minimal_set,
+    element_str, parse_element, reduce_to_min, standard_triple,
 )
-from newton_cocenter import reduction
+from newton_cocenter import reduction, verify
 from newton_cocenter.affine_weyl import AffineWeylElement, multiply
 from newton_cocenter.levi_alcove import levi_weyl_group
 from newton_cocenter.reduction import (
@@ -150,6 +151,22 @@ def test_class_minimal_set_matches_per_conjugate_listing_in_levis():
         for w in mixed_ball(ctx):
             w_min = reduce_to_min(ctx, w)[0]
             assert class_minimal_set(ctx, w_min) == per_conjugate_class_set(ctx, w_min)
+
+
+# -- what the class keys build -------------------------------------------------
+
+
+def test_gl5_keys_build_no_word(monkeypatch):
+    g = AffineWeylGroup(build_root_datum("GL5", "gl"))
+    words = []
+    real = verify._affine_word
+    monkeypatch.setattr(verify, "_affine_word",
+                        lambda group, w: words.append(w) or real(group, w))
+    w = parse_element(g, "t[0,0,0,-1,1]*s2*s1")
+    w_min, _ = reduce_to_min(g, w)
+    standard_triple(g, w_min)
+    canonical_min_rep(g, w)
+    assert words == []
 
 
 # -- the standard-triple search ------------------------------------------------

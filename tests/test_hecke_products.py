@@ -19,6 +19,7 @@ from newton_cocenter import AffineWeylGroup, build_root_datum, multiply
 from newton_cocenter.hecke_cocenter import (
     ONE, Q, Q_MINUS_1, HeckeElement, QPoly, _add_term, hecke_mul,
 )
+from newton_cocenter import verify
 from conftest import ALL_DATA, oracle_sort_key, oracle_word
 
 
@@ -121,3 +122,15 @@ def test_deep_right_factor_walks_without_recursion():
     prod = hecke_mul(g, basis(s0), basis(y))
     assert prod.terms == {multiply(s0, y): Q, y: Q_MINUS_1}
 
+
+def test_hecke_mul_builds_no_word(monkeypatch):
+    g = fresh("GL3", "gl")
+    ball = g.enumerate_ball(3)
+    expected = {(x, y): word_walk_mul(g, basis(x), basis(y)) for x in ball for y in ball}
+
+    def refuse(*args):
+        raise AssertionError("hecke_mul must not build a word")
+
+    monkeypatch.setattr(verify, "_affine_word", refuse)
+    for (x, y), prod in expected.items():
+        assert hecke_mul(g, basis(x), basis(y)) == prod

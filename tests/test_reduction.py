@@ -10,6 +10,7 @@ from newton_cocenter import (
 from newton_cocenter.errors import InputError
 from newton_cocenter.reduction import replay, wa_ball_count
 from newton_cocenter.root_datum import mat_act
+from newton_cocenter.verify import _affine_word
 from conftest import group, oracle_sort_key
 
 
@@ -295,3 +296,22 @@ def test_long_translation_class_is_its_weyl_orbit(a2):
     orbit = {a2.translation(mat_act(u, w.translation))
              for u in a2.datum.weyl_elements}
     assert set(class_minimal_set(a2, w)) == orbit
+
+
+def test_memoised_words_match_fresh_greedy_words():
+    # the canonical order and the class keys of the ball fill the warm
+    # group's memos; a fresh group derives each word from that element alone
+    warm = AffineWeylGroup(build_root_datum("C2"))
+    ball = warm.enumerate_ball(6)
+    order = list(warm.canonical_order(ball))
+    for w in ball:
+        canonical_min_rep(warm, w)
+    assert order == list(AffineWeylGroup(build_root_datum("C2")).canonical_order(ball))
+    for w in ball:
+        fresh = AffineWeylGroup(build_root_datum("C2"))
+        word = _affine_word(fresh, w)
+        assert _affine_word(warm, w) == word
+        cur = fresh.omega_rep(fresh.kappa(w))
+        for lab in reversed(word):
+            cur = multiply(dict(fresh.simple_items())[lab], cur)
+        assert cur == w and len(word) == fresh.length(w)
