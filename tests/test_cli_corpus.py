@@ -77,6 +77,13 @@ ARGVS = [
     ["--group", "A1", "--tsv", "verify", "newton", "--le", "2"],
     ["--group", "A1", "verify", "nope"],
     ["--group", "E8", "describe"],
+    ["--group", "A2", "levi", "--v", "0.5,2/4", "describe"],
+    ["--group", "GL5", "alcove-test", "t[1,1,1,0,0]*s1*s2",
+     "--v", '["2/3","4/6","2/3","1/2","0.5"]'],
+    ["--group", "C2:ad", "positivity", "t[1,1]", "--v", "1/3,1e0"],
+    ["--group", "A2", "induce", "--v", '[" 1/2 ","0"]', "T[t[1,0]]"],
+    ["--group", "A1", "levi", "--v", "-3/-6", "describe"],
+    ["--group", "A1", "levi", "--v=-3/-6", "describe"],
 ]
 
 
