@@ -4,7 +4,7 @@ and the cocenter of the generic affine Hecke algebra."""
 
 from .errors import ConfigurationError, InputError, LogicError, ResourceError
 from .root_datum import (
-    Coweight, RootDatum, build_root_datum, coweight, frac_str, parse_group_label,
+    Coweight, RootDatum, build_root_datum, coweight, parse_group_label,
 )
 from .affine_weyl import (
     AffineRoot, AffineWeylElement, AffineWeylGroup, act_on_affine_root,

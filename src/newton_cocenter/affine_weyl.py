@@ -33,8 +33,8 @@ from operator import itemgetter, mul
 
 from .errors import InputError, LogicError, ResourceError
 from .root_datum import (
-    Coweight, Covector, FrozenRecord, IntVector, InternedCoweight, Matrix, RootDatum,
-    coset_reduce, dominant_walk, dot, scaled, weyl_inverse, weyl_product,
+    Coweight, Covector, FrozenRecord, IntVector, Matrix, RootDatum,
+    coset_reduce, dominant_walk, dot, weyl_inverse, weyl_product,
 )
 
 DEFAULT_BALL_CAP_LOW_RANK = 12
@@ -150,16 +150,16 @@ class AffineWeylGroup:
         if ball_cap is None:
             ball_cap = DEFAULT_BALL_CAP_LOW_RANK if datum.rank <= 2 else DEFAULT_BALL_CAP
         self._context(datum, ball_cap, datum.roots, datum.simple_roots,
-                      datum.coroot_hnf, {}, {}, wall_order=None)
-        # the one memo of the ambient group only: its Levis by (d, *d v)
-        self.levi_groups: dict[IntVector, AffineWeylGroup] = {}
+                      datum.coroot_hnf, {}, wall_order=None)
+        # the one memo of the ambient group only: its Levis by v
+        self.levi_groups: dict[Coweight, AffineWeylGroup] = {}
 
     def _context(self, datum, ball_cap, phi_m, m_simple_roots, coroot_hnf,
-                 newton_points, coweights, wall_order):
+                 newton_points, wall_order):
         """The state of the group of M, with roots phi_m, simple roots
         m_simple_roots and coroot lattice coroot_hnf, its walls labelled as
         `_build_walls` says, and the memos of every method.  A Levi shares
-        the Newton points and interned coweights of its ambient group."""
+        the Newton points of its ambient group."""
         self.datum = datum
         self.ball_cap = ball_cap
         self.identity = AffineWeylElement((0,) * datum.rank, datum.weyl_identity)
@@ -181,14 +181,10 @@ class AffineWeylGroup:
         self._levels: dict[IntVector, list[int]] = {}
         self._omega_cache: dict[IntVector, AffineWeylElement] = {}
         # Newton memos, filled on demand.  nu_w does not depend on a
-        # Levi, so every Levi of a group shares its newton_points and
-        # its interned coweights; each context keeps its own
-        # dominant_rep memo.  Both memos and the interning table are
-        # keyed by (d, *d v), d the least common denominator of v:
-        # tuples of ints hash in C, tuples of Fractions do not.
+        # Levi, so every Levi of a group shares its newton_points; each
+        # context keeps its own dominant_rep memo.
         self.newton_points: dict[AffineWeylElement, Coweight] = newton_points
-        self._dominant_cache: dict[IntVector, tuple[Coweight, Matrix]] = {}
-        self.coweights: dict[IntVector, Coweight] = coweights
+        self._dominant_cache: dict[Coweight, tuple[Coweight, Matrix]] = {}
         # memos of the reduction module (see there)
         self.move_orbits: dict[AffineWeylElement, tuple | None] = {}
         self.coinvariant_hnfs: dict[Matrix, list] = {}
@@ -455,37 +451,18 @@ class AffineWeylGroup:
         <nu_bar, 2 rho_M>.  The defining power condition is
         `newton.is_straight_by_powers`; the two are asserted to agree on
         every test ball."""
-        d, x = scaled(self.newton_index(w).nu_bar)
+        d, x = self.newton_index(w).nu_bar
         return self.length(w) * d == dot(self.two_rho_m, x)
 
-    def dominant_rep(self, x) -> tuple[Coweight, Matrix]:
-        """The dominant representative of the W_M-orbit of x, with u such
-        that u(x) is it; memoised.  Dominance is for the walls of the
+    def dominant_rep(self, v: Coweight) -> tuple[Coweight, Matrix]:
+        """The dominant representative of the W_M-orbit of v, with u such
+        that u(v) is it; memoised.  Dominance is for the walls of the
         simple roots of M."""
-        d, ints = scaled(x)
-        return self.dominant_rep_scaled(d, ints)
-
-    def dominant_rep_scaled(self, d: int, x) -> tuple[Coweight, Matrix]:
-        """`dominant_rep` of x / d, for x an integer vector and d the
-        least common denominator of x / d (as `scaled` returns them)."""
-        key = (d, *x)
-        hit = self._dominant_cache.get(key)
+        hit = self._dominant_cache.get(v)
         if hit is None:
-            x_bar, u = dominant_walk(self.datum, x, self._walls)
-            hit = self._dominant_cache[key] = (self.intern_coweight(d, x_bar), u)
+            x_bar, u = dominant_walk(self.datum, v.x, self._walls)
+            hit = self._dominant_cache[v] = (Coweight(v.d, x_bar), u)
         return hit
-
-    def intern_coweight(self, d: int, x) -> Coweight:
-        """The group's one copy of the coweight x / d, for x an integer
-        vector and d the least common denominator of x / d (as `scaled`
-        returns them).  The Newton memos of the group and of its Levis
-        store these copies, so each distinct value is built and held
-        once."""
-        key = (d, *x)
-        v = self.coweights.get(key)
-        if v is None:
-            v = self.coweights[key] = InternedCoweight(d, x)
-        return v
 
     def translation_orbit(self, mu: IntVector) -> set[IntVector]:
         """The W_M-orbit of the translation mu (memoised), walked by the

@@ -28,7 +28,7 @@ from .affine_weyl import AffineWeylGroup, element_str, parse_element
 from .errors import ConfigurationError, InputError, LogicError, ResourceError
 from .newton import newton_point, strata
 from .reduction import canonical_min_rep, reduce_to_min, standard_triple
-from .root_datum import build_root_datum, frac_str, mat_act, parse_group_label
+from .root_datum import build_root_datum, coweight, mat_act, parse_group_label
 
 
 def _int_at_least(low: int):
@@ -188,16 +188,12 @@ def parse_coweight(group, text: str):
             items = json.loads(text)
         else:
             items = text.split(",")
-        v = tuple(Fraction(str(x)) for x in items)
+        v = coweight([Fraction(str(x)) for x in items])
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot parse coweight {text!r}: {exc}") from exc
-    if len(v) != group.datum.rank:
+    if len(v.x) != group.datum.rank:
         raise InputError(f"coweight needs {group.datum.rank} coordinates")
     return v
-
-
-def coweight_json(v) -> list[str]:
-    return [frac_str(Fraction(c)) for c in v]
 
 
 def parse_hecke_expr(group, text: str):
@@ -244,7 +240,7 @@ def _nf_json(group, nf) -> dict:
     return {
         "components": [
             {
-                "nu": coweight_json(nu.nu_bar),
+                "nu": nu.nu_bar.strs(),
                 "omega": list(nu.omega),
                 "terms": [
                     {"elem": element_str(group, w), "poly": str(part.terms[w])}
@@ -301,8 +297,8 @@ def cmd_newton(group, args) -> int:
     payload = {
         "elem": element_str(group, w),
         "length": group.length(w),
-        "nu": coweight_json(nu),
-        "nu_bar": coweight_json(idx.nu_bar),
+        "nu": nu.strs(),
+        "nu_bar": idx.nu_bar.strs(),
         "kappa": list(idx.omega),
         "straight": group.is_straight(w),
     }
@@ -321,14 +317,14 @@ def cmd_strata(group, args) -> int:
                     "elem": element_str(group, w),
                     "length": group.length(w),
                     "kappa": list(nu.omega),
-                    "newton": coweight_json(nu.nu_bar),
+                    "newton": nu.nu_bar.strs(),
                 }))
         return 0
     print("nu_bar\tkappa\tcount\tmin_length_in_fiber")
     for nu, elems in fibers.items():
         min_len = min(group.length(w) for w in elems)
         print("\t".join([
-            ",".join(coweight_json(nu.nu_bar)),
+            ",".join(nu.nu_bar.strs()),
             ",".join(str(x) for x in nu.omega),
             str(len(elems)), str(min_len)]))
     return 0
@@ -401,8 +397,8 @@ def cmd_alcove_test(group, args) -> int:
     v = parse_coweight(group, args.v)
     result = {
         "elem": element_str(group, w),
-        "v": coweight_json(v),
-        "fixes_v": tuple(mat_act(w.finite, v)) == v,
+        "v": v.strs(),
+        "fixes_v": mat_act(w.finite, v.x) == v.x,
         "v_alcove": is_v_alcove(group, w, v),
     }
     print(_dumps(result))
@@ -416,7 +412,7 @@ def cmd_positivity(group, args) -> int:
     cert = positivity_exponent(group, w, v)
     print(_dumps({
         "elem": element_str(group, w),
-        "v": coweight_json(v),
+        "v": v.strs(),
         "exponent": cert.exponent,
         "bound": cert.bound,
         "n0": cert.n0,
@@ -432,7 +428,7 @@ def cmd_levi(group, args) -> int:
     v = parse_coweight(group, args.v)
     m = levi_weyl_group(group, v)
     info = {
-        "v": coweight_json(v),
+        "v": v.strs(),
         "phi_zero": [list(a) for a in m.phi_m],
         "phi_plus": [list(a) for a in m.phi_plus],
         "w_m_order": len(m.finite_elements()),
@@ -476,7 +472,7 @@ def cmd_rigid(group, args) -> int:
     if args.json:
         for r in rows:
             print(_dumps({
-                "nu_bar": coweight_json(r.nu.nu_bar),
+                "nu_bar": r.nu.nu_bar.strs(),
                 "kappa": list(r.nu.omega),
                 "levi": r.levi_label,
                 "count": r.class_count,
@@ -486,7 +482,7 @@ def cmd_rigid(group, args) -> int:
     print("nu_bar\tkappa\tlevi\tcount\tcovered")
     for r in rows:
         print("\t".join([
-            ",".join(coweight_json(r.nu.nu_bar)),
+            ",".join(r.nu.nu_bar.strs()),
             ",".join(str(x) for x in r.nu.omega),
             r.levi_label, str(r.class_count), str(r.covered).lower()]))
     return 0 if all(r.covered for r in rows) else 1

@@ -39,7 +39,7 @@ from .levi_alcove import (
 )
 from .newton import NewtonIndex, newton_point
 from .reduction import canonical_class_rep, conj_step, is_min_in_class, lowering_move
-from .root_datum import dot, mat_act
+from .root_datum import dot
 
 
 class QPoly:
@@ -566,9 +566,8 @@ def rigid_decomposition(group: AffineWeylGroup, max_length: int,
         fibers.setdefault(group.newton_index(rep), set()).add(rep)
     rows = []
     for nu in sorted(fibers, key=NewtonIndex.sort_key):
-        v = nu.nu_bar
-        m = levi_weyl_group(group, v)
-        if any(dot(a, v) != 0 for a in m.phi_m):
+        m = levi_weyl_group(group, nu.nu_bar)
+        if any(dot(a, nu.nu_bar.x) != 0 for a in m.phi_m):
             raise LogicError("the dominant coweight must be central in its Levi")
         covered = all(_covers(group, nu, x) for x in fibers[nu])
         rows.append(RigidRow(nu, _levi_label(group, m), len(fibers[nu]), covered))
@@ -576,10 +575,7 @@ def rigid_decomposition(group: AffineWeylGroup, max_length: int,
 
 
 def _covers(group: AffineWeylGroup, nu: NewtonIndex, x: AffineWeylElement) -> bool:
-    nux = newton_point(group, x)
-    if tuple(mat_act(x.finite, nux)) != nux:
-        return False
-    mx = levi_weyl_group(group, nux)
+    mx = levi_weyl_group(group, newton_point(group, x))
     if not mx.is_member(x) or not is_min_in_class(mx, x):
         return False
     nu_m = mx.newton_index(x)

@@ -24,9 +24,7 @@ from .affine_weyl import AffineWeylElement, AffineWeylGroup, multiply
 from .errors import InputError, LogicError
 from .newton import NewtonIndex, newton_point
 from .reduction import max_finite_parabolic_order, wa_ball_count
-from .root_datum import (
-    Matrix, coset_reduce, dot, hnf_columns, mat_act, scaled,
-)
+from .root_datum import Coweight, Matrix, coset_reduce, dot, hnf_columns, mat_act
 
 
 class LeviWeylGroup(AffineWeylGroup):
@@ -36,15 +34,15 @@ class LeviWeylGroup(AffineWeylGroup):
     M-walls, so the reduction machinery runs verbatim with the M-length.
     """
 
-    def __init__(self, parent: AffineWeylGroup, v):
-        """Split the roots by their sign on v, read off the integer vector
-        d v (d the common denominator): Phi_M vanishes on v, and W_M, the
-        fixer of v, is generated by the s_alpha with <alpha, v> = 0
-        (Steinberg), so by those of the simple roots of Phi_M ∩ Phi+,
-        the indecomposable ones."""
+    def __init__(self, parent: AffineWeylGroup, v: Coweight):
+        """Split the roots by their sign on v, read off its integer
+        vector: Phi_M vanishes on v, and W_M, the fixer of v, is
+        generated by the s_alpha with <alpha, v> = 0 (Steinberg), so by
+        those of the simple roots of Phi_M ∩ Phi+, the indecomposable
+        ones."""
         datum = parent.datum
-        d, x = scaled(v)
-        self.v = parent.intern_coweight(d, x)
+        self.v = v
+        x = v.x
         phi_m = tuple(a for a in datum.roots if dot(a, x) == 0)
         self.phi_plus = tuple(a for a in datum.roots if dot(a, x) > 0)
         if len(phi_m) + 2 * len(self.phi_plus) != len(datum.roots):
@@ -54,8 +52,7 @@ class LeviWeylGroup(AffineWeylGroup):
             tuple([p - q for p, q in zip(a, b)]) in pos for b in pos))
         self._context(datum, parent.ball_cap, phi_m, simple,
                       hnf_columns([datum.coroot[a] for a in phi_m]),
-                      parent.newton_points, parent.coweights,
-                      wall_order=parent.canonical_order)
+                      parent.newton_points, wall_order=parent.canonical_order)
         # the Levi boxes of the verify suites (`verify._levi_box`)
         self.boxes: dict[tuple, list[AffineWeylElement]] = {}
 
@@ -63,14 +60,13 @@ class LeviWeylGroup(AffineWeylGroup):
         return self._w_m is None or w.finite in self._w_m
 
     def __repr__(self):
-        return f"LeviWeylGroup(v={tuple(map(str, self.v))})"
+        return f"LeviWeylGroup(v={tuple(self.v.strs())})"
 
 
-def levi_weyl_group(group: AffineWeylGroup, v) -> LeviWeylGroup:
-    d, x = scaled(v)
-    m = group.levi_groups.get(key := (d, *x))
+def levi_weyl_group(group: AffineWeylGroup, v: Coweight) -> LeviWeylGroup:
+    m = group.levi_groups.get(v)
     if m is None:
-        m = group.levi_groups[key] = LeviWeylGroup(group, v)
+        m = group.levi_groups[v] = LeviWeylGroup(group, v)
     return m
 
 
@@ -86,18 +82,18 @@ def newton_index_map(group: AffineWeylGroup, m: LeviWeylGroup,
 
 def conjugate_levi(group: AffineWeylGroup, u0: Matrix, m: LeviWeylGroup):
     """The Levi of u0(v) together with the induced index bijection."""
-    m_new = levi_weyl_group(group, mat_act(u0, m.v))
+    m_new = levi_weyl_group(group, Coweight(m.v.d, mat_act(u0, m.v.x)))
 
     def index_map(nu_m: NewtonIndex) -> NewtonIndex:
         label = coset_reduce(mat_act(u0, nu_m.omega), m_new.coroot_hnf)
-        d, x = scaled(nu_m.nu_bar)
-        nu_bar, _ = m_new.dominant_rep_scaled(d, mat_act(u0, x))
+        d, x = nu_m.nu_bar
+        nu_bar, _ = m_new.dominant_rep(Coweight(d, mat_act(u0, x)))
         return NewtonIndex(label, nu_bar)
 
     return m_new, index_map
 
 
-def is_v_alcove(group: AffineWeylGroup, w: AffineWeylElement, v) -> bool:
+def is_v_alcove(group: AffineWeylGroup, w: AffineWeylElement, v: Coweight) -> bool:
     """The alcove condition for the direction v.
 
     Requires the finite part to fix v, and that w never pulls a positive
@@ -108,9 +104,9 @@ def is_v_alcove(group: AffineWeylGroup, w: AffineWeylElement, v) -> bool:
     comparison per v-positive root beta = u(alpha):
     tau(alpha) + <beta, lam> >= tau(beta).
     """
-    _, x = scaled(v)
+    x = v.x
     lam, u = w
-    if mat_act(u, x) != tuple(x):
+    if mat_act(u, x) != x:
         return False
     datum = group.datum
     roots = datum.roots
@@ -135,7 +131,7 @@ PositivityCertificate = namedtuple("PositivityCertificate", [
 
 
 def positivity_exponent(group: AffineWeylGroup, w: AffineWeylElement,
-                        v) -> PositivityCertificate:
+                        v: Coweight) -> PositivityCertificate:
     """Search the minimal power making w strictly v-positive.
 
     Precondition: the finite part of w lies in the Levi of v.  When the
@@ -153,12 +149,12 @@ def positivity_exponent(group: AffineWeylGroup, w: AffineWeylElement,
     # <beta, n i nu> >= n for every v-positive beta, since u in W_M
     # permutes those roots; so a Newton point not strictly positive on
     # them admits no such power, and is refused before any search.
-    _, scaled_nu = scaled(newton_point(group, w))
-    if not all(dot(beta, scaled_nu) > 0 for beta in plus):
+    nu = newton_point(group, w).x
+    if not all(dot(beta, nu) > 0 for beta in plus):
         raise InputError(
             "no positive power of w is strictly v-positive: its Newton point "
             "is not strictly positive on the v-positive roots")
-    denom, _ = scaled(m.v)
+    denom = m.v.d
     n0 = wa_ball_count(m, m.length(w))
     n1 = max_finite_parabolic_order(m)
     bound = (2 * n0 + n1 + 1) * denom

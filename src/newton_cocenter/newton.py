@@ -9,10 +9,8 @@ representative of nu_w.
 
 from __future__ import annotations
 
-from math import gcd, lcm
-
 from .affine_weyl import AffineWeylElement, AffineWeylGroup, multiply
-from .root_datum import Coweight, FrozenRecord, IntVector, frac_str, mat_act
+from .root_datum import Coweight, FrozenRecord, IntVector, mat_act
 
 
 class NewtonIndex(FrozenRecord):
@@ -29,7 +27,7 @@ class NewtonIndex(FrozenRecord):
 
     def __str__(self):
         return "(" + ",".join(str(x) for x in self.omega) + ";" + \
-            ",".join(frac_str(c) for c in self.nu_bar) + ")"
+            ",".join(self.nu_bar.strs()) + ")"
 
 
 def newton_point(ctx, w: AffineWeylElement) -> Coweight:
@@ -37,7 +35,7 @@ def newton_point(ctx, w: AffineWeylElement) -> Coweight:
 
     ctx is an ambient or a Levi group.  The value is memoised on the
     ambient group, whose Levis share the memo (nu_w does not depend on
-    M), and interned there.
+    M).
     """
     nu = ctx.newton_points.get(w)
     if nu is None:
@@ -48,9 +46,7 @@ def newton_point(ctx, w: AffineWeylElement) -> Coweight:
         for _ in range(order - 1):
             cur = mat_act(u, cur)
             total = [a + b for a, b in zip(total, cur)]
-        g = gcd(order, *total)
-        nu = ctx.newton_points[w] = ctx.intern_coweight(
-            order // g, [x // g for x in total])
+        nu = ctx.newton_points[w] = Coweight(order, total)
     return nu
 
 
@@ -64,9 +60,7 @@ def is_straight_by_powers(group: AffineWeylGroup, w: AffineWeylElement) -> bool:
     """The defining condition length(w^n) = n length(w), checked up to
     the order of the finite part times the denominator of nu_w (powers
     beyond that are controlled by the translation w^{order} already)."""
-    nu = newton_point(group, w)
-    denom = lcm(*(c.denominator for c in nu))
-    bound = group.datum.element_order(w.finite) * denom
+    bound = group.datum.element_order(w.finite) * newton_point(group, w).d
     target = group.length(w)
     power = w
     for n in range(2, bound + 1):

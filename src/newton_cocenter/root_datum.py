@@ -3,9 +3,10 @@
 The cocharacter lattice is identified with Z^rank once and for all: the
 basis is the simple coroots for the simply connected variant, the
 fundamental coweights for the adjoint variant, and the standard basis
-of Z^n for GL(n).  Roots are integer covectors, coweights are tuples of
-`fractions.Fraction`, and the pairing is the plain dot product, so every
-computation downstream is exact.  No floating point anywhere.
+of Z^n for GL(n).  Roots are integer covectors, a coweight is a
+`Coweight` (an integer vector over its least common denominator), and
+the pairing is the plain dot product, so every computation downstream
+is exact integer arithmetic.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ from __future__ import annotations
 import weakref
 from fractions import Fraction
 from itertools import product
-from math import lcm, prod
-from operator import attrgetter, mul
+from math import gcd, lcm, prod
+from operator import attrgetter, ge, gt, itemgetter, le, lt, mul
 
 from .errors import ConfigurationError, LogicError
 
-Coweight = tuple[Fraction, ...]
 Covector = tuple[int, ...]
 IntVector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -36,12 +36,64 @@ _PAIRING = {
 _MAX_GL_RANK = 5
 
 
-def frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def _by_value(op):
+    """op on coweights x / d and y / e by value: as e x and d y."""
+    def compare(self, other):
+        if type(other) is not Coweight:
+            # not NotImplemented: a plain tuple would then compare as a tuple
+            raise TypeError(f"cannot order a Coweight and a {type(other).__name__}")
+        (d, x), (e, y) = self, other
+        return op([c * e for c in x], [c * d for c in y])
+    return compare
+
+
+class Coweight(tuple):
+    """The rational coweight x / d, held as the pair (d, x) of its least
+    common denominator d > 0 and the integer vector x.  Equal coweights
+    are equal pairs, so they compare and hash as tuples do, in C; the
+    order comparisons are by value, lexicographic on the coordinates.
+    Zip over a `Coweight` meets d and x, not the coordinates.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, d: int, x):
+        if d <= 0:
+            raise LogicError(f"the denominator of a coweight must be positive, got {d}")
+        x = tuple(x)
+        g = gcd(d, *x)
+        if g != 1:
+            d, x = d // g, tuple([c // g for c in x])
+        return tuple.__new__(cls, (d, x))
+
+    d = property(itemgetter(0))
+    x = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    __lt__ = _by_value(lt)
+    __le__ = _by_value(le)
+    __gt__ = _by_value(gt)
+    __ge__ = _by_value(ge)
+
+    def strs(self) -> list[str]:
+        """The coordinates as "p/q" strings, or "p" when integral."""
+        d, out = self[0], []
+        for c in self[1]:
+            g = gcd(c, d)
+            out.append(str(c // g) if g == d else f"{c // g}/{d // g}")
+        return out
+
+    def __repr__(self):
+        return f"Coweight({self[0]}, {self[1]})"
 
 
 def coweight(coords) -> Coweight:
-    return tuple(Fraction(c) for c in coords)
+    """The coweight with these coordinates, ints or Fractions."""
+    coords = list(coords)
+    d = lcm(*[c.denominator for c in coords])
+    return Coweight(d, [c.numerator * (d // c.denominator) for c in coords])
 
 
 def mat_identity(n: int) -> Matrix:
@@ -57,26 +109,9 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def mat_act(u: Matrix, v):
-    """Apply the integer matrix u to a (co)weight vector.
-
-    A rational vector is scaled to an integer one by its common
-    denominator, so only the results are Fractions.
-    """
-    if all(type(c) is int for c in v):
-        return tuple([sum(map(mul, row, v)) for row in u])
-    d, x = scaled(v)
-    return tuple([Fraction(sum(map(mul, row, x)), d) for row in u])
-
-
-def scaled(v) -> tuple[int, list[int]]:
-    """(d, d v) for a rational vector v with common denominator d."""
-    if type(v) is InternedCoweight:
-        return v.key[0], list(v.key[1:])
-    if not all(isinstance(c, (int, Fraction)) for c in v):
-        v = coweight(v)
-    d = lcm(*(c.denominator for c in v))
-    return d, [c.numerator * (d // c.denominator) for c in v]
+def mat_act(u: Matrix, x: IntVector) -> IntVector:
+    """Apply the integer matrix u to an integer vector: u(x / d) = u(x) / d."""
+    return tuple([sum(map(mul, row, x)) for row in u])
 
 
 def rational_inverse(u) -> tuple[tuple[Fraction, ...], ...]:
@@ -96,9 +131,9 @@ def rational_inverse(u) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(aug[i][n + j] for j in range(n)) for i in range(n))
 
 
-def dot(a: Covector, v):
-    """Pairing of a character covector with a coweight: plain dot product."""
-    return sum(map(mul, a, v))
+def dot(a: Covector, x: IntVector) -> int:
+    """Plain dot product: <a, x / d> is dot(a, x) / d."""
+    return sum(map(mul, a, x))
 
 
 def hnf_columns(generators) -> list[tuple[int, list[int]]]:
@@ -164,10 +199,10 @@ def dominant_walk(datum: "RootDatum", x, walls) -> tuple[list[int], Matrix]:
     the product u of the reflections, so that u(x) is the result.
 
     walls are (root, coroot, reflection) triples, and u is tracked by
-    table lookup.  A rational coweight v is walked as the integer vector
-    d v (see `scaled`): the walk commutes with the scaling, and d is
-    still the least common denominator of the result, since W0 acts by
-    integer matrices with integer inverses.
+    table lookup.  A coweight x / d is walked as its integer vector x:
+    the walk commutes with the scaling, and d is still the least common
+    denominator of the result, since W0 acts by integer matrices with
+    integer inverses.
     """
     u = datum.weyl_identity
     while True:
@@ -204,25 +239,6 @@ class WeylElement(tuple):
 
     def __reduce__(self):
         """Pickle and copy as the plain matrix; the tables stay with the datum."""
-        return tuple, (tuple(self),)
-
-
-class InternedCoweight(tuple):
-    """A group's one copy of the rational coweight x / d.
-
-    It is the tuple of Fractions, so it compares and hashes equal to
-    it, and it carries its integer key (d, *x), d the least common
-    denominator: memos keyed by that key, and `scaled`, read it instead
-    of rebuilding it from the Fractions.
-    """
-
-    def __new__(cls, d: int, x):
-        self = super().__new__(cls, [Fraction(c, d) for c in x])
-        self.key = (d, *x)
-        return self
-
-    def __reduce__(self):
-        """Pickle and copy as the plain tuple of Fractions."""
         return tuple, (tuple(self),)
 
 

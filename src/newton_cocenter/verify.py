@@ -17,8 +17,8 @@ import os
 import random
 import sys
 import time
-from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 from .affine_weyl import (
     AffineRoot, AffineWeylGroup, act_on_affine_root, conjugate, element_str, inverse,
@@ -39,7 +39,7 @@ from .reduction import (
     canonical_class_rep, is_min_in_class, reduce_to_min, replay,
     standard_triple, wa_ball_count,
 )
-from .root_datum import Record, dot, frac_str, mat_act, scaled
+from .root_datum import Coweight, Record, dot, mat_act
 
 
 class CheckResult(Record):
@@ -166,22 +166,21 @@ def _levi_grid(group, max_den=6):
     than 4 distinct coordinates: GL3 and GL4 get the torus, but GL5's
     grid finds 51 Levis, and the torus is not among them (ROADMAP item
     11 lists the Levis from the root datum instead).  The walk runs on
-    the grid scaled by the common denominator d of the values; only
-    the representatives kept become Fractions.
+    the values times their common denominator d and keeps `Coweight`s.
     """
     if group.datum.rank <= 2:
-        values = sorted({Fraction(p, q) for q in range(1, max_den + 1)
-                         for p in range(-q, q + 1)})
+        d = lcm(*range(1, max_den + 1))
+        grid = sorted({p * (d // q) for q in range(1, max_den + 1)
+                       for p in range(-q, q + 1)})
     else:
-        values = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
-    d, grid = scaled(values)
+        d, grid = 2, [0, 1, 2, 4]
     roots = group.datum.roots
     seen = {}
     for x in product(grid, repeat=group.datum.rank):
         m_key = frozenset(a for a in roots if dot(a, x) == 0)
         if m_key not in seen:
             seen[m_key] = x
-    return [tuple(Fraction(c, d) for c in seen[k])
+    return [Coweight(d, seen[k])
             for k in sorted(seen, key=lambda s: tuple(sorted(s)))]
 
 
@@ -271,7 +270,7 @@ def suite_newton(group, params):
 
 
 def _orbit_average(w, n):
-    return tuple(Fraction(x, n) for x in _orbit_sum(w, n))
+    return Coweight(n, _orbit_sum(w, n))
 
 
 def _orbit_sum(w, n):
@@ -292,7 +291,7 @@ def _straight_powers(group, ball):
         for k in range(2, 7):
             power = multiply(power, w)
             yield (w, k), group.length(power) == k * length \
-                and group.newton_index(power).nu_bar == tuple(k * c for c in nu)
+                and group.newton_index(power).nu_bar == Coweight(nu.d, [k * c for c in nu.x])
 
 
 def suite_straightness(group, params):
@@ -352,9 +351,9 @@ def suite_alcove(group, params):
 
 def _is_v_alcove_wide(group, w, v):
     datum = group.datum
-    if tuple(mat_act(w.finite, v)) != tuple(v):
+    if mat_act(w.finite, v.x) != v.x:
         return False
-    plus = [a for a in datum.roots if dot(a, v) > 0]
+    plus = [a for a in datum.roots if dot(a, v.x) > 0]
     winv = inverse(w)
     window = 2 * (max((abs(dot(a, w.translation)) for a in datum.roots),
                       default=0) + 1)
@@ -401,7 +400,7 @@ def _conjugation_cases(group, boxes):
 
 
 def _levi_case_str(group, vw):
-    return f"v=[{','.join(frac_str(Fraction(c)) for c in vw[0])}] w={element_str(group, vw[1])}"
+    return f"v=[{','.join(vw[0].strs())}] w={element_str(group, vw[1])}"
 
 
 def suite_positivity(group, params):
@@ -419,8 +418,8 @@ def suite_positivity(group, params):
 
 
 def _newton_point_v_positive(group, m, w):
-    _, scaled_nu = scaled(newton_point(group, w))
-    return all(dot(beta, scaled_nu) > 0 for beta in m.phi_plus)
+    nu = newton_point(group, w).x
+    return all(dot(beta, nu) > 0 for beta in m.phi_plus)
 
 
 def _exponent_within_bound(group, w, v):

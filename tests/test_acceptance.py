@@ -25,7 +25,7 @@ from newton_cocenter.levi_alcove import (
     is_v_alcove, levi_weyl_group, m_in_g_stratum_check, positivity_exponent,
 )
 from newton_cocenter.reduction import replay, wa_ball_count
-from newton_cocenter.root_datum import dot
+from newton_cocenter.root_datum import coweight, dot
 from newton_cocenter.cli import main as cli_main
 from conftest import group
 
@@ -45,7 +45,7 @@ def test_c01_gl5_anchor():
     start = time.monotonic()
     g = group("GL5")
     w = parse_element(g, "t[1,1,0,1,0]*s2*s1*s4")
-    nu_ok = newton_point(g, w) == (F(2, 3), F(2, 3), F(2, 3), F(1, 2), F(1, 2))
+    nu_ok = newton_point(g, w) == coweight([F(2, 3), F(2, 3), F(2, 3), F(1, 2), F(1, 2)])
     image = act_on_affine_root(g.datum, w, AffineRoot((0, 0, -1, 1, 0), 0))
     root_ok = image == AffineRoot((0, -1, 0, 0, 1), -1) and \
         not is_positive_affine_root(g.datum, image)
@@ -184,7 +184,7 @@ def test_c07_levi_stratum_compatibility():
     for label in ("A1", "A2", "C2"):
         g = group(label)
         for v in _levi_reps(g, 6):
-            m = levi_weyl_group(g, v)
+            m = levi_weyl_group(g, coweight(v))
             for coords in product(range(-2, 3), repeat=g.datum.rank):
                 for u in m.finite_elements():
                     w = AffineWeylElement(tuple(coords), u)
@@ -202,7 +202,7 @@ def test_c08_positivity_exponent_bound():
     violations = 0
     total = 0
     g = group("GL5")
-    v = (F(2, 3), F(2, 3), F(2, 3), F(1, 2), F(1, 2))
+    v = coweight([F(2, 3), F(2, 3), F(2, 3), F(1, 2), F(1, 2)])
     w = parse_element(g, "t[1,1,0,1,0]*s2*s1*s4")
     cert = positivity_exponent(g, w, v)
     total += 1
@@ -211,16 +211,16 @@ def test_c08_positivity_exponent_bound():
     for label in ("A1", "A2", "C2"):
         gg = group(label)
         for vv in _levi_reps(gg, 4):
-            m = levi_weyl_group(gg, vv)
+            m = levi_weyl_group(gg, coweight(vv))
             plus = [a for a in gg.datum.roots if dot(a, vv) > 0]
             for coords in product(range(-1, 2), repeat=gg.datum.rank):
                 for u in m.finite_elements():
                     cand = AffineWeylElement(tuple(coords), u)
                     nu = newton_point(gg, cand)
-                    if not all(dot(b, nu) > 0 for b in plus):
+                    if not all(dot(b, nu.x) > 0 for b in plus):
                         continue
                     total += 1
-                    c = positivity_exponent(gg, cand, vv)
+                    c = positivity_exponent(gg, cand, coweight(vv))
                     if c.exponent > c.bound:
                         violations += 1
     report(8, "positivity-exponent-bound", violations == 0, 120.0,
@@ -265,9 +265,9 @@ def test_c10_rigid_decomposition():
     table = [(r.nu.nu_bar, r.levi_label, r.class_count, r.covered)
              for r in rows]
     sl2_ok = table == [
-        ((F(0),), "G", 3, True),
-        ((F(1),), "T", 1, True),
-        ((F(2),), "T", 1, True),
+        (coweight([F(0)]), "G", 3, True),
+        (coweight([F(1)]), "T", 1, True),
+        (coweight([F(2)]), "T", 1, True),
     ]
     covered_ok = True
     for label in ("A1", "A2", "C2"):

@@ -2,7 +2,8 @@
 `assert`; modules keep to their own private attributes; every attribute
 set from outside its class is declared in one; the library reads no
 environment variable; no module imports at start-up what a CLI call
-need not pay for; and no engine class builds reduced words."""
+need not pay for; no engine class builds reduced words; and a coweight
+is a `Coweight` everywhere."""
 
 import ast
 from pathlib import Path
@@ -198,3 +199,30 @@ def test_words_stay_out_of_the_engine():
     verify = ast.parse((SOURCE / "verify.py").read_text(encoding="utf-8"))
     assert any(isinstance(node, ast.Call) and _names(node.func) == ["_affine_word"]
                for node in ast.walk(verify))
+
+
+# the functions that may name Fraction: text parsing and exact division
+_FRACTION_USERS = {("cli", "parse_coweight"), ("affine_weyl", "parse_element"),
+                   ("affine_weyl", "translation"), ("root_datum", "rational_inverse"),
+                   ("hecke_cocenter", "divexact")}
+_OLD_COWEIGHT_FORMS = {"scaled", "InternedCoweight", "intern_coweight",
+                       "dominant_rep_scaled", "frac_str"}
+
+
+def test_coweights_are_one_type():
+    # root_datum.Coweight is the one coweight type: Fraction is named
+    # only by import lines and by the functions above, and none of the
+    # forms it replaced is defined
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                   and (path.stem, fn.name) in _FRACTION_USERS for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and node.name in _OLD_COWEIGHT_FORMS:
+                found.append(f"{path.name}:{node.lineno}: defines {node.name}")
+            elif isinstance(node, (ast.Name, ast.Attribute)) \
+                    and _names(node) == ["Fraction"] and id(node) not in allowed:
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == [], "hold coweights as root_datum.Coweight: " + ", ".join(found)

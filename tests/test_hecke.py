@@ -16,6 +16,7 @@ from newton_cocenter.hecke_cocenter import (
     rigid_decomposition,
 )
 from newton_cocenter.levi_alcove import levi_weyl_group
+from newton_cocenter.root_datum import coweight
 from conftest import group
 
 F = Fraction
@@ -130,8 +131,8 @@ def test_sl2_single_down_step_normal_form(a1):
     s0_rep = canonical_class_rep(a1, parse_element(a1, "S0"))
     assert nf.terms == {t_rep: QPoly((-1, 1)), s0_rep: Q}
     comps = newton_components(a1, nf)
-    zero = NewtonIndex((0,), (F(0),))
-    coroot = NewtonIndex((0,), (F(1),))
+    zero = NewtonIndex((0,), coweight([F(0)]))
+    coroot = NewtonIndex((0,), coweight([F(1)]))
     assert comps[zero].terms == {s0_rep: Q}
     assert comps[coroot].terms == {t_rep: QPoly((-1, 1))}
 
@@ -146,7 +147,7 @@ def test_reduce_fixes_canonical_support(a2):
 def test_reduce_zero(a1):
     nf = cocenter_reduce(a1, HeckeElement.zero())
     assert not nf
-    assert newton_components(a1, nf).get(NewtonIndex((0,), (F(0),)),
+    assert newton_components(a1, nf).get(NewtonIndex((0,), coweight([F(0)])),
                                          HeckeElement.zero()) == HeckeElement.zero()
 
 
@@ -237,7 +238,7 @@ def test_nf_basis_does_not_recurse_per_descent():
 # -- induction -------------------------------------------------------------
 
 def test_induce_full_group_is_reduce(a2):
-    m = levi_weyl_group(a2, (0, 0))
+    m = levi_weyl_group(a2, coweight([0, 0]))
     w = a2.enumerate_ball(3)[5]
     from newton_cocenter import is_min_in_class
     for w in a2.enumerate_ball(3):
@@ -248,27 +249,27 @@ def test_induce_full_group_is_reduce(a2):
 
 
 def test_induce_sl2_torus_identifies_signs(a1):
-    m = levi_weyl_group(a1, (F(1),))
+    m = levi_weyl_group(a1, coweight([F(1)]))
     t_rep = canonical_class_rep(a1, a1.translation([1]))
     up = induce(a1, m, HeckeElement.basis(a1.translation([1])),
                 m.newton_index(a1.translation([1])))
     down = induce(a1, m, HeckeElement.basis(a1.translation([-1])),
                   m.newton_index(a1.translation([-1])))
     assert up.terms == down.terms == {t_rep: ONE}
-    coroot = NewtonIndex((0,), (F(1),))
+    coroot = NewtonIndex((0,), coweight([F(1)]))
     assert newton_components(a1, up)[coroot].terms == {t_rep: ONE}
 
 
 def test_induce_component_discipline(a1):
-    m = levi_weyl_group(a1, (F(1),))
+    m = levi_weyl_group(a1, coweight([F(1)]))
     t = a1.translation([2])
     nf = induce(a1, m, HeckeElement.basis(t), m.newton_index(t))
     comps = newton_components(a1, nf)
-    assert list(comps) == [NewtonIndex((0,), (F(2),))]
+    assert list(comps) == [NewtonIndex((0,), coweight([F(2)]))]
 
 
 def test_induce_precondition_errors(a1):
-    m = levi_weyl_group(a1, (F(1),))
+    m = levi_weyl_group(a1, coweight([F(1)]))
     s1 = parse_element(a1, "S1")
     with pytest.raises(InputError):
         induce(a1, m, HeckeElement.basis(s1), m.newton_index(a1.translation([1])))
@@ -281,7 +282,7 @@ def test_induce_precondition_errors(a1):
 def test_induce_refuses_stratum_straddling_support(gl5):
     # M-minimal but far from ambient-minimal: its Iwahori class meets
     # several Newton strata, so the basis-level shadow must refuse.
-    m = levi_weyl_group(gl5, (F(2, 3), F(2, 3), F(2, 3), F(1, 2), F(1, 2)))
+    m = levi_weyl_group(gl5, coweight([F(2, 3), F(2, 3), F(2, 3), F(1, 2), F(1, 2)]))
     w = parse_element(gl5, "t[1,1,0,1,0]*s2*s1*s4")
     assert m.length(w) == 0
     with pytest.raises(InputError):
@@ -304,8 +305,8 @@ def test_induce_into_a_levi_labels_kappa_in_that_levi():
     # torus T inside L = GL2 x GL1 of GL3: the target kappa is taken mod
     # the coroot lattice of L, not of GL3, so the image is one term
     g = group("GL3", "gl")
-    m = levi_weyl_group(g, (F(2), F(1), F(0)))
-    ell = levi_weyl_group(g, (F(1), F(1), F(0)))
+    m = levi_weyl_group(g, coweight([F(2), F(1), F(0)]))
+    ell = levi_weyl_group(g, coweight([F(1), F(1), F(0)]))
     x = g.translation([2, 1, 0])
     nf = induce(ell, m, HeckeElement.basis(x), m.newton_index(x))
     assert nf.terms == {canonical_class_rep(ell, x): ONE}
@@ -319,9 +320,9 @@ def test_rigid_sl2_ball4(a1):
     table = [(r.nu.nu_bar, r.levi_label, r.class_count, r.covered)
              for r in rows]
     assert table == [
-        ((F(0),), "G", 3, True),
-        ((F(1),), "T", 1, True),
-        ((F(2),), "T", 1, True),
+        (coweight([F(0)]), "G", 3, True),
+        (coweight([F(1)]), "T", 1, True),
+        (coweight([F(2)]), "T", 1, True),
     ]
 
 

@@ -12,13 +12,13 @@ from newton_cocenter.levi_alcove import (
     conjugate_levi, is_v_alcove, levi_weyl_group, m_in_g_stratum_check,
     newton_index_map, positivity_exponent,
 )
-from newton_cocenter.root_datum import dot, mat_act
+from newton_cocenter.root_datum import coweight, dot, mat_act
 from newton_cocenter.verify import _is_v_alcove_wide, _levi_grid
 from conftest import ALL_DATA, group, oracle_sort_key
 
 F = Fraction
 
-GL5_V = (F(2, 3), F(2, 3), F(2, 3), F(1, 2), F(1, 2))
+GL5_V = coweight([F(2, 3), F(2, 3), F(2, 3), F(1, 2), F(1, 2)])
 
 
 def levi_box(g, m, box=1):
@@ -30,19 +30,19 @@ def levi_box(g, m, box=1):
 
 
 def test_levi_full_group_length_is_ambient(a2):
-    m = levi_weyl_group(a2, (0, 0))
+    m = levi_weyl_group(a2, coweight([0, 0]))
     for w in a2.enumerate_ball(4):
         assert m.length(w) == a2.length(w)
     assert len(m.simple_items()) == len(a2.simple_items())
 
 
 def test_levi_torus_is_trivial(a1):
-    m = levi_weyl_group(a1, (F(1),))
+    m = levi_weyl_group(a1, coweight([1]))
     assert m.simple_items() == ()
     t = a1.translation([-3])
     assert m.length(t) == 0
     assert m.newton_index(t) == m.newton_index(t)
-    assert m.newton_index(t).nu_bar == (F(-3),)
+    assert m.newton_index(t).nu_bar == coweight([-3])
     assert m.kappa(t) == (-3,)
 
 
@@ -56,7 +56,7 @@ def test_gl5_anchor_levi_lengths(gl5):
 
 
 def test_levi_length_never_exceeds_ambient_with_strictness(c2):
-    m = levi_weyl_group(c2, (F(1), F(0)))
+    m = levi_weyl_group(c2, coweight([1, 0]))
     strict = 0
     for w in levi_box(c2, m):
         assert m.length(w) <= c2.length(w)
@@ -66,12 +66,12 @@ def test_levi_length_never_exceeds_ambient_with_strictness(c2):
 
 
 def test_newton_index_map_examples(a1, gl5):
-    mt = levi_weyl_group(a1, (F(1),))
+    mt = levi_weyl_group(a1, coweight([1]))
     t_neg = a1.translation([-1])
     nu_m = mt.newton_index(t_neg)
-    assert nu_m.omega == (-1,) and nu_m.nu_bar == (F(-1),)
+    assert nu_m.omega == (-1,) and nu_m.nu_bar == coweight([-1])
     image = newton_index_map(a1, mt, nu_m)
-    assert image.omega == (0,) and image.nu_bar == (F(1),)
+    assert image.omega == (0,) and image.nu_bar == coweight([1])
 
     m = levi_weyl_group(gl5, GL5_V)
     w = parse_element(gl5, "t[1,1,0,1,0]*s2*s1*s4")
@@ -79,13 +79,13 @@ def test_newton_index_map_examples(a1, gl5):
 
 
 def test_newton_index_map_full_group_is_identity(a2):
-    m = levi_weyl_group(a2, (0, 0))
+    m = levi_weyl_group(a2, coweight([0, 0]))
     for w in a2.enumerate_ball(4):
         assert newton_index_map(a2, m, m.newton_index(w)) == newton_index(a2, w)
 
 
 def test_conjugate_levi_identity_and_w_m(a2):
-    m = levi_weyl_group(a2, (F(1), F(1)))
+    m = levi_weyl_group(a2, coweight([1, 1]))
     ident = tuple(tuple(int(i == j) for j in range(2)) for i in range(2))
     m2, index_map = conjugate_levi(a2, ident, m)
     assert m2 is m
@@ -94,10 +94,10 @@ def test_conjugate_levi_identity_and_w_m(a2):
 
 
 def test_conjugate_levi_by_levi_weyl_element(c2):
-    v = (F(1), F(1))
+    v = coweight([1, 1])
     m = levi_weyl_group(c2, v)
     for u0 in m.finite_elements():
-        assert mat_act(u0, v) == v
+        assert mat_act(u0, v.x) == v.x
         m2, index_map = conjugate_levi(c2, u0, m)
         assert m2 is m
         for w in levi_box(c2, m):
@@ -106,7 +106,7 @@ def test_conjugate_levi_by_levi_weyl_element(c2):
 
 def test_conjugate_levi_three_cycle():
     g = group("GL3")
-    v = (F(1), F(0), F(-1))
+    v = coweight([1, 0, -1])
     m = levi_weyl_group(g, v)
     cycle = ((0, 0, 1), (1, 0, 0), (0, 1, 0))      # e1->e2->e3->e1
     m2, index_map = conjugate_levi(g, cycle, m)
@@ -117,15 +117,15 @@ def test_conjugate_levi_three_cycle():
 
 
 def test_is_v_alcove_dominant_translation(c2):
-    v = (F(1), F(1, 2))
+    v = coweight([1, F(1, 2)])
     for lam in [(1, 0), (2, 1), (1, 1)]:
         assert is_v_alcove(c2, c2.translation(lam), v)
 
 
 def test_is_v_alcove_moving_v_fails(a2):
     s1 = parse_element(a2, "S1")
-    v = (F(1), F(0))
-    assert tuple(mat_act(s1.finite, v)) != v
+    v = coweight([1, 0])
+    assert mat_act(s1.finite, v.x) != v.x
     assert not is_v_alcove(a2, s1, v)
 
 
@@ -147,9 +147,9 @@ def alcove_window_oracle(g, w, v, widen=2):
     """The alcove test with a doubled level window: extra levels must
     never change the verdict."""
     from newton_cocenter import inverse
-    if tuple(mat_act(w.finite, v)) != tuple(v):
+    if mat_act(w.finite, v.x) != v.x:
         return False
-    plus = [a for a in g.datum.roots if dot(a, v) > 0]
+    plus = [a for a in g.datum.roots if dot(a, v.x) > 0]
     winv = inverse(w)
     window = widen * (max((abs(dot(a, w.translation))
                           for a in g.datum.roots), default=0) + 1)
@@ -185,7 +185,7 @@ def test_closed_form_alcove_test_equals_level_window(label, lattice):
 def shift_oracle(g, power, v):
     """Independent route: act on actual affine roots and read the level
     shifts instead of pairing the translation part."""
-    plus = [a for a in g.datum.roots if dot(a, v) > 0]
+    plus = [a for a in g.datum.roots if dot(a, v.x) > 0]
     shifts = []
     for beta in plus:
         image = act_on_affine_root(g.datum, power, AffineRoot(beta, 0))
@@ -195,14 +195,14 @@ def shift_oracle(g, power, v):
 
 
 def test_positivity_exponent_gl2(gl2):
-    cert = positivity_exponent(gl2, gl2.translation([1, 0]), (F(1), F(0)))
+    cert = positivity_exponent(gl2, gl2.translation([1, 0]), coweight([1, 0]))
     assert cert.exponent == 1
     assert cert.bound == 4
     assert cert.exponent <= cert.bound
 
 
 def test_positivity_exponent_central_translation(c2):
-    v = (F(1), F(1, 2))
+    v = coweight([1, F(1, 2)])
     m = levi_weyl_group(c2, v)
     lam = (2, 1)
     assert all(dot(a, lam) >= 1 for a in g_plus(c2, v))
@@ -211,7 +211,7 @@ def test_positivity_exponent_central_translation(c2):
 
 
 def g_plus(g, v):
-    return [a for a in g.datum.roots if dot(a, v) > 0]
+    return [a for a in g.datum.roots if dot(a, v.x) > 0]
 
 
 def test_positivity_exponent_gl5_anchor_element(gl5):
@@ -232,13 +232,13 @@ def test_positivity_exponent_gl5_anchor_element(gl5):
 
 def test_positivity_rejects_non_positive_direction(a1):
     with pytest.raises(InputError):
-        positivity_exponent(a1, a1.identity, (F(1),))
+        positivity_exponent(a1, a1.identity, coweight([1]))
 
 
 def test_positivity_requires_levi_membership(a2):
     s1 = parse_element(a2, "S1")
     with pytest.raises(InputError):
-        positivity_exponent(a2, s1, (F(1), F(0)))
+        positivity_exponent(a2, s1, coweight([1, 0]))
 
 
 def test_m_in_g_stratum_exhaustive():
@@ -250,7 +250,7 @@ def test_m_in_g_stratum_exhaustive():
             vs.add(coords)
         seen = set()
         for v in sorted(vs):
-            m = levi_weyl_group(g, v)
+            m = levi_weyl_group(g, coweight(v))
             key = m.phi_m
             if key in seen:
                 continue
@@ -261,7 +261,7 @@ def test_m_in_g_stratum_exhaustive():
 
 def test_m_in_g_gl3_torus():
     g = group("GL3")
-    m = levi_weyl_group(g, (F(1), F(1, 2), F(0)))
+    m = levi_weyl_group(g, coweight([1, F(1, 2), 0]))
     for coords in product(range(-3, 4), repeat=3):
         t = g.translation(coords)
         assert m_in_g_stratum_check(g, m, t, m.newton_index(t))

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 from newton_cocenter import (
-    NewtonIndex, conjugate, is_straight, is_straight_by_powers, multiply,
+    Coweight, NewtonIndex, conjugate, coweight, is_straight, is_straight_by_powers, multiply,
     newton_index, newton_point, parse_element, strata,
 )
 from conftest import group
@@ -11,29 +11,29 @@ F = Fraction
 
 def test_gl5_anchor_newton_point(gl5):
     w = parse_element(gl5, "t[1,1,0,1,0]*s2*s1*s4")
-    assert newton_point(gl5, w) == (F(2, 3), F(2, 3), F(2, 3), F(1, 2), F(1, 2))
+    assert newton_point(gl5, w) == coweight([F(2, 3), F(2, 3), F(2, 3), F(1, 2), F(1, 2)])
 
 
 def test_translation_newton_point_is_itself(c2):
     for lam in [(1, 0), (0, -2), (3, 1)]:
-        assert newton_point(c2, c2.translation(lam)) == tuple(F(x) for x in lam)
+        assert newton_point(c2, c2.translation(lam)) == coweight(lam)
 
 
 def test_sl2_affine_reflection_has_zero_newton_point(a1):
     s0 = parse_element(a1, "S0")
-    assert newton_point(a1, s0) == (F(0),)
-    assert newton_index(a1, s0) == NewtonIndex((0,), (F(0),))
+    assert newton_point(a1, s0) == coweight([F(0)])
+    assert newton_index(a1, s0) == NewtonIndex((0,), coweight([F(0)]))
 
 
 def test_newton_index_examples(a1, gl2):
     t = a1.translation([1])
     w2 = multiply(parse_element(a1, "S0"), parse_element(a1, "S1"))
     assert a1.length(w2) == 2
-    assert newton_index(a1, w2) == NewtonIndex((0,), (F(1),))
-    assert newton_index(a1, a1.identity) == NewtonIndex((0,), (F(0),))
+    assert newton_index(a1, w2) == NewtonIndex((0,), coweight([F(1)]))
+    assert newton_index(a1, a1.identity) == NewtonIndex((0,), coweight([F(0)]))
     om = parse_element(gl2, "t[1,0]*s1")
     idx = newton_index(gl2, om)
-    assert idx.nu_bar == (F(1, 2), F(1, 2))
+    assert idx.nu_bar == coweight([F(1, 2), F(1, 2)])
     assert idx.omega == gl2.kappa(om) != (0, 0)
 
 
@@ -74,16 +74,16 @@ def test_straight_powers_scale(c2):
         for k in range(2, 7):
             power = multiply(power, w)
             assert c2.length(power) == k * c2.length(w)
-            assert newton_index(c2, power).nu_bar == tuple(k * c for c in base)
+            assert newton_index(c2, power).nu_bar == Coweight(base.d, [k * c for c in base.x])
 
 
 def test_strata_sl2_ball4(a1):
     fibers = strata(a1, 4, [(0,)])
     sizes = {idx: len(elems) for idx, elems in fibers.items()}
     assert sizes == {
-        NewtonIndex((0,), (F(0),)): 5,
-        NewtonIndex((0,), (F(1),)): 2,
-        NewtonIndex((0,), (F(2),)): 2,
+        NewtonIndex((0,), coweight([F(0)])): 5,
+        NewtonIndex((0,), coweight([F(1)])): 2,
+        NewtonIndex((0,), coweight([F(2)])): 2,
     }
 
 
@@ -98,9 +98,9 @@ def test_strata_partition_and_l0(gl2):
 
 def test_zero_fiber_contains_non_straight_short_elements(a2):
     fibers = strata(a2, 3, [(0, 0)])
-    zero = NewtonIndex((0, 0), (F(0), F(0)))
+    zero = NewtonIndex((0, 0), coweight([F(0), F(0)]))
     members = fibers[zero]
     assert a2.identity in members
     for w in a2.enumerate_ball(3, [(0, 0)]):
-        expected = (newton_point(a2, w) != (F(0), F(0))) or w in members
+        expected = (newton_point(a2, w) != coweight([F(0), F(0)])) or w in members
         assert expected

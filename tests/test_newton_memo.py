@@ -3,13 +3,14 @@ uncached computations.
 
 Newton points and dominant representatives are memoised per group (the
 Newton points on the ambient group, shared by its Levis; the dominant
-representatives per context), with equal values interned per group.
-The oracles below recompute everything from scratch in Fraction
-arithmetic: the orbit average with the order found by matrix powers and
-the dominant chamber walk on Fractions; the grammar suite's affine word
-in each Levi is checked against the greedy descent word of conftest.
-The verify coweight grid and the Levi root partitions, now paired on
-integers, are checked against the Fraction pairings they replaced.
+representatives per context), as `Coweight`s.  The oracles below
+recompute everything from scratch in Fraction arithmetic: the orbit
+average with the order found by matrix powers and the dominant chamber
+walk on Fractions, compared through `coweight`; the grammar suite's
+affine word in each Levi is checked against the greedy descent word of
+conftest.  The verify coweight grid and the Levi root partitions, now
+paired on integers, are checked against the Fraction pairings they
+replaced.
 """
 
 import gc
@@ -22,7 +23,7 @@ import pytest
 from newton_cocenter import AffineWeylGroup, NewtonIndex, build_root_datum
 from newton_cocenter.levi_alcove import levi_weyl_group
 from newton_cocenter.newton import newton_index, newton_point
-from newton_cocenter.root_datum import dot, mat_identity, mat_mul
+from newton_cocenter.root_datum import Coweight, coweight, dot, mat_identity, mat_mul
 from newton_cocenter.verify import _affine_word, _levi_box, _levi_grid
 from conftest import oracle_word
 
@@ -77,9 +78,9 @@ def test_memoised_ambient_newton_equals_uncached(label, lattice, radius):
     for w in ball:
         nu = oracle_newton_point(w)
         first = newton_point(g, w)
-        assert first == nu and all(type(c) is Fraction for c in first)
+        assert first == coweight(nu) and type(first) is Coweight
         assert newton_point(g, w) is first
-        expected = NewtonIndex(g.kappa(w), oracle_dominant(nu, walls))
+        expected = NewtonIndex(g.kappa(w), coweight(oracle_dominant(nu, walls)))
         assert newton_index(g, w) == expected
         assert newton_index(g, w) == expected
 
@@ -90,10 +91,10 @@ def test_memoised_levi_newton_and_word_equal_uncached(label, lattice, radius):
     for v in _levi_grid(g, 4):
         m = levi_weyl_group(g, v)
         assert m.newton_points is g.newton_points
-        assert m.coweights is g.coweights
         walls = levi_walls(m)
         for w in _levi_box(g, m, 3):
-            expected = NewtonIndex(m.kappa(w), oracle_dominant(oracle_newton_point(w), walls))
+            expected = NewtonIndex(
+                m.kappa(w), coweight(oracle_dominant(oracle_newton_point(w), walls)))
             assert m.newton_index(w) == expected
             assert newton_index(m, w) == expected
             assert _affine_word(m, w) == oracle_word(m, w)
@@ -117,50 +118,20 @@ def fraction_levi_grid(g, max_den):
 def test_integer_levi_pairings_equal_fraction_pairings(label, lattice):
     g = fresh_group(label, lattice)
     for max_den in (4, 6):
-        grid = _levi_grid(g, max_den)
-        assert grid == fraction_levi_grid(g, max_den)
-        assert all(type(c) is Fraction for v in grid for c in v)
-        for v in grid:
+        grid, oracle = _levi_grid(g, max_den), fraction_levi_grid(g, max_den)
+        assert grid == [coweight(v) for v in oracle]
+        assert all(type(v) is Coweight for v in grid)
+        for v, fv in zip(grid, oracle):
             levi = levi_weyl_group(g, v)
-            assert levi.phi_m == tuple(a for a in g.datum.roots if dot(a, v) == 0)
-            assert levi.phi_plus == tuple(a for a in g.datum.roots if dot(a, v) > 0)
-
-
-def _interned_ids(g):
-    return {id(x) for x in g.coweights.values()}
-
-
-@pytest.mark.parametrize("label,lattice", [("G2", "ad"), ("GL3", "gl")])
-def test_interned_values_stay_in_their_group(label, lattice):
-    g1, g2 = fresh_group(label, lattice), fresh_group(label, lattice)
-    ball = g1.enumerate_ball(3, cap=3)
-    v = next(v for v in _levi_grid(g1, 4) if any(dot(a, v) == 0 for a in g1.datum.roots)
-             and any(dot(a, v) != 0 for a in g1.datum.roots))
-    m1, m2 = levi_weyl_group(g1, v), levi_weyl_group(g2, v)
-    for w in ball:
-        nu1, nu2 = newton_point(g1, w), newton_point(g2, w)
-        assert nu1 == nu2 and nu1 is not nu2
-        assert newton_index(g1, w).nu_bar is not newton_index(g2, w).nu_bar
-        if m1.is_member(w):
-            assert m1.newton_index(w).nu_bar is not m2.newton_index(w).nu_bar
-    for g, m in ((g1, m1), (g2, m2)):
-        # equal values are one object per group, and every memo value
-        # comes from the group's own interning table
-        values = list(g.newton_points.values())
-        assert len({id(x) for x in values}) == len(set(values))
-        ids = _interned_ids(g)
-        assert {id(x) for x in values} <= ids
-        dominant = [x_bar for x_bar, _ in g._dominant_cache.values()]
-        dominant += [x_bar for x_bar, _ in m._dominant_cache.values()]
-        assert {id(x) for x in dominant} <= ids
-    assert not _interned_ids(g1) & _interned_ids(g2)
+            assert levi.phi_m == tuple(a for a in g.datum.roots if dot(a, fv) == 0)
+            assert levi.phi_plus == tuple(a for a in g.datum.roots if dot(a, fv) > 0)
 
 
 def test_group_with_levis_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         g = fresh_group("A2", "sc")
-        m = levi_weyl_group(g, (Fraction(1), Fraction(0)))
+        m = levi_weyl_group(g, coweight([1, 0]))
         m.newton_index(g.translation((1, -1)))
         ref = weakref.ref(g)
         del g

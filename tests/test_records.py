@@ -13,13 +13,14 @@ from newton_cocenter.hecke_cocenter import RigidRow
 from newton_cocenter.levi_alcove import PositivityCertificate
 from newton_cocenter.newton import NewtonIndex
 from newton_cocenter.reduction import ReductionPath, ReductionStep, StandardTriple
+from newton_cocenter.root_datum import coweight
 from newton_cocenter.verify import CheckResult, SuiteReport
 
 from conftest import group
 
 _S1 = "AffineWeylElement(translation=(0,), finite=((-1,),))"
 _S0 = "AffineWeylElement(translation=(1,), finite=((-1,),))"
-_NU = "NewtonIndex(omega=(0,), nu_bar=(Fraction(1, 2),))"
+_NU = "NewtonIndex(omega=(0,), nu_bar=Coweight(2, (1,)))"
 _CHECK = ("CheckResult(property_id='length-matches-bfs', instances=5, failures=1, "
           "first_counterexample='s1', detail='strict=2')")
 
@@ -28,7 +29,7 @@ def _records():
     """(record, its repr), one or more per record type."""
     a1 = group("A1")
     s0, s1 = parse_element(a1, "S0"), parse_element(a1, "S1")
-    nu = NewtonIndex((0,), (F(1, 2),))
+    nu = NewtonIndex((0,), coweight([F(1, 2)]))
     step = ReductionStep(0, "conj-down", s1)
     step_repr = f"ReductionStep(label=0, kind='conj-down', result={_S1})"
     check = CheckResult("length-matches-bfs", 5, 1, "s1", "strict=2")
@@ -43,8 +44,8 @@ def _records():
          "u=AffineWeylElement(translation=(0,), finite=((1,),)))"),
         (RigidRow(nu, "T", 1, True),
          f"RigidRow(nu={_NU}, levi_label='T', class_count=1, covered=True)"),
-        (PositivityCertificate(s0, (F(1, 3),), 2, 18, 4, 2, 3, 1),
-         f"PositivityCertificate(w={_S0}, v=(Fraction(1, 3),), exponent=2, bound=18, "
+        (PositivityCertificate(s0, coweight([F(1, 3)]), 2, 18, 4, 2, 3, 1),
+         f"PositivityCertificate(w={_S0}, v=Coweight(3, (1,)), exponent=2, bound=18, "
          "n0=4, n1=2, denominator_scale=3, min_shift_at_exponent=1)"),
         (check, _CHECK),
         (SuiteReport("length", "A1", {"max_length": 3}, [check], 0.25),
@@ -77,7 +78,7 @@ def test_repr_is_the_dataclass_repr(index):
 
 def test_records_compare_by_their_fields():
     assert AffineRoot((1,), 0) == AffineRoot((1,), 0) != AffineRoot((1,), 1)
-    assert hash(NewtonIndex((0,), (F(1),))) == hash(NewtonIndex((0,), (F(1),)))
+    assert hash(NewtonIndex((0,), coweight([F(1)]))) == hash(NewtonIndex((0,), coweight([F(1)])))
     assert CheckResult("p", 1, 0) == CheckResult("p", 1, 0, None, "")
     assert CheckResult("p", 1, 0) != CheckResult("p", 1, 1)
     # as for a dataclass, a record of another class is never equal
@@ -86,7 +87,7 @@ def test_records_compare_by_their_fields():
 
 @pytest.mark.parametrize("record, fields", [
     (AffineRoot((1, -1), 0), ((1, -1), 0)),
-    (NewtonIndex((0,), (F(1, 2),)), ((0,), (F(1, 2),))),
+    (NewtonIndex((0,), coweight([F(1, 2)])), ((0,), coweight([F(1, 2)]))),
 ])
 def test_value_types_are_not_plain_tuples(record, fields):
     assert record != fields and fields != record

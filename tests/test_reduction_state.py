@@ -14,7 +14,7 @@ from itertools import combinations
 import pytest
 
 from newton_cocenter import (
-    AffineWeylGroup, LogicError, build_root_datum, canonical_min_rep,
+    AffineWeylGroup, LogicError, build_root_datum, canonical_min_rep, coweight,
     is_min_in_class, minimal_class,
 )
 from newton_cocenter.affine_weyl import multiply
@@ -86,7 +86,7 @@ def test_move_orbit_memo_warm_equals_cold(label, radius, v):
     datum = build_root_datum(label)
     def make_ctx():
         g = AffineWeylGroup(datum)
-        return g if v is None else levi_weyl_group(g, v)
+        return g if v is None else levi_weyl_group(g, coweight(v))
 
     warm = make_ctx()
     ball = warm.enumerate_ball(radius)

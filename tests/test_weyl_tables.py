@@ -29,8 +29,8 @@ from newton_cocenter.errors import LogicError
 from newton_cocenter.levi_alcove import LeviWeylGroup, levi_weyl_group
 from newton_cocenter.reduction import max_finite_parabolic_order
 from newton_cocenter.root_datum import (
-    WeylElement, coweight, dot, mat_act, mat_identity, mat_mul,
-    rational_inverse, scaled, weyl_exponents,
+    Coweight, WeylElement, coweight, dot, mat_act, mat_identity, mat_mul,
+    rational_inverse, weyl_exponents,
 )
 from newton_cocenter.verify import _levi_grid as verify_levi_grid, run_suite
 from conftest import oracle_word
@@ -90,10 +90,20 @@ def covector_action(u, a):
     return tuple(sum(a[i] * uinv[i][j] for i in range(n)) for j in range(n))
 
 
+def fractions_of(v):
+    """The coordinates of a Coweight as Fractions."""
+    return tuple(F(c, v.d) for c in v.x)
+
+
+def fraction_act(u, v):
+    """The matrix u applied to a vector of Fractions."""
+    return tuple(sum(r * c for r, c in zip(row, v)) for row in u)
+
+
 def fraction_walk(v, walls, n):
     """The dominant-chamber walk as it ran before: Fractions throughout,
     u accumulated by matrix products."""
-    v = coweight(v)
+    v = tuple(F(c) for c in v)
     u = mat_identity(n)
     while True:
         for a, av in walls:
@@ -417,13 +427,12 @@ def test_permutations_outside_w0_are_refused():
 
 # the dominant_rep samples of test_root_datum.py, with their W0 images
 SAMPLES = [
-    ("GL5", "gl", [coweight([F(2, 3), F(2, 3), F(2, 3), F(1, 2), F(1, 2)])]),
-    ("A1", "sc", [coweight([-1])]),
-    ("C2", "sc", [coweight([0, 0]), coweight([F(1, 2), F(-1, 3)]), coweight([-2, 1]),
-                  coweight([F(5, 6), F(5, 6)]), coweight([F(1, 2), F(1, 2)])]),
-    ("A2", "sc", [coweight([1, 0]), coweight([F(1, 3), F(-1, 2)])]),
-    ("G2", "sc", [coweight([1, 0]), coweight([F(1, 3), F(-1, 2)]),
-                  coweight([F(1, 2), 0])]),
+    ("GL5", "gl", [(F(2, 3), F(2, 3), F(2, 3), F(1, 2), F(1, 2))]),
+    ("A1", "sc", [(F(-1),)]),
+    ("C2", "sc", [(F(0), F(0)), (F(1, 2), F(-1, 3)), (F(-2), F(1)),
+                  (F(5, 6), F(5, 6)), (F(1, 2), F(1, 2))]),
+    ("A2", "sc", [(F(1), F(0)), (F(1, 3), F(-1, 2))]),
+    ("G2", "sc", [(F(1), F(0)), (F(1, 3), F(-1, 2)), (F(1, 2), F(0))]),
 ]
 
 
@@ -434,10 +443,11 @@ def test_integer_dominant_rep_equals_fraction_walk(label, lattice, samples):
     walls = list(zip(d.simple_roots, d.simple_coroots))
     for v in samples:
         for u in d.weyl_elements:
-            x = mat_act(u, v)
-            vbar, w = g.dominant_rep(x)
-            assert (vbar, w) == fraction_walk(x, walls, d.rank)
-            assert all(type(c) is Fraction for c in vbar)
+            x = fraction_act(u, v)
+            vbar, w = g.dominant_rep(coweight(x))
+            x_bar, u_bar = fraction_walk(x, walls, d.rank)
+            assert (vbar, w) == (coweight(x_bar), u_bar)
+            assert type(vbar) is Coweight
 
 
 def _levi_grid(d):
@@ -457,10 +467,10 @@ def test_levi_fixer_equals_reflection_closure(label, lattice):
     grid = _levi_grid(d) + verify_levi_grid(g)
     generated = [LeviWeylGroup(g, v).finite_elements() for v in grid]
     for v, w_m in zip(grid, generated):
-        zero = [a for a in d.roots if dot(a, v) == 0]
+        zero = [a for a in d.roots if dot(a, v.x) == 0]
         gens = [reflection_matrix(a, d.coroot[a]) for a in zero]
         assert tuple(map(plain, w_m)) == matrix_bfs(gens, d.rank)
-        x = tuple(scaled(v)[1])
+        x = v.x
         assert w_m == tuple(u for u in d.weyl_elements if mat_act(u, x) == x)
         assert all(type(u) is WeylElement and u.datum is d for u in w_m)
 
@@ -511,4 +521,5 @@ def test_levi_dominant_rep_equals_fraction_walk(label, lattice):
         m = LeviWeylGroup(g, v)
         walls = [(a, d.coroot[a]) for a in m.m_simple_roots]
         for x in _levi_grid(d)[::5]:
-            assert m.dominant_rep(x) == fraction_walk(x, walls, d.rank)
+            x_bar, u_bar = fraction_walk(fractions_of(x), walls, d.rank)
+            assert m.dominant_rep(x) == (coweight(x_bar), u_bar)
