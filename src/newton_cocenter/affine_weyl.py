@@ -437,13 +437,18 @@ class AffineWeylGroup:
 
     # -- Newton indices -------------------------------------------------
 
+    def index_of(self, lam: IntVector, nu: Coweight) -> NewtonIndex:
+        """lam mod the coroot lattice of M and the M-dominant rep of nu:
+        the Newton index of an element, or the image of a Levi's index."""
+        return NewtonIndex(coset_reduce(lam, self.coroot_hnf), self.dominant_rep(nu)[0])
+
     def newton_index(self, w: AffineWeylElement) -> NewtonIndex:
         """kappa(w) and the dominant representative of nu_w, both taken
         in this group (for a Levi: kappa_M and the M-dominant one)."""
         index = self._newton_indices.get(w)
         if index is None:
-            nu_bar, _ = self.dominant_rep(newton_point(self, w))
-            index = self._newton_indices[w] = NewtonIndex(self.kappa(w), nu_bar)
+            index = self.index_of(w.translation, newton_point(self, w))
+            self._newton_indices[w] = index
         return index
 
     def is_straight(self, w: AffineWeylElement) -> bool:

@@ -34,12 +34,9 @@ from .affine_weyl import (
     AffineWeylElement, AffineWeylGroup, multiply,
 )
 from .errors import InputError, LogicError, ResourceError
-from .levi_alcove import (
-    LeviWeylGroup, levi_weyl_group, newton_index_map,
-)
-from .newton import NewtonIndex, newton_point
+from .levi_alcove import LeviWeylGroup, levi_weyl_group
+from .newton import NewtonIndex, newton_point, strata
 from .reduction import canonical_class_rep, conj_step, is_min_in_class, lowering_move
-from .root_datum import dot
 
 
 class QPoly:
@@ -517,7 +514,7 @@ def induce(group: AffineWeylGroup, m: LeviWeylGroup, f: HeckeElement,
     basis-level shadow of the induction map is not faithful and the
     call is refused.
     """
-    target = newton_index_map(group, m, nu_m)
+    target = group.index_of(nu_m.omega, nu_m.nu_bar)
     for w in f.terms:
         if not m.is_member(w):
             raise InputError("induce: support must lie in the Levi subgroup")
@@ -559,18 +556,12 @@ def rigid_decomposition(group: AffineWeylGroup, max_length: int,
     M-index maps to the component; inducing T^M_x back returns exactly
     T_x.  `covered` records that every representative admits this chain.
     """
-    ball = group.enumerate_ball(max_length, omega_labels, cap)
-    fibers: dict[NewtonIndex, set] = {}
-    for w in ball:
-        rep = canonical_class_rep(group, w)
-        fibers.setdefault(group.newton_index(rep), set()).add(rep)
     rows = []
-    for nu in sorted(fibers, key=NewtonIndex.sort_key):
+    for nu, fiber in strata(group, max_length, omega_labels, cap).items():
+        reps = {canonical_class_rep(group, w) for w in fiber}
         m = levi_weyl_group(group, nu.nu_bar)
-        if any(dot(a, nu.nu_bar.x) != 0 for a in m.phi_m):
-            raise LogicError("the dominant coweight must be central in its Levi")
-        covered = all(_covers(group, nu, x) for x in fibers[nu])
-        rows.append(RigidRow(nu, _levi_label(group, m), len(fibers[nu]), covered))
+        covered = all(_covers(group, nu, x) for x in reps)
+        rows.append(RigidRow(nu, _levi_label(group, m), len(reps), covered))
     return rows
 
 
@@ -579,7 +570,7 @@ def _covers(group: AffineWeylGroup, nu: NewtonIndex, x: AffineWeylElement) -> bo
     if not mx.is_member(x) or not is_min_in_class(mx, x):
         return False
     nu_m = mx.newton_index(x)
-    if newton_index_map(group, mx, nu_m) != nu:
+    if group.index_of(nu_m.omega, nu_m.nu_bar) != nu:
         return False
     nf = induce(group, mx, HeckeElement.basis(x), nu_m)
     return nf.terms == {x: ONE}

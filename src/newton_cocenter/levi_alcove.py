@@ -13,7 +13,9 @@ sample.  Its walls, those of the M-alcove containing the ambient base
 alcove, are built as the ambient group builds its own, from the
 M-simple roots and the highest root of each M-component, and are
 labelled in the ambient canonical order, which the Levi is given at
-construction; it holds no reference to the ambient group.
+construction; it holds no reference to the ambient group.  An M-Newton
+index is carried to the ambient group, or to a conjugate Levi, by that
+group's `index_of`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .affine_weyl import AffineWeylElement, AffineWeylGroup, multiply
 from .errors import InputError, LogicError
 from .newton import NewtonIndex, newton_point
 from .reduction import max_finite_parabolic_order, wa_ball_count
-from .root_datum import Coweight, Matrix, coset_reduce, dot, hnf_columns, mat_act
+from .root_datum import Coweight, Matrix, dot, hnf_columns, mat_act
 
 
 class LeviWeylGroup(AffineWeylGroup):
@@ -70,25 +72,14 @@ def levi_weyl_group(group: AffineWeylGroup, v: Coweight) -> LeviWeylGroup:
     return m
 
 
-def newton_index_map(group: AffineWeylGroup, m: LeviWeylGroup,
-                     nu_m: NewtonIndex) -> NewtonIndex:
-    """Push an M-Newton index to an ambient one: the coset label goes
-    along the lattice inclusion, the coweight to its dominant orbit
-    representative."""
-    label = coset_reduce(tuple(nu_m.omega), group.coroot_hnf)
-    nu_bar, _ = group.dominant_rep(nu_m.nu_bar)
-    return NewtonIndex(label, nu_bar)
-
-
 def conjugate_levi(group: AffineWeylGroup, u0: Matrix, m: LeviWeylGroup):
-    """The Levi of u0(v) together with the induced index bijection."""
+    """The Levi of u0(v) together with the induced index bijection,
+    which reads the u0-image of an M-index in that Levi."""
     m_new = levi_weyl_group(group, Coweight(m.v.d, mat_act(u0, m.v.x)))
 
     def index_map(nu_m: NewtonIndex) -> NewtonIndex:
-        label = coset_reduce(mat_act(u0, nu_m.omega), m_new.coroot_hnf)
         d, x = nu_m.nu_bar
-        nu_bar, _ = m_new.dominant_rep(Coweight(d, mat_act(u0, x)))
-        return NewtonIndex(label, nu_bar)
+        return m_new.index_of(mat_act(u0, nu_m.omega), Coweight(d, mat_act(u0, x)))
 
     return m_new, index_map
 
@@ -116,6 +107,12 @@ def is_v_alcove(group: AffineWeylGroup, w: AffineWeylElement, v: Coweight) -> bo
                 < datum.is_positive_root(beta):
             return False
     return True
+
+
+def newton_v_positive(group: AffineWeylGroup, m: LeviWeylGroup, w: AffineWeylElement) -> bool:
+    """Whether nu_w is strictly positive on the roots positive on v."""
+    nu = newton_point(group, w).x
+    return all(dot(beta, nu) > 0 for beta in m.phi_plus)
 
 
 # Witness that a power of w shifts every v-positive level up.  exponent
@@ -149,8 +146,7 @@ def positivity_exponent(group: AffineWeylGroup, w: AffineWeylElement,
     # <beta, n i nu> >= n for every v-positive beta, since u in W_M
     # permutes those roots; so a Newton point not strictly positive on
     # them admits no such power, and is refused before any search.
-    nu = newton_point(group, w).x
-    if not all(dot(beta, nu) > 0 for beta in plus):
+    if not newton_v_positive(group, m, w):
         raise InputError(
             "no positive power of w is strictly v-positive: its Newton point "
             "is not strictly positive on the v-positive roots")
@@ -169,15 +165,3 @@ def positivity_exponent(group: AffineWeylGroup, w: AffineWeylElement,
     raise LogicError(
         "quasi-positivity must hold within the bound for strictly "
         "v-positive Newton points")
-
-
-def m_in_g_stratum_check(group: AffineWeylGroup, m: LeviWeylGroup,
-                         w: AffineWeylElement, nu_m: NewtonIndex) -> bool:
-    """The ambient Newton index of w must be the image of its M-index.
-
-    This holds for every input; the operation exists to be run
-    exhaustively as a stratum-compatibility check.
-    """
-    if m.newton_index(w) != nu_m:
-        raise InputError("nu_m is not the M-Newton index of w")
-    return group.newton_index(w) == newton_index_map(group, m, nu_m)

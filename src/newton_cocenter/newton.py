@@ -1,10 +1,11 @@
 """Newton points, dominant representatives and stratification.
 
 For w = t^lam u with n the order of u, the Newton point is the averaged
-translation nu_w = (1/n) sum_i u^i(lam); it satisfies w^n = t^{n nu_w}
-and does not depend on which valid exponent is used.  The Newton index
-pairs the coroot-lattice coset kappa(w) with the dominant Weyl orbit
-representative of nu_w.
+translation nu_w = (1/n) sum_i u^i(lam) (`orbit_sum` is the sum); it
+satisfies w^n = t^{n nu_w} and does not depend on which valid exponent
+is used.  The Newton index pairs the coroot-lattice coset kappa(w) with
+the dominant Weyl orbit representative of nu_w; `AffineWeylGroup.index_of`
+builds every Newton index, of an element or induced from a Levi.
 """
 
 from __future__ import annotations
@@ -39,15 +40,19 @@ def newton_point(ctx, w: AffineWeylElement) -> Coweight:
     """
     nu = ctx.newton_points.get(w)
     if nu is None:
-        u = w.finite
-        order = ctx.datum.element_order(u)
-        total = list(w.translation)
-        cur = w.translation
-        for _ in range(order - 1):
-            cur = mat_act(u, cur)
-            total = [a + b for a, b in zip(total, cur)]
-        nu = ctx.newton_points[w] = Coweight(order, total)
+        order = ctx.datum.element_order(w.finite)
+        nu = ctx.newton_points[w] = Coweight(order, orbit_sum(w, order))
     return nu
+
+
+def orbit_sum(w: AffineWeylElement, n: int) -> IntVector:
+    """sum_{i<n} u^i(lam) for w = t^lam u: n nu_w when the order of u
+    divides n."""
+    total, cur = list(w.translation), w.translation
+    for _ in range(n - 1):
+        cur = mat_act(w.finite, cur)
+        total = [a + b for a, b in zip(total, cur)]
+    return tuple(total)
 
 
 # the Newton index and the pairing criterion of straightness are methods

@@ -31,10 +31,9 @@ from .hecke_cocenter import (
     rigid_decomposition,
 )
 from .levi_alcove import (
-    conjugate_levi, is_v_alcove, levi_weyl_group, m_in_g_stratum_check,
-    positivity_exponent,
+    conjugate_levi, is_v_alcove, levi_weyl_group, newton_v_positive, positivity_exponent,
 )
-from .newton import is_straight_by_powers, newton_point, strata
+from .newton import is_straight_by_powers, newton_point, orbit_sum, strata
 from .reduction import (
     canonical_class_rep, is_min_in_class, reduce_to_min, replay,
     standard_triple, wa_ball_count,
@@ -201,6 +200,12 @@ def _levi_box(group, m, max_m_length, box=2, cap=None):
     return out
 
 
+def _levi_boxes(group, max_den, max_m_length, box=2):
+    """(v, M, box of M) for each Levi of `_levi_grid`."""
+    return [(v, m, _levi_box(group, m, max_m_length, box))
+            for v in _levi_grid(group, max_den) for m in [levi_weyl_group(group, v)]]
+
+
 # -- individual suites ---------------------------------------------------
 
 
@@ -256,7 +261,7 @@ def suite_newton(group, params):
                for w in ball for pi in [group.newton_index(w)] for x in conjugators),
               show)
     rep.check("exponent-independence",
-              ((w, _orbit_average(w, n) == _orbit_average(w, 2 * n))
+              ((w, Coweight(n, orbit_sum(w, n)) == Coweight(2 * n, orbit_sum(w, 2 * n)))
                for w in ball for n in [group.datum.element_order(w.finite)]), show)
     rep.check("straight-powers", _straight_powers(group, ball),
               lambda wk: f"{element_str(group, wk[0])}^#{wk[1]}")
@@ -267,19 +272,6 @@ def suite_newton(group, params):
     rep.add("strata-partition", len(ball), 0 if total == len(ball) else 1,
             None, detail=f"sizes={sizes}")
     return rep
-
-
-def _orbit_average(w, n):
-    return Coweight(n, _orbit_sum(w, n))
-
-
-def _orbit_sum(w, n):
-    total = list(w.translation)
-    cur = w.translation
-    for _ in range(n - 1):
-        cur = mat_act(w.finite, cur)
-        total = [a + b for a, b in zip(total, cur)]
-    return tuple(total)
 
 
 def _straight_powers(group, ball):
@@ -368,19 +360,23 @@ def _is_v_alcove_wide(group, w, v):
 
 def suite_levi(group, params):
     rep = SuiteReport("levi", group.datum.descriptor(), params)
-    boxes = [(v, m, _levi_box(group, m, params["m_length"]))
-             for v in _levi_grid(group, params["max_den"])
-             for m in [levi_weyl_group(group, v)]]
+    boxes = _levi_boxes(group, params["max_den"], params["m_length"])
     show = functools.partial(_levi_case_str, group)
 
     excess = [((v, w), m.length(w) - group.length(w)) for v, m, box in boxes for w in box]
     rep.check("levi-length-at-most-ambient", ((vw, d <= 0) for vw, d in excess),
               show).detail = f"strict={sum(d < 0 for _, d in excess)}"
     rep.check("levi-stratum-inside-ambient-stratum",
-              (((v, w), m_in_g_stratum_check(group, m, w, m.newton_index(w)))
+              (((v, w), _in_ambient_stratum(group, m, w))
                for v, m, box in boxes for w in box), show)
     rep.check("conjugation-compatible-strata", _conjugation_cases(group, boxes), show)
     return rep
+
+
+def _in_ambient_stratum(group, m, w):
+    """The ambient Newton index of w is the image of its M-index."""
+    nu_m = m.newton_index(w)
+    return group.newton_index(w) == group.index_of(nu_m.omega, nu_m.nu_bar)
 
 
 def _conjugation_cases(group, boxes):
@@ -405,21 +401,14 @@ def _levi_case_str(group, vw):
 
 def suite_positivity(group, params):
     rep = SuiteReport("positivity", group.datum.descriptor(), params)
-    boxes = [(v, m, _levi_box(group, m, 4, box=1))
-             for v in _levi_grid(group, params["max_den"])
-             for m in [levi_weyl_group(group, v)]]
+    boxes = _levi_boxes(group, params["max_den"], 4, box=1)
     result = rep.check(
         "exponent-within-bound",
         (((v, w), _exponent_within_bound(group, w, m.v))
-         for v, m, box in boxes for w in box if _newton_point_v_positive(group, m, w)),
+         for v, m, box in boxes for w in box if newton_v_positive(group, m, w)),
         functools.partial(_levi_case_str, group))
     result.detail = f"skipped={sum(len(box) for _, _, box in boxes) - result.instances}"
     return rep
-
-
-def _newton_point_v_positive(group, m, w):
-    nu = newton_point(group, w).x
-    return all(dot(beta, nu) > 0 for beta in m.phi_plus)
 
 
 def _exponent_within_bound(group, w, v):

@@ -2,8 +2,9 @@
 `assert`; modules keep to their own private attributes; every attribute
 set from outside its class is declared in one; the library reads no
 environment variable; no module imports at start-up what a CLI call
-need not pay for; no engine class builds reduced words; and a coweight
-is a `Coweight` everywhere."""
+need not pay for; no engine class builds reduced words; a coweight is
+a `Coweight` everywhere; and only `AffineWeylGroup.index_of` builds a
+Newton index."""
 
 import ast
 from pathlib import Path
@@ -226,3 +227,35 @@ def test_coweights_are_one_type():
                     and _names(node) == ["Fraction"] and id(node) not in allowed:
                 found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert found == [], "hold coweights as root_datum.Coweight: " + ", ".join(found)
+
+
+# the helpers that AffineWeylGroup.index_of, newton.orbit_sum and
+# levi_alcove.newton_v_positive replaced
+_REPLACED_INDEX_HELPERS = {"newton_index_map", "m_in_g_stratum_check", "_orbit_sum",
+                           "_newton_point_v_positive"}
+
+
+def test_newton_indices_are_built_by_index_of():
+    # AffineWeylGroup.index_of is the one construction of a Newton
+    # index, that of an element and the image of a Levi's index alike,
+    # and none of the helpers it replaced is defined or named
+    found, built = [], 0
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {id(node) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) and cls.name == "AffineWeylGroup"
+                   for fn in cls.body
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "index_of"
+                   for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _names(node.func) == ["NewtonIndex"]:
+                if id(node) in allowed:
+                    built += 1
+                else:
+                    found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Name)) \
+                    and getattr(node, "name", getattr(node, "id", None)) \
+                    in _REPLACED_INDEX_HELPERS:
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)[:40]}")
+    assert found == [], "build Newton indices by AffineWeylGroup.index_of: " + ", ".join(found)
+    assert built == 1

@@ -55,7 +55,7 @@ def test_newton_labels(monkeypatch):
     g = _fresh("GL3")
     multiply = verify.multiply
     _patch(monkeypatch, "conjugate", lambda orig, x, w: multiply(x, w))
-    _patch(monkeypatch, "_orbit_sum", lambda orig, w, n: orig(w, n + (n > 2)))
+    _patch(monkeypatch, "orbit_sum", lambda orig, w, n: orig(w, n + (n > 2)))
     monkeypatch.setattr(verify, "multiply", lambda a, b: a if a == b else multiply(a, b))
     _patch(monkeypatch, "strata",
            lambda orig, grp, length, cap: dict(list(orig(grp, length, cap=cap).items())[1:]))
@@ -112,8 +112,8 @@ def test_levi_labels(monkeypatch):
     g = _fresh("GL3")
     length, multiply = g.length, verify.multiply
     monkeypatch.setattr(g, "length", lambda w: length(w) - (length(w) == 2))
-    _patch(monkeypatch, "m_in_g_stratum_check",
-           lambda orig, grp, m, w, nu: orig(grp, m, w, nu) and m.length(w) != 3)
+    _patch(monkeypatch, "_in_ambient_stratum",
+           lambda orig, grp, m, w: orig(grp, m, w) and m.length(w) != 3)
     _patch(monkeypatch, "conjugate", lambda orig, x, w: multiply(x, w))
     assert _run("levi", g) == [
         ("levi-length-at-most-ambient", 316, 32, "v=[0,0,0] w=t[-1,-1,-1]*s1*s2", "strict=146"),
