@@ -71,7 +71,6 @@ _COMMANDS = {
     "rigid": ("rigid decomposition report", [_LENGTH]),
     "verify": ("run a verification suite", [
         _arg("suite"), _arg("--length", type=_int_at_least(0)),
-        _arg("--max-den", type=_int_at_least(1)),
         _arg("--pair-budget", type=_int_at_least(1)),
         _arg("--seeds", type=_int_at_least(1))]),
 }
@@ -492,7 +491,6 @@ def cmd_verify(group, args) -> int:
     from .verify import run_suite
     overrides = {
         "length": args.length,
-        "max_den": args.max_den,
         "pair_budget": args.pair_budget,
         "seeds": args.seeds,
         "seed": args.seed,

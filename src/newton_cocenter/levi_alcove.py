@@ -15,18 +15,20 @@ M-simple roots and the highest root of each M-component, and are
 labelled in the ambient canonical order, which the Levi is given at
 construction; it holds no reference to the ambient group.  An M-Newton
 index is carried to the ambient group, or to a conjugate Levi, by that
-group's `index_of`.
+group's `index_of`.  `parabolic_faces` reads every direction v that
+gives a parabolic, y(v_J) for y in W0, off the root datum alone.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import product
 
 from .affine_weyl import AffineWeylElement, AffineWeylGroup, multiply
 from .errors import InputError, LogicError
 from .newton import NewtonIndex, newton_point
 from .reduction import max_finite_parabolic_order, wa_ball_count
-from .root_datum import Coweight, Matrix, dot, hnf_columns, mat_act
+from .root_datum import Coweight, Matrix, coweight, dot, hnf_columns, mat_act, rational_inverse
 
 
 class LeviWeylGroup(AffineWeylGroup):
@@ -70,6 +72,24 @@ def levi_weyl_group(group: AffineWeylGroup, v: Coweight) -> LeviWeylGroup:
     if m is None:
         m = group.levi_groups[v] = LeviWeylGroup(group, v)
     return m
+
+
+def parabolic_faces(group: AffineWeylGroup) -> list[Coweight]:
+    """Every y(v_J), y in W0 and J a set of simple roots: the P-alcove
+    directions of Görtz-He-Nie.  <alpha_i, v_J> is 0 for alpha_i in J
+    and 1 for the others, and for GL the coordinates of v_J sum to 0.
+    Listed by those pairings as a 0/1 vector, lexicographic, and then
+    by y in `weyl_elements` order, repeats dropped."""
+    datum = group.datum
+    rows = list(datum.simple_roots)
+    if datum.lattice == "gl":
+        rows.append((1,) * datum.rank)
+    inverse = rational_inverse(rows)
+    # zip stops at the simple roots: the row (1, ..., 1) pairs to 0
+    standard = [coweight([sum(c for c, b in zip(row, ones) if b) for row in inverse])
+                for ones in product((0, 1), repeat=len(datum.simple_roots))]
+    return list(dict.fromkeys(Coweight(v.d, mat_act(u, v.x))
+                              for v in standard for u in datum.weyl_elements))
 
 
 def conjugate_levi(group: AffineWeylGroup, u0: Matrix, m: LeviWeylGroup):

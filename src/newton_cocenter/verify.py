@@ -18,7 +18,6 @@ import random
 import sys
 import time
 from itertools import combinations, product
-from math import lcm
 
 from .affine_weyl import (
     AffineRoot, AffineWeylGroup, act_on_affine_root, conjugate, element_str, inverse,
@@ -31,7 +30,8 @@ from .hecke_cocenter import (
     rigid_decomposition,
 )
 from .levi_alcove import (
-    conjugate_levi, is_v_alcove, levi_weyl_group, newton_v_positive, positivity_exponent,
+    conjugate_levi, is_v_alcove, levi_weyl_group, newton_v_positive, parabolic_faces,
+    positivity_exponent,
 )
 from .newton import is_straight_by_powers, newton_point, orbit_sum, strata
 from .reduction import (
@@ -156,33 +156,6 @@ def _omega_conjugators(group):
     return [w for w in reps if w != group.identity]
 
 
-def _levi_grid(group, max_den=6):
-    """Representative rational coweights, one per distinct Levi.
-
-    Low ranks scan the full denominator grid; higher ranks use the
-    value set {0, 1/2, 1, 2}, on which the Levi depends only on which
-    roots vanish.  That set misses every Levi whose coweight needs more
-    than 4 distinct coordinates: GL3 and GL4 get the torus, but GL5's
-    grid finds 51 Levis, and the torus is not among them (ROADMAP item
-    11 lists the Levis from the root datum instead).  The walk runs on
-    the values times their common denominator d and keeps `Coweight`s.
-    """
-    if group.datum.rank <= 2:
-        d = lcm(*range(1, max_den + 1))
-        grid = sorted({p * (d // q) for q in range(1, max_den + 1)
-                       for p in range(-q, q + 1)})
-    else:
-        d, grid = 2, [0, 1, 2, 4]
-    roots = group.datum.roots
-    seen = {}
-    for x in product(grid, repeat=group.datum.rank):
-        m_key = frozenset(a for a in roots if dot(a, x) == 0)
-        if m_key not in seen:
-            seen[m_key] = x
-    return [Coweight(d, seen[k])
-            for k in sorted(seen, key=lambda s: tuple(sorted(s)))]
-
-
 def _levi_box(group, m, max_m_length, box=2, cap=None):
     """All t^lam u with u in W_M, sup-norm of lam at most `box` and
     M-length <= max_m_length, in M-sort order and cut to the first `cap`,
@@ -200,10 +173,19 @@ def _levi_box(group, m, max_m_length, box=2, cap=None):
     return out
 
 
-def _levi_boxes(group, max_den, max_m_length, box=2):
-    """(v, M, box of M) for each Levi of `_levi_grid`."""
+def _levi_faces(group):
+    """One v per Levi containing T, the first of `parabolic_faces` with
+    that Levi; the Levis in the order of their sorted roots."""
+    levis = {}
+    for v in parabolic_faces(group):
+        levis.setdefault(tuple(a for a in group.datum.roots if dot(a, v.x) == 0), v)
+    return [levis[k] for k in sorted(levis)]
+
+
+def _levi_boxes(group, max_m_length, box=2):
+    """(v, M, box of M) for each v of `_levi_faces`."""
     return [(v, m, _levi_box(group, m, max_m_length, box))
-            for v in _levi_grid(group, max_den) for m in [levi_weyl_group(group, v)]]
+            for v in _levi_faces(group) for m in [levi_weyl_group(group, v)]]
 
 
 # -- individual suites ---------------------------------------------------
@@ -360,7 +342,7 @@ def _is_v_alcove_wide(group, w, v):
 
 def suite_levi(group, params):
     rep = SuiteReport("levi", group.datum.descriptor(), params)
-    boxes = _levi_boxes(group, params["max_den"], params["m_length"])
+    boxes = _levi_boxes(group, params["m_length"])
     show = functools.partial(_levi_case_str, group)
 
     excess = [((v, w), m.length(w) - group.length(w)) for v, m, box in boxes for w in box]
@@ -401,7 +383,7 @@ def _levi_case_str(group, vw):
 
 def suite_positivity(group, params):
     rep = SuiteReport("positivity", group.datum.descriptor(), params)
-    boxes = _levi_boxes(group, params["max_den"], 4, box=1)
+    boxes = _levi_boxes(group, 4, box=1)
     result = rep.check(
         "exponent-within-bound",
         (((v, w), _exponent_within_bound(group, w, m.v))
@@ -485,8 +467,8 @@ SUITES = {
     "straightness": (suite_straightness, {"length": 6}),
     "reduction": (suite_reduction, {"length": 6}),
     "alcove": (suite_alcove, {"length": 6}),
-    "levi": (suite_levi, {"m_length": 4, "max_den": 4}),
-    "positivity": (suite_positivity, {"max_den": 4}),
+    "levi": (suite_levi, {"m_length": 4}),
+    "positivity": (suite_positivity, {}),
     "cocenter": (suite_cocenter, {"pair_budget": 5, "seeds": 25}),
     "rigid": (suite_rigid, {"length": 4}),
 }
@@ -519,7 +501,7 @@ def run_suite(name: str, group: AffineWeylGroup, overrides: dict,
         unknown = sorted(given.keys() - defaults.keys())
         if unknown and name != "all":
             raise InputError(f"suite {n!r} takes no {', '.join(unknown)}; its "
-                             f"parameters are {', '.join(sorted(defaults))} and seed")
+                             f"parameters are {', '.join([*sorted(defaults), 'seed'])}")
         params = {**defaults, "seed": overrides.get("seed") or 0}
         params.update((k, v) for k, v in given.items() if k in defaults)
         tasks.append((n, params))

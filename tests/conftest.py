@@ -1,8 +1,11 @@
+from itertools import product
+from math import lcm
+
 import pytest
 
 from newton_cocenter import AffineWeylGroup, build_root_datum
 from newton_cocenter.affine_weyl import inverse, multiply
-from newton_cocenter.root_datum import coset_reduce
+from newton_cocenter.root_datum import Coweight, coset_reduce, dot
 
 # every supported (label, lattice) pair
 ALL_DATA = [(label, lattice) for label in ("A1", "A2", "B2", "C2", "G2")
@@ -25,6 +28,25 @@ def kappa_labels(m):
     units = [tuple(sign * int(i == j) for j in range(n))
              for i in range(n) for sign in (1, -1)]
     return sorted({m.kappa(m.translation(lam)) for lam in [(0,) * n] + units})
+
+
+def oracle_levi_grid(group, max_den=6):
+    """One coweight per Levi, found by the coordinate scan that listed
+    the Levis of the verify suites before `parabolic_faces`: the first
+    point with that Levi of the denominator grid up to max_den at rank
+    <= 2, and of {0, 1/2, 1, 2}^rank above, the Levis sorted by their
+    roots.  The value set misses every Levi whose coweight needs more
+    than 4 distinct coordinates, so GL5's grid lacks the torus."""
+    if group.datum.rank <= 2:
+        d = lcm(*range(1, max_den + 1))
+        grid = sorted({p * (d // q) for q in range(1, max_den + 1)
+                       for p in range(-q, q + 1)})
+    else:
+        d, grid = 2, [0, 1, 2, 4]
+    seen = {}
+    for x in product(grid, repeat=group.datum.rank):
+        seen.setdefault(frozenset(a for a in group.datum.roots if dot(a, x) == 0), x)
+    return [Coweight(d, seen[k]) for k in sorted(seen, key=lambda s: tuple(sorted(s)))]
 
 
 # -- the word-based canonical order, from products and lengths --------------

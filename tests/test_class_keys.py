@@ -29,14 +29,14 @@ from newton_cocenter.reduction import (
     _coinvariant_hnf, _dominant_translations, finite_parabolics,
 )
 from newton_cocenter.root_datum import coset_reduce, mat_act
-from newton_cocenter.verify import _levi_grid
+from newton_cocenter.verify import _levi_faces
 from conftest import ALL_DATA, group, kappa_labels, oracle_sort_key
 
 
 def contexts(g, levis=3):
-    """The group and its first Levis of `_levi_grid`."""
+    """The group and its first Levis of `_levi_faces`."""
     yield g
-    for v in islice(_levi_grid(g), levis):
+    for v in islice(_levi_faces(g), levis):
         yield levi_weyl_group(g, v)
 
 

@@ -239,7 +239,7 @@ def test_verify_unknown_suite(capsys):
     ["verify", "levi", "--length", "1"],
     ["verify", "positivity", "--length", "1"],
     ["verify", "cocenter", "--length", "2"],
-    ["verify", "length", "--max-den", "3"],
+    ["verify", "length", "--pair-budget", "3"],
 ])
 def test_single_suite_refuses_a_parameter_it_does_not_take(argv, capsys):
     code = main(["--group", "A2", *argv])
@@ -325,7 +325,6 @@ def test_no_normal_form_is_read_from_or_written_to_disk(tmp_path, capsys, monkey
 
 @pytest.mark.parametrize("argv", [
     ["verify", "length", "--length", "-2"],
-    ["verify", "levi", "--max-den", "0"],
     ["verify", "all", "--seeds", "-3"],
     ["verify", "cocenter", "--pair-budget", "-1"],
     ["strata", "--length", "-1"],

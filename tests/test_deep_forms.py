@@ -30,8 +30,7 @@ from newton_cocenter.reduction import (
     lowering_move,
 )
 from newton_cocenter.root_datum import coset_reduce, mat_act
-from newton_cocenter.verify import _levi_grid
-from conftest import ALL_DATA, kappa_labels, oracle_sort_key
+from conftest import ALL_DATA, kappa_labels, oracle_levi_grid, oracle_sort_key
 
 
 def fresh(label, lattice="sc"):
@@ -121,7 +120,7 @@ def test_work_list_equals_recursion_at_depth():
 def test_work_list_equals_recursion_in_levis():
     g = fresh("GL4", "gl")
     rng = random.Random("forms:levis")
-    for v in islice(_levi_grid(g), 4):
+    for v in islice(oracle_levi_grid(g), 4):
         m = levi_weyl_group(g, v)
         oracle = levi_weyl_group(fresh("GL4", "gl"), v)
         elems = [w for lab in kappa_labels(m)[:2] for w in m.ball(3, lab)]
@@ -245,7 +244,7 @@ def test_windowed_listing_equals_one_sided_walk_over_w_m(label, lattice, radius)
 @pytest.mark.parametrize("label,lattice", [("GL4", "gl"), ("GL5", "gl"), ("G2", "sc")])
 def test_windowed_listing_equals_one_sided_walk_in_levis(label, lattice):
     g = fresh(label, lattice)
-    for v in islice(_levi_grid(g), 8):
+    for v in islice(oracle_levi_grid(g), 8):
         m = levi_weyl_group(g, v)
         for lab in kappa_labels(m)[:2]:
             for w in m.ball(max(2, 6 - g.datum.rank), lab):
@@ -258,7 +257,7 @@ def test_windowed_listing_equals_one_sided_walk_in_levis(label, lattice):
 def test_translation_orbit_walk_equals_w_m_orbit(label, lattice):
     g = fresh(label, lattice)
     n = g.datum.rank
-    for ctx in [g] + [levi_weyl_group(g, v) for v in islice(_levi_grid(g), 3)]:
+    for ctx in [g] + [levi_weyl_group(g, v) for v in islice(oracle_levi_grid(g), 3)]:
         for lam in [(0,) * n, (1,) + (0,) * (n - 1), tuple(range(n, 0, -1)),
                     tuple((-1) ** i * i for i in range(n))]:
             assert ctx.translation_orbit(lam) == w_m_orbit(ctx, lam), (ctx, lam)

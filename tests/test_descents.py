@@ -7,7 +7,7 @@ against products and `length`, and each walker built on them (`ball`,
 `omega_rep`, `finite_word`, the move scan of the reduction module and
 the grammar suite's affine word) against the product-and-length walker
 it replaced, kept below and in conftest as an oracle; on the ambient
-group and every Levi of `_levi_grid` of every supported datum.  The
+group and every Levi of `_levi_faces` of every supported datum.  The
 last tests count the products and lengths of the hot paths.
 """
 
@@ -22,13 +22,13 @@ from newton_cocenter.errors import LogicError
 from newton_cocenter.hecke_cocenter import HeckeElement, cocenter_reduce
 from newton_cocenter.levi_alcove import levi_weyl_group
 from newton_cocenter.reduction import _scan
-from newton_cocenter.verify import _affine_word, _levi_grid
+from newton_cocenter.verify import _affine_word, _levi_faces
 from conftest import ALL_DATA, group, kappa_labels, oracle_omega, oracle_word
 
 
 def contexts(g):
     yield g
-    for v in _levi_grid(g):
+    for v in _levi_faces(g):
         yield levi_weyl_group(g, v)
 
 

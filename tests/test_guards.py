@@ -3,8 +3,8 @@
 set from outside its class is declared in one; the library reads no
 environment variable; no module imports at start-up what a CLI call
 need not pay for; no engine class builds reduced words; a coweight is
-a `Coweight` everywhere; and only `AffineWeylGroup.index_of` builds a
-Newton index."""
+a `Coweight` everywhere; only `AffineWeylGroup.index_of` builds a
+Newton index; and no module keeps the coordinate grid of Levis."""
 
 import ast
 from pathlib import Path
@@ -259,3 +259,26 @@ def test_newton_indices_are_built_by_index_of():
                 found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)[:40]}")
     assert found == [], "build Newton indices by AffineWeylGroup.index_of: " + ", ".join(found)
     assert built == 1
+
+
+_RETIRED_LEVI_GRID = ("_levi_grid", "max_den", "max-den")
+
+
+def _spelled(node):
+    """The identifier node defines or names, or its string constant."""
+    if isinstance(node, ast.Constant):
+        return [node.value] if isinstance(node.value, str) else []
+    return [text for field in ("name", "id", "arg", "attr")
+            if isinstance(text := getattr(node, field, None), str)]
+
+
+def test_no_module_keeps_the_levi_grid():
+    # the Levis come from the root datum (`levi_alcove.parabolic_faces`);
+    # the coordinate grid that once found them, and its denominator
+    # bound, are neither defined nor named, as a parameter, option or key
+    found = [f"{path.name}:{getattr(node, 'lineno', '?')}: {text}"
+             for path in sorted(SOURCE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             for text in _spelled(node)
+             if any(retired in text for retired in _RETIRED_LEVI_GRID)]
+    assert found == [], "list the Levis by parabolic_faces: " + ", ".join(found)

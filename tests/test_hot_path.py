@@ -24,7 +24,7 @@ from newton_cocenter.newton import newton_index
 from newton_cocenter.reduction import _dominant_translations, _enumerate_dominant
 from newton_cocenter.root_datum import mat_act, mat_mul, rational_inverse
 from newton_cocenter.errors import ResourceError
-from newton_cocenter.verify import _levi_box, _levi_grid
+from newton_cocenter.verify import _levi_box, _levi_faces
 from conftest import ALL_DATA, oracle_sort_key
 
 
@@ -97,7 +97,7 @@ def test_newton_index_from_warm_memos_equals_cold_recomputation():
     warm = fresh_group("GL4")
     ball = warm.enumerate_ball(4, cap=4)
     first = {w: newton_index(warm, w) for w in ball}
-    for v in _levi_grid(warm):
+    for v in _levi_faces(warm):
         m = levi_weyl_group(warm, v)
         cold = fresh_group("GL4")
         m_cold = levi_weyl_group(cold, v)
@@ -157,7 +157,7 @@ def test_tiered_levi_box_equals_full_sort(label, lattice):
     """The generated boxes against the whole box filtered and sorted,
     on every Levi of the verify grid (the name predates the generator)."""
     g, oracle = fresh_group(label, lattice), fresh_group(label, lattice)
-    for v in _levi_grid(g, 4):
+    for v in _levi_faces(g):
         m, m_oracle = levi_weyl_group(g, v), levi_weyl_group(oracle, v)
         for args, kwargs in (((4,), {}), ((4,), {"box": 1}), ((2,), {"cap": 7})):
             box = _levi_box(g, m, *args, **kwargs)
@@ -167,7 +167,7 @@ def test_tiered_levi_box_equals_full_sort(label, lattice):
 
 def test_gl4_levi_boxes_call_m_length_less_often_than_the_box_has_candidates(monkeypatch):
     g = fresh_group("GL4", "gl")
-    levis = [levi_weyl_group(g, v) for v in _levi_grid(g)]
+    levis = [levi_weyl_group(g, v) for v in _levi_faces(g)]
     candidates = 3 ** 4 * sum(len(m.finite_elements()) for m in levis)
     assert candidates == 5913
     calls = []

@@ -10,7 +10,7 @@ from newton_cocenter import NewtonIndex, newton_point
 from newton_cocenter.levi_alcove import conjugate_levi, levi_weyl_group
 from newton_cocenter.newton import orbit_sum
 from newton_cocenter.root_datum import Coweight, coset_reduce, mat_act
-from newton_cocenter.verify import _levi_box, _levi_grid
+from newton_cocenter.verify import _levi_box, _levi_faces
 from conftest import ALL_DATA, group
 
 
@@ -44,7 +44,7 @@ def test_index_of_equals_the_replaced_index_maps(label, lattice):
     g = group(label, lattice)
     conjugators = [g.datum.weyl_identity, *g.datum.simple_reflections]
     moved = 0
-    for v in _levi_grid(g, 4):
+    for v in _levi_faces(g):
         m = levi_weyl_group(g, v)
         maps = [(conjugate_levi(g, u0, m), old_conjugate_levi(g, u0, m)) for u0 in conjugators]
         for w in _levi_box(g, m, 4):

@@ -9,11 +9,11 @@ from newton_cocenter import (
 )
 from newton_cocenter.affine_weyl import AffineWeylElement
 from newton_cocenter.levi_alcove import (
-    conjugate_levi, is_v_alcove, levi_weyl_group, positivity_exponent,
+    conjugate_levi, is_v_alcove, levi_weyl_group, parabolic_faces, positivity_exponent,
 )
 from newton_cocenter.root_datum import coweight, dot, mat_act
-from newton_cocenter.verify import _is_v_alcove_wide, _levi_grid
-from conftest import ALL_DATA, group, oracle_sort_key
+from newton_cocenter.verify import _is_v_alcove_wide, _levi_faces
+from conftest import ALL_DATA, group, oracle_levi_grid, oracle_sort_key
 
 F = Fraction
 
@@ -174,12 +174,12 @@ def test_alcove_window_is_exact(c2):
 def test_closed_form_alcove_test_equals_level_window(label, lattice):
     """One comparison per v-positive root against the walk over every
     affine root in a doubled level window, for the Newton point of each
-    ball element and every direction of the Levi grid."""
+    ball element and every parabolic face."""
     g = group(label, lattice)
     radius = 3 if g.datum.rank <= 2 else 2
-    grid = _levi_grid(g, 2)
+    faces = parabolic_faces(g)
     for w in g.enumerate_ball(radius):
-        for v in [newton_point(g, w), *grid]:
+        for v in [newton_point(g, w), *faces]:
             assert is_v_alcove(g, w, v) == _is_v_alcove_wide(g, w, v), (w, v)
 
 
@@ -273,3 +273,61 @@ def test_m_in_g_gl3_torus():
         t = g.translation(coords)
         assert _in_ambient_stratum(g, m, t)
 
+
+
+# -- the parabolic faces ------------------------------------------------------
+
+# (faces, distinct Levis) of every datum, sc and ad alike: the faces of
+# GL(n) are the ordered set partitions of n, its Levis the set partitions
+FACE_COUNTS = {"A1": (3, 2), "A2": (13, 5), "B2": (17, 6), "C2": (17, 6), "G2": (25, 8),
+               "GL1": (1, 1), "GL2": (3, 2), "GL3": (13, 5), "GL4": (75, 15),
+               "GL5": (541, 52)}
+
+
+def phi_m_of(g, v):
+    return frozenset(a for a in g.datum.roots if dot(a, v.x) == 0)
+
+
+@pytest.mark.parametrize("label,lattice", ALL_DATA)
+def test_parabolic_faces_count_every_levi(label, lattice):
+    g = group(label, lattice)
+    faces = parabolic_faces(g)
+    assert len(set(faces)) == len(faces) == FACE_COUNTS[label][0]
+    levis = _levi_faces(g)
+    assert len({phi_m_of(g, v) for v in faces}) == len(levis) == FACE_COUNTS[label][1]
+    assert levis == [next(f for f in faces if phi_m_of(g, f) == phi_m_of(g, v))
+                     for v in levis]
+    assert [sorted(phi_m_of(g, v)) for v in levis] \
+        == sorted(sorted(phi_m_of(g, v)) for v in levis)
+    if lattice == "gl":
+        assert all(sum(v.x) == 0 for v in faces)
+    assert parabolic_faces(g) == faces
+
+
+@pytest.mark.parametrize("label,lattice", ALL_DATA)
+def test_dominant_faces_are_the_standard_levis(label, lattice):
+    # one dominant face v_J per set J of simple roots, pairing to 0 on J
+    # and to 1 off it, whose Levi has exactly J as its M-simple roots
+    g = group(label, lattice)
+    simple = g.datum.simple_roots
+    dominant = [v for v in parabolic_faces(g) if all(dot(a, v.x) >= 0 for a in simple)]
+    assert len(dominant) == 2 ** len(simple)
+    js = set()
+    for v in dominant:
+        assert {dot(a, v.x) for a in simple} <= {0, v.d}
+        j = frozenset(a for a in simple if dot(a, v.x) == 0)
+        assert set(levi_weyl_group(g, v).m_simple_roots) == j
+        js.add(j)
+    assert len(js) == len(dominant)
+
+
+@pytest.mark.parametrize("label,lattice", ALL_DATA)
+def test_grid_levis_are_face_levis(label, lattice):
+    # the coordinate grid finds a subset of the faces' Levis, all of them
+    # but GL5's torus
+    g = group(label, lattice)
+    faces = {phi_m_of(g, v) for v in parabolic_faces(g)}
+    for max_den in (4, 6):
+        grid = {phi_m_of(g, v) for v in oracle_levi_grid(g, max_den)}
+        assert grid <= faces
+        assert faces - grid == ({frozenset()} if label == "GL5" else set())

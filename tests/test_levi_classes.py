@@ -17,7 +17,7 @@ from newton_cocenter.levi_alcove import levi_weyl_group
 from newton_cocenter.reduction import (
     canonical_class_rep, class_minimal_set, is_conjugate, is_min_in_class,
 )
-from newton_cocenter.verify import _levi_grid
+from newton_cocenter.verify import _levi_faces
 from conftest import kappa_labels
 
 GROUPS = [(label, lattice) for label in ("A1", "A2", "B2", "C2", "G2")
@@ -26,7 +26,7 @@ GROUPS = [(label, lattice) for label in ("A1", "A2", "B2", "C2", "G2")
 
 def levis(label, lattice):
     g = AffineWeylGroup(build_root_datum(label, lattice))
-    return [levi_weyl_group(g, v) for v in _levi_grid(g)]
+    return [levi_weyl_group(g, v) for v in _levi_faces(g)]
 
 
 def conjugacy_classes(m, ball):

@@ -24,8 +24,8 @@ from newton_cocenter import AffineWeylGroup, NewtonIndex, build_root_datum
 from newton_cocenter.levi_alcove import levi_weyl_group
 from newton_cocenter.newton import newton_index, newton_point
 from newton_cocenter.root_datum import Coweight, coweight, dot, mat_identity, mat_mul
-from newton_cocenter.verify import _affine_word, _levi_box, _levi_grid
-from conftest import oracle_word
+from newton_cocenter.verify import _affine_word, _levi_box, _levi_faces
+from conftest import oracle_levi_grid, oracle_word
 
 GROUPS = [(label, lattice, radius) for label in ("A1", "A2", "B2", "C2", "G2")
           for lattice, radius in (("sc", 4), ("ad", 4))] + \
@@ -88,7 +88,7 @@ def test_memoised_ambient_newton_equals_uncached(label, lattice, radius):
 @pytest.mark.parametrize("label,lattice,radius", GROUPS)
 def test_memoised_levi_newton_and_word_equal_uncached(label, lattice, radius):
     g = fresh_group(label, lattice)
-    for v in _levi_grid(g, 4):
+    for v in _levi_faces(g):
         m = levi_weyl_group(g, v)
         assert m.newton_points is g.newton_points
         walls = levi_walls(m)
@@ -116,15 +116,18 @@ def fraction_levi_grid(g, max_den):
 
 @pytest.mark.parametrize("label,lattice", [(label, lattice) for label, lattice, _ in GROUPS])
 def test_integer_levi_pairings_equal_fraction_pairings(label, lattice):
+    # the grid of the oracle and the faces of the suites, each paired on Fractions
     g = fresh_group(label, lattice)
+    pairs = [(v, [Fraction(c, v.d) for c in v.x]) for v in _levi_faces(g)]
     for max_den in (4, 6):
-        grid, oracle = _levi_grid(g, max_den), fraction_levi_grid(g, max_den)
+        grid, oracle = oracle_levi_grid(g, max_den), fraction_levi_grid(g, max_den)
         assert grid == [coweight(v) for v in oracle]
-        assert all(type(v) is Coweight for v in grid)
-        for v, fv in zip(grid, oracle):
-            levi = levi_weyl_group(g, v)
-            assert levi.phi_m == tuple(a for a in g.datum.roots if dot(a, fv) == 0)
-            assert levi.phi_plus == tuple(a for a in g.datum.roots if dot(a, fv) > 0)
+        pairs += zip(grid, oracle)
+    assert all(type(v) is Coweight for v, _ in pairs)
+    for v, fv in pairs:
+        levi = levi_weyl_group(g, v)
+        assert levi.phi_m == tuple(a for a in g.datum.roots if dot(a, fv) == 0)
+        assert levi.phi_plus == tuple(a for a in g.datum.roots if dot(a, fv) > 0)
 
 
 def test_group_with_levis_is_freed_without_the_cycle_collector():

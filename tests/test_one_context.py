@@ -17,7 +17,7 @@ from newton_cocenter import AffineWeylGroup, build_root_datum, coweight
 from newton_cocenter.affine_weyl import multiply
 from newton_cocenter.levi_alcove import levi_weyl_group
 from newton_cocenter.reduction import canonical_class_rep, wa_ball_count
-from newton_cocenter.verify import _affine_word, _levi_grid
+from newton_cocenter.verify import _affine_word, _levi_faces
 from conftest import ALL_DATA, kappa_labels, oracle_sort_key, oracle_word
 
 GROUPS = [("A1", "sc"), ("A2", "sc"), ("B2", "sc"), ("C2", "sc"), ("G2", "sc"),
@@ -51,7 +51,7 @@ def filtered_ball(ctx, max_length, labels):
 
 def contexts(g):
     yield g, g.datum.omega_labels() or [(0,) * g.datum.rank]
-    for v in _levi_grid(g, 4):
+    for v in _levi_faces(g):
         m = levi_weyl_group(g, v)
         yield m, kappa_labels(m)
 
@@ -90,7 +90,7 @@ def test_levi_of_zero_is_the_ambient_group(label, lattice):
 @pytest.mark.parametrize("label,lattice", GROUPS)
 def test_levis_declare_every_memo_but_the_levi_memo(label, lattice):
     g = fresh_group(label, lattice)
-    for v in _levi_grid(g, 4):
+    for v in _levi_faces(g):
         m = levi_weyl_group(g, v)
         assert set(vars(g)) - set(vars(m)) == {"levi_groups"}, m
 
@@ -101,7 +101,7 @@ def test_ball_count_by_bott_formula_equals_the_walk(label, lattice):
     # against the walk it replaced, on the ambient group and every Levi
     g = fresh_group(label, lattice)
     top = 5 if label == "GL5" else 6
-    for ctx in [g] + [levi_weyl_group(g, v) for v in _levi_grid(g)]:
+    for ctx in [g] + [levi_weyl_group(g, v) for v in _levi_faces(g)]:
         for radius in range(top + 1):
             walk = ctx.ball(radius, ctx.kappa(ctx.identity))
             assert wa_ball_count(ctx, radius) == len(walk), (ctx, radius)

@@ -3,7 +3,7 @@
 The finite parabolic subsets and the largest finite parabolic order are
 read off the Coxeter diagram that each context stores with its walls
 (itself checked in test_walls.py); here they are checked on
-every context of `_levi_grid` for every supported group by closing each
+every context of `_levi_faces` for every supported group by closing each
 label subset under multiplication.  A finite subgroup of X_* ⋊ W_M maps
 injectively to W_M, so a closure that outgrows |W_M| is infinite.  The
 move-orbit memo must give the same answers whatever it already holds.
@@ -22,7 +22,7 @@ from newton_cocenter.levi_alcove import levi_weyl_group
 from newton_cocenter.reduction import (
     finite_parabolics, max_finite_parabolic_order, parabolic_elements,
 )
-from newton_cocenter.verify import _levi_grid
+from newton_cocenter.verify import _levi_faces
 
 GROUPS = [(label, lattice) for label in ("A1", "A2", "B2", "C2", "G2")
           for lattice in ("sc", "ad")] + [(f"GL{n}", "gl") for n in range(1, 6)]
@@ -45,7 +45,7 @@ def closure_order(ctx, labels):
 
 def contexts(g):
     yield g
-    for v in _levi_grid(g):
+    for v in _levi_faces(g):
         yield levi_weyl_group(g, v)
 
 

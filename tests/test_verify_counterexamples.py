@@ -118,7 +118,7 @@ def test_levi_labels(monkeypatch):
     assert _run("levi", g) == [
         ("levi-length-at-most-ambient", 316, 32, "v=[0,0,0] w=t[-1,-1,-1]*s1*s2", "strict=146"),
         ("levi-stratum-inside-ambient-stratum", 316, 46, "v=[0,0,0] w=t[-1,-1,-1]*s1*s2*s1", ""),
-        ("conjugation-compatible-strata", 1494, 909, "v=[0,1/2,1] w=t[-1,-1,0]", ""),
+        ("conjugation-compatible-strata", 1494, 909, "v=[-1,0,1] w=t[-1,-1,0]", ""),
     ]
 
 

@@ -6,7 +6,7 @@ M-component at level 1.  Before, a Levi found its walls by reflecting
 every positive M-root at levels -2..2 and keeping those of M-length
 one, and the Coxeter diagram was found by testing which walls commute.
 Both searches are kept here as oracles, on the ambient group and every
-Levi of `_levi_grid` for each supported group.  The scan labels a
+Levi of `_levi_faces` for each supported group.  The scan labels a
 Levi's walls by the word-based ambient `oracle_sort_key` of conftest,
 the oracle of the ambient `canonical_order` by which the Levi labels
 them.
@@ -18,14 +18,14 @@ from newton_cocenter import AffineRoot, AffineWeylGroup, build_root_datum
 from newton_cocenter.affine_weyl import multiply
 from newton_cocenter.levi_alcove import levi_weyl_group
 from newton_cocenter.root_datum import dot
-from newton_cocenter.verify import _levi_grid
+from newton_cocenter.verify import _levi_faces
 from conftest import ALL_DATA, oracle_sort_key
 
 
 def contexts(g):
     """(context, its roots Phi_M) for the ambient group and its Levis."""
     yield g, g.datum.roots
-    for v in _levi_grid(g):
+    for v in _levi_faces(g):
         m = levi_weyl_group(g, v)
         yield m, m.phi_m
 
