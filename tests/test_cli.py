@@ -325,6 +325,7 @@ def test_no_normal_form_is_read_from_or_written_to_disk(tmp_path, capsys, monkey
 
 @pytest.mark.parametrize("argv", [
     ["verify", "length", "--length", "-2"],
+    ["--ball-cap", "-2", "verify", "levi"],
     ["verify", "all", "--seeds", "-3"],
     ["verify", "cocenter", "--pair-budget", "-1"],
     ["strata", "--length", "-1"],
