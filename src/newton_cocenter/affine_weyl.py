@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from fractions import Fraction
 from itertools import islice
 from operator import itemgetter, mul
 
@@ -196,7 +195,6 @@ class AffineWeylGroup:
         self.full_classes: dict[AffineWeylElement, tuple] = {}
         self.class_reps: dict[AffineWeylElement, AffineWeylElement] = {}
         self.dominant_translations: dict[IntVector, tuple] = {}
-        self.dominant_chamber: tuple | None = None
         # the W_M-orbits of translation_orbit; the normal forms of the inputs
         # of cocenter_reduce, its rewrite steps, and hecke_mul's T_x T_y
         self._orbits: dict[IntVector, set[IntVector]] = {}
@@ -209,9 +207,10 @@ class AffineWeylGroup:
 
     def translation(self, lam) -> AffineWeylElement:
         lam = tuple(lam)
-        if any(Fraction(x).denominator != 1 for x in lam):
+        ints = tuple([int(x) for x in lam])
+        if ints != lam:
             raise InputError(f"translation {lam} is not in the cocharacter lattice")
-        return AffineWeylElement(tuple(int(x) for x in lam), self.datum.weyl_identity)
+        return AffineWeylElement(ints, self.datum.weyl_identity)
 
     def finite_element(self, u: Matrix) -> AffineWeylElement:
         return AffineWeylElement((0,) * self.datum.rank, u)
@@ -605,15 +604,16 @@ def parse_element(group: AffineWeylGroup, text: str) -> AffineWeylElement:
         for c in coords:
             if not _RATIONAL.match(c):
                 raise InputError(f"bad rational {c!r} (production 'rational')")
+            num, _, den = c.partition("/")
             try:
-                val = Fraction(c)
+                val, rest = divmod(int(num), int(den or 1))
             except ValueError as exc:  # more digits than int() reads
                 raise InputError(f"bad rational (production 'rational'): {exc}") from exc
-            if val.denominator != 1:
+            if rest:
                 raise InputError(
                     f"translation coordinate {c!r} is not in the "
                     f"cocharacter lattice (production 'rational')")
-            lam.append(int(val))
+            lam.append(val)
         rest = text[close + 1:]
         w = group.translation(lam)
         if rest:

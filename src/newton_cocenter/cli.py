@@ -22,7 +22,6 @@ import functools
 import re
 import sys
 import time
-from fractions import Fraction
 
 from .affine_weyl import AffineWeylGroup, element_str, parse_element
 from .errors import ConfigurationError, InputError, LogicError, ResourceError
@@ -180,6 +179,7 @@ def _make_group(args) -> AffineWeylGroup:
 def parse_coweight(group, text: str):
     """Coweights come in as JSON arrays of "p/q" strings (or a bare
     comma-separated list)."""
+    from fractions import Fraction  # its grammar is the coweight grammar
     text = text.strip()
     try:
         if text.startswith("["):

@@ -28,7 +28,6 @@ from __future__ import annotations
 import random
 import re
 from collections import namedtuple
-from fractions import Fraction
 
 from .affine_weyl import (
     AffineWeylElement, AffineWeylGroup, multiply,
@@ -155,17 +154,17 @@ class QPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
             return QPoly()
-        rem = [Fraction(x) for x in self.coeffs]
+        rem = list(self.coeffs)
         den = other.coeffs
-        out = [Fraction(0)] * (len(rem) - len(den) + 1)
+        out = [0] * (len(rem) - len(den) + 1)
         for i in range(len(out) - 1, -1, -1):
-            f = rem[i + len(den) - 1] / den[-1]
-            out[i] = f
+            # floored: a remainder left here is above the reach of every later step
+            f = out[i] = rem[i + len(den) - 1] // den[-1]
             for j, d in enumerate(den):
                 rem[i + j] -= f * d
-        if any(rem) or any(f.denominator != 1 for f in out):
+        if any(rem):
             raise LogicError("inexact polynomial division")
-        return QPoly(tuple(int(f) for f in out))
+        return QPoly(out)
 
     def evaluate(self, x: int) -> int:
         total = 0

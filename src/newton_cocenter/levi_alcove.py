@@ -28,7 +28,7 @@ from .affine_weyl import AffineWeylElement, AffineWeylGroup, multiply
 from .errors import InputError, LogicError
 from .newton import NewtonIndex, newton_point
 from .reduction import max_finite_parabolic_order, wa_ball_count
-from .root_datum import Coweight, Matrix, coweight, dot, hnf_columns, mat_act, rational_inverse
+from .root_datum import Coweight, Matrix, dot, hnf_columns, integer_inverse, mat_act
 
 
 class LeviWeylGroup(AffineWeylGroup):
@@ -84,9 +84,9 @@ def parabolic_faces(group: AffineWeylGroup) -> list[Coweight]:
     rows = list(datum.simple_roots)
     if datum.lattice == "gl":
         rows.append((1,) * datum.rank)
-    inverse = rational_inverse(rows)
+    d, inverse = integer_inverse(rows)
     # zip stops at the simple roots: the row (1, ..., 1) pairs to 0
-    standard = [coweight([sum(c for c, b in zip(row, ones) if b) for row in inverse])
+    standard = [Coweight(d, [sum(c for c, b in zip(row, ones) if b) for row in inverse])
                 for ones in product((0, 1), repeat=len(datum.simple_roots))]
     return list(dict.fromkeys(Coweight(v.d, mat_act(u, v.x))
                               for v in standard for u in datum.weyl_elements))

@@ -38,8 +38,7 @@ element seen to its move orbit, in scan order, if it is minimal, else
 None),
 `coinvariant_hnfs`, `finite_parabolics`, `parabolics`,
 `exponents`, `wa_ball_counts`, `standard_triples`, and for the class keys
-`full_classes`, `class_reps`, `dominant_translations` and
-`dominant_chamber`.
+`full_classes`, `class_reps` and `dominant_translations`.
 """
 
 from __future__ import annotations
@@ -47,13 +46,13 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import deque, namedtuple
 from itertools import combinations, product
-from math import lcm, prod
+from math import prod
 from operator import itemgetter
 
 from .affine_weyl import AffineWeylElement, conjugate
 from .errors import InputError, LogicError
 from .root_datum import (
-    IntVector, coset_reduce, dot, hnf_columns, mat_act, rational_inverse, weyl_exponents,
+    IntVector, coset_reduce, dot, hnf_columns, integer_inverse, mat_act, weyl_exponents,
 )
 
 CONJ_DOWN = "conj-down"
@@ -347,18 +346,12 @@ def _enumerate_dominant(ctx, lam, bound) -> list[tuple[IntVector, int]]:
     """
     simple = ctx.m_simple_roots
     coroots = [ctx.datum.coroot[a] for a in simple]
-    if ctx.dominant_chamber is None:
-        inv = rational_inverse(
-            [[dot(a, cv) for cv in coroots] for a in simple])
-        den = lcm(*(x.denominator for row in inv for x in row))
-        scaled = [[int(x * den) for x in row] for row in inv]
-        # varpi_i^vee is column i of the inverse in the simple coroots;
-        # h_i is the alpha_i-coefficient of 2 rho_M, an integer
-        pair = [dot(ctx.two_rho_m, cv) for cv in coroots]
-        heights = [int(sum(row[i] * p for row, p in zip(inv, pair)))
-                   for i in range(len(simple))]
-        ctx.dominant_chamber = (scaled, den, heights)
-    scaled, den, heights = ctx.dominant_chamber
+    den, scaled = integer_inverse([[dot(a, cv) for cv in coroots] for a in simple])
+    # varpi_i^vee is column i of the inverse in the simple coroots;
+    # h_i is the alpha_i-coefficient of 2 rho_M, an integer
+    pair = [dot(ctx.two_rho_m, cv) for cv in coroots]
+    heights = [sum(row[i] * p for row, p in zip(scaled, pair)) // den
+               for i in range(len(simple))]
     shift = [dot(a, lam) for a in simple]
     out = []
     for y in product(*(range(bound // h + 1) for h in heights)):

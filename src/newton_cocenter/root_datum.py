@@ -1,4 +1,4 @@
-"""Split root data over exact rationals.
+"""Split root data in exact integer arithmetic.
 
 The cocharacter lattice is identified with Z^rank once and for all: the
 basis is the simple coroots for the simply connected variant, the
@@ -12,7 +12,6 @@ is exact integer arithmetic.  No floating point anywhere.
 from __future__ import annotations
 
 import weakref
-from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
 from operator import attrgetter, ge, gt, itemgetter, le, lt, mul
@@ -90,7 +89,7 @@ class Coweight(tuple):
 
 
 def coweight(coords) -> Coweight:
-    """The coweight with these coordinates, ints or Fractions."""
+    """The coweight with these coordinates, ints or rationals."""
     coords = list(coords)
     d = lcm(*[c.denominator for c in coords])
     return Coweight(d, [c.numerator * (d // c.denominator) for c in coords])
@@ -114,21 +113,25 @@ def mat_act(u: Matrix, x: IntVector) -> IntVector:
     return tuple([sum(map(mul, row, x)) for row in u])
 
 
-def rational_inverse(u) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of an invertible integer matrix, over the rationals."""
+def integer_inverse(u) -> tuple[int, Matrix]:
+    """(d, a) with u^{-1} = a / d and d > 0 least, for an invertible
+    integer matrix u: fraction-free Gauss-Jordan elimination (Bareiss),
+    whose every division is exact, ends on det(u) I | det(u) u^{-1}."""
     n = len(u)
-    aug = [[Fraction(u[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(u)]
+    det = 1
     for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
+        piv = next(r for r in range(col, n) if m[r][col])
+        m[col], m[piv] = m[piv], m[col]
+        p = m[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(aug[i][n + j] for j in range(n)) for i in range(n))
+            if r != col:
+                f = m[r][col]
+                m[r] = [(p[col] * x - f * y) // det for x, y in zip(m[r], p)]
+        det = p[col]
+    g = gcd(det, *[x for row in m for x in row[n:]])
+    g = g if det > 0 else -g
+    return det // g, tuple(tuple([x // g for x in row[n:]]) for row in m)
 
 
 def dot(a: Covector, x: IntVector) -> int:
@@ -322,10 +325,10 @@ def weyl_inverse(u: Matrix) -> Matrix:
 
 
 def _integral_inverse(u: Matrix) -> Matrix:
-    inv = rational_inverse(u)
-    if any(x.denominator != 1 for row in inv for x in row):
+    d, inv = integer_inverse(u)
+    if d != 1:
         raise LogicError(f"the inverse of {u} is not integral")
-    return tuple(tuple(int(x) for x in row) for row in inv)
+    return inv
 
 
 class RootDatum:

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 from math import lcm
 
@@ -28,6 +29,25 @@ def kappa_labels(m):
     units = [tuple(sign * int(i == j) for j in range(n))
              for i in range(n) for sign in (1, -1)]
     return sorted({m.kappa(m.translation(lam)) for lam in [(0,) * n] + units})
+
+
+def oracle_rational_inverse(u):
+    """Exact inverse of an invertible integer matrix, over the rationals:
+    Gauss-Jordan elimination on Fractions, the engine's inverse before
+    `root_datum.integer_inverse`."""
+    n = len(u)
+    aug = [[Fraction(u[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+           for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        p = aug[col][col]
+        aug[col] = [x / p for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(aug[i][n + j] for j in range(n)) for i in range(n))
 
 
 def oracle_levi_grid(group, max_den=6):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -299,8 +300,23 @@ def test_grammar_omega_suffix(gl2):
 
 def test_grammar_errors(a1, gl2):
     for bad in ["", "t[1", "t[x]", "t[1,2]", "s1", "S9", "t[1]*s9",
-                "t[1/2]", "Q3"]:
+                "t[1/2]", "t[-3/2]", "t[7/-1]", "t[1/0]", "Q3"]:
         with pytest.raises(InputError):
             parse_element(a1, bad)
     with pytest.raises(InputError):
         parse_element(gl2, "S1#[1]")
+
+
+def test_translation_takes_integral_numbers_only(a1):
+    # integrality is tested without Fraction; the refusals and the
+    # accepted values are those of a Fraction-based test
+    for bad in (Fraction(1, 2), 0.5, Fraction(-7, 3), -2.5):
+        with pytest.raises(InputError, match="not in the cocharacter lattice"):
+            a1.translation([bad])
+    for good in (Fraction(4, 2), 2.0, 2):
+        w = a1.translation([good])
+        assert w == a1.translation((2,)) and type(w.translation[0]) is int
+        assert element_str(a1, w) == "t[2]"
+    for text, value in (("t[4/2]", 2), ("t[-4/02]", -2), ("t[0/7]", 0)):
+        assert parse_element(a1, text) == a1.translation([value])
+

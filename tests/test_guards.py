@@ -3,10 +3,13 @@
 set from outside its class is declared in one; the library reads no
 environment variable; no module imports at start-up what a CLI call
 need not pay for; no engine class builds reduced words; a coweight is
-a `Coweight` everywhere; only `AffineWeylGroup.index_of` builds a
-Newton index; and no module keeps the coordinate grid of Levis."""
+a `Coweight` everywhere, and only the CLI's coweight parser names
+`Fraction`; only `AffineWeylGroup.index_of` builds a Newton index; no
+module keeps the coordinate grid of Levis; and every module parses at
+the Python floor of `pyproject.toml`."""
 
 import ast
+import re
 from pathlib import Path
 
 import newton_cocenter
@@ -71,7 +74,7 @@ def _assigned_attributes(tree):
 
 def test_attributes_set_from_outside_are_declared():
     # a memo that a module keeps on another object, such as
-    # ctx.dominant_chamber or report.wall_time, is declared by the
+    # ctx.exponents or report.wall_time, is declared by the
     # class of that object, so its state is listed in one place
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SOURCE.glob("*.py"))}
@@ -96,9 +99,10 @@ def _run_at_import(node):
 
 def test_no_module_level_import_of_slow_stdlib_modules():
     # `dataclasses` pulls in `inspect`, and with `typing` they cost a CLI
-    # call more start-up than a GL5 query takes; a function may still
-    # import what only its own path needs (`traceback` on a crash)
-    slow = {"dataclasses", "inspect", "typing"}
+    # call more start-up than a GL5 query takes, and so does `fractions`
+    # with `decimal` and `numbers`; a function may still import what only
+    # its own path needs (`traceback` on a crash, `fractions` to parse --v)
+    slow = {"dataclasses", "inspect", "typing", "fractions", "decimal", "numbers"}
     found = []
     for path in sorted(SOURCE.glob("*.py")):
         for node in _run_at_import(ast.parse(path.read_text(encoding="utf-8"))):
@@ -202,18 +206,17 @@ def test_words_stay_out_of_the_engine():
                for node in ast.walk(verify))
 
 
-# the functions that may name Fraction: text parsing and exact division
-_FRACTION_USERS = {("cli", "parse_coweight"), ("affine_weyl", "parse_element"),
-                   ("affine_weyl", "translation"), ("root_datum", "rational_inverse"),
-                   ("hecke_cocenter", "divexact")}
+# the one function that may name Fraction: the coweight parser, whose
+# grammar is Fraction's; the engine computes with integers over a denominator
+_FRACTION_USERS = {("cli", "parse_coweight")}
 _OLD_COWEIGHT_FORMS = {"scaled", "InternedCoweight", "intern_coweight",
                        "dominant_rep_scaled", "frac_str"}
 
 
 def test_coweights_are_one_type():
-    # root_datum.Coweight is the one coweight type: Fraction is named
-    # only by import lines and by the functions above, and none of the
-    # forms it replaced is defined
+    # root_datum.Coweight is the one coweight type: Fraction and
+    # fractions are named, imports included, only by the function above,
+    # and none of the forms it replaced is defined
     found = []
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -223,8 +226,8 @@ def test_coweights_are_one_type():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
                     and node.name in _OLD_COWEIGHT_FORMS:
                 found.append(f"{path.name}:{node.lineno}: defines {node.name}")
-            elif isinstance(node, (ast.Name, ast.Attribute)) \
-                    and _names(node) == ["Fraction"] and id(node) not in allowed:
+            elif id(node) not in allowed and ({"Fraction", "fractions"} & {
+                    *_names(node), getattr(node, "module", None)}):
                 found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert found == [], "hold coweights as root_datum.Coweight: " + ", ".join(found)
 
@@ -282,3 +285,14 @@ def test_no_module_keeps_the_levi_grid():
              for text in _spelled(node)
              if any(retired in text for retired in _RETIRED_LEVI_GRID)]
     assert found == [], "list the Levis by parabolic_faces: " + ", ".join(found)
+
+
+def test_every_module_parses_at_the_python_floor():
+    # requires-python is a promise nothing else checks: no syntax of a
+    # later Python (a match statement passes at 3.10, except* fails)
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    major, minor = map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"',
+                                      pyproject).groups())
+    for path in sorted(SOURCE.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=(major, minor))

@@ -22,10 +22,10 @@ from newton_cocenter.affine_weyl import conjugate, inverse, multiply
 from newton_cocenter.levi_alcove import levi_weyl_group
 from newton_cocenter.newton import newton_index
 from newton_cocenter.reduction import _dominant_translations, _enumerate_dominant
-from newton_cocenter.root_datum import mat_act, mat_mul, rational_inverse
+from newton_cocenter.root_datum import mat_act, mat_mul
 from newton_cocenter.errors import ResourceError
 from newton_cocenter.verify import _levi_box, _levi_faces
-from conftest import ALL_DATA, oracle_sort_key
+from conftest import ALL_DATA, oracle_rational_inverse, oracle_sort_key
 
 
 def fresh_group(label, lattice="sc"):
@@ -75,7 +75,7 @@ def test_multiply_and_inverse_agree_with_the_plain_matrix_path():
     for i, w1 in enumerate(ball):
         p1 = AffineWeylElement(w1.translation, plain(w1.finite))
         inv = inverse(w1)
-        uinv = tuple(tuple(int(x) for x in row) for row in rational_inverse(w1.finite))
+        uinv = tuple(tuple(int(x) for x in row) for row in oracle_rational_inverse(w1.finite))
         assert inverse(p1) == inv
         assert inv == (tuple(-x for x in mat_act(uinv, w1.translation)), uinv)
         assert multiply(w1, inv) == g.identity

@@ -227,6 +227,44 @@ def test_divexact_matches_the_tuple_oracle(seed):
             assert same((c * b + ONE).divexact(b), expected)
 
 
+def random_divisor(rng):
+    """A nonzero divisor with a valuation, small coefficients and a
+    leading coefficient that is negative or not 1."""
+    return ((0,) * rng.randint(0, 4) + tuple(rng.randint(-9, 9) for _ in range(rng.randint(0, 4)))
+            + (rng.choice((-5, -3, -2, -1, 2, 3, 7)),))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_divexact_matches_fraction_long_division(seed):
+    # TuplePoly.divexact is the long division over Fractions: exact
+    # products divide back, and a pair that does not divide in Z[q],
+    # whether or not it divides in Q[q], is refused by both
+    rng = random.Random(seed)
+    refused = 0
+    for _ in range(30):
+        (a, ta), (b, tb) = pair(random_coeffs(rng, 6, 6)), pair(random_divisor(rng))
+        assert same((a * b).divexact(b), ta)
+        assert same((a * b).divexact(b), (ta * tb).divexact(tb))
+        r = TuplePoly(rng.randint(-3, 3) for _ in tb.coeffs[1:])
+        cases = [(ta * tb + r, tb),                        # remainder r
+                 (ta * tb, tb * rng.choice((2, 3, -2))),   # a / k, integral if k | a
+                 (tb, tb * TuplePoly((0, 1)))]             # the lower degree
+        for tn, td in cases:
+            try:
+                expected = tn.divexact(td)
+            except LogicError:
+                refused += 1
+                with pytest.raises(LogicError):
+                    QPoly(tn.coeffs).divexact(QPoly(td.coeffs))
+            else:
+                assert same(QPoly(tn.coeffs).divexact(QPoly(td.coeffs)), expected)
+    assert refused > 60
+    for num, den in [((1, 1), (2,)), ((0, 3), (0, 0, 3)), ((1,), (0, 1)), ((2, 4, 5), (2, 4)),
+                     ((0, -4, -2), (0, 2, 4))]:
+        with pytest.raises(LogicError):
+            QPoly(num).divexact(QPoly(den))
+
+
 def test_equal_polynomials_at_different_widths():
     # 2^30 q^5 needs a wider digit than q^5; (2^30 q^5 + q^5) - 2^30 q^5
     # keeps that width and still equals q^5 at the narrow one

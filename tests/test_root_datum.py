@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -7,8 +9,11 @@ from newton_cocenter import (
 )
 from newton_cocenter.errors import LogicError
 from newton_cocenter.levi_alcove import levi_weyl_group
-from newton_cocenter.root_datum import Coweight, RootDatum, dot, mat_act
-from conftest import ALL_DATA
+from newton_cocenter.root_datum import (
+    Coweight, RootDatum, dot, integer_inverse, mat_act, mat_mul,
+)
+from newton_cocenter.verify import _levi_faces
+from conftest import ALL_DATA, oracle_rational_inverse
 
 F = Fraction
 
@@ -220,3 +225,58 @@ def test_a_negative_root_reuses_the_reflection_of_its_negative(label, lattice):
         assert s is d.reflection(tuple(-x for x in b))
         assert d.act_covector(s, b) == tuple(-x for x in b)
         assert d.product(s, s) == d.weyl_identity
+
+
+# -- integer_inverse against the Fraction oracle --------------------------
+
+
+def checked_inverse(u):
+    """integer_inverse(u) = (d, a), after checking u a = d I, that d is
+    least (gcd(d, entries) = 1) and a / d against the Fraction oracle."""
+    d, a = integer_inverse(u)
+    n = len(u)
+    assert d > 0 and gcd(d, *[x for row in a for x in row]) == 1
+    assert mat_mul(tuple(map(tuple, u)), a) == tuple(
+        tuple(d * int(i == j) for j in range(n)) for i in range(n))
+    assert [[F(x, d) for x in row] for row in a] \
+        == [list(row) for row in oracle_rational_inverse(u)]
+    return d, a
+
+
+@pytest.mark.parametrize("label,lattice", ALL_DATA)
+def test_integer_inverse_of_the_matrices_the_engine_inverts(label, lattice):
+    # the pairing of the simple roots with the simple coroots, the Cartan
+    # matrix of every Levi (the torus's is 0 x 0), the row system of
+    # parabolic_faces (with GL's row (1, ..., 1)), and every element of W0
+    g = AffineWeylGroup(build_root_datum(label, lattice))
+    datum = g.datum
+    checked_inverse([[dot(a, cv) for cv in datum.simple_coroots] for a in datum.simple_roots])
+    sizes = set()
+    for v in _levi_faces(g):
+        simple = levi_weyl_group(g, v).m_simple_roots
+        sizes.add(len(simple))
+        checked_inverse([[dot(a, datum.coroot[b]) for b in simple] for a in simple])
+    assert 0 in sizes
+    rows = list(datum.simple_roots) + [(1,) * datum.rank] * (datum.lattice == "gl")
+    checked_inverse(rows)
+    for u in datum.weyl_elements:
+        assert checked_inverse(u)[0] == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_inverse_of_random_matrices(seed):
+    # sparse entries with a common factor, so that the elimination swaps
+    # rows and the gcd of det(u) and the adjugate is often above 1
+    rng = random.Random(seed)
+    inverted = 0
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        k = rng.choice((1, 1, 2, 3))
+        u = [[k * rng.choice((0, rng.randint(-4, 4))) for _ in range(n)] for _ in range(n)]
+        try:
+            oracle_rational_inverse(u)
+        except StopIteration:  # singular
+            continue
+        checked_inverse(u)
+        inverted += 1
+    assert inverted > 40

@@ -226,6 +226,32 @@ def test_describe_imports_no_dataclasses_and_builds_little_of_w0():
     assert len(materialised) == 1 and materialised[0] < 120
 
 
+def test_queries_import_no_fractions():
+    # the engine holds every rational as integers over a denominator:
+    # only the coweight parser of the four --v commands imports
+    # `fractions`, which pulls in `decimal` and `numbers`
+    src = str(Path(newton_cocenter.__file__).resolve().parent.parent)
+    elem = "t[1,0,0,0,-1]*s1*s2"
+    calls = [["--group", "GL5", "describe"], ["--group", "GL5", "newton", elem],
+             ["--group", "GL5", "reduce", elem], ["--group", "GL5", "triple", elem],
+             ["--group", "GL5", "strata", "--length", "2"],
+             ["--group", "GL5", "rigid", "--length", "2"],
+             ["--group", "GL5", "cocenter-reduce", f"(q-1)*T[{elem}]"],
+             ["--group", "A1", "verify", "all"]]
+    code = ("import json, sys\n"
+            "from newton_cocenter import cli\n"
+            "loaded = []\n"
+            f"for argv in {calls!r}:\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "    loaded.append(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))\n"
+            "print(json.dumps(loaded))\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[]] * len(calls)
+
+
 ORPHAN_SCRIPT = """
 import os, sys, time
 from newton_cocenter import verify

@@ -29,11 +29,10 @@ from newton_cocenter.errors import LogicError
 from newton_cocenter.levi_alcove import LeviWeylGroup, levi_weyl_group
 from newton_cocenter.reduction import max_finite_parabolic_order
 from newton_cocenter.root_datum import (
-    Coweight, WeylElement, coweight, dot, mat_act, mat_identity, mat_mul,
-    rational_inverse, weyl_exponents,
+    Coweight, WeylElement, coweight, dot, mat_act, mat_identity, mat_mul, weyl_exponents,
 )
 from newton_cocenter.verify import _levi_faces, run_suite
-from conftest import oracle_word
+from conftest import oracle_rational_inverse, oracle_word
 
 F = Fraction
 
@@ -73,7 +72,7 @@ def matrix_bfs(gens, n):
 
 
 def matrix_inverse(u):
-    return tuple(tuple(int(x) for x in row) for row in rational_inverse(u))
+    return tuple(tuple(int(x) for x in row) for row in oracle_rational_inverse(u))
 
 
 def matrix_order(u):
