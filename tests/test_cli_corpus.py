@@ -84,6 +84,12 @@ ARGVS = [
     ["--group", "A2", "induce", "--v", '[" 1/2 ","0"]', "T[t[1,0]]"],
     ["--group", "A1", "levi", "--v", "-3/-6", "describe"],
     ["--group", "A1", "levi", "--v=-3/-6", "describe"],
+    ["--group", "A1", "strata", "--length", "13"],
+    ["--group", "GL3", "rigid", "--length", "9"],
+    ["--group", "A2", "--ball-cap", "1", "strata", "--length", "2", "--omega", "[0,0]"],
+    ["--group", "A1", "--ball-cap", "3", "strata", "--length", "4", "--omega", "[0,1]"],
+    ["--group", "A1", "--ball-cap", "13", "rigid", "--length", "13"],
+    ["--group", "A1", "--ball-cap", "0", "verify", "newton", "--length", "1"],
 ]
 
 
