@@ -30,14 +30,11 @@ from bisect import bisect_right
 from itertools import islice
 from operator import itemgetter, mul
 
-from .errors import InputError, LogicError, ResourceError
+from .errors import InputError, LogicError
 from .root_datum import (
     Coweight, Covector, FrozenRecord, IntVector, Matrix, RootDatum,
     coset_reduce, dominant_walk, dot, weyl_inverse, weyl_product,
 )
-
-DEFAULT_BALL_CAP_LOW_RANK = 12
-DEFAULT_BALL_CAP = 8
 
 
 class AffineWeylElement(tuple):
@@ -145,22 +142,19 @@ class AffineWeylGroup:
     "context" of the reduction module.
     """
 
-    def __init__(self, datum: RootDatum, ball_cap: int | None = None):
-        if ball_cap is None:
-            ball_cap = DEFAULT_BALL_CAP_LOW_RANK if datum.rank <= 2 else DEFAULT_BALL_CAP
-        self._context(datum, ball_cap, datum.roots, datum.simple_roots,
+    def __init__(self, datum: RootDatum):
+        self._context(datum, datum.roots, datum.simple_roots,
                       datum.coroot_hnf, {}, wall_order=None)
         # the one memo of the ambient group only: its Levis by v
         self.levi_groups: dict[Coweight, AffineWeylGroup] = {}
 
-    def _context(self, datum, ball_cap, phi_m, m_simple_roots, coroot_hnf,
+    def _context(self, datum, phi_m, m_simple_roots, coroot_hnf,
                  newton_points, wall_order):
         """The state of the group of M, with roots phi_m, simple roots
         m_simple_roots and coroot lattice coroot_hnf, its walls labelled as
         `_build_walls` says, and the memos of every method.  A Levi shares
         the Newton points of its ambient group."""
         self.datum = datum
-        self.ball_cap = ball_cap
         self.identity = AffineWeylElement((0,) * datum.rank, datum.weyl_identity)
         self.phi_m = phi_m
         self._m_taus = tuple((datum.root_index[a], int(datum.is_positive_root(a)))
@@ -192,7 +186,6 @@ class AffineWeylGroup:
         self.exponents: tuple[int, ...] | None = None
         self.wa_ball_counts: dict[int, int] = {}
         self.standard_triples: dict = {}
-        self.full_classes: dict[AffineWeylElement, tuple] = {}
         self.class_reps: dict[AffineWeylElement, AffineWeylElement] = {}
         self.dominant_translations: dict[IntVector, tuple] = {}
         # the W_M-orbits of translation_orbit; the normal forms of the inputs
@@ -537,8 +530,7 @@ class AffineWeylGroup:
             out += elems
         return list(islice(self.canonical_order(out), cap))
 
-    def enumerate_ball(self, max_length: int, omega_labels=None,
-                       cap: int | None = None) -> list[AffineWeylElement]:
+    def enumerate_ball(self, max_length: int, omega_labels=None) -> list[AffineWeylElement]:
         """All w with length <= max_length and kappa among the given labels.
 
         omega_labels defaults to every label of the ambient group when
@@ -546,10 +538,6 @@ class AffineWeylGroup:
         Deterministic canonical order, by length first: the largest ball
         per labels is memoised, and a smaller one is a copy of its prefix.
         """
-        cap = self.ball_cap if cap is None else cap
-        if max_length > cap:
-            raise ResourceError(
-                f"ball of radius {max_length} exceeds the cap {cap}")
         if omega_labels is None:
             omega_labels = self.datum.omega_labels() or ((0,) * self.datum.rank,)
         key = tuple(map(tuple, omega_labels))

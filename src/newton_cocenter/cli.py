@@ -52,6 +52,9 @@ _ELEM = _arg("elem")
 _EXPR = _arg("expr")
 _V = _arg("--v", required=True)
 _LENGTH = _arg("--length", type=_int_at_least(0), required=True)
+# the largest --length of strata and rigid when --ball-cap is not given
+DEFAULT_BALL_CAP_LOW_RANK = 12
+DEFAULT_BALL_CAP = 8
 
 # subcommand -> (help, arguments in the order they are added)
 _COMMANDS = {
@@ -173,7 +176,7 @@ def _make_group(args) -> AffineWeylGroup:
     else:
         kind, lattice = parse_group_label(args.group or "A1")
         datum = build_root_datum(kind, lattice)
-    return AffineWeylGroup(datum, ball_cap=args.ball_cap)
+    return AffineWeylGroup(datum)
 
 
 def parse_coweight(group, text: str):
@@ -305,9 +308,20 @@ def cmd_newton(group, args) -> int:
     return 0
 
 
+def _check_ball_cap(group, args):
+    """Refuse a --length above --ball-cap (by default 12 up to rank 2,
+    8 above) before any ball is built."""
+    cap = args.ball_cap
+    if cap is None:
+        cap = DEFAULT_BALL_CAP_LOW_RANK if group.datum.rank <= 2 else DEFAULT_BALL_CAP
+    if args.length > cap:
+        raise ResourceError(f"ball of radius {args.length} exceeds the cap {cap}")
+
+
 def cmd_strata(group, args) -> int:
     labels = [_parse_label(l, group.datum.rank)
               for l in args.omega] if args.omega else None
+    _check_ball_cap(group, args)
     fibers = strata(group, args.length, labels)
     if args.json:
         for nu, elems in fibers.items():
@@ -466,6 +480,7 @@ def cmd_induce(group, args) -> int:
 
 
 def cmd_rigid(group, args) -> int:
+    _check_ball_cap(group, args)
     from .hecke_cocenter import rigid_decomposition
     rows = rigid_decomposition(group, args.length)
     if args.json:

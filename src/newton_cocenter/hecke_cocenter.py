@@ -544,10 +544,9 @@ def _levi_label(group: AffineWeylGroup, m: LeviWeylGroup) -> str:
 
 
 def rigid_decomposition(group: AffineWeylGroup, max_length: int,
-                        omega_labels=None, cap: int | None = None) -> list[RigidRow]:
+                        omega_labels=None) -> list[RigidRow]:
     """Cover each Newton component of the length ball from the Levi
-    attached to its dominant coweight; the ball is enumerated under
-    `cap`, the group's cap by default.
+    attached to its dominant coweight.
 
     For a canonical minimal representative x the witness chain is: its
     finite part fixes nu_x, so x lies in the Levi of nu_x (a conjugate
@@ -556,7 +555,7 @@ def rigid_decomposition(group: AffineWeylGroup, max_length: int,
     T_x.  `covered` records that every representative admits this chain.
     """
     rows = []
-    for nu, fiber in strata(group, max_length, omega_labels, cap).items():
+    for nu, fiber in strata(group, max_length, omega_labels).items():
         reps = {canonical_class_rep(group, w) for w in fiber}
         m = levi_weyl_group(group, nu.nu_bar)
         covered = all(_covers(group, nu, x) for x in reps)

@@ -54,7 +54,7 @@ class LeviWeylGroup(AffineWeylGroup):
         pos = {a for a in phi_m if datum.is_positive_root(a)}
         simple = tuple(a for a in phi_m if a in pos and not any(
             tuple([p - q for p, q in zip(a, b)]) in pos for b in pos))
-        self._context(datum, parent.ball_cap, phi_m, simple,
+        self._context(datum, phi_m, simple,
                       hnf_columns([datum.coroot[a] for a in phi_m]),
                       parent.newton_points, wall_order=parent.canonical_order)
         # the Levi boxes of the verify suites (`verify._levi_box`)

@@ -75,11 +75,10 @@ def is_straight_by_powers(group: AffineWeylGroup, w: AffineWeylElement) -> bool:
     return True
 
 
-def strata(group: AffineWeylGroup, max_length: int, omega_labels=None,
-           cap: int | None = None) -> dict[NewtonIndex, list[AffineWeylElement]]:
-    """Partition of the length ball by Newton index, canonically ordered;
-    the ball is enumerated under `cap`, the group's cap by default."""
-    ball = group.enumerate_ball(max_length, omega_labels, cap)
+def strata(group: AffineWeylGroup, max_length: int,
+           omega_labels=None) -> dict[NewtonIndex, list[AffineWeylElement]]:
+    """Partition of the length ball by Newton index, canonically ordered."""
+    ball = group.enumerate_ball(max_length, omega_labels)
     fibers: dict[NewtonIndex, list[AffineWeylElement]] = {}
     for w in ball:
         fibers.setdefault(group.newton_index(w), []).append(w)

@@ -38,7 +38,7 @@ element seen to its move orbit, in scan order, if it is minimal, else
 None),
 `coinvariant_hnfs`, `finite_parabolics`, `parabolics`,
 `exponents`, `wa_ball_counts`, `standard_triples`, and for the class keys
-`full_classes`, `class_reps` and `dominant_translations`.
+`class_reps` and `dominant_translations`.
 """
 
 from __future__ import annotations
@@ -238,7 +238,7 @@ def class_minimal_set(ctx, w_min: AffineWeylElement) -> tuple[AffineWeylElement,
 
 
 def _class_members(ctx, w_min: AffineWeylElement) -> tuple[AffineWeylElement, ...]:
-    """`class_minimal_set` in no fixed order, memoised for every member.
+    """`class_minimal_set` in no fixed order.
 
     Built from the conjugation identity above rather than by searching
     a length ball.  Write w_min = t^lam a and L = length(w_min).  Since
@@ -266,8 +266,6 @@ def _class_members(ctx, w_min: AffineWeylElement) -> tuple[AffineWeylElement, ..
     Schreier elements v^{-1} s u, v the u of s a' s (Schreier's lemma),
     which act on the cosets modulo im(1 - a) since they commute with a.
     """
-    if w_min in ctx.full_classes:
-        return ctx.full_classes[w_min]
     if not is_min_in_class(ctx, w_min):
         raise LogicError("class_minimal_set needs a minimal-length element")
     datum = ctx.datum
@@ -308,9 +306,7 @@ def _class_members(ctx, w_min: AffineWeylElement) -> tuple[AffineWeylElement, ..
                     z = AffineWeylElement(mat_act(u, nu), a_conj)
                     if ctx.length(z) == length:
                         members.append(z)
-    members = tuple(members)
-    ctx.full_classes.update(dict.fromkeys(members, members))
-    return members
+    return tuple(members)
 
 
 def _dominant_translations(ctx, lam, bound, low=0) -> list[tuple[IntVector, int]]:
@@ -375,9 +371,11 @@ def canonical_class_rep(ctx, w: AffineWeylElement) -> AffineWeylElement:
     rep = ctx.class_reps.get(w)
     if rep is None:
         w_min, path = reduce_to_min(ctx, w)
-        members = _class_members(ctx, w_min)
-        rep = next(ctx.canonical_order(members))
-        ctx.class_reps.update(dict.fromkeys(members, rep))
+        rep = ctx.class_reps.get(w_min)
+        if rep is None:  # w_min is a member: list its class once
+            members = _class_members(ctx, w_min)
+            rep = next(ctx.canonical_order(members))
+            ctx.class_reps.update(dict.fromkeys(members, rep))
         for step in path.steps:
             ctx.class_reps[step.result] = rep
         ctx.class_reps[w] = rep

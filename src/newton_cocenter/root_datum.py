@@ -116,12 +116,15 @@ def mat_act(u: Matrix, x: IntVector) -> IntVector:
 def integer_inverse(u) -> tuple[int, Matrix]:
     """(d, a) with u^{-1} = a / d and d > 0 least, for an invertible
     integer matrix u: fraction-free Gauss-Jordan elimination (Bareiss),
-    whose every division is exact, ends on det(u) I | det(u) u^{-1}."""
+    whose every division is exact, ends on det(u) I | det(u) u^{-1}.
+    A singular u, which leaves a column without a pivot, is a LogicError."""
     n = len(u)
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(u)]
     det = 1
     for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col])
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            raise LogicError(f"the matrix {u} is singular")
         m[col], m[piv] = m[piv], m[col]
         p = m[col]
         for r in range(n):

@@ -125,16 +125,6 @@ class SuiteReport(Record):
         }
 
 
-def _cap(group, length):
-    """The ball cap of a suite: a suite enumerates every length it is
-    given, while the group's cap bounds the ball queries of the CLI."""
-    return max(length, group.ball_cap)
-
-
-def _ball(group, length, labels=None):
-    return group.enumerate_ball(length, labels, cap=_cap(group, length))
-
-
 def _bfs_lengths(group, max_depth, labels):
     """Word lengths by breadth-first multiplication (the walk of
     `AffineWeylGroup.ball`, which skips left descents by their sign):
@@ -156,15 +146,15 @@ def _omega_conjugators(group):
     return [w for w in reps if w != group.identity]
 
 
-def _levi_box(group, m, max_m_length, box=2, cap=None):
+def _levi_box(group, m, max_m_length, box=2):
     """All t^lam u with u in W_M, sup-norm of lam at most `box` and
-    M-length <= max_m_length, in M-sort order and cut to the first `cap`,
-    memoised on the Levi m (`m.boxes`); generated from their M-lengths
-    by `m.short_translates`, not filtered from the box.  High ranks
-    shrink the box and cap the sample to keep suites tractable."""
+    M-length <= max_m_length, in M-sort order, memoised on the Levi m
+    (`m.boxes`); generated from their M-lengths by `m.short_translates`,
+    not filtered from the box.  High ranks shrink the box and cut the
+    sample to its first 150 to keep suites tractable."""
+    cap = None
     if group.datum.rank > 2:
-        box = 1
-        cap = 150 if cap is None else cap
+        box, cap = 1, 150
     key = (max_m_length, box, cap)
     out = m.boxes.get(key)
     if out is None:
@@ -194,7 +184,7 @@ def _levi_boxes(group, max_m_length, box=2):
 def suite_grammar(group, params):
     rep = SuiteReport("grammar", group.datum.descriptor(), params)
     rep.check("print-parse-round-trip",
-              ((w, _round_trips(group, w)) for w in _ball(group, params["length"])),
+              ((w, _round_trips(group, w)) for w in group.enumerate_ball(params["length"])),
               functools.partial(element_str, group))
     return rep
 
@@ -235,7 +225,7 @@ def suite_length(group, params):
 def suite_newton(group, params):
     rep = SuiteReport("newton", group.datum.descriptor(), params)
     L = params["length"]
-    ball = _ball(group, L)
+    ball = group.enumerate_ball(L)
     show = functools.partial(element_str, group)
     conjugators = [s for _, s in group.simple_items()] + _omega_conjugators(group)
     rep.check("conjugation-invariance",
@@ -248,7 +238,7 @@ def suite_newton(group, params):
     rep.check("straight-powers", _straight_powers(group, ball),
               lambda wk: f"{element_str(group, wk[0])}^#{wk[1]}")
 
-    fibers = strata(group, L, cap=_cap(group, L))
+    fibers = strata(group, L)
     sizes = "/".join(str(len(v)) for v in fibers.values())
     total = sum(len(v) for v in fibers.values())
     rep.add("strata-partition", len(ball), 0 if total == len(ball) else 1,
@@ -272,7 +262,7 @@ def suite_straightness(group, params):
     rep = SuiteReport("straightness", group.datum.descriptor(), params)
     rep.check("pairing-criterion-equals-power-condition",
               ((w, group.is_straight(w) == is_straight_by_powers(group, w))
-               for w in _ball(group, params["length"])),
+               for w in group.enumerate_ball(params["length"])),
               functools.partial(element_str, group))
     return rep
 
@@ -281,7 +271,7 @@ def suite_reduction(group, params):
     rep = SuiteReport("reduction", group.datum.descriptor(), params)
     show = functools.partial(element_str, group)
     runs = [(w, group.newton_index(w), *reduce_to_min(group, w))
-            for w in _ball(group, params["length"])]
+            for w in group.enumerate_ball(params["length"])]
     rep.check("path-replays", ((w, replay(group, path)) for w, _, _, path in runs), show)
     rep.check("newton-constant-along-path",
               ((w, all(group.newton_index(st.result) == pi for st in path.steps))
@@ -312,7 +302,7 @@ def _standard_triple_holds(group, w_min, pi):
 
 def suite_alcove(group, params):
     rep = SuiteReport("alcove", group.datum.descriptor(), params)
-    ball = _ball(group, params["length"])
+    ball = group.enumerate_ball(params["length"])
     show = functools.partial(element_str, group)
     rep.check("minimal-implies-newton-alcove",
               ((w, is_v_alcove(group, w, newton_point(group, w)))
@@ -407,7 +397,7 @@ def suite_cocenter(group, params):
     show = functools.partial(element_str, group)
 
     forms = [((x, y), cocenter_reduce(group, _commutator(group, x, y)))
-             for x, y in combinations(_ball(group, budget), 2)
+             for x, y in combinations(group.enumerate_ball(budget), 2)
              if group.length(x) + group.length(y) <= budget]
     rep.check("commutators-vanish", ((xy, not nf) for xy, nf in forms),
               lambda xy: f"[{show(xy[0])},{show(xy[1])}]")
@@ -418,7 +408,7 @@ def suite_cocenter(group, params):
             detail=f"rank={rank}")
 
     base = params["seed"]
-    sample = [w for w in _ball(group, min(budget, 4)) if group.length(w) >= 2][:4]
+    sample = [w for w in group.enumerate_ball(min(budget, 4)) if group.length(w) >= 2][:4]
     f = HeckeElement({w: QPoly((i + 1, 1)) for i, w in enumerate(sample)})
     target = cocenter_reduce(group, f)
     rep.check("confluence-under-random-strategies",
@@ -426,7 +416,8 @@ def suite_cocenter(group, params):
                for seed in range(base, base + params["seeds"])),
               lambda seed: f"seed={seed}")
     rep.check("q1-specializes-to-class-map",
-              ((w, _specializes_to_class(group, w)) for w in _ball(group, min(budget, 5))),
+              ((w, _specializes_to_class(group, w))
+               for w in group.enumerate_ball(min(budget, 5))),
               show)
     return rep
 
@@ -453,7 +444,7 @@ def _specializes_to_class(group, w):
 
 def suite_rigid(group, params):
     rep = SuiteReport("rigid", group.datum.descriptor(), params)
-    rows = rigid_decomposition(group, params["length"], cap=_cap(group, params["length"]))
+    rows = rigid_decomposition(group, params["length"])
     rep.check("all-components-covered", ((r, r.covered) for r in rows),
               lambda r: str(r.nu)).detail = " ".join(
         f"{r.nu}:{r.levi_label}:{r.class_count}" for r in rows)

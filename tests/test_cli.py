@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from newton_cocenter.affine_weyl import AffineWeylGroup
 from newton_cocenter.cli import main
 from newton_cocenter.reduction import is_min_in_class
 
@@ -276,6 +277,30 @@ def test_ball_cap_flag(capsys):
     code, _ = run_cli(capsys, "--group", "A1", "--ball-cap", "3",
                       "strata", "--length", "4")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["strata", "rigid"])
+@pytest.mark.parametrize("label,cap", [("A1", 12), ("C2", 12), ("GL3", 8)])
+def test_default_ball_cap_by_rank(label, cap, command, capsys, monkeypatch):
+    # the radius is checked before any ball is built
+    with monkeypatch.context() as patch:
+        patch.setattr(AffineWeylGroup, "enumerate_ball",
+                      lambda *args: pytest.fail("a ball was built"))
+        code = main(["--group", label, command, "--length", str(cap + 1)])
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert out.err == f"resource error: ball of radius {cap + 1} exceeds the cap {cap}\n"
+    code, out = run_cli(capsys, "--group", label, command, "--length", str(cap))
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize("command", ["strata", "rigid"])
+def test_lowered_ball_cap(command, capsys):
+    code, out = run_cli(capsys, "--group", "A2", "--ball-cap", "2", command, "--length", "3")
+    assert (code, out) == (2, "")
+    code, out = run_cli(capsys, "--group", "A2", "--ball-cap", "2", command, "--length", "2")
+    assert (code, out) == run_cli(capsys, "--group", "A2", command, "--length", "2")
+    assert code == 0 and out
 
 
 def test_parse_error_exit_code(capsys):

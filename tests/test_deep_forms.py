@@ -218,7 +218,7 @@ def ball_classes(label, lattice, radius):
     n = g.datum.rank
     if labels is None and n < 4:
         labels = [(0,) * n, (1,) + (0,) * (n - 1)]
-    return g, {reduce_to_min(g, w)[0] for w in g.enumerate_ball(radius, labels, cap=radius)}
+    return g, {reduce_to_min(g, w)[0] for w in g.enumerate_ball(radius, labels)}
 
 
 @pytest.mark.parametrize("label,lattice,radius", [

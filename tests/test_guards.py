@@ -5,8 +5,9 @@ environment variable; no module imports at start-up what a CLI call
 need not pay for; no engine class builds reduced words; a coweight is
 a `Coweight` everywhere, and only the CLI's coweight parser names
 `Fraction`; only `AffineWeylGroup.index_of` builds a Newton index; no
-module keeps the coordinate grid of Levis; and every module parses at
-the Python floor of `pyproject.toml`."""
+module keeps the coordinate grid of Levis; the ball cap lives in the
+CLI alone; and every module parses at the Python floor of
+`pyproject.toml`."""
 
 import ast
 import re
@@ -285,6 +286,37 @@ def test_no_module_keeps_the_levi_grid():
              for text in _spelled(node)
              if any(retired in text for retired in _RETIRED_LEVI_GRID)]
     assert found == [], "list the Levis by parabolic_faces: " + ", ".join(found)
+
+
+# the ball cap, its two defaults and its message
+_CAP_SPELLINGS = ("ball_cap", "DEFAULT_BALL_CAP", "exceeds the cap")
+
+
+def _parameters(fn):
+    args = fn.args
+    return [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] \
+        + [a.arg for a in (args.vararg, args.kwarg) if a]
+
+
+def test_the_ball_cap_lives_in_the_cli():
+    # the cap bounds the --length of the CLI's strata and rigid: no
+    # other module spells it, the group is built from its datum alone,
+    # and no function that enumerates a ball takes a cap
+    found = [f"{path.name}:{getattr(node, 'lineno', '?')}: {text}"
+             for path in sorted(SOURCE.glob("*.py")) if path.stem != "cli"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             for text in _spelled(node)
+             if any(spelling in text for spelling in _CAP_SPELLINGS)]
+    assert found == [], "check the ball cap in cli only: " + ", ".join(found)
+    defs = {(stem, node.name): node for stem in ("affine_weyl", "newton", "hecke_cocenter")
+            for node in ast.parse((SOURCE / f"{stem}.py").read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    methods = {fn.name: fn for fn in defs["affine_weyl", "AffineWeylGroup"].body
+               if isinstance(fn, ast.FunctionDef)}
+    assert _parameters(methods["__init__"]) == ["self", "datum"]
+    for fn in (methods["enumerate_ball"], defs["newton", "strata"],
+               defs["hecke_cocenter", "rigid_decomposition"]):
+        assert not [p for p in _parameters(fn) if "cap" in p], fn.name
 
 
 def test_every_module_parses_at_the_python_floor():

@@ -73,7 +73,7 @@ def levi_walls(m):
 @pytest.mark.parametrize("label,lattice,radius", GROUPS)
 def test_memoised_ambient_newton_equals_uncached(label, lattice, radius):
     g = fresh_group(label, lattice)
-    ball = g.enumerate_ball(radius, cap=radius)
+    ball = g.enumerate_ball(radius)
     walls = ambient_walls(g)
     for w in ball:
         nu = oracle_newton_point(w)

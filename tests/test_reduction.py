@@ -263,8 +263,7 @@ def _ball_class_minimal_set(g, w_min, balls):
     has that length and is conjugate to w_min."""
     length, label = g.length(w_min), g.kappa(w_min)
     if (length, label) not in balls:
-        balls[length, label] = g.enumerate_ball(length, [label],
-                                                cap=max(length, 16))
+        balls[length, label] = g.enumerate_ball(length, [label])
     return tuple(z for z in balls[length, label]
                  if g.length(z) == length and is_conjugate(g, z, w_min))
 
@@ -283,7 +282,7 @@ def test_class_minimal_set_matches_ball_search(label, lattice, radius):
         labels = [(0,) * n, (1,) + (0,) * (n - 1)]
     balls = {}
     classes = {reduce_to_min(g, w)[0]
-               for w in g.enumerate_ball(radius, labels, cap=radius)}
+               for w in g.enumerate_ball(radius, labels)}
     for w_min in sorted(classes, key=lambda w: oracle_sort_key(g, w)):
         assert class_minimal_set(g, w_min) == \
             _ball_class_minimal_set(g, w_min, balls), element_str(g, w_min)

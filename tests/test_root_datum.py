@@ -10,7 +10,7 @@ from newton_cocenter import (
 from newton_cocenter.errors import LogicError
 from newton_cocenter.levi_alcove import levi_weyl_group
 from newton_cocenter.root_datum import (
-    Coweight, RootDatum, dot, integer_inverse, mat_act, mat_mul,
+    Coweight, RootDatum, dot, integer_inverse, mat_act, mat_mul, weyl_inverse,
 )
 from newton_cocenter.verify import _levi_faces
 from conftest import ALL_DATA, oracle_rational_inverse
@@ -276,7 +276,17 @@ def test_integer_inverse_of_random_matrices(seed):
         try:
             oracle_rational_inverse(u)
         except StopIteration:  # singular
+            with pytest.raises(LogicError, match="singular"):
+                integer_inverse(u)
             continue
         checked_inverse(u)
         inverted += 1
     assert inverted > 40
+
+
+def test_a_singular_matrix_is_a_logic_error():
+    with pytest.raises(LogicError, match="singular"):
+        integer_inverse(((1, 2), (2, 4)))
+    # not interned, so weyl_inverse eliminates rather than looks it up
+    with pytest.raises(LogicError, match="singular"):
+        weyl_inverse(((0, 0, 1), (1, 0, 0), (2, 0, 2)))

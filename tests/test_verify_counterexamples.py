@@ -58,7 +58,7 @@ def test_newton_labels(monkeypatch):
     _patch(monkeypatch, "orbit_sum", lambda orig, w, n: orig(w, n + (n > 2)))
     monkeypatch.setattr(verify, "multiply", lambda a, b: a if a == b else multiply(a, b))
     _patch(monkeypatch, "strata",
-           lambda orig, grp, length, cap: dict(list(orig(grp, length, cap=cap).items())[1:]))
+           lambda orig, grp, length: dict(list(orig(grp, length).items())[1:]))
     assert _run("newton", g) == [
         ("conjugation-invariance", 155, 125, "t[0,0,0]", ""),
         ("exponent-independence", 31, 19, "t[1,0,-1]*s1*s2*s1", ""),
@@ -162,9 +162,9 @@ def test_cocenter_labels(monkeypatch):
 def test_rigid_label(monkeypatch):
     g = _fresh("A2")
     _patch(monkeypatch, "rigid_decomposition",
-           lambda orig, grp, length, cap: [
+           lambda orig, grp, length: [
                r._replace(covered=i % 2 == 0)
-               for i, r in enumerate(orig(grp, length, cap=cap))])
+               for i, r in enumerate(orig(grp, length))])
     assert _run("rigid", g) == [
         ("all-components-covered", 4, 2, "(0,0;1/2,1)",
          "(0,0;0,0):G:5 (0,0;1/2,1):M{1}:1 (0,0;1,1/2):M{2}:1 (0,0;1,1):T:1"),
