@@ -145,8 +145,8 @@ class AffineWeylGroup:
     def __init__(self, datum: RootDatum):
         self._context(datum, datum.roots, datum.simple_roots,
                       datum.coroot_hnf, {}, wall_order=None)
-        # the one memo of the ambient group only: its Levis by v
-        self.levi_groups: dict[Coweight, AffineWeylGroup] = {}
+        # the one memo of the ambient group only: its Levis by Phi_M
+        self.levi_groups: dict[tuple, AffineWeylGroup] = {}
 
     def _context(self, datum, phi_m, m_simple_roots, coroot_hnf,
                  newton_points, wall_order):

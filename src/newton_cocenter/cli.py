@@ -111,7 +111,9 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
                         "output is canonical for any value")
     p.add_argument("--json", action="store_true", help="JSON output")
     p.add_argument("--tsv", action="store_true", help="TSV output")
-    p.add_argument("--ball-cap", type=_int_at_least(0), help="override the ball radius cap")
+    p.add_argument("--ball-cap", type=_int_at_least(0),
+                   help=f"the largest --length of strata and rigid (default "
+                        f"{DEFAULT_BALL_CAP_LOW_RANK} up to rank 2, {DEFAULT_BALL_CAP} above)")
     sub = p.add_subparsers(dest="command", required=True)
     for name in _COMMANDS if command is None else [command]:
         help_text, arguments = _COMMANDS[name]
@@ -309,8 +311,7 @@ def cmd_newton(group, args) -> int:
 
 
 def _check_ball_cap(group, args):
-    """Refuse a --length above --ball-cap (by default 12 up to rank 2,
-    8 above) before any ball is built."""
+    """Refuse a --length above --ball-cap before any ball is built."""
     cap = args.ball_cap
     if cap is None:
         cap = DEFAULT_BALL_CAP_LOW_RANK if group.datum.rank <= 2 else DEFAULT_BALL_CAP
@@ -437,13 +438,13 @@ def cmd_positivity(group, args) -> int:
 
 
 def cmd_levi(group, args) -> int:
-    from .levi_alcove import levi_weyl_group
+    from .levi_alcove import levi_weyl_group, phi_plus
     v = parse_coweight(group, args.v)
     m = levi_weyl_group(group, v)
     info = {
         "v": v.strs(),
         "phi_zero": [list(a) for a in m.phi_m],
-        "phi_plus": [list(a) for a in m.phi_plus],
+        "phi_plus": [list(a) for a in phi_plus(group, v)],
         "w_m_order": len(m.finite_elements()),
         "affine_simple_reflections": {
             f"S{lab}": element_str(group, s) for lab, s in m.simple_items()},
@@ -468,14 +469,10 @@ def cmd_induce(group, args) -> int:
     from .hecke_cocenter import induce
     from .levi_alcove import levi_weyl_group
     v = parse_coweight(group, args.v)
-    m = levi_weyl_group(group, v)
     f = parse_hecke_expr(group, args.expr)
     if not f.terms:
         raise InputError("induce needs a nonzero element")
-    first = next(m.canonical_order(f.terms))
-    nu_m = m.newton_index(first)
-    nf = induce(group, m, f, nu_m)
-    _print_nf(group, nf, args.json)
+    _print_nf(group, induce(group, levi_weyl_group(group, v), f), args.json)
     return 0
 
 

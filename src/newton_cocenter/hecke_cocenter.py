@@ -502,21 +502,24 @@ def cocenter_reduce_randomized(group: AffineWeylGroup, f: HeckeElement,
 
 
 def induce(group: AffineWeylGroup, m: LeviWeylGroup, f: HeckeElement,
-           nu_m: NewtonIndex) -> HeckeElement:
+           nu_m: NewtonIndex | None = None) -> HeckeElement:
     """Push a Levi cocenter element into the ambient cocenter.
 
-    Every support key must lie in W(M), be M-minimal, and carry the
-    M-Newton index nu_m; each T^M_w is then sent to the ambient normal
-    form of T_w.  The image must live in the single Newton component
-    that nu_m maps to; a key that is far from ambient-minimal can have
-    an Iwahori class meeting several Newton strata, in which case this
-    basis-level shadow of the induction map is not faithful and the
-    call is refused.
+    Every support key must lie in W(M), checked first, be M-minimal,
+    and carry the M-Newton index nu_m (by default that of the first key
+    in M's canonical order); each T^M_w is then sent to the ambient
+    normal form of T_w.  The image must live in the single Newton
+    component that nu_m maps to; a key that is far from ambient-minimal
+    can have an Iwahori class meeting several Newton strata, in which
+    case this basis-level shadow of the induction map is not faithful
+    and the call is refused.
     """
+    if not all(map(m.is_member, f.terms)):
+        raise InputError("induce: support must lie in the Levi subgroup")
+    if nu_m is None:
+        nu_m = m.newton_index(next(m.canonical_order(f.terms)))
     target = group.index_of(nu_m.omega, nu_m.nu_bar)
     for w in f.terms:
-        if not m.is_member(w):
-            raise InputError("induce: support must lie in the Levi subgroup")
         if m.newton_index(w) != nu_m:
             raise InputError("induce: support must be in the nu_m fiber")
         if not is_min_in_class(m, w):

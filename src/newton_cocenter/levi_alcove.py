@@ -1,22 +1,23 @@
 """Levi sub-Iwahori-Weyl groups, alcove tests and positivity exponents.
 
 A rational coweight v cuts the roots into the vanishing part (the Levi
-M) and the strictly positive part (the unipotent direction).  The group
-X_* ⋊ W_M sits inside the ambient extended affine Weyl group but
-carries its own length function, computed by counting inversions over
-the Levi roots only; it genuinely differs from the restriction of the
-ambient length.  `LeviWeylGroup` is an `AffineWeylGroup` over the Levi
-roots `phi_m`, with W_M its `finite_elements()`: it adds only what the
-ambient group lacks, namely v, the roots `phi_plus` strictly positive
-on v, membership, and the memo of the boxes that the verify suites
-sample.  Its walls, those of the M-alcove containing the ambient base
-alcove, are built as the ambient group builds its own, from the
-M-simple roots and the highest root of each M-component, and are
-labelled in the ambient canonical order, which the Levi is given at
-construction; it holds no reference to the ambient group.  An M-Newton
-index is carried to the ambient group, or to a conjugate Levi, by that
-group's `index_of`.  `parabolic_faces` reads every direction v that
-gives a parabolic, y(v_J) for y in W0, off the root datum alone.
+M) and the strictly positive part `phi_plus(group, v)` (the unipotent
+direction).  The group X_* ⋊ W_M sits inside the ambient extended
+affine Weyl group but carries its own length function, computed by
+counting inversions over the Levi roots only; it genuinely differs from
+the restriction of the ambient length.  `LeviWeylGroup` is an
+`AffineWeylGroup` over the Levi roots `phi_m`, with W_M its
+`finite_elements()`: it adds only membership and the memo of the boxes
+that the verify suites sample.  `levi_weyl_group` keys it by Phi_M, so
+each Levi has one context whatever v names it, and what depends on v is
+computed from the v at hand.  Its walls, those of the M-alcove
+containing the ambient base alcove, are built as the ambient group
+builds its own, labelled in the ambient canonical order, which the Levi
+is given at construction; it holds no reference to the ambient group.
+An M-Newton index is carried to the ambient group, or to a conjugate
+Levi, by that group's `index_of`.  `parabolic_faces` reads every
+direction v that gives a parabolic, y(v_J) for y in W0, off the root
+datum alone.
 """
 
 from __future__ import annotations
@@ -32,25 +33,17 @@ from .root_datum import Coweight, Matrix, dot, hnf_columns, integer_inverse, mat
 
 
 class LeviWeylGroup(AffineWeylGroup):
-    """The Iwahori-Weyl group of the Levi attached to a rational coweight.
+    """The Iwahori-Weyl group of the Levi M with roots phi_m.
 
     Every method of the ambient group applies with Phi_M, W_M and the
     M-walls, so the reduction machinery runs verbatim with the M-length.
     """
 
-    def __init__(self, parent: AffineWeylGroup, v: Coweight):
-        """Split the roots by their sign on v, read off its integer
-        vector: Phi_M vanishes on v, and W_M, the fixer of v, is
-        generated by the s_alpha with <alpha, v> = 0 (Steinberg), so by
-        those of the simple roots of Phi_M ∩ Phi+, the indecomposable
-        ones."""
+    def __init__(self, parent: AffineWeylGroup, phi_m: tuple):
+        """W_M, the fixer of any v with Phi_M the roots vanishing on v,
+        is generated by the s_alpha over Phi_M (Steinberg), so by those
+        of the simple roots of Phi_M ∩ Phi+, the indecomposable ones."""
         datum = parent.datum
-        self.v = v
-        x = v.x
-        phi_m = tuple(a for a in datum.roots if dot(a, x) == 0)
-        self.phi_plus = tuple(a for a in datum.roots if dot(a, x) > 0)
-        if len(phi_m) + 2 * len(self.phi_plus) != len(datum.roots):
-            raise LogicError("the roots positive on v must pair with the negative ones")
         pos = {a for a in phi_m if datum.is_positive_root(a)}
         simple = tuple(a for a in phi_m if a in pos and not any(
             tuple([p - q for p, q in zip(a, b)]) in pos for b in pos))
@@ -64,14 +57,24 @@ class LeviWeylGroup(AffineWeylGroup):
         return self._w_m is None or w.finite in self._w_m
 
     def __repr__(self):
-        return f"LeviWeylGroup(v={tuple(self.v.strs())})"
+        return f"LeviWeylGroup(phi_m={list(map(list, self.phi_m))})"
 
 
 def levi_weyl_group(group: AffineWeylGroup, v: Coweight) -> LeviWeylGroup:
-    m = group.levi_groups.get(v)
+    """The one context of the Levi of v, whose roots Phi_M vanish on v."""
+    phi_m = tuple(a for a in group.datum.roots if dot(a, v.x) == 0)
+    m = group.levi_groups.get(phi_m)
     if m is None:
-        m = group.levi_groups[v] = LeviWeylGroup(group, v)
+        m = group.levi_groups[phi_m] = LeviWeylGroup(group, phi_m)
     return m
+
+
+def phi_plus(group: AffineWeylGroup, v: Coweight) -> tuple:
+    """The roots strictly positive on v, memoised on the root datum."""
+    x, memo = v.x, group.datum.roots_positive_on
+    if x not in memo:
+        memo[x] = tuple(a for a in group.datum.roots if dot(a, x) > 0)
+    return memo[x]
 
 
 def parabolic_faces(group: AffineWeylGroup) -> list[Coweight]:
@@ -92,10 +95,10 @@ def parabolic_faces(group: AffineWeylGroup) -> list[Coweight]:
                               for v in standard for u in datum.weyl_elements))
 
 
-def conjugate_levi(group: AffineWeylGroup, u0: Matrix, m: LeviWeylGroup):
+def conjugate_levi(group: AffineWeylGroup, u0: Matrix, v: Coweight):
     """The Levi of u0(v) together with the induced index bijection,
-    which reads the u0-image of an M-index in that Levi."""
-    m_new = levi_weyl_group(group, Coweight(m.v.d, mat_act(u0, m.v.x)))
+    which reads the u0-image of an index of the Levi of v in that Levi."""
+    m_new = levi_weyl_group(group, Coweight(v.d, mat_act(u0, v.x)))
 
     def index_map(nu_m: NewtonIndex) -> NewtonIndex:
         d, x = nu_m.nu_bar
@@ -129,10 +132,10 @@ def is_v_alcove(group: AffineWeylGroup, w: AffineWeylElement, v: Coweight) -> bo
     return True
 
 
-def newton_v_positive(group: AffineWeylGroup, m: LeviWeylGroup, w: AffineWeylElement) -> bool:
+def newton_v_positive(group: AffineWeylGroup, v: Coweight, w: AffineWeylElement) -> bool:
     """Whether nu_w is strictly positive on the roots positive on v."""
     nu = newton_point(group, w).x
-    return all(dot(beta, nu) > 0 for beta in m.phi_plus)
+    return all(dot(beta, nu) > 0 for beta in phi_plus(group, v))
 
 
 # Witness that a power of w shifts every v-positive level up.  exponent
@@ -160,27 +163,26 @@ def positivity_exponent(group: AffineWeylGroup, w: AffineWeylElement,
     m = levi_weyl_group(group, v)
     if not m.is_member(w):
         raise InputError("positivity_exponent requires w in the Levi of v")
-    plus = m.phi_plus
+    plus = phi_plus(group, v)
     # If w^i = t^mu u is strictly v-positive, then summing the
     # translations of its powers up to the order n of u gives
     # <beta, n i nu> >= n for every v-positive beta, since u in W_M
     # permutes those roots; so a Newton point not strictly positive on
     # them admits no such power, and is refused before any search.
-    if not newton_v_positive(group, m, w):
+    if not newton_v_positive(group, v, w):
         raise InputError(
             "no positive power of w is strictly v-positive: its Newton point "
             "is not strictly positive on the v-positive roots")
-    denom = m.v.d
     n0 = wa_ball_count(m, m.length(w))
     n1 = max_finite_parabolic_order(m)
-    bound = (2 * n0 + n1 + 1) * denom
+    bound = (2 * n0 + n1 + 1) * v.d
     power = group.identity
     for i in range(1, bound + 1):
         power = multiply(power, w)
         shifts = [dot(beta, power.translation) for beta in plus]
         if not plus or min(shifts) >= 1:
             return PositivityCertificate(
-                w, m.v, i, bound, n0, n1, denom,
+                w, v, i, bound, n0, n1, v.d,
                 min(shifts) if shifts else 0)
     raise LogicError(
         "quasi-positivity must hold within the bound for strictly "

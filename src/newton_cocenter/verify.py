@@ -31,7 +31,7 @@ from .hecke_cocenter import (
 )
 from .levi_alcove import (
     conjugate_levi, is_v_alcove, levi_weyl_group, newton_v_positive, parabolic_faces,
-    positivity_exponent,
+    phi_plus, positivity_exponent,
 )
 from .newton import is_straight_by_powers, newton_point, orbit_sum, strata
 from .reduction import (
@@ -168,7 +168,7 @@ def _levi_faces(group):
     that Levi; the Levis in the order of their sorted roots."""
     levis = {}
     for v in parabolic_faces(group):
-        levis.setdefault(tuple(a for a in group.datum.roots if dot(a, v.x) == 0), v)
+        levis.setdefault(levi_weyl_group(group, v).phi_m, v)
     return [levis[k] for k in sorted(levis)]
 
 
@@ -317,11 +317,10 @@ def _is_v_alcove_wide(group, w, v):
     datum = group.datum
     if mat_act(w.finite, v.x) != v.x:
         return False
-    plus = [a for a in datum.roots if dot(a, v.x) > 0]
     winv = inverse(w)
     window = 2 * (max((abs(dot(a, w.translation)) for a in datum.roots),
                       default=0) + 1)
-    for beta in plus:
+    for beta in phi_plus(group, v):
         for k in range(-window, window + 1):
             b = AffineRoot(beta, k)
             if is_positive_affine_root(datum, act_on_affine_root(datum, winv, b)) \
@@ -361,7 +360,7 @@ def _conjugation_cases(group, boxes):
         small = [w for w in box if m.length(w) <= 3
                  and all(abs(x) <= 1 for x in w.translation)][:60]
         for u0 in conjugators:
-            m2, index_map = conjugate_levi(group, u0, m)
+            m2, index_map = conjugate_levi(group, u0, v)
             x0 = group.finite_element(u0)
             for w in small:
                 yield (v, w), m2.newton_index(conjugate(x0, w)) == index_map(m.newton_index(w))
@@ -376,8 +375,8 @@ def suite_positivity(group, params):
     boxes = _levi_boxes(group, 4, box=1)
     result = rep.check(
         "exponent-within-bound",
-        (((v, w), _exponent_within_bound(group, w, m.v))
-         for v, m, box in boxes for w in box if newton_v_positive(group, m, w)),
+        (((v, w), _exponent_within_bound(group, w, v))
+         for v, m, box in boxes for w in box if newton_v_positive(group, v, w)),
         functools.partial(_levi_case_str, group))
     result.detail = f"skipped={sum(len(box) for _, _, box in boxes) - result.instances}"
     return rep

@@ -90,6 +90,8 @@ ARGVS = [
     ["--group", "A1", "--ball-cap", "3", "strata", "--length", "4", "--omega", "[0,1]"],
     ["--group", "A1", "--ball-cap", "13", "rigid", "--length", "13"],
     ["--group", "A1", "--ball-cap", "0", "verify", "newton", "--length", "1"],
+    ["--group", "A2", "induce", "--v", "[1,0]", "T[S0]"],
+    ["--group", "A2", "induce", "--v", "[1,0]", "T[t[0,0]]+T[S0]"],
 ]
 
 

@@ -4,7 +4,8 @@ set from outside its class is declared in one; the library reads no
 environment variable; no module imports at start-up what a CLI call
 need not pay for; no engine class builds reduced words; a coweight is
 a `Coweight` everywhere, and only the CLI's coweight parser names
-`Fraction`; only `AffineWeylGroup.index_of` builds a Newton index; no
+`Fraction`; only `AffineWeylGroup.index_of` builds a Newton index; only
+`levi_alcove.levi_weyl_group` cuts out the Levi of a direction v; no
 module keeps the coordinate grid of Levis; the ball cap lives in the
 CLI alone; and every module parses at the Python floor of
 `pyproject.toml`."""
@@ -263,6 +264,27 @@ def test_newton_indices_are_built_by_index_of():
                 found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)[:40]}")
     assert found == [], "build Newton indices by AffineWeylGroup.index_of: " + ", ".join(found)
     assert built == 1
+
+
+def test_the_levi_of_v_is_cut_out_by_levi_weyl_group():
+    # the roots vanishing on v, and the Levi context built from them,
+    # are computed in levi_weyl_group alone; the roots positive on v
+    # are no attribute of a context but levi_alcove.phi_plus of v
+    owners, found = [], []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                owners += [f"{path.stem}.{fn.name}" for node in ast.walk(fn)
+                           if isinstance(node, ast.Call) and _names(node.func) == ["LeviWeylGroup"]
+                           or isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+                           and _names(node.left.func) == ["dot"]
+                           and any(isinstance(op, ast.Eq) for op in node.ops)]
+        found += [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "phi_plus"]
+    assert owners == ["levi_alcove.levi_weyl_group"] * 2
+    assert found == [], "the roots positive on v are levi_alcove.phi_plus(group, v): " \
+        + ", ".join(found)
 
 
 _RETIRED_LEVI_GRID = ("_levi_grid", "max_den", "max-den")

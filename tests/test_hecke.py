@@ -279,6 +279,20 @@ def test_induce_precondition_errors(a1):
         induce(a1, m, mixed, m.newton_index(t1))
 
 
+def test_induce_checks_every_key_for_membership_first(a1):
+    # a key outside W(M) is refused as such wherever it stands, before a
+    # member's fiber is compared, and before nu_m is read off the keys
+    m = levi_weyl_group(a1, coweight([F(1)]))
+    t1, t2, s1 = a1.translation([1]), a1.translation([2]), parse_element(a1, "S1")
+    for keys in ([t2, s1], [s1, t2]):
+        f = HeckeElement.basis(keys[0]) + HeckeElement.basis(keys[1])
+        for nu_m in (m.newton_index(t1), None):
+            with pytest.raises(InputError, match="support must lie in the Levi subgroup"):
+                induce(a1, m, f, nu_m)
+    assert induce(a1, m, HeckeElement.basis(t2)) == \
+        induce(a1, m, HeckeElement.basis(t2), m.newton_index(t2))
+
+
 def test_induce_refuses_stratum_straddling_support(gl5):
     # M-minimal but far from ambient-minimal: its Iwahori class meets
     # several Newton strata, so the basis-level shadow must refuse.

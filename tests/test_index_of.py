@@ -25,8 +25,8 @@ def old_newton_index_map(g, m, nu_m):
     return NewtonIndex(label, nu_bar)
 
 
-def old_conjugate_levi(g, u0, m):
-    m_new = levi_weyl_group(g, Coweight(m.v.d, mat_act(u0, m.v.x)))
+def old_conjugate_levi(g, u0, v):
+    m_new = levi_weyl_group(g, Coweight(v.d, mat_act(u0, v.x)))
 
     def index_map(nu_m):
         label = coset_reduce(mat_act(u0, nu_m.omega), m_new.coroot_hnf)
@@ -46,7 +46,7 @@ def test_index_of_equals_the_replaced_index_maps(label, lattice):
     moved = 0
     for v in _levi_faces(g):
         m = levi_weyl_group(g, v)
-        maps = [(conjugate_levi(g, u0, m), old_conjugate_levi(g, u0, m)) for u0 in conjugators]
+        maps = [(conjugate_levi(g, u0, v), old_conjugate_levi(g, u0, v)) for u0 in conjugators]
         for w in _levi_box(g, m, 4):
             nu_m = m.newton_index(w)
             assert nu_m == old_newton_index(m, w)

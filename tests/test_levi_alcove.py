@@ -86,9 +86,10 @@ def test_newton_index_map_full_group_is_identity(a2):
 
 
 def test_conjugate_levi_identity_and_w_m(a2):
-    m = levi_weyl_group(a2, coweight([1, 1]))
+    v = coweight([1, 1])
+    m = levi_weyl_group(a2, v)
     ident = tuple(tuple(int(i == j) for j in range(2)) for i in range(2))
-    m2, index_map = conjugate_levi(a2, ident, m)
+    m2, index_map = conjugate_levi(a2, ident, v)
     assert m2 is m
     for w in levi_box(a2, m):
         assert index_map(m.newton_index(w)) == m.newton_index(w)
@@ -99,7 +100,7 @@ def test_conjugate_levi_by_levi_weyl_element(c2):
     m = levi_weyl_group(c2, v)
     for u0 in m.finite_elements():
         assert mat_act(u0, v.x) == v.x
-        m2, index_map = conjugate_levi(c2, u0, m)
+        m2, index_map = conjugate_levi(c2, u0, v)
         assert m2 is m
         for w in levi_box(c2, m):
             assert index_map(m.newton_index(w)) == m.newton_index(w)
@@ -110,7 +111,7 @@ def test_conjugate_levi_three_cycle():
     v = coweight([1, 0, -1])
     m = levi_weyl_group(g, v)
     cycle = ((0, 0, 1), (1, 0, 0), (0, 1, 0))      # e1->e2->e3->e1
-    m2, index_map = conjugate_levi(g, cycle, m)
+    m2, index_map = conjugate_levi(g, cycle, v)
     assert m2.phi_m == m.phi_m == ()
     x0 = g.finite_element(cycle)
     for w in levi_box(g, m):

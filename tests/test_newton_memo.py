@@ -21,7 +21,7 @@ from itertools import product
 import pytest
 
 from newton_cocenter import AffineWeylGroup, NewtonIndex, build_root_datum
-from newton_cocenter.levi_alcove import levi_weyl_group
+from newton_cocenter.levi_alcove import levi_weyl_group, phi_plus
 from newton_cocenter.newton import newton_index, newton_point
 from newton_cocenter.root_datum import Coweight, coweight, dot, mat_identity, mat_mul
 from newton_cocenter.verify import _affine_word, _levi_box, _levi_faces
@@ -127,7 +127,8 @@ def test_integer_levi_pairings_equal_fraction_pairings(label, lattice):
     for v, fv in pairs:
         levi = levi_weyl_group(g, v)
         assert levi.phi_m == tuple(a for a in g.datum.roots if dot(a, fv) == 0)
-        assert levi.phi_plus == tuple(a for a in g.datum.roots if dot(a, fv) > 0)
+        assert phi_plus(g, v) == tuple(a for a in g.datum.roots if dot(a, fv) > 0)
+        assert phi_plus(g, v) is g.datum.roots_positive_on[v.x]
 
 
 def test_group_with_levis_is_freed_without_the_cycle_collector():

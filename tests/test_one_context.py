@@ -8,15 +8,17 @@ and the walker in turn is the oracle of the ball counts that
 The Levi of v = 0 must be the ambient group itself, which is the
 contract that lets both share every method, and every memo of those
 methods is declared on every context: only the ambient group's memo of
-its Levis is its own.
+its Levis is its own, and only a Levi's box memo is the Levi's.  That
+memo of Levis holds one context per Levi, whatever direction names it.
 """
 
 import pytest
 
 from newton_cocenter import AffineWeylGroup, build_root_datum, coweight
 from newton_cocenter.affine_weyl import multiply
-from newton_cocenter.levi_alcove import levi_weyl_group
+from newton_cocenter.levi_alcove import levi_weyl_group, parabolic_faces
 from newton_cocenter.reduction import canonical_class_rep, wa_ball_count
+from newton_cocenter.root_datum import dot
 from newton_cocenter.verify import _affine_word, _levi_faces
 from conftest import ALL_DATA, kappa_labels, oracle_sort_key, oracle_word
 
@@ -89,10 +91,36 @@ def test_levi_of_zero_is_the_ambient_group(label, lattice):
 
 @pytest.mark.parametrize("label,lattice", GROUPS)
 def test_levis_declare_every_memo_but_the_levi_memo(label, lattice):
+    # a Levi holds the ambient's attributes but its memo of Levis, and
+    # its box memo; no direction v, nor the roots positive on it
     g = fresh_group(label, lattice)
     for v in _levi_faces(g):
         m = levi_weyl_group(g, v)
-        assert set(vars(g)) - set(vars(m)) == {"levi_groups"}, m
+        assert set(vars(m)) == set(vars(g)) - {"levi_groups"} | {"boxes"}, m
+        assert not hasattr(m, "v") and not hasattr(m, "phi_plus"), m
+
+
+# (faces, Levis) of `parabolic_faces`, by datum
+FACES_AND_LEVIS = {"A1": (3, 2), "A2": (13, 5), "B2": (17, 6), "C2": (17, 6),
+                   "G2": (25, 8), "GL1": (1, 1), "GL2": (3, 2), "GL3": (13, 5),
+                   "GL4": (75, 15), "GL5": (541, 52)}
+
+
+@pytest.mark.parametrize("label,lattice", ALL_DATA)
+def test_one_context_per_levi(label, lattice):
+    # every face of one Levi, the roots vanishing on it, gets the same
+    # context, and the ambient group holds those contexts and no other
+    g = fresh_group(label, lattice)
+    faces = parabolic_faces(g)
+    by_roots = {}
+    for v in faces:
+        m = levi_weyl_group(g, v)
+        assert by_roots.setdefault(frozenset(a for a in g.datum.roots
+                                             if dot(a, v.x) == 0), m) is m, v
+    assert len({id(m) for m in by_roots.values()}) == len(by_roots)
+    assert (len(faces), len(by_roots)) == FACES_AND_LEVIS[label]
+    assert len(g.levi_groups) == len(by_roots)
+    assert all(frozenset(m.phi_m) == roots for roots, m in by_roots.items())
 
 
 @pytest.mark.parametrize("label,lattice", ALL_DATA)

@@ -8,7 +8,7 @@ from newton_cocenter import (
     AffineWeylGroup, ConfigurationError, build_root_datum, coweight,
 )
 from newton_cocenter.errors import LogicError
-from newton_cocenter.levi_alcove import levi_weyl_group
+from newton_cocenter.levi_alcove import levi_weyl_group, phi_plus
 from newton_cocenter.root_datum import (
     Coweight, RootDatum, dot, integer_inverse, mat_act, mat_mul, weyl_inverse,
 )
@@ -125,11 +125,12 @@ def test_dominant_rep_idempotent_and_orbit_invariant():
 def test_levi_datum_gl5_anchor_levi():
     d = build_root_datum("GL", rank=5)
     v = coweight([F(2, 3), F(2, 3), F(2, 3), F(1, 2), F(1, 2)])
-    m = levi_weyl_group(AffineWeylGroup(d), v)
+    g = AffineWeylGroup(d)
+    m = levi_weyl_group(g, v)
     # GL3 x GL2 inside GL5
     assert len(m.finite_elements()) == 12
     assert len(m.phi_m) == 8
-    assert len(m.phi_plus) == 6
+    assert len(phi_plus(g, v)) == 6
 
 
 def test_levi_datum_extremes():

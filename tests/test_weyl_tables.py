@@ -26,7 +26,7 @@ import pytest
 from newton_cocenter import AffineWeylElement, AffineWeylGroup, build_root_datum, cli, reduction
 from newton_cocenter.affine_weyl import AffineRoot, inverse, multiply
 from newton_cocenter.errors import LogicError
-from newton_cocenter.levi_alcove import LeviWeylGroup, levi_weyl_group
+from newton_cocenter.levi_alcove import levi_weyl_group
 from newton_cocenter.reduction import max_finite_parabolic_order
 from newton_cocenter.root_datum import (
     Coweight, WeylElement, coweight, dot, mat_act, mat_identity, mat_mul, weyl_exponents,
@@ -465,9 +465,9 @@ def test_levi_fixer_equals_reflection_closure(label, lattice):
     d = build_root_datum(label, lattice)
     g = AffineWeylGroup(d)
     grid = _levi_grid(d)
-    generated = [LeviWeylGroup(g, v).finite_elements() for v in grid]
+    generated = [levi_weyl_group(g, v).finite_elements() for v in grid]
     grid += _levi_faces(g)
-    generated += [LeviWeylGroup(g, v).finite_elements() for v in grid[len(generated):]]
+    generated += [levi_weyl_group(g, v).finite_elements() for v in grid[len(generated):]]
     for v, w_m in zip(grid, generated):
         zero = [a for a in d.roots if dot(a, v.x) == 0]
         gens = [reflection_matrix(a, d.coroot[a]) for a in zero]
@@ -520,7 +520,7 @@ def test_levi_dominant_rep_equals_fraction_walk(label, lattice):
     d = datum_of(label, lattice)
     g = AffineWeylGroup(d)
     for v in _levi_grid(d)[::3]:
-        m = LeviWeylGroup(g, v)
+        m = levi_weyl_group(g, v)
         walls = [(a, d.coroot[a]) for a in m.m_simple_roots]
         for x in _levi_grid(d)[::5]:
             x_bar, u_bar = fraction_walk(fractions_of(x), walls, d.rank)
