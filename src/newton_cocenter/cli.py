@@ -470,8 +470,6 @@ def cmd_induce(group, args) -> int:
     from .levi_alcove import levi_weyl_group
     v = parse_coweight(group, args.v)
     f = parse_hecke_expr(group, args.expr)
-    if not f.terms:
-        raise InputError("induce needs a nonzero element")
     _print_nf(group, induce(group, levi_weyl_group(group, v), f), args.json)
     return 0
 

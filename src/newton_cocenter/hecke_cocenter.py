@@ -501,23 +501,23 @@ def cocenter_reduce_randomized(group: AffineWeylGroup, f: HeckeElement,
         f"randomized reduction did not finish within {max_steps} steps")
 
 
-def induce(group: AffineWeylGroup, m: LeviWeylGroup, f: HeckeElement,
-           nu_m: NewtonIndex | None = None) -> HeckeElement:
-    """Push a Levi cocenter element into the ambient cocenter.
+def induce(group: AffineWeylGroup, m: LeviWeylGroup, f: HeckeElement) -> HeckeElement:
+    """Push a nonzero Levi cocenter element into the ambient cocenter.
 
     Every support key must lie in W(M), checked first, be M-minimal,
-    and carry the M-Newton index nu_m (by default that of the first key
-    in M's canonical order); each T^M_w is then sent to the ambient
-    normal form of T_w.  The image must live in the single Newton
-    component that nu_m maps to; a key that is far from ambient-minimal
-    can have an Iwahori class meeting several Newton strata, in which
-    case this basis-level shadow of the induction map is not faithful
-    and the call is refused.
+    and carry one M-Newton index nu_m, that of the first key in M's
+    canonical order; each T^M_w is then sent to the ambient normal form
+    of T_w.  The image must live in the single Newton component that
+    nu_m maps to; a key that is far from ambient-minimal can have an
+    Iwahori class meeting several Newton strata, in which case this
+    basis-level shadow of the induction map is not faithful and the
+    call is refused.
     """
+    if not f.terms:
+        raise InputError("induce needs a nonzero element")
     if not all(map(m.is_member, f.terms)):
         raise InputError("induce: support must lie in the Levi subgroup")
-    if nu_m is None:
-        nu_m = m.newton_index(next(m.canonical_order(f.terms)))
+    nu_m = m.newton_index(next(m.canonical_order(f.terms)))
     target = group.index_of(nu_m.omega, nu_m.nu_bar)
     for w in f.terms:
         if m.newton_index(w) != nu_m:
@@ -573,7 +573,7 @@ def _covers(group: AffineWeylGroup, nu: NewtonIndex, x: AffineWeylElement) -> bo
     nu_m = mx.newton_index(x)
     if group.index_of(nu_m.omega, nu_m.nu_bar) != nu:
         return False
-    nf = induce(group, mx, HeckeElement.basis(x), nu_m)
+    nf = induce(group, mx, HeckeElement.basis(x))
     return nf.terms == {x: ONE}
 
 

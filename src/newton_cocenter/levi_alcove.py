@@ -70,11 +70,8 @@ def levi_weyl_group(group: AffineWeylGroup, v: Coweight) -> LeviWeylGroup:
 
 
 def phi_plus(group: AffineWeylGroup, v: Coweight) -> tuple:
-    """The roots strictly positive on v, memoised on the root datum."""
-    x, memo = v.x, group.datum.roots_positive_on
-    if x not in memo:
-        memo[x] = tuple(a for a in group.datum.roots if dot(a, x) > 0)
-    return memo[x]
+    """The roots strictly positive on v."""
+    return tuple(a for a in group.datum.roots if dot(a, v.x) > 0)
 
 
 def parabolic_faces(group: AffineWeylGroup) -> list[Coweight]:
@@ -132,10 +129,11 @@ def is_v_alcove(group: AffineWeylGroup, w: AffineWeylElement, v: Coweight) -> bo
     return True
 
 
-def newton_v_positive(group: AffineWeylGroup, v: Coweight, w: AffineWeylElement) -> bool:
-    """Whether nu_w is strictly positive on the roots positive on v."""
+def newton_v_positive(group: AffineWeylGroup, plus: tuple, w: AffineWeylElement) -> bool:
+    """Whether nu_w is strictly positive on the roots plus, those
+    positive on v (`phi_plus(group, v)`)."""
     nu = newton_point(group, w).x
-    return all(dot(beta, nu) > 0 for beta in phi_plus(group, v))
+    return all(dot(beta, nu) > 0 for beta in plus)
 
 
 # Witness that a power of w shifts every v-positive level up.  exponent
@@ -169,7 +167,7 @@ def positivity_exponent(group: AffineWeylGroup, w: AffineWeylElement,
     # <beta, n i nu> >= n for every v-positive beta, since u in W_M
     # permutes those roots; so a Newton point not strictly positive on
     # them admits no such power, and is refused before any search.
-    if not newton_v_positive(group, v, w):
+    if not newton_v_positive(group, plus, w):
         raise InputError(
             "no positive power of w is strictly v-positive: its Newton point "
             "is not strictly positive on the v-positive roots")

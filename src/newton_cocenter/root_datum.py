@@ -344,11 +344,11 @@ class RootDatum:
     demand: an element becomes an interned `WeylElement`, with its root
     permutation (u(alpha) as a root index), when a query first reaches
     it, and `weyl_elements` completes W0 when a query reads all of it
-    (`w0_order` reads the exponents instead); inverses, products, orders
-    and `roots_positive_on` are memoised on demand.  The table methods
-    accept any matrix equal to an element of W0 and raise `LogicError`
-    on any other.  Nothing is shared between data, and apart from those
-    tables the datum is immutable after construction.
+    (`w0_order` reads the exponents instead); inverses, products and
+    orders are memoised on demand.  The table methods accept any matrix
+    equal to an element of W0 and raise `LogicError` on any other.
+    Nothing is shared between data, and apart from those tables the
+    datum is immutable after construction.
     """
 
     def __init__(self, type_label: str, lattice: str, rank: int,
@@ -373,7 +373,6 @@ class RootDatum:
         self.materialised: list[WeylElement] = []
         self._perms, self._products, self._perm_index, self._interned = [], [], {}, {}
         self._inverses, self._orders, self._subgroups = {}, {}, {}
-        self.roots_positive_on: dict[IntVector, tuple] = {}  # by levi_alcove.phi_plus
         self.weyl_identity = self._materialise(  # the seed of every descent chain
             mat_identity(rank), tuple(range(len(self.roots))))
         self.simple_reflections = tuple(self._element(p) for _, _, p in self._simple)

@@ -376,7 +376,8 @@ def suite_positivity(group, params):
     result = rep.check(
         "exponent-within-bound",
         (((v, w), _exponent_within_bound(group, w, v))
-         for v, m, box in boxes for w in box if newton_v_positive(group, v, w)),
+         for v, _, box in boxes for plus in [phi_plus(group, v)]
+         for w in box if newton_v_positive(group, plus, w)),
         functools.partial(_levi_case_str, group))
     result.detail = f"skipped={sum(len(box) for _, _, box in boxes) - result.instances}"
     return rep
