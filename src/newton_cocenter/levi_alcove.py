@@ -171,6 +171,12 @@ def positivity_exponent(group: AffineWeylGroup, w: AffineWeylElement,
         raise InputError(
             "no positive power of w is strictly v-positive: its Newton point "
             "is not strictly positive on the v-positive roots")
+    return _power_search(group, m, plus, w, v)
+
+
+def _power_search(group, m, plus, w, v):
+    """The search of `positivity_exponent` for w in the Levi m of v
+    with nu_w strictly positive on plus, the v-positive roots."""
     n0 = wa_ball_count(m, m.length(w))
     n1 = max_finite_parabolic_order(m)
     bound = (2 * n0 + n1 + 1) * v.d

@@ -30,15 +30,15 @@ from .hecke_cocenter import (
     rigid_decomposition,
 )
 from .levi_alcove import (
-    conjugate_levi, is_v_alcove, levi_weyl_group, newton_v_positive, parabolic_faces,
-    phi_plus, positivity_exponent,
+    _power_search, conjugate_levi, is_v_alcove, levi_weyl_group, newton_v_positive,
+    parabolic_faces, phi_plus,
 )
 from .newton import is_straight_by_powers, newton_point, orbit_sum, strata
 from .reduction import (
     canonical_class_rep, is_min_in_class, reduce_to_min, replay,
     standard_triple, wa_ball_count,
 )
-from .root_datum import Coweight, Record, dot, mat_act
+from .root_datum import Coweight, Record, coset_reduce, dot, mat_act, weyl_product
 
 
 class CheckResult(Record):
@@ -351,19 +351,33 @@ def _in_ambient_stratum(group, m, w):
 
 
 def _conjugation_cases(group, boxes):
-    """((v, w), ok) for each Levi M of v, conjugator u0 and short w of
-    its box: the index map of u0 M u0^-1 sends the M-Newton index of w
-    to that of u0 w u0^-1."""
-    conjugators = group.datum.weyl_elements if group.datum.w0_order <= 16 \
-        else group.datum.simple_reflections
+    """((v, x), ok) for each Levi M of v and simple reflection s, with
+    M' the Levi of s(v): first x = s, ok if s carries M onto M'
+    (`_carries_levi`); then each of the first six short w of the box,
+    ok if the index map of M' sends the M-Newton index of w to that of
+    s w s, which checks `conjugate`, `index_of` and `dominant_rep` end
+    to end.  The Levis are all those containing T and the simple
+    reflections generate W0, so the facts of `_carries_levi` hold for
+    every conjugator in W0, and with them the index map, as Newton
+    points commute with conjugation."""
     for v, m, box in boxes:
         small = [w for w in box if m.length(w) <= 3
-                 and all(abs(x) <= 1 for x in w.translation)][:60]
-        for u0 in conjugators:
-            m2, index_map = conjugate_levi(group, u0, v)
-            x0 = group.finite_element(u0)
+                 and all(abs(x) <= 1 for x in w.translation)][:6]
+        for s in group.datum.simple_reflections:
+            m2, index_map = conjugate_levi(group, s, v)
+            x0 = group.finite_element(s)
+            yield (v, x0), _carries_levi(group.datum, s, m, m2)
             for w in small:
                 yield (v, w), m2.newton_index(conjugate(x0, w)) == index_map(m.newton_index(w))
+
+
+def _carries_levi(datum, s, m, m2):
+    """s maps the coroot lattice of m onto that of m2 (each M-simple
+    coroot into it, and back, as s = s^-1), and s W_M s is W_M2."""
+    return all(not any(coset_reduce(mat_act(s, datum.coroot[a]), m_b.coroot_hnf))
+               for m_a, m_b in ((m, m2), (m2, m)) for a in m_a.m_simple_roots) \
+        and {weyl_product(weyl_product(s, u), s) for u in m.finite_elements()} \
+        == set(m2.finite_elements())
 
 
 def _levi_case_str(group, vw):
@@ -375,20 +389,13 @@ def suite_positivity(group, params):
     boxes = _levi_boxes(group, 4, box=1)
     result = rep.check(
         "exponent-within-bound",
-        (((v, w), _exponent_within_bound(group, w, v))
-         for v, _, box in boxes for plus in [phi_plus(group, v)]
-         for w in box if newton_v_positive(group, plus, w)),
+        (((v, w), cert.exponent <= cert.bound)
+         for v, m, box in boxes for plus in [phi_plus(group, v)]
+         for w in box if newton_v_positive(group, plus, w)
+         for cert in [_power_search(group, m, plus, w, v)]),
         functools.partial(_levi_case_str, group))
     result.detail = f"skipped={sum(len(box) for _, _, box in boxes) - result.instances}"
     return rep
-
-
-def _exponent_within_bound(group, w, v):
-    try:
-        cert = positivity_exponent(group, w, v)
-    except InputError:
-        return False
-    return cert.exponent <= cert.bound
 
 
 def suite_cocenter(group, params):

@@ -7,7 +7,10 @@ README examples (text output, so they pin the text formatter and
 `induce`) and GL5 `verify all` at defaults were recorded with the
 Fraction-valued, unmemoised Newton and Levi layers.  Every `levi` and
 `positivity` report was re-recorded when the Levis came to be listed
-by `parabolic_faces` in place of a coordinate grid.  They pin the
+by `parabolic_faces` in place of a coordinate grid, and their
+`conjugation-compatible-strata` counts again when that property came to
+run once per (Levi, simple reflection) in place of a sweep of box
+elements by conjugators.  They pin the
 canonical output of `verify`, of long `cocenter-reduce` inputs, of one
 GL5 query per kind and of every README example.  Every `verify all`
 file is also matched with `--jobs 2`, which runs the suites in worker

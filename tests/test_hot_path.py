@@ -18,6 +18,7 @@ from newton_cocenter import (
     AffineRoot, AffineWeylElement, AffineWeylGroup, NewtonIndex,
     build_root_datum,
 )
+from newton_cocenter import levi_alcove, verify
 from newton_cocenter.affine_weyl import conjugate, inverse, multiply
 from newton_cocenter.levi_alcove import levi_weyl_group
 from newton_cocenter.newton import newton_index
@@ -179,6 +180,29 @@ def test_gl4_levi_boxes_call_m_length_less_often_than_the_box_has_candidates(mon
         monkeypatch.setattr(m, "length", lambda w, length=length: calls.append(w) or length(w))
         assert _levi_box(g, m, 4)
     assert len(calls) < candidates
+
+
+def test_gl4_levi_suite_conjugates_once_per_levi_reflection_and_short_element(monkeypatch):
+    """At most 15 Levis x 3 simple reflections x 6 short elements; the
+    sweep it replaced conjugated 2,700 times."""
+    g = fresh_group("GL4", "gl")
+    calls = []
+    monkeypatch.setattr(verify, "conjugate", lambda x, w: calls.append(w) or conjugate(x, w))
+    assert verify.suite_levi(g, {"m_length": 4, "seed": 0}).passed
+    assert len(_levi_faces(g)) == 15
+    assert len(calls) <= 15 * 3 * 6
+
+
+def test_gl4_positivity_suite_tests_newton_positivity_once_per_box_element(monkeypatch):
+    g = fresh_group("GL4", "gl")
+    calls = []
+    positive = verify.newton_v_positive
+    monkeypatch.setattr(verify, "newton_v_positive",
+                        lambda grp, plus, w: calls.append(w) or positive(grp, plus, w))
+    monkeypatch.setattr(levi_alcove, "newton_v_positive",
+                        lambda grp, plus, w: calls.append(w) or positive(grp, plus, w))
+    assert verify.suite_positivity(g, {"seed": 0}).passed
+    assert len(calls) == sum(len(box) for _, _, box in verify._levi_boxes(g, 4, box=1))
 
 
 # -- balls ---------------------------------------------------------------

@@ -10,7 +10,7 @@ predicate cannot leave a wrong value in a memo of the shared groups.
 
 from newton_cocenter import AffineWeylGroup, build_root_datum
 from newton_cocenter import verify
-from newton_cocenter.errors import InputError, LogicError, ResourceError
+from newton_cocenter.errors import LogicError, ResourceError
 from newton_cocenter.hecke_cocenter import HeckeElement
 
 
@@ -115,24 +115,24 @@ def test_levi_labels(monkeypatch):
     _patch(monkeypatch, "_in_ambient_stratum",
            lambda orig, grp, m, w: orig(grp, m, w) and m.length(w) != 3)
     _patch(monkeypatch, "conjugate", lambda orig, x, w: multiply(x, w))
+    _patch(monkeypatch, "_carries_levi",
+           lambda orig, datum, s, m, m2: orig(datum, s, m, m2) and m is not m2)
     assert _run("levi", g) == [
         ("levi-length-at-most-ambient", 316, 32, "v=[0,0,0] w=t[-1,-1,-1]*s1*s2", "strict=146"),
         ("levi-stratum-inside-ambient-stratum", 316, 46, "v=[0,0,0] w=t[-1,-1,-1]*s1*s2*s1", ""),
-        ("conjugation-compatible-strata", 1494, 909, "v=[-1,0,1] w=t[-1,-1,0]", ""),
+        ("conjugation-compatible-strata", 70, 46, "v=[-1,0,1] w=t[0,0,0]*s1", ""),
     ]
 
 
 def test_positivity_label(monkeypatch):
     g = _fresh("GL3")
 
-    def exponent(orig, grp, w, v):
-        if grp.length(w) == 1:
-            raise InputError("not v-positive")
-        cert = orig(grp, w, v)
+    def exponent(orig, grp, m, plus, w, v):
+        cert = orig(grp, m, plus, w, v)
         return cert._replace(exponent=cert.bound + 1) \
-            if grp.length(w) == 2 else cert
+            if grp.length(w) in (1, 2) else cert
 
-    _patch(monkeypatch, "positivity_exponent", exponent)
+    _patch(monkeypatch, "_power_search", exponent)
     assert _run("positivity", g) == [
         ("exponent-within-bound", 176, 63, "v=[0,0,0] w=t[-1,-1,-1]*s1", "skipped=140"),
     ]
