@@ -33,7 +33,7 @@ from .affine_weyl import (
     AffineWeylElement, AffineWeylGroup, multiply,
 )
 from .errors import InputError, LogicError, ResourceError
-from .levi_alcove import LeviWeylGroup, levi_weyl_group
+from .levi_alcove import LeviWeylGroup, levi_weyl_group, phi_plus
 from .newton import NewtonIndex, newton_point, strata
 from .reduction import canonical_class_rep, conj_step, is_min_in_class, lowering_move
 
@@ -147,24 +147,6 @@ class QPoly:
         if other.width != w or bound >> (w - 1):
             w, bound, a, b = _refit(lambda x, y: x * y * n, self, other)
         return _poly(e, a * b, w, bound)
-
-    def divexact(self, other: "QPoly") -> "QPoly":
-        """Exact division; raises if the quotient is not in Z[q]."""
-        if not other:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if not self:
-            return QPoly()
-        rem = list(self.coeffs)
-        den = other.coeffs
-        out = [0] * (len(rem) - len(den) + 1)
-        for i in range(len(out) - 1, -1, -1):
-            # floored: a remainder left here is above the reach of every later step
-            f = out[i] = rem[i + len(den) - 1] // den[-1]
-            for j, d in enumerate(den):
-                rem[i + j] -= f * d
-        if any(rem):
-            raise LogicError("inexact polynomial division")
-        return QPoly(out)
 
     def evaluate(self, x: int) -> int:
         total = 0
@@ -505,13 +487,14 @@ def induce(group: AffineWeylGroup, m: LeviWeylGroup, f: HeckeElement) -> HeckeEl
     """Push a nonzero Levi cocenter element into the ambient cocenter.
 
     Every support key must lie in W(M), checked first, be M-minimal,
-    and carry one M-Newton index nu_m, that of the first key in M's
-    canonical order; each T^M_w is then sent to the ambient normal form
-    of T_w.  The image must live in the single Newton component that
-    nu_m maps to; a key that is far from ambient-minimal can have an
-    Iwahori class meeting several Newton strata, in which case this
-    basis-level shadow of the induction map is not faithful and the
-    call is refused.
+    carry one M-Newton index nu_m, that of the first key in M's
+    canonical order, and lie in the map's domain: M contains the
+    centraliser of its Newton point.  Each T^M_w is then sent to the
+    ambient normal form of T_w.  The image must live in the single
+    Newton component that nu_m maps to; a key that is far from
+    ambient-minimal can have an Iwahori class meeting several Newton
+    strata, in which case this basis-level shadow of the induction map
+    is not faithful and the call is refused.
     """
     if not f.terms:
         raise InputError("induce needs a nonzero element")
@@ -519,11 +502,15 @@ def induce(group: AffineWeylGroup, m: LeviWeylGroup, f: HeckeElement) -> HeckeEl
         raise InputError("induce: support must lie in the Levi subgroup")
     nu_m = m.newton_index(next(m.canonical_order(f.terms)))
     target = group.index_of(nu_m.omega, nu_m.nu_bar)
+    off_m = set(group.phi_m).difference(m.phi_m)
     for w in f.terms:
         if m.newton_index(w) != nu_m:
             raise InputError("induce: support must be in the nu_m fiber")
         if not is_min_in_class(m, w):
             raise InputError("induce: support keys must be M-minimal")
+        # nu vanishes on no root +-a off M iff it is positive on half of them
+        if len(off_m) != 2 * len(off_m.intersection(phi_plus(group, newton_point(group, w)))):
+            raise InputError("induce: M must contain the centraliser of each key's Newton point")
     nf = cocenter_reduce(group, f)
     for nu in newton_components(group, nf):
         if nu != target:
@@ -576,30 +563,3 @@ def _covers(group: AffineWeylGroup, nu: NewtonIndex, x: AffineWeylElement) -> bo
     nf = induce(group, mx, HeckeElement.basis(x))
     return nf.terms == {x: ONE}
 
-
-def fraction_free_rank(rows: list[list[QPoly]]) -> int:
-    """Rank of a matrix over Z[q] by Bareiss elimination.
-
-    Provided as a refutation oracle for claimed linear identities among
-    reduced commutators; it never proves independence of the cocenter
-    basis, only exposes nonzero residue spans.
-    """
-    if not rows:
-        return 0
-    m = [list(r) for r in rows]
-    ncols = len(m[0])
-    prev = ONE
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for r in range(rank + 1, len(m)):
-            for c in range(col + 1, ncols):
-                m[r][c] = (m[rank][col] * m[r][c] - m[r][col] * m[rank][c]) \
-                    .divexact(prev)
-            m[r][col] = QPoly()
-        prev = m[rank][col]
-        rank += 1
-    return rank

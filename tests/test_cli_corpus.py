@@ -92,6 +92,9 @@ ARGVS = [
     ["--group", "A1", "--ball-cap", "0", "verify", "newton", "--length", "1"],
     ["--group", "A2", "induce", "--v", "[1,0]", "T[S0]"],
     ["--group", "A2", "induce", "--v", "[1,0]", "T[t[0,0]]+T[S0]"],
+    # two keys of one M-class outside the induction map's domain
+    ["--group", "GL4", "induce", "--v", '["-1/2","1/2","-1/2","1/2"]', "T[t[0,1,0,0]*s1*s2*s1]"],
+    ["--group", "GL4", "induce", "--v", '["-1/2","1/2","-1/2","1/2"]', "T[t[1,1,-1,0]*s1*s2*s1]"],
 ]
 
 

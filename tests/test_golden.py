@@ -10,7 +10,10 @@ Fraction-valued, unmemoised Newton and Levi layers.  Every `levi` and
 by `parabolic_faces` in place of a coordinate grid, and their
 `conjugation-compatible-strata` counts again when that property came to
 run once per (Levi, simple reflection) in place of a sweep of box
-elements by conjugators.  They pin the
+elements by conjugators, and their `levi-stratum-inside-ambient-stratum`
+counts again when that property came to run on the same six short
+elements per Levi in place of the whole box.  Every `cocenter` report
+was re-recorded when `residue-rank-zero` was dropped.  They pin the
 canonical output of `verify`, of long `cocenter-reduce` inputs, of one
 GL5 query per kind and of every README example.  Every `verify all`
 file is also matched with `--jobs 2`, which runs the suites in worker

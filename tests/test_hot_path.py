@@ -193,6 +193,18 @@ def test_gl4_levi_suite_conjugates_once_per_levi_reflection_and_short_element(mo
     assert len(calls) <= 15 * 3 * 6
 
 
+def test_gl4_levi_suite_checks_ambient_strata_on_six_elements_per_levi(monkeypatch):
+    """At most 15 Levis x 6 short elements; the whole boxes it replaced
+    held 2,181 elements."""
+    g = fresh_group("GL4", "gl")
+    calls = []
+    check = verify._in_ambient_stratum
+    monkeypatch.setattr(verify, "_in_ambient_stratum",
+                        lambda grp, m, w: calls.append(w) or check(grp, m, w))
+    assert verify.suite_levi(g, {"m_length": 4, "seed": 0}).passed
+    assert len(calls) <= 15 * 6
+
+
 def test_gl4_positivity_suite_tests_newton_positivity_once_per_box_element(monkeypatch):
     g = fresh_group("GL4", "gl")
     calls = []

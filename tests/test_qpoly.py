@@ -10,12 +10,10 @@ operands of different widths meet.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 
-from newton_cocenter import LogicError
-from newton_cocenter.hecke_cocenter import ONE, Q, Q_MINUS_1, QPoly, fraction_free_rank
+from newton_cocenter.hecke_cocenter import ONE, Q, Q_MINUS_1, QPoly
 
 
 class TuplePoly:
@@ -58,21 +56,6 @@ class TuplePoly:
                     out[i + j] += x * y
         return TuplePoly(out)
 
-    def divexact(self, other):
-        if not self:
-            return TuplePoly()
-        rem = [Fraction(x) for x in self.coeffs]
-        den = other.coeffs
-        out = [Fraction(0)] * (len(rem) - len(den) + 1)
-        for i in range(len(out) - 1, -1, -1):
-            f = rem[i + len(den) - 1] / den[-1]
-            out[i] = f
-            for j, d in enumerate(den):
-                rem[i + j] -= f * d
-        if any(rem) or any(f.denominator != 1 for f in out):
-            raise LogicError("inexact polynomial division")
-        return TuplePoly(tuple(int(f) for f in out))
-
     def evaluate(self, x):
         total = 0
         for c in reversed(self.coeffs):
@@ -96,28 +79,6 @@ class TuplePoly:
                 tail = "q" if e == 1 else f"q^{e}"
                 parts.append(f"{sign}{head}{tail}")
         return "".join(parts)
-
-
-def tuple_rank(rows):
-    """Bareiss elimination over TuplePoly, as `fraction_free_rank` was."""
-    if not rows:
-        return 0
-    m = [list(r) for r in rows]
-    ncols = len(m[0])
-    prev = TuplePoly((1,))
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for r in range(rank + 1, len(m)):
-            for c in range(col + 1, ncols):
-                m[r][c] = (m[rank][col] * m[r][c] - m[r][col] * m[rank][c]).divexact(prev)
-            m[r][col] = TuplePoly()
-        prev = m[rank][col]
-        rank += 1
-    return rank
 
 
 def random_coeffs(rng, max_valuation=300, max_terms=8):
@@ -208,63 +169,6 @@ def test_iterated_products_outgrow_every_digit_width(seed):
         assert same(p, tp), step
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_divexact_matches_the_tuple_oracle(seed):
-    rng = random.Random(seed)
-    for _ in range(20):
-        (a, ta), (b, tb) = pair(random_coeffs(rng, 30, 5)), pair(random_coeffs(rng, 30, 5))
-        if not tb:
-            continue
-        assert same((a * b).divexact(b), ta)
-        assert same((a * b).divexact(b), (ta * tb).divexact(tb))
-        c, tc = a + QPoly((1,)), ta + TuplePoly((1,))
-        try:
-            expected = (tc * tb + TuplePoly((1,))).divexact(tb)
-        except LogicError:
-            with pytest.raises(LogicError):
-                (c * b + ONE).divexact(b)
-        else:
-            assert same((c * b + ONE).divexact(b), expected)
-
-
-def random_divisor(rng):
-    """A nonzero divisor with a valuation, small coefficients and a
-    leading coefficient that is negative or not 1."""
-    return ((0,) * rng.randint(0, 4) + tuple(rng.randint(-9, 9) for _ in range(rng.randint(0, 4)))
-            + (rng.choice((-5, -3, -2, -1, 2, 3, 7)),))
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_divexact_matches_fraction_long_division(seed):
-    # TuplePoly.divexact is the long division over Fractions: exact
-    # products divide back, and a pair that does not divide in Z[q],
-    # whether or not it divides in Q[q], is refused by both
-    rng = random.Random(seed)
-    refused = 0
-    for _ in range(30):
-        (a, ta), (b, tb) = pair(random_coeffs(rng, 6, 6)), pair(random_divisor(rng))
-        assert same((a * b).divexact(b), ta)
-        assert same((a * b).divexact(b), (ta * tb).divexact(tb))
-        r = TuplePoly(rng.randint(-3, 3) for _ in tb.coeffs[1:])
-        cases = [(ta * tb + r, tb),                        # remainder r
-                 (ta * tb, tb * rng.choice((2, 3, -2))),   # a / k, integral if k | a
-                 (tb, tb * TuplePoly((0, 1)))]             # the lower degree
-        for tn, td in cases:
-            try:
-                expected = tn.divexact(td)
-            except LogicError:
-                refused += 1
-                with pytest.raises(LogicError):
-                    QPoly(tn.coeffs).divexact(QPoly(td.coeffs))
-            else:
-                assert same(QPoly(tn.coeffs).divexact(QPoly(td.coeffs)), expected)
-    assert refused > 60
-    for num, den in [((1, 1), (2,)), ((0, 3), (0, 0, 3)), ((1,), (0, 1)), ((2, 4, 5), (2, 4)),
-                     ((0, -4, -2), (0, 2, 4))]:
-        with pytest.raises(LogicError):
-            QPoly(num).divexact(QPoly(den))
-
-
 def test_equal_polynomials_at_different_widths():
     # 2^30 q^5 needs a wider digit than q^5; (2^30 q^5 + q^5) - 2^30 q^5
     # keeps that width and still equals q^5 at the narrow one
@@ -275,17 +179,3 @@ def test_equal_polynomials_at_different_widths():
     assert QPoly.const(3) == 3 and QPoly() == 0 and not QPoly()
     assert QPoly.monomial(-1, 10 ** 6).coeffs[-1] == -1
     assert str(QPoly.monomial(-1, 10 ** 6)) == "-q^1000000"
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_fraction_free_rank_matches_the_tuple_oracle(seed):
-    rng = random.Random(seed)
-    for _ in range(6):
-        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
-        rows = [[random_coeffs(rng, 3, 3) for _ in range(ncols)] for _ in range(nrows)]
-        if nrows > 1 and rng.random() < 0.5:  # a dependent row
-            a, b = rng.sample(range(nrows), 2)
-            k = random_coeffs(rng, 2, 2)
-            rows[b] = [(TuplePoly(x) * TuplePoly(k)).coeffs for x in rows[a]]
-        assert fraction_free_rank([[QPoly(c) for c in r] for r in rows]) \
-            == tuple_rank([[TuplePoly(c) for c in r] for r in rows])

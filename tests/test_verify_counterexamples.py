@@ -4,14 +4,19 @@ The goldens all have failures=0, so they never reach the `first=`
 formats.  Here one predicate per suite is replaced, in `verify`'s
 namespace, by one that fails on part of the cases, and every property
 of the report is pinned as (property, instances, failures, first
-counterexample, detail).  Each test builds a fresh group, so a patched
-predicate cannot leave a wrong value in a memo of the shared groups.
+counterexample, detail), with failures in every row.  Each test builds
+a fresh group, so a patched predicate cannot leave a wrong value in a
+memo of the shared groups.
 """
 
-from newton_cocenter import AffineWeylGroup, build_root_datum
+import re
+from pathlib import Path
+
+from newton_cocenter import AffineWeylGroup, NewtonIndex, build_root_datum
 from newton_cocenter import verify
 from newton_cocenter.errors import LogicError, ResourceError
 from newton_cocenter.hecke_cocenter import HeckeElement
+from newton_cocenter.reduction import is_min_in_class
 
 
 def _fresh(label):
@@ -89,9 +94,14 @@ def test_reduction_labels(monkeypatch):
     _patch(monkeypatch, "standard_triple", triple)
     _patch(monkeypatch, "is_min_in_class",
            lambda orig, grp, w: orig(grp, w) and grp.length(w) != 2)
+    # non-minimal elements of length 4 read a foreign kappa, so a path
+    # from one of them down to its minimal end changes the Newton index
+    index = g.newton_index
+    monkeypatch.setattr(g, "newton_index", lambda w: NewtonIndex((9, 9), index(w).nu_bar)
+                        if g.length(w) == 4 and not is_min_in_class(g, w) else index(w))
     assert _run("reduction", g) == [
         ("path-replays", 64, 21, "t[1,2]*s2", ""),
-        ("newton-constant-along-path", 64, 0, None, ""),
+        ("newton-constant-along-path", 64, 18, "t[1,2]*s2*s1", ""),
         ("end-is-minimal", 64, 24, "t[1,1]*s1*s2", ""),
         ("path-length-bound", 64, 6, "t[1,2]*s2*s1", ""),
         ("standard-triple-exists", 64, 42, "t[1,1]*s1*s2", ""),
@@ -113,13 +123,13 @@ def test_levi_labels(monkeypatch):
     length, multiply = g.length, verify.multiply
     monkeypatch.setattr(g, "length", lambda w: length(w) - (length(w) == 2))
     _patch(monkeypatch, "_in_ambient_stratum",
-           lambda orig, grp, m, w: orig(grp, m, w) and m.length(w) != 3)
+           lambda orig, grp, m, w: orig(grp, m, w) and w.translation[0] != -1)
     _patch(monkeypatch, "conjugate", lambda orig, x, w: multiply(x, w))
     _patch(monkeypatch, "_carries_levi",
            lambda orig, datum, s, m, m2: orig(datum, s, m, m2) and m is not m2)
     assert _run("levi", g) == [
         ("levi-length-at-most-ambient", 316, 32, "v=[0,0,0] w=t[-1,-1,-1]*s1*s2", "strict=146"),
-        ("levi-stratum-inside-ambient-stratum", 316, 46, "v=[0,0,0] w=t[-1,-1,-1]*s1*s2*s1", ""),
+        ("levi-stratum-inside-ambient-stratum", 30, 17, "v=[-1,0,1] w=t[-1,-1,-1]", ""),
         ("conjugation-compatible-strata", 70, 46, "v=[-1,0,1] w=t[0,0,0]*s1", ""),
     ]
 
@@ -153,7 +163,6 @@ def test_cocenter_labels(monkeypatch):
            lambda orig, grp, w: w if grp.length(w) == 1 else orig(grp, w))
     assert _run("cocenter", g, pair_budget=3, seeds=6) == [
         ("commutators-vanish", 39, 36, "[t[0,0],t[1,1]*s1*s2*s1]", ""),
-        ("residue-rank-zero", 1, 1, None, "rank=7"),
         ("confluence-under-random-strategies", 6, 3, "seed=1", ""),
         ("q1-specializes-to-class-map", 19, 2, "t[0,0]*s1", ""),
     ]
@@ -172,6 +181,15 @@ def test_rigid_label(monkeypatch):
 
 
 def test_every_suite_is_pinned():
+    # every suite has a test above, every property of an unpatched run
+    # has a pinned row, and every pinned row has failures: no property
+    # is pinned that its patch cannot make fail
     names = {name[len("test_"):].split("_")[0] for name in globals()
              if name.startswith("test_") and name != "test_every_suite_is_pinned"}
     assert names == set(verify.SUITES)
+    pinned = re.findall(r'^\s*\("([a-z0-9-]+)", (\d+), (\d+),',
+                        Path(__file__).read_text(encoding="utf-8"), re.M)
+    properties = {c.property_id for report in verify.run_suite("all", _fresh("A2"), {})
+                  for c in report.checks}
+    assert properties == {p for p, _, _ in pinned}
+    assert all(int(failures) > 0 for _, _, failures in pinned)
