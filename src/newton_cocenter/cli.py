@@ -106,9 +106,9 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
     p.add_argument("--config", help="config file with keys type, rank, lattice")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     p.add_argument("--jobs", type=_int_at_least(1), default=1,
-                   help="forked worker processes for `verify all`, at most "
-                        "one per shard of suites (serial without os.fork); "
-                        "output is canonical for any value")
+                   help="up to JOBS processes run `verify all`: this one and "
+                        "JOBS-1 forked workers, at most one per shard of suites "
+                        "(serial without os.fork); output is canonical for any value")
     p.add_argument("--json", action="store_true", help="JSON output")
     p.add_argument("--tsv", action="store_true", help="TSV output")
     p.add_argument("--ball-cap", type=_int_at_least(0),

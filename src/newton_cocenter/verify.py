@@ -344,9 +344,11 @@ def suite_levi(group, params):
 
 
 def _short(m, box):
-    """The first six w of the box with M-length <= 3 and translation in the unit cube."""
-    return [w for w in box if m.length(w) <= 3
-            and all(abs(x) <= 1 for x in w.translation)][:6]
+    """Six w of the box with M-length <= 3 and translation in the unit cube, M-length 0
+    last: only positive M-length gives a Newton point that M-conjugation moves."""
+    return sorted((w for w in box if m.length(w) <= 3
+                   and all(abs(x) <= 1 for x in w.translation)),
+                  key=lambda w: not m.length(w))[:6]
 
 
 def _in_ambient_stratum(group, m, w):
@@ -486,9 +488,9 @@ def run_suite(name: str, group: AffineWeylGroup, overrides: dict,
     meaning none, is an InputError for a single suite; "all" gives
     each override to the suites that take it.
 
-    With jobs > 1 and more than one suite, the suites run in forked
-    worker processes (`_run_forked`); the reports, and the exception of
-    the first failing suite, are those of the serial loop.
+    With jobs > 1 and more than one suite, the suites run here and in up
+    to jobs - 1 forked workers (`_run_forked`); the reports, and the
+    exception of the first failing suite, are those of the serial loop.
     """
     if name == "all":
         names = list(SUITES)
@@ -525,7 +527,7 @@ def _run_timed(group, name, params) -> SuiteReport:
 # -- worker processes ----------------------------------------------------
 
 # The shards of `verify all --jobs N`, heaviest first.  `positivity` runs
-# after `levi` in the same worker, because it reuses the Levi groups,
+# after `levi` in the same process, because it reuses the Levi groups,
 # boxes and Newton memos that `levi` leaves on the group.  Every other
 # suite is a shard of its own, started after these in suite order.
 _HEAVY_SHARDS = (("levi", "positivity"), ("cocenter",), ("reduction",))
@@ -547,15 +549,15 @@ class _WorkerTraceback(Exception):
 
 
 def _run_forked(group, tasks, jobs) -> list[SuiteReport]:
-    """Run the shards of `tasks` in min(jobs, shards) forked workers,
-    which inherit the group and its memos, and only collect here.
+    """Run the shards of `tasks` here and in min(jobs, shards) - 1 forked
+    workers, which inherit the group and its memos.
 
     Shard indices wait in a pipe, one byte each: a one-byte read is
-    atomic, so every shard runs once.  The reports come back in suite
-    order and the error that surfaces is that of the earliest failing
-    suite, as in the serial loop; a suite whose worker died before
-    reporting it is a LogicError.  Every worker has been reaped when
-    this returns or raises."""
+    atomic, so every shard runs once.  This process takes shards too,
+    then collects.  Reports come back in suite order and the error that
+    surfaces is that of the earliest failing suite, as in the serial
+    loop; a suite whose worker died before reporting it is a LogicError.
+    Every worker has been reaped when this returns or raises."""
     import signal  # here and below, not at start-up: they cost it 1.5 ms
     shards = _shards([n for n, _ in tasks])
     queue, feed = os.pipe()
@@ -564,7 +566,7 @@ def _run_forked(group, tasks, jobs) -> list[SuiteReport]:
     parent = os.getpid()
     pids, pipes = [], []
     try:
-        for _ in range(min(jobs, len(shards))):
+        for _ in range(min(jobs, len(shards)) - 1):
             r, w = os.pipe()
             pipes.append(r)
             try:
@@ -575,7 +577,7 @@ def _run_forked(group, tasks, jobs) -> list[SuiteReport]:
             finally:
                 os.close(w)
             pids.append(pid)
-        messages = _receive(pipes)
+        messages = [*_take_shards(group, tasks, shards, queue, parent), *_receive(pipes)]
     except BaseException:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
@@ -594,6 +596,8 @@ def _run_forked(group, tasks, jobs) -> list[SuiteReport]:
                              f"without reporting suite(s) {missing}")
         if isinstance(results[name], tuple):
             error, text = results[name]
+            if error.__traceback__:  # raised in this process
+                raise error
             raise error from _WorkerTraceback(text)
     return [results[n] for n, _ in tasks]
 
@@ -624,30 +628,36 @@ def _receive(fds) -> list:
     return messages
 
 
+def _take_shards(group, tasks, shards, queue, parent):
+    """Yield {suite: report or (error, traceback)} per shard taken from
+    `queue`.  A forked worker (any process but `parent`) exits before each
+    suite once its parent has died: no one is left to read its reports."""
+    while index := os.read(queue, 1):
+        results = {}
+        for i in shards[index[0]]:
+            if os.getpid() != parent and os.getppid() != parent:
+                os._exit(0)
+            name, params = tasks[i]
+            try:
+                results[name] = _run_timed(group, name, params)
+            except Exception as exc:
+                import traceback
+                results[name] = (exc, "".join(traceback.format_exception(exc)))
+        yield results
+
+
 def _work(group, tasks, shards, queue, fd, readers, parent):
     """The body of a forked worker, which never returns.  Per shard it
-    sends {suite: report or (error, traceback)}.  It closes the
-    `readers` it inherited, so a worker whose parent died gets EPIPE,
-    and exits quietly, instead of waiting on a full pipe; and it exits
-    before each suite once its parent pid is no longer `parent`, since
-    no one is left to read its reports."""
+    sends what `_take_shards` yields.  It closes the `readers` it
+    inherited, so a worker whose parent died gets EPIPE, and exits
+    quietly, instead of waiting on a full pipe."""
     import pickle
     code = 1
     try:
         for r in readers:
             os.close(r)
         out = os.fdopen(fd, "wb")
-        while index := os.read(queue, 1):
-            results = {}
-            for i in shards[index[0]]:
-                if os.getppid() != parent:
-                    os._exit(0)
-                name, params = tasks[i]
-                try:
-                    results[name] = _run_timed(group, name, params)
-                except Exception as exc:
-                    import traceback
-                    results[name] = (exc, "".join(traceback.format_exception(exc)))
+        for results in _take_shards(group, tasks, shards, queue, parent):
             out.write(pickle.dumps(results))
             out.flush()
         code = 0

@@ -129,8 +129,8 @@ def test_levi_labels(monkeypatch):
            lambda orig, datum, s, m, m2: orig(datum, s, m, m2) and m is not m2)
     assert _run("levi", g) == [
         ("levi-length-at-most-ambient", 316, 32, "v=[0,0,0] w=t[-1,-1,-1]*s1*s2", "strict=146"),
-        ("levi-stratum-inside-ambient-stratum", 30, 17, "v=[-1,0,1] w=t[-1,-1,-1]", ""),
-        ("conjugation-compatible-strata", 70, 46, "v=[-1,0,1] w=t[0,0,0]*s1", ""),
+        ("levi-stratum-inside-ambient-stratum", 30, 22, "v=[-1,0,1] w=t[-1,-1,-1]", ""),
+        ("conjugation-compatible-strata", 70, 43, "v=[-1,0,1] w=t[0,0,0]*s1", ""),
     ]
 
 

@@ -1,6 +1,6 @@
-"""`verify all --jobs N` runs the suites in at most N forked worker
-processes; its output, exit code and stderr message are those of the
-serial loop, and no worker outlives the call."""
+"""`verify all --jobs N` runs the suites in the calling process and at
+most N - 1 forked workers; its output, exit code and stderr message are
+those of the serial loop, and no worker outlives the call."""
 
 import json
 import os
@@ -59,6 +59,25 @@ def raising(error, delay):
     return suite
 
 
+def holding(monkeypatch, name, in_caller, marker):
+    """Make each suite but `name`, run in the calling process (in_caller)
+    or in a worker (not in_caller), wait until `marker` exists.  Held in
+    its first suite, that process takes one of the first shards only, so
+    `name`, in a later shard, runs in the other process."""
+    caller = os.getpid()
+
+    def held(suite):
+        def wrapper(group, params):
+            while (os.getpid() == caller) == in_caller and not marker.exists():
+                time.sleep(0.01)
+            return suite(group, params)
+        return wrapper
+
+    for other, (suite, params) in list(verify.SUITES.items()):
+        if other != name:
+            monkeypatch.setitem(verify.SUITES, other, (held(suite), params))
+
+
 @pytest.mark.parametrize("first, later", [
     (LogicError("first failing suite"), ResourceError("later failing suite")),
     (ResourceError("first failing suite"), LogicError("later failing suite")),
@@ -86,24 +105,78 @@ def test_earliest_failing_suite_wins_within_a_shard(capsys, monkeypatch):
     assert run(capsys, "--jobs", "2", *ARGV) == serial
 
 
-def test_unexpected_error_carries_its_worker_traceback(capsys, monkeypatch):
-    monkeypatch.setitem(verify.SUITES, "rigid", (raising(ZeroDivisionError("x"), 0), {}))
-    code, out, err = run(capsys, "--jobs", "2", *ARGV)
-    assert code == 3 and out == ""
-    assert "_WorkerTraceback" in err and "in suite" in err
-    assert err.rstrip().endswith("ZeroDivisionError: x")
+def test_unexpected_error_carries_its_worker_traceback(capsys, monkeypatch, tmp_path):
+    # rigid raises in the calling process, with its own traceback, or in
+    # the worker, whose traceback comes as the cause `_WorkerTraceback`
+    for in_caller in (True, False):
+        raised = tmp_path / f"raised-{in_caller}"
+
+        def suite(group, params):
+            raised.touch()
+            raise ZeroDivisionError("x")
+
+        with monkeypatch.context() as patch:
+            holding(patch, "rigid", not in_caller, raised)
+            patch.setitem(verify.SUITES, "rigid", (suite, {}))
+            code, out, err = run(capsys, "--jobs", "2", *ARGV)
+        assert code == 3 and out == ""
+        assert ("_WorkerTraceback" in err) == (not in_caller) and "in suite" in err
+        assert err.rstrip().endswith("ZeroDivisionError: x")
 
 
-def test_a_worker_that_dies_is_a_logic_error(capsys, monkeypatch):
+def test_a_worker_that_dies_is_a_logic_error(capsys, monkeypatch, tmp_path):
+    caller, died = os.getpid(), tmp_path / "died"
+
     def crash(group, params):
-        os._exit(9)
+        if os.getpid() != caller:  # never the test process itself
+            died.touch()
+            os._exit(9)
+        raise AssertionError("alcove ran in the calling process")
 
+    holding(monkeypatch, "alcove", True, died)
     monkeypatch.setitem(verify.SUITES, "alcove", (crash, {}))
     code, out, err = run(capsys, "--jobs", "2", *ARGV)
     assert code == 3 and out == ""
     assert err.startswith("logic error: ") and "alcove" in err and "9" in err
     # the other suites all reported
     assert "grammar" not in err and "rigid" not in err
+
+
+def test_a_suite_failing_in_the_caller_wins_and_every_worker_is_reaped(
+        capsys, monkeypatch, tmp_path):
+    # straightness fails in the calling process; each of the two workers,
+    # held in its first shard until then, fails later in suite order and
+    # reports it; the caller's error wins with its own traceback, and the
+    # fixture finds no worker left unreaped
+    caller, failed, started = os.getpid(), tmp_path / "failed", tmp_path / "started"
+    started.write_text("")
+
+    def failing_in_a_worker(suite):
+        def wrapper(group, params):
+            if os.getpid() == caller:
+                # so that each worker takes one of the first shards only
+                while len(started.read_text().split()) < 2:
+                    time.sleep(0.01)
+                return suite(group, params)
+            with open(started, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            while not failed.exists():
+                time.sleep(0.01)
+            raise ResourceError("a later suite failed in a worker")
+        return wrapper
+
+    def straightness(group, params):
+        failed.touch()
+        raise LogicError("straightness failed")
+
+    for name, (suite, params) in list(verify.SUITES.items()):
+        monkeypatch.setitem(verify.SUITES, name, (failing_in_a_worker(suite), params))
+    monkeypatch.setitem(verify.SUITES, "straightness", (straightness, {}))
+    code, out, err = run(capsys, "--jobs", "3", *ARGV)
+    assert code == 3 and out == ""
+    assert err.startswith("logic error: straightness failed")
+    assert "in a worker" not in err and "_WorkerTraceback" not in err
+    assert len(set(started.read_text().split())) == 2
 
 
 def counting_forks(monkeypatch):
@@ -123,10 +196,11 @@ def test_worker_count_is_at_most_the_suite_count(capsys, monkeypatch):
     serial = run(capsys, "--jobs", "1", *ARGV)
     assert forks == []
     assert run(capsys, "--jobs", "1000", *ARGV)[:2] == serial[:2]
-    assert len(forks) == SHARDS < len(verify.SUITES)
+    # the calling process runs shards too, beside SHARDS - 1 workers
+    assert len(forks) == SHARDS - 1 < len(verify.SUITES)
     forks.clear()
     assert run(capsys, "--jobs", "3", *ARGV)[:2] == serial[:2]
-    assert len(forks) == 3
+    assert len(forks) == 2
 
 
 def test_one_job_or_one_suite_starts_no_process(capsys, monkeypatch):
@@ -155,7 +229,7 @@ def test_positivity_runs_in_the_worker_of_levi(monkeypatch):
 
         def wrapper(group, params):
             if name == "levi":
-                time.sleep(0.2)  # so that the other worker takes cocenter
+                time.sleep(0.2)  # so that the other process takes cocenter
             report = suite(group, params)
             report.params = dict(report.params, pid=os.getpid())
             return report
@@ -166,15 +240,17 @@ def test_positivity_runs_in_the_worker_of_levi(monkeypatch):
     group = AffineWeylGroup(build_root_datum("A2"))
     reports = {r.suite: r for r in verify.run_suite("all", group, {}, jobs=2)}
     pids = {name: reports[name].params["pid"] for name in ("levi", "positivity", "cocenter")}
-    assert pids["levi"] == pids["positivity"] != os.getpid()
-    assert pids["cocenter"] not in (pids["levi"], os.getpid())
+    # levi and positivity share a process, which may be the caller, and
+    # cocenter runs in the other one
+    assert pids["levi"] == pids["positivity"] != pids["cocenter"]
+    assert os.getpid() in pids.values()
 
 
 @pytest.mark.parametrize("group", ["A2", "C2:ad", "GL3"])
 def test_any_job_count_prints_the_serial_output(group, capsys):
     serial = run(capsys, "--group", group, "--jobs", "1", "verify", "all")
     assert serial[0] == 0
-    for jobs in ("3", "10"):
+    for jobs in ("2", "3", "10"):
         assert run(capsys, "--group", group, "--jobs", jobs, "verify", "all")[:2] == serial[:2]
 
 
@@ -266,8 +342,14 @@ def slow(name):
         return verify.SuiteReport(name, "A1", params)
     return suite
 
+def late_in_the_parent(group, tasks, shards, queue, parent):
+    if os.getpid() == parent:
+        time.sleep(0.5)  # so that the worker takes the shard of levi and positivity
+    yield from take_shards(group, tasks, shards, queue, parent)
+
 for name in verify.SUITES:
     verify.SUITES[name] = (slow(name), {})
+take_shards, verify._take_shards = verify._take_shards, late_in_the_parent
 verify.run_suite("all", AffineWeylGroup(build_root_datum("A1")), {}, jobs=2)
 """
 
@@ -286,9 +368,9 @@ def running(pid):
 
 
 def test_workers_of_a_killed_parent_start_no_shard(tmp_path):
-    # the kill lands while both workers are in their first shard; the
-    # one running levi must not go on to positivity, neither may take
-    # another shard, and neither may print a traceback
+    # the kill lands while the parent and its one worker are both in
+    # their first shard; the worker, in levi, must not go on to
+    # positivity, may take no other shard and may print no traceback
     log, err = tmp_path / "starts.log", tmp_path / "stderr"
     src = str(Path(newton_cocenter.__file__).resolve().parent.parent)
     with open(err, "wb") as stderr:
@@ -305,10 +387,12 @@ def test_workers_of_a_killed_parent_start_no_shard(tmp_path):
         proc.kill()
         proc.wait()
     starts = [line.split() for line in log.read_text().splitlines()]
-    workers = {int(pid) for _, pid, _ in starts}
-    assert len(workers) == 2 and proc.pid not in workers
+    starters = {int(pid) for _, pid, _ in starts}
+    assert len(starters) == 2 and proc.pid in starters
+    worker, = starters - {proc.pid}
+    assert ["levi", str(worker)] in [start[:2] for start in starts]
     deadline = killed_at + 5
-    while any(running(pid) for pid in workers):
+    while running(worker):
         assert time.monotonic() < deadline, "a worker outlived its parent by 5 s"
         time.sleep(0.05)
     late = [name for name, _, at in (line.split() for line in log.read_text().splitlines())
