@@ -276,6 +276,30 @@ class AffineWeylGroup:
         perm = self.datum.root_permutation(u)
         return [level[perm[j]] > k for j, k in self._wall_roots]
 
+    def least_left_descent(self, w: AffineWeylElement) -> int | None:
+        """The least label whose flag in `left_descents` is set, or None."""
+        lam, u = w
+        level, tau = self._level(lam), self.datum.tau
+        perm = self.datum.root_permutation(u)
+        for i, (j, k) in enumerate(self._wall_roots):
+            if k - tau[j] + level[j] < tau[perm.index(j)]:
+                return i
+        return None
+
+    def least_right_descent(self, w: AffineWeylElement) -> int | None:
+        """The least label whose flag in `right_descents` is set, or None."""
+        level = self._level(w[0])
+        perm = self.datum.root_permutation(w[1])
+        for i, (j, k) in enumerate(self._wall_roots):
+            if level[perm[j]] > k:
+                return i
+        return None
+
+    def is_right_descent(self, w: AffineWeylElement, i: int) -> bool:
+        """Flag i of `right_descents` alone."""
+        j, k = self._wall_roots[i]
+        return self._level(w[0])[self.datum.root_permutation(w[1])[j]] > k
+
     # -- affine simple reflections --------------------------------------
 
     def _build_walls(self, wall_order):
@@ -352,13 +376,6 @@ class AffineWeylGroup:
             lam = tuple([x + k * y for x, y in zip(lam, u_beta_vee)])
         return _new(AffineWeylElement, (lam, datum.product(u, r)))
 
-    def _descent(self, w: AffineWeylElement, length: int):
-        """(label, s w, length - 1) for the least label s with s w shorter."""
-        for lab, down in enumerate(self.left_descents(w)):
-            if down:
-                return lab, self.wall_times(lab, w), length - 1
-        raise LogicError("descent must exist while length is positive")
-
     # -- Omega ----------------------------------------------------------
 
     def kappa(self, w: AffineWeylElement) -> IntVector:
@@ -372,9 +389,10 @@ class AffineWeylGroup:
         cached = self._omega_cache.get(label)
         if cached is None:
             w = self.translation(label)
-            length = self.length(w)
-            while length > 0:
-                _, w, length = self._descent(w, length)
+            for _ in range(self.length(w)):
+                if (lab := self.least_left_descent(w)) is None:
+                    raise LogicError("descent must exist while length is positive")
+                w = self.wall_times(lab, w)
             cached = self._omega_cache[label] = w
         return cached
 
@@ -423,7 +441,7 @@ class AffineWeylGroup:
                 continue
             letters: dict[int, list] = {}
             for w, cur in bucket:
-                i = self.left_descents(cur).index(True)
+                i = self.least_left_descent(cur)
                 letters.setdefault(i, []).append((w, self.wall_times(i, cur)))
             stack.extend((length - 1, letters[i]) for i in sorted(letters, reverse=True))
 

@@ -114,7 +114,7 @@ class QPoly:
             b <<= w * (eb - ea)
         s = a + b
         if not s:
-            return QPoly()
+            return ZERO
         # the lowest nonzero digit, below 2^(w-1), ends in fewer than w - 1 zero bits
         k = ((s & -s).bit_length() - 1) // w
         return _poly(min(ea, eb) + k, s >> w * k, w, bound)
@@ -130,7 +130,7 @@ class QPoly:
             other = QPoly.const(other)
         a, b = self.packed, other.packed
         if not a or not b:
-            return QPoly()
+            return ZERO
         e = self.valuation + other.valuation
         if a == 1:  # q^e times other
             return _poly(e, b, other.width, other.bound)
@@ -220,6 +220,7 @@ def _refit(need, *polys):
                             for p, d in zip(polys, digits)))
 
 
+ZERO = QPoly()
 Q = QPoly((0, 1))
 ONE = QPoly((1,))
 Q_MINUS_1 = QPoly((-1, 1))
@@ -346,11 +347,10 @@ def _basis_product(group, x, y):
     without a word and back up one wall at a time, memoising each prefix."""
     memo, chain = group.hecke_products, []
     while (x, y) not in memo:
-        down = group.right_descents(y)
-        if True not in down:
+        if (s := group.least_right_descent(y)) is None:
             memo[x, y] = {multiply(x, y): ONE}
             break
-        chain.append((y, s := down.index(True)))
+        chain.append((y, s))
         y = group.times_wall(y, s)
     terms = memo[x, y]
     for y, s in reversed(chain):
@@ -362,7 +362,7 @@ def _mul_by_generator(group, terms, label):
     out: dict[AffineWeylElement, QPoly] = {}
     for x, c in terms.items():
         xs = group.times_wall(x, label)
-        if not group.right_descents(x)[label]:
+        if not group.is_right_descent(x, label):
             _add_term(out, xs, c)
         else:
             _add_term(out, xs, c * Q)
@@ -432,15 +432,28 @@ def _rewrite_step(group, w):
 def cocenter_reduce(group: AffineWeylGroup, f: HeckeElement) -> HeckeElement:
     """Rewrite f modulo commutators onto canonical minimal classes; the
     form of each basis element of f is memoised in `group.nf_cache`."""
+    return HeckeElement(_add_forms(group, {}, f.terms))
+
+
+def commutator_form(group: AffineWeylGroup, x: AffineWeylElement,
+                    y: AffineWeylElement) -> dict[AffineWeylElement, QPoly]:
+    """The normal form of T_x T_y - T_y T_x, as {representative: coefficient}:
+    both basis products, reduced term by term into one dict."""
+    return _add_forms(group, _add_forms(group, {}, _basis_product(group, x, y)),
+                      _basis_product(group, y, x), negate=True)
+
+
+def _add_forms(group, out, terms, negate=False):
+    """out += (or -=, if negate) the sum of c NF(T_w) over terms {w: c},
+    each form memoised in `group.nf_cache`; returns out."""
     cache = group.nf_cache
-    out: dict[AffineWeylElement, QPoly] = {}
-    for w, c in f.terms.items():
+    for w, c in terms.items():
         form = cache.get(w)
         if form is None:
             form = cache[w] = _normal_form(group, w)
         for rep, x in form.items():
-            _add_term(out, rep, c * x)
-    return HeckeElement(out)
+            _add_term(out, rep, -(c * x) if negate else c * x)
+    return out
 
 
 def cocenter_reduce_randomized(group: AffineWeylGroup, f: HeckeElement,

@@ -4,11 +4,12 @@
 order (length, kappa, then the lex-least reduced word of w omega^{-1}),
 deciding it letter by letter; `class_minimal_set` reduces the orbits of
 the dominant translations modulo one coinvariant lattice per class;
-`wall_times` and `times_wall` multiply by a wall in O(rank).  Each is
-checked against the algorithm it replaced, kept below as an oracle:
-sorting by the word-based `oracle_sort_key` of conftest, the class
-listing with one Hermite form and one coset set per conjugate a' of the
-finite part, and `multiply`.
+`wall_times` and `times_wall` multiply by a wall in O(rank), and the
+single-wall reads decide one descent flag.  Each is checked against the
+algorithm it replaced, kept below as an oracle: sorting by the
+word-based `oracle_sort_key` of conftest, the class listing with one
+Hermite form and one coset set per conjugate a' of the finite part,
+`multiply`, and the lists of all flags.
 The last tests count the words that the class keys build and follow
 the standard-triple search through an orbit.
 """
@@ -67,13 +68,14 @@ def test_canonical_order_equals_sort_key_order(label, lattice):
 
 def test_canonical_order_is_lazy(monkeypatch):
     # the least of the 70 GL5 elements of length 4 over the coroot
-    # lattice splits one bucket per letter, not every bucket
+    # lattice splits one bucket per letter, not every bucket: it reads
+    # fewer than half the least descents of the whole order
     g = AffineWeylGroup(build_root_datum("GL5", "gl"))
     elems = [w for w in g.ball(4, (0,) * 5) if g.length(w) == 4]
     least = min(elems, key=lambda w: oracle_sort_key(g, w))
     calls = []
-    real = g.left_descents
-    monkeypatch.setattr(g, "left_descents", lambda w: calls.append(w) or real(w))
+    real = g.least_left_descent
+    monkeypatch.setattr(g, "least_left_descent", lambda w: calls.append(w) or real(w))
     assert next(g.canonical_order(elems)) == least
     first = len(calls)
     calls.clear()
@@ -91,6 +93,16 @@ def test_wall_products_equal_multiply(label, lattice):
             for lab, s in ctx.simple_items():
                 assert ctx.wall_times(lab, w) == multiply(s, w), (ctx, lab, w)
                 assert ctx.times_wall(w, lab) == multiply(w, s), (ctx, w, lab)
+
+
+@pytest.mark.parametrize("label,lattice", ALL_DATA)
+def test_single_wall_reads_equal_the_descent_flags(label, lattice):
+    for ctx in contexts(group(label, lattice)):
+        for w in mixed_ball(ctx):
+            left, right = ctx.left_descents(w), ctx.right_descents(w)
+            assert ctx.least_left_descent(w) == (left.index(True) if any(left) else None)
+            assert ctx.least_right_descent(w) == (right.index(True) if any(right) else None)
+            assert [ctx.is_right_descent(w, lab) for lab, _ in ctx.simple_items()] == right
 
 
 # -- one coinvariant lattice per class against one per conjugate --------------

@@ -1,4 +1,4 @@
-"""`hecke_mul` against the word walk it replaced.
+"""`hecke_mul` and the commutator forms against the algorithms they replaced.
 
 `hecke_mul` is bilinear over the basis products T_x T_y, which
 `_basis_product` memoises per context by peeling the least right
@@ -8,6 +8,11 @@ multiplied along the whole lex-least reduced word of y omega^{-1} and
 then by its length-zero part omega.  That algorithm is kept here as the
 oracle, with the word-based key and word of conftest and its own
 generator step that reads descents off lengths.
+
+`commutator_form` reduces T_x T_y - T_y T_x into one dict, from the
+basis products and the normal form of each of their terms.  Before,
+each commutator was the difference of two `hecke_mul` products, then
+reduced by `cocenter_reduce`; that path is kept as the oracle.
 """
 
 import random
@@ -17,9 +22,11 @@ import pytest
 
 from newton_cocenter import AffineWeylGroup, build_root_datum, multiply
 from newton_cocenter.hecke_cocenter import (
-    ONE, Q, Q_MINUS_1, HeckeElement, QPoly, _add_term, hecke_mul,
+    ONE, Q, Q_MINUS_1, HeckeElement, QPoly, _add_forms, _add_term, _basis_product,
+    cocenter_reduce, commutator_form, hecke_mul,
 )
 from newton_cocenter import verify
+from newton_cocenter.levi_alcove import levi_weyl_group
 from conftest import ALL_DATA, oracle_sort_key, oracle_word
 
 
@@ -134,3 +141,32 @@ def test_hecke_mul_builds_no_word(monkeypatch):
     monkeypatch.setattr(verify, "_affine_word", refuse)
     for (x, y), prod in expected.items():
         assert hecke_mul(g, basis(x), basis(y)) == prod
+
+
+# -- commutator forms against the reduced difference of two products ----------
+
+
+def reduced_commutator(group, x, y):
+    """The commutator path replaced by `commutator_form`."""
+    tx, ty = basis(x), basis(y)
+    return cocenter_reduce(group, hecke_mul(group, tx, ty) - hecke_mul(group, ty, tx))
+
+
+@pytest.mark.parametrize("label,lattice", ALL_DATA)
+def test_commutator_forms_equal_reduced_products(label, lattice):
+    # every ordered pair within the cocenter suite's budget, on the group
+    # and each Levi of the verify grid; above rank 2 the Levis take one
+    # less, which cuts GL5 from 7 s to 2 s
+    top = verify.SUITES["cocenter"][1]["pair_budget"]
+    g = fresh(label, lattice)
+    levis = [levi_weyl_group(g, v) for v in verify._levi_faces(g)]
+    for ctx, budget in [(g, top)] + [(m, top - (g.datum.rank > 2)) for m in levis]:
+        ball = ctx.enumerate_ball(budget)
+        for x in ball:
+            for y in ball:
+                if ctx.length(x) + ctx.length(y) > budget:
+                    continue
+                assert _add_forms(ctx, {}, _basis_product(ctx, x, y)) == \
+                    cocenter_reduce(ctx, hecke_mul(ctx, basis(x), basis(y))).terms
+                form, old = commutator_form(ctx, x, y), reduced_commutator(ctx, x, y)
+                assert form == old.terms and (not form) == (not old), (ctx, x, y)

@@ -205,6 +205,19 @@ def test_gl4_levi_suite_checks_ambient_strata_on_six_elements_per_levi(monkeypat
     assert len(calls) <= 15 * 6
 
 
+def test_gl4_cocenter_suite_takes_its_pairs_from_a_length_window(monkeypatch):
+    """The pairs come from a length window over the ball, not from
+    filtering all 7,260 pairs of it by the lengths of both factors,
+    which took 15,466 calls."""
+    g = fresh_group("GL4", "gl")
+    g.enumerate_ball(verify.SUITES["cocenter"][1]["pair_budget"])
+    calls = []
+    length = g.length
+    monkeypatch.setattr(g, "length", lambda w: calls.append(w) or length(w))
+    assert verify.suite_cocenter(g, {**verify.SUITES["cocenter"][1], "seed": 0}).passed
+    assert len(calls) <= 2000
+
+
 def test_gl4_positivity_suite_tests_newton_positivity_once_per_box_element(monkeypatch):
     g = fresh_group("GL4", "gl")
     calls = []

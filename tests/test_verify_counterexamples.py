@@ -2,9 +2,10 @@
 
 The goldens all have failures=0, so they never reach the `first=`
 formats.  Here one predicate per suite is replaced, in `verify`'s
-namespace, by one that fails on part of the cases, and every property
-of the report is pinned as (property, instances, failures, first
-counterexample, detail), with failures in every row.  Each test builds
+namespace (the basis product in that of `hecke_cocenter`, where the
+commutators read it), by one that fails on part of the cases, and
+every property of the report is pinned as (property, instances,
+failures, first counterexample, detail), with failures in every row.  Each test builds
 a fresh group, so a patched predicate cannot leave a wrong value in a
 memo of the shared groups.
 """
@@ -13,9 +14,9 @@ import re
 from pathlib import Path
 
 from newton_cocenter import AffineWeylGroup, NewtonIndex, build_root_datum
-from newton_cocenter import verify
+from newton_cocenter import hecke_cocenter, verify
 from newton_cocenter.errors import LogicError, ResourceError
-from newton_cocenter.hecke_cocenter import HeckeElement
+from newton_cocenter.hecke_cocenter import ONE, HeckeElement
 from newton_cocenter.reduction import is_min_in_class
 
 
@@ -30,10 +31,10 @@ def _run(name, group, **params):
             for c in report.checks]
 
 
-def _patch(monkeypatch, name, fake):
-    """Replace verify.<name> by fake(original, *args)."""
-    original = getattr(verify, name)
-    monkeypatch.setattr(verify, name, lambda *args, **kw: fake(original, *args, **kw))
+def _patch(monkeypatch, name, fake, module=verify):
+    """Replace module.<name> by fake(original, *args)."""
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kw: fake(original, *args, **kw))
 
 
 def test_grammar_round_trip_label(monkeypatch):
@@ -150,7 +151,8 @@ def test_positivity_label(monkeypatch):
 
 def test_cocenter_labels(monkeypatch):
     g = _fresh("A2")
-    _patch(monkeypatch, "hecke_mul", lambda orig, grp, f, h: f)
+    # T_x T_y = T_x, so a commutator reduces to NF(T_x) - NF(T_y)
+    _patch(monkeypatch, "_basis_product", lambda orig, grp, x, y: {x: ONE}, hecke_cocenter)
 
     def randomized(orig, grp, f, rng):
         r = rng.random()
