@@ -157,8 +157,10 @@ class AffineWeylGroup:
         self.datum = datum
         self.identity = AffineWeylElement((0,) * datum.rank, datum.weyl_identity)
         self.phi_m = phi_m
-        self._m_taus = tuple((datum.root_index[a], int(datum.is_positive_root(a)))
-                             for a in phi_m)
+        tau, index = datum.tau, datum.root_index
+        self._m_taus = tuple([(index[a], tau[index[a]]) for a in phi_m])
+        # (index, root) of the M-positive roots
+        self._m_positive = tuple([(j, a) for a, (j, t) in zip(phi_m, self._m_taus) if t])
         self.m_simple_roots = m_simple_roots
         self._walls = tuple((a, datum.coroot[a], datum.reflection(a))
                             for a in m_simple_roots)
@@ -166,8 +168,8 @@ class AffineWeylGroup:
         # None when W_M = W0: length tests no membership, nor builds W0
         self._w_m = None if len(phi_m) == len(datum.roots) \
             else frozenset(self.finite_elements())
-        self.two_rho_m = tuple(sum(a[i] for a in phi_m if datum.is_positive_root(a))
-                               for i in range(datum.rank))
+        self.two_rho_m = tuple(map(sum, zip((0,) * datum.rank,
+                                            *[a for _, a in self._m_positive])))
         self._length_cache: dict[AffineWeylElement, int] = {}
         self._newton_indices: dict[AffineWeylElement, NewtonIndex] = {}
         self._balls: dict[tuple, tuple[int, list[AffineWeylElement]]] = {}
@@ -248,13 +250,14 @@ class AffineWeylGroup:
 
     def _level(self, lam: IntVector) -> list[int]:
         """level[j] = tau(beta) - <beta, lam>, beta = roots[j] in Phi_M: t^lam u
-        sends (alpha, k) to a negative root iff k < level[u(alpha)]."""
+        sends (alpha, k) to a negative root iff k < level[u(alpha)].  Read
+        off the positive beta alone: -beta is roots[~j], at level <beta, lam>."""
         level = self._levels.get(lam)
         if level is None:
-            roots = self.datum.roots
-            level = self._levels[lam] = [0] * len(roots)
-            for j, t in self._m_taus:
-                level[j] = t - sum(map(mul, roots[j], lam))
+            level = self._levels[lam] = [0] * len(self.datum.roots)
+            for j, a in self._m_positive:
+                c = sum(map(mul, a, lam))
+                level[j], level[~j] = 1 - c, c
         return level
 
     def finite_length(self, u: Matrix) -> int:
@@ -309,7 +312,7 @@ class AffineWeylGroup:
         connected component of the M-Dynkin diagram, its highest root at
         level 1 (Humphreys, Reflection Groups and Coxeter Groups, ch. 4):
         of the M-positive roots pairing nonzero with a coroot of the
-        component, the one of greatest height.  With wall_order None
+        component, the first by descending height.  With wall_order None
         (the ambient group) the simple walls are labelled 1..r and the
         highest root 0; a Levi labels its walls 0, 1, ... in the order
         wall_order, the ambient canonical order, yields them.
@@ -324,10 +327,11 @@ class AffineWeylGroup:
         for a in self.m_simple_roots:
             linked = [c for c in components if any(dot(b, coroot[a]) for b in c)]
             components = [c for c in components if c not in linked] + [sum(linked, [a])]
-        positive = [b for b in self.phi_m if datum.is_positive_root(b)]
+        positive = sorted([a for _, a in self._m_positive],
+                          key=datum.height.__getitem__, reverse=True)
         roots = [AffineRoot(tuple(-x for x in a), 0) for a in self.m_simple_roots] + [
-            AffineRoot(max((b for b in positive if any(dot(b, coroot[c]) for c in comp)),
-                           key=datum.height.__getitem__), 1) for comp in components]
+            AffineRoot(next(b for b in positive if any(dot(b, coroot[c]) for c in comp)), 1)
+            for comp in components]
         wall_roots = {self.reflection(a): (datum.root_index[a.vector_part], a.level)
                       for a in roots}
         walls = list(wall_roots)

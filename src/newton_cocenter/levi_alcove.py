@@ -42,13 +42,15 @@ class LeviWeylGroup(AffineWeylGroup):
     def __init__(self, parent: AffineWeylGroup, phi_m: tuple):
         """W_M, the fixer of any v with Phi_M the roots vanishing on v,
         is generated by the s_alpha over Phi_M (Steinberg), so by those
-        of the simple roots of Phi_M ∩ Phi+, the indecomposable ones."""
+        of the simple roots of Phi_M ∩ Phi+, the indecomposable ones.
+        Their coroots span the coroot lattice of M, as they are the simple
+        roots of the dual root system Phi_M^vee."""
         datum = parent.datum
         pos = {a for a in phi_m if datum.is_positive_root(a)}
         simple = tuple(a for a in phi_m if a in pos and not any(
             tuple([p - q for p, q in zip(a, b)]) in pos for b in pos))
         self._context(datum, phi_m, simple,
-                      hnf_columns([datum.coroot[a] for a in phi_m]),
+                      hnf_columns([datum.coroot[a] for a in simple]),
                       parent.newton_points, wall_order=parent.canonical_order)
         # the Levi boxes of the verify suites (`verify._levi_box`)
         self.boxes: dict[tuple, list[AffineWeylElement]] = {}
@@ -61,7 +63,10 @@ class LeviWeylGroup(AffineWeylGroup):
 
 
 def levi_weyl_group(group: AffineWeylGroup, v: Coweight) -> LeviWeylGroup:
-    """The one context of the Levi of v, whose roots Phi_M vanish on v."""
+    """The one context of the Levi of v, whose roots Phi_M vanish on v,
+    cut from the ambient group, which holds the memo of its Levis."""
+    if isinstance(group, LeviWeylGroup):
+        raise InputError("Levis are cut from the ambient group only, not from a Levi")
     phi_m = tuple(a for a in group.datum.roots if dot(a, v.x) == 0)
     m = group.levi_groups.get(phi_m)
     if m is None:

@@ -337,18 +337,20 @@ def _integral_inverse(u: Matrix) -> Matrix:
 class RootDatum:
     """Roots, coroots and the finite Weyl group of a split group.
 
-    Construction is integer arithmetic only.  The roots are the closure
-    of the simple roots under the simple reflections, each with its
-    coroot and its height (`height`; simple roots have height 1, and
-    the positive roots are those of positive height).  W0 is built on
-    demand: an element becomes an interned `WeylElement`, with its root
-    permutation (u(alpha) as a root index), when a query first reaches
-    it, and `weyl_elements` completes W0 when a query reads all of it
-    (`w0_order` reads the exponents instead); inverses, products and
-    orders are memoised on demand.  The table methods accept any matrix
-    equal to an element of W0 and raise `LogicError` on any other.
-    Nothing is shared between data, and apart from those tables the
-    datum is immutable after construction.
+    Construction is integer arithmetic only.  The positive roots are the
+    closure of the simple roots under the simple reflections, each s_j
+    applied to the positive roots other than alpha_j, with their coroots
+    and heights (`height`; simple roots have height 1); the negative
+    roots, their coroots and heights are the negatives of those.  `roots`
+    is sorted, so negation reverses it: -roots[i] is roots[~i].
+    W0 is built on demand: an element becomes an interned `WeylElement`,
+    with its root permutation (u(alpha) as a root index), when a query
+    first reaches it, and `weyl_elements` completes W0 when a query
+    reads all of it (`w0_order` reads the exponents instead); inverses,
+    products and orders are memoised on demand.  The table methods accept
+    any matrix equal to an element of W0 and raise `LogicError` on any
+    other.  Nothing is shared between data, and apart from those tables
+    the datum is immutable after construction.
     """
 
     def __init__(self, type_label: str, lattice: str, rank: int,
@@ -358,16 +360,24 @@ class RootDatum:
         self.rank = rank
         self.simple_roots: tuple[Covector, ...] = tuple(map(tuple, simple_roots))
         self.simple_coroots: tuple[IntVector, ...] = tuple(map(tuple, simple_coroots))
-        images = self._close_roots()
+        moves = self._close_roots()
         self.coroot_hnf = hnf_columns(list(self.simple_coroots))
         self.omega_is_finite = len(self.coroot_hnf) == rank
         self.root_index = index = {a: i for i, a in enumerate(self.roots)}
         # tau[i] = 1 if roots[i] is positive, else 0: the least level of a
         # positive affine root over roots[i]
-        self.tau = tuple(int(a in self._positive_set) for a in self.roots)
-        # (index of alpha_s, alpha_s, s on root indices) for each simple s
-        self._simple = [(index[a], a, tuple([index[image[b]] for b in self.roots]))
-                        for a, image in zip(self.simple_roots, images)]
+        self.tau = tuple([int(self.height[a] > 0) for a in self.roots])
+        # (index of alpha_s, alpha_s, s on root indices) for each simple s,
+        # read off the positive roots: s(-a) = -s(a) is roots[~k] when s(a)
+        # is roots[k]
+        last, self._simple = len(self.roots) - 1, []
+        for a, pairs in zip(self.simple_roots, moves):
+            i, perm = index[a], list(range(last + 1))
+            perm[i], perm[~i] = last - i, i
+            for b, c in pairs:
+                j, k = index[b], index[c]
+                perm[j], perm[~j] = k, last - k
+            self._simple.append((i, a, tuple(perm)))
         # the elements met so far, in the order met: u.index is the place
         # of u here and in the per-element tables _perms and _products
         self.materialised: list[WeylElement] = []
@@ -381,40 +391,56 @@ class RootDatum:
     # -- construction ------------------------------------------------
 
     def _close_roots(self):
-        """Reflection closure of the simple roots, tracking coroots and
-        integer heights.
+        """The roots with their coroots and integer heights, from the
+        positive roots alone.
 
-        s_b a = a - <a, b^vee> b has height ht(a) - <a, b^vee>, the
-        simple roots having height 1, and a root is positive iff its
-        height is.  Returns images[j][a] = s_j a, the action of each
-        simple reflection on the roots.
+        s_j a = a - <a, alpha_j^vee> alpha_j has height ht(a) -
+        <a, alpha_j^vee>, the simple roots having height 1, and s_j
+        permutes the positive roots other than alpha_j (Humphreys,
+        Reflection Groups and Coxeter Groups, 1.4), so Phi+ is the closure
+        of the simple roots under those moves.  Each root carries its
+        pairings with the simple coroots, which s_j changes by a row of the
+        Cartan matrix C[j][i] = <alpha_j, alpha_i^vee>.  Phi- is -Phi+,
+        with coroots and heights negated.  Every root pairs to 2 with its
+        coroot once the simple roots do, as each s_j preserves the pairing.
+        Returns moves[j], the pairs (a, s_j a) over the positive roots a
+        other than alpha_j that s_j moves.
         """
-        simple = tuple(zip(self.simple_roots, self.simple_coroots))
-        coroot, height = dict(simple), dict.fromkeys(self.simple_roots, 1)
-        images = [{} for _ in simple]
-        frontier = list(self.simple_roots)
+        simple = self.simple_roots
+        cartan = [[dot(a, bv) for bv in self.simple_coroots] for a in simple]
+        for j, a in enumerate(simple):
+            if cartan[j][j] != 2:
+                raise LogicError(f"root {a} must pair to 2 with its coroot")
+        coroot, height = dict(zip(simple, self.simple_coroots)), dict.fromkeys(simple, 1)
+        pairings = dict(zip(simple, cartan))
+        moves = [[] for _ in simple]
+        frontier = list(simple)
         while frontier:
             a = frontier.pop()
-            av, h = coroot[a], height[a]
-            for image, (b, bv) in zip(images, simple):
-                # s_b on characters and on cocharacters
-                k = dot(a, bv)
-                c = image[a] = tuple([x - k * y for x, y in zip(a, b)]) if k else a
+            p, h = pairings[a], height[a]
+            for j, k in enumerate(p):
+                b = simple[j]
+                if not k or a == b:
+                    continue
+                if k >= h:
+                    raise LogicError("a simple reflection sends every other positive root "
+                                     "to a positive root")
+                c = tuple([x - k * y for x, y in zip(a, b)])
+                moves[j].append((a, c))
                 if c not in coroot:
-                    coroot[c] = _reflect(av, b, bv)
+                    coroot[c] = _reflect(coroot[a], b, self.simple_coroots[j])
                     height[c] = h - k
+                    pairings[c] = [x - k * y for x, y in zip(p, cartan[j])]
                     frontier.append(c)
+        self.positive_roots = tuple(sorted(coroot))
+        self._positive_set = frozenset(self.positive_roots)
+        for a in self.positive_roots:
+            coroot[tuple([-x for x in a])] = tuple([-x for x in coroot[a]])
+            height[tuple([-x for x in a])] = -height[a]
         self.coroot = coroot
         self.height = height
         self.roots = tuple(sorted(coroot))
-        self.positive_roots = tuple(a for a in self.roots if height[a] > 0)
-        self._positive_set = frozenset(self.positive_roots)
-        if 2 * len(self.positive_roots) != len(self.roots):
-            raise LogicError("the root heights must split the roots in half")
-        for a in self.roots:
-            if dot(a, coroot[a]) != 2:
-                raise LogicError(f"root {a} must pair to 2 with its coroot")
-        return images
+        return moves
 
     def _element(self, perm: tuple[int, ...]) -> WeylElement:
         """The element w of W0 with root permutation perm, the one routine
@@ -552,9 +578,14 @@ class RootDatum:
             if self.height[a] < 0:
                 s = self.reflection(tuple([-x for x in a]))
             else:
-                av = self.coroot[a]
-                s = self._element(tuple(
-                    [self.root_index[_reflect(b, av, a)] for b in self.roots]))
+                # s_a on the positive roots, and s_a(-b) = -s_a(b)
+                av, index, last = self.coroot[a], self.root_index, len(self.roots) - 1
+                perm = [0] * (last + 1)
+                for i, (b, t) in enumerate(zip(self.roots, self.tau)):
+                    if t:
+                        k = index[_reflect(b, av, a)]
+                        perm[i], perm[~i] = k, last - k
+                s = self._element(tuple(perm))
             self._reflections[a] = s
         return s
 

@@ -6,7 +6,8 @@ read from the Newton-point and dominant-representative memos of a group
 and its Levis, dominant translations are memoised per kappa coset,
 Levi boxes per Levi, generated from their M-lengths, and the canonical
 ball per tuple of kappa labels; each memo is checked against a cold
-recomputation or against the filter-and-sort code it replaced.
+recomputation or against the filter-and-sort code it replaced.  Call
+counts pin the hot paths and the root closure to what they must read.
 """
 
 import pickle
@@ -18,7 +19,7 @@ from newton_cocenter import (
     AffineRoot, AffineWeylElement, AffineWeylGroup, NewtonIndex,
     build_root_datum,
 )
-from newton_cocenter import levi_alcove, verify
+from newton_cocenter import levi_alcove, root_datum, verify
 from newton_cocenter.affine_weyl import conjugate, inverse, multiply
 from newton_cocenter.levi_alcove import levi_weyl_group
 from newton_cocenter.newton import newton_index
@@ -228,6 +229,20 @@ def test_gl4_positivity_suite_tests_newton_positivity_once_per_box_element(monke
                         lambda grp, plus, w: calls.append(w) or positive(grp, plus, w))
     assert verify.suite_positivity(g, {"seed": 0}).passed
     assert len(calls) == sum(len(box) for _, _, box in verify._levi_boxes(g, 4, box=1))
+
+
+# -- construction --------------------------------------------------------
+
+
+def test_gl5_root_closure_reflects_only_new_positive_coroots(monkeypatch):
+    """The closure runs over Phi+ alone and negates the rest: one coroot
+    reflection per positive root that is not simple, |Phi+| - r = 6 for
+    GL5, where the closure over all of Phi made 16."""
+    calls = []
+    reflect = root_datum._reflect
+    monkeypatch.setattr(root_datum, "_reflect", lambda *a: calls.append(a) or reflect(*a))
+    d = build_root_datum("GL5")
+    assert len(calls) == len(d.positive_roots) - len(d.simple_roots) == 6
 
 
 # -- balls ---------------------------------------------------------------

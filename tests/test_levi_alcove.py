@@ -45,6 +45,13 @@ def test_levi_torus_is_trivial(a1):
     assert m.kappa(t) == (-3,)
 
 
+def test_levis_are_cut_from_the_ambient_group_only():
+    g = group("GL3")
+    m = levi_weyl_group(g, coweight([1, 0, 0]))
+    with pytest.raises(InputError, match="from the ambient group only"):
+        levi_weyl_group(m, coweight([1, 0, 0]))
+
+
 def test_gl5_anchor_levi_lengths(gl5):
     m = levi_weyl_group(gl5, GL5_V)
     assert len(m.simple_items()) == 5      # affine A2 + affine A1 walls

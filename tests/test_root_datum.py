@@ -8,12 +8,13 @@ from newton_cocenter import (
     AffineWeylGroup, ConfigurationError, build_root_datum, coweight,
 )
 from newton_cocenter.errors import LogicError
-from newton_cocenter.levi_alcove import levi_weyl_group, phi_plus
+from newton_cocenter.levi_alcove import levi_weyl_group, parabolic_faces, phi_plus
 from newton_cocenter.root_datum import (
-    Coweight, RootDatum, dot, integer_inverse, mat_act, mat_mul, weyl_inverse,
+    Coweight, RootDatum, coset_reduce, dot, hnf_columns, integer_inverse, mat_act,
+    mat_mul, weyl_inverse,
 )
 from newton_cocenter.verify import _levi_faces
-from conftest import ALL_DATA, oracle_rational_inverse
+from conftest import ALL_DATA, kappa_labels, oracle_rational_inverse
 
 F = Fraction
 
@@ -63,6 +64,72 @@ def test_root_pairing_to_one_with_its_coroot_is_refused():
     # the pairing guard fire, as a LogicError that survives python -O
     with pytest.raises(LogicError, match="must pair to 2"):
         RootDatum("X", "sc", 1, [(1,)], [(1,)])
+
+
+def test_a_simple_reflection_that_makes_a_root_nonpositive_is_refused():
+    # <alpha_1, alpha_2^vee> = 1 > 0, so s_2 alpha_1 = alpha_1 - alpha_2
+    # would be a root of height 0
+    with pytest.raises(LogicError, match="sends every other positive root to a positive root"):
+        RootDatum("X", "sc", 2, [(1, 0), (0, 1)], [(2, 1), (1, 2)])
+
+
+def test_a_reducible_ambient_root_system_is_refused():
+    # A1 x A1: two Dynkin components, so two highest roots and two
+    # affine walls
+    d = RootDatum("X", "sc", 2, [(2, 0), (0, 2)], [(1, 0), (0, 1)])
+    with pytest.raises(LogicError, match="must be irreducible"):
+        AffineWeylGroup(d)
+
+
+def oracle_closure(simple_roots, simple_coroots):
+    """The closure of the simple roots under the simple reflections over
+    all of Phi, the construction before the positive-root closure:
+    (roots, coroot, height, images) with images[j][a] = s_j a."""
+    simple = tuple(zip(simple_roots, simple_coroots))
+    coroot, height = dict(simple), dict.fromkeys(simple_roots, 1)
+    images = [{} for _ in simple]
+    frontier = list(simple_roots)
+    while frontier:
+        a = frontier.pop()
+        for image, (b, bv) in zip(images, simple):
+            k = dot(a, bv)
+            c = image[a] = tuple(x - k * y for x, y in zip(a, b))
+            if c not in coroot:
+                av, m = coroot[a], dot(b, coroot[a])
+                coroot[c] = tuple(x - m * y for x, y in zip(av, bv))
+                height[c] = height[a] - k
+                frontier.append(c)
+    return tuple(sorted(coroot)), coroot, height, images
+
+
+@pytest.mark.parametrize("label,lattice", ALL_DATA)
+def test_positive_closure_equals_the_full_reflection_closure(label, lattice):
+    d = build_root_datum(label, lattice)
+    roots, coroot, height, images = oracle_closure(d.simple_roots, d.simple_coroots)
+    assert d.roots == roots
+    assert all(d.roots[~i] == tuple(-x for x in a) for i, a in enumerate(d.roots))
+    assert d.coroot == coroot and d.height == height
+    assert d.positive_roots == tuple(a for a in roots if height[a] > 0)
+    assert d.tau == tuple(int(height[a] > 0) for a in roots)
+    for j, (a, av) in enumerate(zip(d.simple_roots, d.simple_coroots)):
+        perm = tuple(roots.index(images[j][b]) for b in roots)
+        assert d.root_permutation(d.simple_reflections[j]) == perm
+        # s_j(x) = x - <alpha_j, x> alpha_j^vee on cocharacters
+        assert d.simple_reflections[j] == tuple(
+            tuple(int(r == c) - av[r] * a[c] for c in range(d.rank)) for r in range(d.rank))
+
+
+@pytest.mark.parametrize("label,lattice", ALL_DATA)
+def test_levi_coroot_lattice_from_its_simple_coroots(label, lattice):
+    # the M-simple coroots span the lattice of all of Phi_M^vee: both
+    # Hermite forms reduce the translations of a ball to one representative
+    g = AffineWeylGroup(build_root_datum(label, lattice))
+    lams = {w.translation for w in g.enumerate_ball(4, kappa_labels(g))}
+    levis = {levi_weyl_group(g, v).phi_m: levi_weyl_group(g, v) for v in parabolic_faces(g)}
+    for phi_m, m in levis.items():
+        full = hnf_columns([g.datum.coroot[a] for a in phi_m])
+        for lam in lams:
+            assert coset_reduce(lam, m.coroot_hnf) == coset_reduce(lam, full)
 
 
 def test_unsupported_descriptors():
