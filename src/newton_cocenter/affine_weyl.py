@@ -26,7 +26,7 @@ descent is a sign, read off without a product or a length.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from collections import Counter
 from itertools import islice
 from operator import itemgetter, mul
 
@@ -172,9 +172,11 @@ class AffineWeylGroup:
                                             *[a for _, a in self._m_positive])))
         self._length_cache: dict[AffineWeylElement, int] = {}
         self._newton_indices: dict[AffineWeylElement, NewtonIndex] = {}
-        self._balls: dict[tuple, tuple[int, list[AffineWeylElement]]] = {}
+        self._walks: dict[IntVector, list[list[AffineWeylElement]]] = {}
+        self._raisers: tuple | None = None  # the ascent tests of `_walk`
         self._levels: dict[IntVector, list[int]] = {}
         self._omega_cache: dict[IntVector, AffineWeylElement] = {}
+        self._finite_words: dict[Matrix, tuple[int, ...]] = {}
         # Newton memos, filled on demand.  nu_w does not depend on a
         # Levi, so every Levi of a group shares its newton_points; each
         # context keeps its own dominant_rep memo.
@@ -183,6 +185,7 @@ class AffineWeylGroup:
         # memos of the reduction module (see there)
         self.move_orbits: dict[AffineWeylElement, tuple | None] = {}
         self.coinvariant_hnfs: dict[Matrix, list] = {}
+        self.finite_classes: dict[Matrix, tuple] = {}
         self.finite_parabolics: tuple[tuple[int, ...], ...] | None = None
         self.parabolics: dict[tuple[int, ...], frozenset] = {}
         self.exponents: tuple[int, ...] | None = None
@@ -281,12 +284,17 @@ class AffineWeylGroup:
 
     def least_left_descent(self, w: AffineWeylElement) -> int | None:
         """The least label whose flag in `left_descents` is set, or None."""
-        lam, u = w
-        level, tau = self._level(lam), self.datum.tau
-        perm = self.datum.root_permutation(u)
-        for i, (j, k) in enumerate(self._wall_roots):
+        return self._first_inversion(self._wall_roots, self._level(w[0]),
+                                     self.datum.root_permutation(w[1]))
+
+    def _first_inversion(self, roots, level, perm) -> int | None:
+        """The first t with w^{-1}(roots[t]) < 0, or None, for affine roots
+        (root index j, level k) and w = t^lam u read as level = `_level(lam)`
+        and the root permutation perm of u, as in `left_descents`."""
+        tau = self.datum.tau
+        for t, (j, k) in enumerate(roots):
             if k - tau[j] + level[j] < tau[perm.index(j)]:
-                return i
+                return t
         return None
 
     def least_right_descent(self, w: AffineWeylElement) -> int | None:
@@ -402,18 +410,22 @@ class AffineWeylGroup:
 
     def finite_word(self, u: Matrix) -> tuple[int, ...]:
         """Lex-least reduced word of u in the finite simple reflections:
-        the least i with u^{-1}(alpha_i) < 0, then the word of s_i u."""
-        datum, word = self.datum, []
-        while u != datum.weyl_identity:
-            inv = datum.root_permutation(datum.finite_inverse(u))
+        the least i with u^{-1}(alpha_i) < 0, then the word of s_i u
+        (memoised per u, at most |W0| words)."""
+        if (word := self._finite_words.get(u)) is not None:
+            return word
+        datum, v, word = self.datum, u, []
+        while v != datum.weyl_identity:
+            inv = datum.root_permutation(datum.finite_inverse(v))
             for i, (a, s) in enumerate(zip(datum.simple_roots, datum.simple_reflections), 1):
                 if not datum.tau[inv[datum.root_index[a]]]:
                     word.append(i)
-                    u = datum.product(s, u)
+                    v = datum.product(s, v)
                     break
             else:
                 raise LogicError("descent must exist while length is positive")
-        return tuple(word)
+        word = self._finite_words[u] = tuple(word)
+        return word
 
     def canonical_order(self, elems):
         """Yield elems in the canonical order, without building a word:
@@ -502,26 +514,39 @@ class AffineWeylGroup:
     # -- balls ------------------------------------------------------------
 
     def ball(self, max_length: int, label) -> dict[AffineWeylElement, int]:
-        """Every w of length <= max_length in the kappa coset of label,
-        with its length: a breadth-first walk from omega_rep(label) by
-        left multiplication with the simple reflections s that are not
-        left descents.  The depth of w is its word length, which is its
-        length, so the walk never calls `length`."""
-        start = self.omega_rep(label)
-        depths = {start: 0}
-        frontier = [start]
-        for depth in range(1, max_length + 1):
-            new = []
-            for w in frontier:
-                for (_, s), down in zip(self._simples, self.left_descents(w)):
-                    if down:
-                        continue
-                    sw = multiply(s, w)
-                    if sw not in depths:
-                        depths[sw] = depth
-                        new.append(sw)
-            frontier = new
-        return depths
+        """Every w of length <= max_length in the kappa coset of label, with
+        its length, in canonical order: that coset's view of `_walk`."""
+        layers = self._walk(coset_reduce(tuple(label), self.coroot_hnf), max_length)
+        return {w: n for n, layer in enumerate(layers[:max_length + 1]) for w in layer}
+
+    def _walk(self, kappa, max_length: int) -> list[list[AffineWeylElement]]:
+        """The layers 0..max_length (at least) of the kappa coset, memoised
+        and extended on demand, with no call of `length`.  Layer 0 is
+        omega_rep(kappa); layer n+1 holds, for wall label i ascending and w
+        in layer-n order, each s_i w with least left descent i.  So each w of
+        length n + 1 is built once, from s w for s the first letter of its
+        word, and a layer is in canonical order.  The test is read before
+        s_i w is built, off `_raisers[i]`: a_i and the s_i(a_j), j < i, for
+        the walls a_j = (beta_j, k_j) as (root index, level).  s_i w is
+        longer than w with least left descent i iff w^{-1} sends none of
+        them negative, as (s_i w)^{-1}(a_j) = w^{-1}(s_i(a_j)); and s_i(beta, k)
+        = (r beta, k - k_i <beta, beta_i^vee>), r the reflection of s_i."""
+        if self._raisers is None:
+            datum = self.datum
+            self._raisers = tuple(
+                ((j, k), *[(perm[b], c - k * dot(datum.roots[b], beta_vee))
+                           for b, c in self._wall_roots[:i]])
+                for i, (j, k, _, beta_vee, r) in enumerate(self._wall_data)
+                for perm in [datum.root_permutation(r)])
+        layers = self._walks.get(kappa)
+        if layers is None:
+            layers = self._walks[kappa] = [[self.omega_rep(kappa)]]
+        perm_of, first = self.datum.root_permutation, self._first_inversion
+        while len(layers) <= max_length:
+            reads = [(w, self._level(w[0]), perm_of(w[1])) for w in layers[-1]]
+            layers.append([self.wall_times(i, w) for i, roots in enumerate(self._raisers)
+                           for w, level, perm in reads if first(roots, level, perm) is None])
+        return layers
 
     def short_translates(self, lams, max_length: int, cap: int | None = None):
         """The first `cap` (all with cap None), in canonical order, of the t^lam u
@@ -557,17 +582,16 @@ class AffineWeylGroup:
 
         omega_labels defaults to every label of the ambient group when
         its Omega is finite and to the trivial one otherwise.
-        Deterministic canonical order, by length first: the largest ball
-        per labels is memoised, and a smaller one is a copy of its prefix.
+        Deterministic canonical order: the layers of the cosets' walks
+        (`_walk`) by length, then kappa; a coset named k times yields each
+        element k times in a row, as a stable sort of the k copies would.
         """
         if omega_labels is None:
             omega_labels = self.datum.omega_labels() or ((0,) * self.datum.rank,)
-        key = tuple(map(tuple, omega_labels))
-        radius, ball = self._balls.get(key, (-1, None))
-        if radius < max_length:
-            radius, ball = self._balls[key] = max_length, list(self.canonical_order(
-                w for label in omega_labels for w in self.ball(max_length, label)))
-        return ball[:bisect_right(ball, max_length, key=self.length)]
+        copies = Counter(coset_reduce(tuple(label), self.coroot_hnf) for label in omega_labels)
+        walks = [(self._walk(kappa, max_length), k) for kappa, k in sorted(copies.items())]
+        return [w for n in range(max_length + 1) for layers, k in walks
+                for w in layers[n] for _ in range(k)]
 
 
 # -- element grammar ----------------------------------------------------
@@ -629,7 +653,7 @@ def parse_element(group: AffineWeylGroup, text: str) -> AffineWeylElement:
         if rest:
             if not rest.startswith("*"):
                 raise InputError("expected '*' before production 'finite_word'")
-            w = multiply(w, _parse_finite_word(group, rest[1:]))
+            w = multiply(w, group.finite_element(_parse_finite_word(group, rest[1:])))
         return w
     if text[0] in "SE":
         if "#" in text:
@@ -653,32 +677,31 @@ def parse_element(group: AffineWeylGroup, text: str) -> AffineWeylElement:
     raise InputError(f"cannot parse {text!r} (production 'elem')")
 
 
-def _parse_finite_word(group, text: str) -> AffineWeylElement:
+def _parse_finite_word(group, text: str) -> Matrix:
     if text == "e":
-        return group.identity
-    w = group.identity
+        return group.datum.weyl_identity
+    u = group.datum.weyl_identity
     for item in text.split("*"):
         if not item.startswith("s") or not item[1:].isdigit():
             raise InputError(f"bad generator {item!r} (production 'finite_word')")
         i = int(item[1:])
         if not 1 <= i <= len(group.datum.simple_roots):
             raise InputError(f"finite index {i} out of range (production 'finite_word')")
-        w = multiply(w, group.finite_element(group.datum.simple_reflections[i - 1]))
-    return w
+        u = group.datum.product(u, group.datum.simple_reflections[i - 1])
+    return u
 
 
 def _parse_affine_word(group, text: str) -> AffineWeylElement:
     if text == "E":
         return group.identity
-    by_label = dict(group.simple_items())
     w = group.identity
     for item in text.split("*"):
         if not item.startswith("S") or not item[1:].isdigit():
             raise InputError(f"bad generator {item!r} (production 'affine_word')")
         lab = int(item[1:])
-        if lab not in by_label:
+        if lab >= len(group.simple_items()):
             raise InputError(f"affine index {lab} out of range (production 'affine_word')")
-        w = multiply(w, by_label[lab])
+        w = group.times_wall(w, lab)
     return w
 
 

@@ -36,7 +36,7 @@ M-length, over W_M and the M-simple roots.  Their memos are attributes
 of every context, declared where it is built: `move_orbits` (each
 element seen to its move orbit, in scan order, if it is minimal, else
 None),
-`coinvariant_hnfs`, `finite_parabolics`, `parabolics`,
+`coinvariant_hnfs`, `finite_classes`, `finite_parabolics`, `parabolics`,
 `exponents`, `wa_ball_counts`, `standard_triples`, and for the class keys
 `class_reps` and `dominant_translations`.
 """
@@ -272,20 +272,25 @@ def _class_members(ctx, w_min: AffineWeylElement) -> tuple[AffineWeylElement, ..
     length = ctx.length(w_min)
     lam, a = w_min.translation, w_min.finite
     hnf = _coinvariant_hnf(ctx, a)
-    # one u per conjugate a' = u a u^{-1}, and the Schreier generators of Z(a)
-    walls = [datum.reflection(b) for b in ctx.m_simple_roots]
-    conjugators = {a: datum.weyl_identity}
-    frontier, centraliser = [a], set()
-    for a_conj in frontier:
-        u = conjugators[a_conj]
-        for s in walls:
-            b, su = datum.product(datum.product(s, a_conj), s), datum.product(s, u)
-            v = conjugators.get(b)
-            if v is None:
-                conjugators[b] = su
-                frontier.append(b)
-            elif v != su:
-                centraliser.add(datum.product(datum.finite_inverse(v), su))
+    # one u per conjugate a' = u a u^{-1}, the Schreier generators of Z(a)
+    # and the length of each a': none depends on lam, so all are memoised per a
+    if a not in ctx.finite_classes:
+        walls = [datum.reflection(b) for b in ctx.m_simple_roots]
+        conjugators = {a: datum.weyl_identity}
+        frontier, centraliser = [a], set()
+        for a_conj in frontier:
+            u = conjugators[a_conj]
+            for s in walls:
+                b, su = datum.product(datum.product(s, a_conj), s), datum.product(s, u)
+                v = conjugators.get(b)
+                if v is None:
+                    conjugators[b] = su
+                    frontier.append(b)
+                elif v != su:
+                    centraliser.add(datum.product(datum.finite_inverse(v), su))
+        ctx.finite_classes[a] = conjugators, tuple(centraliser), {
+            a_conj: ctx.finite_length(a_conj) for a_conj in conjugators}
+    conjugators, centraliser, spans = ctx.finite_classes[a]
     cosets = {coset_reduce(lam, hnf)}
     frontier = list(cosets)
     for x in frontier:
@@ -294,7 +299,6 @@ def _class_members(ctx, w_min: AffineWeylElement) -> tuple[AffineWeylElement, ..
             if y not in cosets:
                 cosets.add(y)
                 frontier.append(y)
-    spans = {a_conj: ctx.finite_length(a_conj) for a_conj in conjugators}
     reach = max(spans.values())
     members = []
     for mu, mu_length in _dominant_translations(ctx, lam, length + reach, length - reach):

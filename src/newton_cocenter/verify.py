@@ -126,9 +126,9 @@ class SuiteReport(Record):
 
 
 def _bfs_lengths(group, max_depth, labels):
-    """Word lengths by breadth-first multiplication (the walk of
-    `AffineWeylGroup.ball`, which skips left descents by their sign):
-    the oracle never calls the inversion-count length function."""
+    """Word lengths as the layer indices of the walk of `AffineWeylGroup.ball`
+    (wall products chosen by affine-root signs): the oracle never calls
+    the inversion-count length function."""
     out = {}
     for label in labels:
         out.update(group.ball(max_depth, label))
@@ -217,7 +217,7 @@ def suite_length(group, params):
     oracle = _bfs_lengths(group, params["length"], labels)
     rep.check("inversion-length-equals-bfs-word-length",
               (((w, oracle[w]), group.length(w) == oracle[w])
-               for w in group.canonical_order(oracle)),
+               for w in group.enumerate_ball(params["length"], labels)),
               lambda wd: f"{element_str(group, wd[0])}:{group.length(wd[0])}!={wd[1]}")
     return rep
 
@@ -337,10 +337,11 @@ def suite_levi(group, params):
     excess = [((v, w), m.length(w) - group.length(w)) for v, m, box in boxes for w in box]
     rep.check("levi-length-at-most-ambient", ((vw, d <= 0) for vw, d in excess),
               show).detail = f"strict={sum(d < 0 for _, d in excess)}"
+    shorts = [(v, m, _short(m, box)) for v, m, box in boxes]
     rep.check("levi-stratum-inside-ambient-stratum",
               (((v, w), _in_ambient_stratum(group, m, w))
-               for v, m, box in boxes for w in _short(m, box)), show)
-    rep.check("conjugation-compatible-strata", _conjugation_cases(group, boxes), show)
+               for v, m, small in shorts for w in small), show)
+    rep.check("conjugation-compatible-strata", _conjugation_cases(group, shorts), show)
     return rep
 
 
@@ -364,18 +365,17 @@ def _in_ambient_stratum(group, m, w):
         for i in range(len(m.simple_items())))
 
 
-def _conjugation_cases(group, boxes):
-    """((v, x), ok) for each Levi M of v and simple reflection s, with
-    M' the Levi of s(v): first x = s, ok if s carries M onto M'
-    (`_carries_levi`); then each w of the `_short` sample of the box,
+def _conjugation_cases(group, shorts):
+    """((v, x), ok) for each (v, M, `_short` sample of the box of M) and
+    simple reflection s, with M' the Levi of s(v): first x = s, ok if s
+    carries M onto M' (`_carries_levi`); then each w of the sample,
     ok if the index map of M' sends the M-Newton index of w to that of
     s w s, which checks `conjugate`, `index_of` and `dominant_rep` end
     to end.  The Levis are all those containing T and the simple
     reflections generate W0, so the facts of `_carries_levi` hold for
     every conjugator in W0, and with them the index map, as Newton
     points commute with conjugation."""
-    for v, m, box in boxes:
-        small = _short(m, box)
+    for v, m, small in shorts:
         for s in group.datum.simple_reflections:
             m2, index_map = conjugate_levi(group, s, v)
             x0 = group.finite_element(s)

@@ -7,8 +7,9 @@ from newton_cocenter import (
     AffineRoot, InputError, act_on_affine_root, element_str,
     inverse, is_positive_affine_root, multiply, parse_element,
 )
+from newton_cocenter import verify
 from newton_cocenter.verify import _affine_word
-from conftest import group
+from conftest import ALL_DATA, group, oracle_omega
 
 
 def bfs_word_lengths(g, depth, labels=((None,),)):
@@ -276,6 +277,55 @@ def test_grammar_round_trip_ball():
             text = element_str(g, w)
             assert parse_element(g, text) == w
             assert element_str(g, parse_element(g, text)) == text
+
+
+def multiply_parse(g, text):
+    """The element of a well-formed element text by one `multiply` per
+    letter, the parse that the wall products replaced."""
+    word, _, label = text.partition("#")
+    if word.startswith("t["):
+        coords, _, rest = word[2:].partition("]")
+        w, letters = g.translation(map(int, coords.split(","))), rest[1:].split("*")
+        gens = {f"s{i}": g.finite_element(s)
+                for i, s in enumerate(g.datum.simple_reflections, 1)}
+    else:
+        w, letters, gens = g.identity, word.split("*"), {f"S{i}": s for i, s in g.simple_items()}
+    gens["e"] = gens["E"] = g.identity
+    for x in filter(None, letters):
+        w = multiply(w, gens[x])
+    if label:
+        w = multiply(w, oracle_omega(g, tuple(map(int, label[1:-1].split(",")))))
+    return w
+
+
+@pytest.mark.parametrize("label,lattice", ALL_DATA)
+def test_product_parse_equals_the_multiply_parse(label, lattice):
+    # both texts of every element of the grammar suite's ball
+    g = group(label, lattice)
+    for w in g.enumerate_ball(verify.SUITES["grammar"][1]["length"]):
+        kappa = g.kappa(w)
+        alt = ("*".join(f"S{i}" for i in _affine_word(g, w)) or "E") + (
+            "#[" + ",".join(map(str, kappa)) + "]" if any(kappa) else "")
+        for text in (element_str(g, w), alt):
+            assert parse_element(g, text) == multiply_parse(g, text) == w, text
+
+
+def test_grammar_word_errors_keep_their_text(a1, gl2):
+    for g, text, message in [
+            (a1, "t[1]*s9", "finite index 9 out of range (production 'finite_word')"),
+            (a1, "t[1]*s0", "finite index 0 out of range (production 'finite_word')"),
+            (a1, "t[1]*x", "bad generator 'x' (production 'finite_word')"),
+            (a1, "t[1]*s1*", "bad generator '' (production 'finite_word')"),
+            (a1, "t[1]*e*s1", "bad generator 'e' (production 'finite_word')"),
+            (a1, "t[1]s1", "expected '*' before production 'finite_word'"),
+            (a1, "S9", "affine index 9 out of range (production 'affine_word')"),
+            (a1, "S-1", "bad generator 'S-1' (production 'affine_word')"),
+            (a1, "S1*E", "bad generator 'E' (production 'affine_word')"),
+            (a1, "S", "bad generator 'S' (production 'affine_word')"),
+            (gl2, "S0*S2#[1,0]", "affine index 2 out of range (production 'affine_word')")]:
+        with pytest.raises(InputError) as err:
+            parse_element(g, text)
+        assert str(err.value) == message, text
 
 
 def test_grammar_affine_word_form(a1):

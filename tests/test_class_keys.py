@@ -69,13 +69,14 @@ def test_canonical_order_equals_sort_key_order(label, lattice):
 def test_canonical_order_is_lazy(monkeypatch):
     # the least of the 70 GL5 elements of length 4 over the coroot
     # lattice splits one bucket per letter, not every bucket: it reads
-    # fewer than half the least descents of the whole order
+    # fewer than half the least descents of the whole order (each read
+    # by the descent helper shared with `least_left_descent`)
     g = AffineWeylGroup(build_root_datum("GL5", "gl"))
     elems = [w for w in g.ball(4, (0,) * 5) if g.length(w) == 4]
     least = min(elems, key=lambda w: oracle_sort_key(g, w))
     calls = []
-    real = g.least_left_descent
-    monkeypatch.setattr(g, "least_left_descent", lambda w: calls.append(w) or real(w))
+    real = g._first_inversion
+    monkeypatch.setattr(g, "_first_inversion", lambda *a: calls.append(a) or real(*a))
     assert next(g.canonical_order(elems)) == least
     first = len(calls)
     calls.clear()
@@ -163,6 +164,22 @@ def test_class_minimal_set_matches_per_conjugate_listing_in_levis():
         for w in mixed_ball(ctx):
             w_min = reduce_to_min(ctx, w)[0]
             assert class_minimal_set(ctx, w_min) == per_conjugate_class_set(ctx, w_min)
+
+
+def test_class_data_is_built_once_per_finite_part(monkeypatch):
+    # the conjugators a' of a, the Schreier generators of Z(a) and the
+    # lengths of the a' depend on a alone, so the classes of a ball that
+    # share a finite part walk its W_M-class once
+    g = AffineWeylGroup(build_root_datum("A2"))
+    mins = {reduce_to_min(g, w)[0] for w in g.enumerate_ball(5)}
+    calls = []
+    finite_length = g.finite_length
+    monkeypatch.setattr(g, "finite_length", lambda u: calls.append(u) or finite_length(u))
+    for w_min in mins:
+        class_minimal_set(g, w_min)
+    assert set(g.finite_classes) == {w.finite for w in mins}
+    assert len(mins) > len(g.finite_classes)
+    assert len(calls) == sum(len(data[0]) for data in g.finite_classes.values())
 
 
 # -- what the class keys build -------------------------------------------------

@@ -7,8 +7,10 @@ against products and `length`, and each walker built on them (`ball`,
 `omega_rep`, `finite_word`, the move scan of the reduction module and
 the grammar suite's affine word) against the product-and-length walker
 it replaced, kept below and in conftest as an oracle; on the ambient
-group and every Levi of `_levi_faces` of every supported datum.  The
-last tests count the products and lengths of the hot paths.
+group and every Levi of `_levi_faces` of every supported datum; and
+`enumerate_ball`, which emits the canonical order layer by layer,
+against the breadth-first balls sorted by `canonical_order`.  The last
+tests count the products and lengths of the hot paths.
 """
 
 from collections import deque
@@ -23,7 +25,9 @@ from newton_cocenter.hecke_cocenter import HeckeElement, cocenter_reduce
 from newton_cocenter.levi_alcove import levi_weyl_group
 from newton_cocenter.reduction import _scan
 from newton_cocenter.verify import _affine_word, _levi_faces
-from conftest import ALL_DATA, group, kappa_labels, oracle_omega, oracle_word
+from conftest import (
+    ALL_DATA, group, kappa_labels, oracle_omega, oracle_sort_key, oracle_word,
+)
 
 
 def contexts(g):
@@ -83,6 +87,14 @@ def old_finite_word(g, u):
     return tuple(word)
 
 
+def bfs_sorted_ball(ctx, max_length, labels):
+    """`enumerate_ball` as it was built before the layer walk: the
+    breadth-first balls of the labels (`old_ball`, which the former `ball`
+    equalled item for item), sorted by `canonical_order`."""
+    return list(ctx.canonical_order(
+        [w for label in labels for w in old_ball(ctx, max_length, label)]))
+
+
 # -- differential tests ---------------------------------------------------------
 
 
@@ -106,9 +118,33 @@ def test_ball_omega_and_word_match_the_product_walkers(label, lattice):
             assert ctx.omega_rep(lab) == oracle_omega(ctx, lab)
             ball = ctx.ball(radius(ctx), lab)
             old = old_ball(ctx, radius(ctx), lab)
-            assert list(ball.items()) == list(old.items()), (ctx, lab)
+            # the same lengths, now in canonical order, not in walk order
+            key = {w: oracle_sort_key(ctx, w) for w in old}.__getitem__
+            assert list(ball.items()) == [(w, old[w]) for w in sorted(old, key=key)], (ctx, lab)
             for w in ball:
                 assert _affine_word(ctx, w) == oracle_word(ctx, w), (ctx, w)
+
+
+@pytest.mark.parametrize("label,lattice", ALL_DATA)
+def test_walk_equals_the_sorted_bfs_ball(label, lattice):
+    # every label set: the default, each kappa label alone, all of them
+    # in reverse, the unreduced translations (some name one coset
+    # twice), and a label repeated; radius 6 (GL5 4), and 5 then 6
+    g = group(label, lattice)
+    r, n = (4 if g.datum.rank == 5 else 6), g.datum.rank
+    default = g.datum.omega_labels() or [(0,) * n]
+    labels = kappa_labels(g)
+    units = [tuple(sign * int(i == j) for j in range(n)) for i in range(n) for sign in (1, -1)]
+    label_sets = [default, *[[lab] for lab in labels], labels[::-1],
+                  [(0,) * n, *units], [labels[-1], labels[0], labels[-1]]]
+    for labs in label_sets:
+        fresh = AffineWeylGroup(g.datum)
+        assert fresh.enumerate_ball(r, labs) == bfs_sorted_ball(g, r, labs), labs
+        assert fresh.enumerate_ball(r - 1, labs) == bfs_sorted_ball(g, r - 1, labs), labs
+        grown = AffineWeylGroup(g.datum)
+        grown.enumerate_ball(r - 1, labs)
+        assert grown.enumerate_ball(r, labs) == fresh.enumerate_ball(r, labs), labs
+    assert g.enumerate_ball(r) == fresh.enumerate_ball(r, default)
 
 
 @pytest.mark.parametrize("label,lattice", ALL_DATA)
@@ -127,6 +163,15 @@ def test_finite_word_matches_the_product_walker(label, lattice):
     g = group(label, lattice)
     for u in g.datum.weyl_elements:
         assert g.finite_word(u) == old_finite_word(g, u)
+
+
+def test_finite_word_is_memoised_per_w0_element(monkeypatch):
+    g = AffineWeylGroup(build_root_datum("G2"))
+    words = {u: g.finite_word(u) for u in g.datum.weyl_elements}
+    # a second descent would need the root permutations
+    monkeypatch.setattr(g.datum, "root_permutation", None)
+    assert {u: g.finite_word(u) for u in words} == words
+    assert len(g._finite_words) == len(g.datum.weyl_elements) == 12
 
 
 def test_finite_word_without_a_descent_raises(monkeypatch):
@@ -200,15 +245,17 @@ def test_scan_builds_no_raising_move(monkeypatch):
 
 
 def test_ball_multiplies_only_on_ascents(monkeypatch):
+    # the walk steps up by wall products alone, one per element it adds
     g = AffineWeylGroup(build_root_datum("GL5", "gl"))
     for lab in kappa_labels(g)[:3]:
         g.omega_rep(lab)
-    products = []
+    products, walls = [], []
     counting(monkeypatch, affine_weyl, products)
-    for lab in kappa_labels(g)[:3]:
-        g.ball(3, lab)
-    assert products
-    for s, w, sw in products:
+    counting_walls(monkeypatch, g, walls)
+    balls = [g.ball(3, lab) for lab in kappa_labels(g)[:3]]
+    assert not products and walls
+    assert len(walls) == sum(len(ball) - 1 for ball in balls)
+    for s, w, sw in walls:
         assert g.length(sw) == g.length(w) + 1, (s, w)
 
 

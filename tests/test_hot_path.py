@@ -4,8 +4,8 @@
 against the plain-matrix path and a direct formula.  Newton indices are
 read from the Newton-point and dominant-representative memos of a group
 and its Levis, dominant translations are memoised per kappa coset,
-Levi boxes per Levi, generated from their M-lengths, and the canonical
-ball per tuple of kappa labels; each memo is checked against a cold
+Levi boxes per Levi, generated from their M-lengths, and the layers
+of the canonical ball per kappa coset; each memo is checked against a cold
 recomputation or against the filter-and-sort code it replaced.  Call
 counts pin the hot paths and the root closure to what they must read.
 """
@@ -19,7 +19,7 @@ from newton_cocenter import (
     AffineRoot, AffineWeylElement, AffineWeylGroup, NewtonIndex,
     build_root_datum,
 )
-from newton_cocenter import levi_alcove, root_datum, verify
+from newton_cocenter import affine_weyl, levi_alcove, root_datum, verify
 from newton_cocenter.affine_weyl import conjugate, inverse, multiply
 from newton_cocenter.levi_alcove import levi_weyl_group
 from newton_cocenter.newton import newton_index
@@ -206,6 +206,17 @@ def test_gl4_levi_suite_checks_ambient_strata_on_six_elements_per_levi(monkeypat
     assert len(calls) <= 15 * 6
 
 
+def test_gl4_levi_suite_samples_each_box_once(monkeypatch):
+    """The stratum and the conjugation checks share one `_short` sample
+    per Levi; each took its own before."""
+    g = fresh_group("GL4", "gl")
+    calls = []
+    short = verify._short
+    monkeypatch.setattr(verify, "_short", lambda m, box: calls.append(m) or short(m, box))
+    assert verify.suite_levi(g, {"m_length": 4, "seed": 0}).passed
+    assert len(calls) == len(_levi_faces(g)) == 15
+
+
 def test_gl4_cocenter_suite_takes_its_pairs_from_a_length_window(monkeypatch):
     """The pairs come from a length window over the ball, not from
     filtering all 7,260 pairs of it by the lengths of both factors,
@@ -261,3 +272,26 @@ def test_memoised_ball_equals_fresh_enumeration(label, lattice):
     # another tuple of labels is another memo
     label0 = [g.kappa(fresh[0][0])]
     assert g.enumerate_ball(3, label0) == [w for w in fresh[3] if g.kappa(w) == label0[0]]
+
+
+def test_ball_walk_sorts_nothing_and_extends_by_one_product_per_new_element(monkeypatch):
+    # a ball is the memoised layers of the walk: no multiply, no sort, and
+    # radius 6 after 5 builds the new layer alone, one wall product each
+    g = fresh_group("GL4", "gl")
+    labels = [(0, 0, 0, k) for k in (-1, 0, 1)]
+    for lab in labels:
+        g.omega_rep(lab)
+    products, sorts, walls = [], [], []
+    real_multiply, real_sort, real_walls = affine_weyl.multiply, g.canonical_order, g.wall_times
+    monkeypatch.setattr(affine_weyl, "multiply",
+                        lambda a, b: products.append(a) or real_multiply(a, b))
+    monkeypatch.setattr(g, "canonical_order", lambda es: sorts.append(es) or real_sort(es))
+    monkeypatch.setattr(g, "wall_times", lambda i, w: walls.append(w) or real_walls(i, w))
+    five = g.enumerate_ball(5, labels)
+    assert len(walls) == len(five) - len(labels)
+    walls.clear()
+    six = g.enumerate_ball(6, labels)
+    assert six[:len(five)] == five
+    assert len(walls) == len(six) - len(five) == sum(g.length(w) == 6 for w in six)
+    assert len(g.ball(6, labels[1])) == sum(g.kappa(w) == labels[1] for w in six)
+    assert not products and not sorts
