@@ -144,16 +144,16 @@ class AffineWeylGroup:
 
     def __init__(self, datum: RootDatum):
         self._context(datum, datum.roots, datum.simple_roots,
-                      datum.coroot_hnf, {}, wall_order=None)
+                      datum.coroot_hnf, {}, {}, wall_order=None)
         # the one memo of the ambient group only: its Levis by Phi_M
         self.levi_groups: dict[tuple, AffineWeylGroup] = {}
 
     def _context(self, datum, phi_m, m_simple_roots, coroot_hnf,
-                 newton_points, wall_order):
+                 newton_points, levels, wall_order):
         """The state of the group of M, with roots phi_m, simple roots
         m_simple_roots and coroot lattice coroot_hnf, its walls labelled as
         `_build_walls` says, and the memos of every method.  A Levi shares
-        the Newton points of its ambient group."""
+        the Newton points and the level table of its ambient group."""
         self.datum = datum
         self.identity = AffineWeylElement((0,) * datum.rank, datum.weyl_identity)
         self.phi_m = phi_m
@@ -174,7 +174,8 @@ class AffineWeylGroup:
         self._newton_indices: dict[AffineWeylElement, NewtonIndex] = {}
         self._walks: dict[IntVector, list[list[AffineWeylElement]]] = {}
         self._raisers: tuple | None = None  # the ascent tests of `_walk`
-        self._levels: dict[IntVector, list[int]] = {}
+        # the level vectors of `_level`, shared by a group and its Levis
+        self.levels: dict[IntVector, list[int]] = levels
         self._omega_cache: dict[IntVector, AffineWeylElement] = {}
         self._finite_words: dict[Matrix, tuple[int, ...]] = {}
         # Newton memos, filled on demand.  nu_w does not depend on a
@@ -252,15 +253,19 @@ class AffineWeylGroup:
         return total
 
     def _level(self, lam: IntVector) -> list[int]:
-        """level[j] = tau(beta) - <beta, lam>, beta = roots[j] in Phi_M: t^lam u
-        sends (alpha, k) to a negative root iff k < level[u(alpha)].  Read
-        off the positive beta alone: -beta is roots[~j], at level <beta, lam>."""
-        level = self._levels.get(lam)
+        """level[j] = tau(beta) - <beta, lam>, beta = roots[j]: t^lam u sends
+        (alpha, k) to a negative root iff k < level[u(alpha)].  Read off the
+        positive beta alone: -beta is roots[~j], at level <beta, lam>.  The
+        vector covers every root and is memoised in `levels`, which the
+        ambient group shares with its Levis: a Levi reads its Phi_M entries."""
+        level = self.levels.get(lam)
         if level is None:
-            level = self._levels[lam] = [0] * len(self.datum.roots)
-            for j, a in self._m_positive:
-                c = sum(map(mul, a, lam))
+            datum = self.datum
+            level = [0] * len(datum.roots)
+            for a in datum.positive_roots:
+                c, j = sum(map(mul, a, lam)), datum.root_index[a]
                 level[j], level[~j] = 1 - c, c
+            self.levels[lam] = level
         return level
 
     def finite_length(self, u: Matrix) -> int:
@@ -443,11 +448,15 @@ class AffineWeylGroup:
         deep inputs off the recursion limit, and a bucket is split only
         when the order reaches it, so the least element costs one
         descent chain through the least buckets.  Equal elements are
-        yielded in input order, as by a stable sort.
+        yielded in input order, as by a stable sort.  Each distinct
+        translation is reduced to its kappa once.
         """
         groups: dict = {}
+        kappas: dict = {}
         for w in elems:
-            groups.setdefault((self.length(w), self.kappa(w)), []).append((w, w))
+            if (kappa := kappas.get(w[0])) is None:
+                kappa = kappas[w[0]] = coset_reduce(w[0], self.coroot_hnf)
+            groups.setdefault((self.length(w), kappa), []).append((w, w))
         stack = [(key[0], groups[key]) for key in sorted(groups, reverse=True)]
         while stack:
             length, bucket = stack.pop()
@@ -553,7 +562,9 @@ class AffineWeylGroup:
         with lam in lams, u in W_M and length <= max_length, built length by length
         with their lengths memoised.  The roots of Phi_M at level >= 1 for lam
         (`_level`) are a positive system x(Phi_M+); summing `length` over them gives
-        length(t^lam u) = base + length(x^-1 u), base the sum of their level - 1."""
+        length(t^lam u) = base + length(x^-1 u), base the sum of their level - 1.
+        Returned by ascending length, unsorted within a length: the cut takes
+        whole kappa cosets of its length, and orders only the one it falls in."""
         datum, taus = self.datum, self._m_taus
         x_of, layers = {}, [[] for _ in range(max_length + 1)]
         for u in self.finite_elements():  # u by u(Phi_M+) as a bit mask, and by length
@@ -574,8 +585,21 @@ class AffineWeylGroup:
             elems = [_new(AffineWeylElement, (lam, datum.product(x, y)))
                      for base, lam, x in starts if base <= n for y in layers[n - base]]
             self._length_cache.update(dict.fromkeys(elems, n))
-            out += elems
-        return list(islice(self.canonical_order(out), cap))
+            if cap is None or len(out) + len(elems) <= cap:
+                out += elems
+                continue
+            # the cut: whole kappa cosets in ascending order, and only the one
+            # it falls in put in canonical order
+            kappas = {lam: coset_reduce(lam, self.coroot_hnf) for _, lam, _ in starts}
+            cosets: dict = {}
+            for w in elems:
+                cosets.setdefault(kappas[w[0]], []).append(w)
+            for kappa in sorted(cosets):
+                if (room := cap - len(out)) <= 0:
+                    break
+                group = cosets[kappa]
+                out += group if len(group) <= room else islice(self.canonical_order(group), room)
+        return out
 
     def enumerate_ball(self, max_length: int, omega_labels=None) -> list[AffineWeylElement]:
         """All w with length <= max_length and kappa among the given labels.

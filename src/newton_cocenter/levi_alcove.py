@@ -51,9 +51,9 @@ class LeviWeylGroup(AffineWeylGroup):
             tuple([p - q for p, q in zip(a, b)]) in pos for b in pos))
         self._context(datum, phi_m, simple,
                       hnf_columns([datum.coroot[a] for a in simple]),
-                      parent.newton_points, wall_order=parent.canonical_order)
+                      parent.newton_points, parent.levels, wall_order=parent.canonical_order)
         # the Levi boxes of the verify suites (`verify._levi_box`)
-        self.boxes: dict[tuple, list[AffineWeylElement]] = {}
+        self.boxes: dict[int, list[AffineWeylElement]] = {}
 
     def is_member(self, w: AffineWeylElement) -> bool:
         return self._w_m is None or w.finite in self._w_m

@@ -18,7 +18,7 @@ import random
 import sys
 import time
 from bisect import bisect_right
-from itertools import product
+from itertools import chain, islice, product
 
 from .affine_weyl import (
     AffineRoot, AffineWeylGroup, act_on_affine_root, conjugate, element_str, inverse,
@@ -146,19 +146,18 @@ def _omega_conjugators(group):
     return [w for w in reps if w != group.identity]
 
 
-def _levi_box(group, m, max_m_length, box=2):
-    """All t^lam u with u in W_M, sup-norm of lam at most `box` and
-    M-length <= max_m_length, in M-sort order, memoised on the Levi m
-    (`m.boxes`); generated from their M-lengths by `m.short_translates`,
-    not filtered from the box.  High ranks shrink the box and cut the
-    sample to its first 150 to keep suites tractable."""
-    cap = None
-    if group.datum.rank > 2:
-        box, cap = 1, 150
-    key = (max_m_length, box, cap)
-    out = m.boxes.get(key)
+def _levi_box(group, m, max_m_length):
+    """All t^lam u with u in W_M, sup-norm of lam at most 2 and M-length
+    <= max_m_length, memoised on the Levi m (`m.boxes`); generated from
+    their M-lengths by `m.short_translates`, not filtered from the box.
+    High ranks shrink the box to sup-norm 1 and cut it to its first 150
+    in canonical order, to keep suites tractable.  Otherwise a box is by
+    ascending M-length only: a report puts in canonical order only what
+    it reads in that order (`_short`, `_failures_first`)."""
+    box, cap = (1, 150) if group.datum.rank > 2 else (2, None)
+    out = m.boxes.get(max_m_length)
     if out is None:
-        out = m.boxes[key] = m.short_translates(
+        out = m.boxes[max_m_length] = m.short_translates(
             product(range(-box, box + 1), repeat=group.datum.rank), max_m_length, cap)
     return out
 
@@ -172,9 +171,9 @@ def _levi_faces(group):
     return [levis[k] for k in sorted(levis)]
 
 
-def _levi_boxes(group, max_m_length, box=2):
+def _levi_boxes(group, max_m_length):
     """(v, M, box of M) for each v of `_levi_faces`."""
-    return [(v, m, _levi_box(group, m, max_m_length, box))
+    return [(v, m, _levi_box(group, m, max_m_length))
             for v in _levi_faces(group) for m in [levi_weyl_group(group, v)]]
 
 
@@ -334,9 +333,11 @@ def suite_levi(group, params):
     boxes = _levi_boxes(group, params["m_length"])
     show = functools.partial(_levi_case_str, group)
 
-    excess = [((v, w), m.length(w) - group.length(w)) for v, m, box in boxes for w in box]
-    rep.check("levi-length-at-most-ambient", ((vw, d <= 0) for vw, d in excess),
-              show).detail = f"strict={sum(d < 0 for _, d in excess)}"
+    excess = [(v, m, [(w, m.length(w) - group.length(w)) for w in box]) for v, m, box in boxes]
+    rep.check("levi-length-at-most-ambient",
+              (case for v, m, ds in excess
+               for case in _failures_first(v, m, ((w, d <= 0) for w, d in ds))),
+              show).detail = f"strict={sum(d < 0 for _, _, ds in excess for _, d in ds)}"
     shorts = [(v, m, _short(m, box)) for v, m, box in boxes]
     rep.check("levi-stratum-inside-ambient-stratum",
               (((v, w), _in_ambient_stratum(group, m, w))
@@ -345,12 +346,37 @@ def suite_levi(group, params):
     return rep
 
 
+def _failures_first(v, m, cases):
+    """((v, w), ok) for the (w, ok) cases of the box of the Levi m of v:
+    the failing w first, in the canonical order of m, then the others.
+    So a report's first counterexample is the one that the box sorted in
+    canonical order would give, with no other w sorted."""
+    cases = list(cases)
+    for w in m.canonical_order([w for w, ok in cases if not ok]):
+        yield (v, w), False
+    for w, ok in cases:
+        if ok:
+            yield (v, w), True
+
+
+def _in_unit_cube(w):
+    return max(map(abs, w.translation)) <= 1
+
+
 def _short(m, box):
-    """Six w of the box with M-length <= 3 and translation in the unit cube, M-length 0
-    last: only positive M-length gives a Newton point that M-conjugation moves."""
-    return sorted((w for w in box if m.length(w) <= 3
-                   and all(abs(x) <= 1 for x in w.translation)),
-                  key=lambda w: not m.length(w))[:6]
+    """Six w of the box with M-length <= 3 and translation in the unit cube,
+    in canonical order, those of M-length 0 last: only positive M-length
+    gives a Newton point that M-conjugation moves.  Sorted lazily, one
+    M-length at a time: 1, 2, 3, then 0, until six are taken.  The box is
+    by ascending M-length, so the scan stops at the first longer w."""
+    by_length = [[], [], [], []]
+    for w in box:
+        if (n := m.length(w)) > 3:
+            break
+        if _in_unit_cube(w):
+            by_length[n].append(w)
+    ordered = map(m.canonical_order, by_length[1:] + by_length[:1])
+    return list(islice(chain.from_iterable(ordered), 6))
 
 
 def _in_ambient_stratum(group, m, w):
@@ -399,13 +425,15 @@ def _levi_case_str(group, vw):
 
 def suite_positivity(group, params):
     rep = SuiteReport("positivity", group.datum.descriptor(), params)
-    boxes = _levi_boxes(group, 4, box=1)
+    boxes = [(v, m, [w for w in box if _in_unit_cube(w)])
+             for v, m, box in _levi_boxes(group, 4)]
     result = rep.check(
         "exponent-within-bound",
-        (((v, w), cert.exponent <= cert.bound)
-         for v, m, box in boxes for plus in [phi_plus(group, v)]
-         for w in box if newton_v_positive(group, plus, w)
-         for cert in [_power_search(group, m, plus, w, v)]),
+        (case for v, m, box in boxes for plus in [phi_plus(group, v)]
+         for case in _failures_first(v, m, (
+             (w, cert.exponent <= cert.bound)
+             for w in box if newton_v_positive(group, plus, w)
+             for cert in [_power_search(group, m, plus, w, v)]))),
         functools.partial(_levi_case_str, group))
     result.detail = f"skipped={sum(len(box) for _, _, box in boxes) - result.instances}"
     return rep
@@ -527,7 +555,8 @@ def _run_timed(group, name, params) -> SuiteReport:
 
 # The shards of `verify all --jobs N`, heaviest first.  `positivity` runs
 # after `levi` in the same process, because it reuses the Levi groups,
-# boxes and Newton memos that `levi` leaves on the group.  Every other
+# level table and Newton memos that `levi` leaves on the group, and its
+# boxes are the unit cubes of those of `levi`.  Every other
 # suite is a shard of its own, started after these in suite order.
 _HEAVY_SHARDS = (("levi", "positivity"), ("cocenter",), ("reduction",))
 

@@ -4,8 +4,10 @@
 against the plain-matrix path and a direct formula.  Newton indices are
 read from the Newton-point and dominant-representative memos of a group
 and its Levis, dominant translations are memoised per kappa coset,
-Levi boxes per Levi, generated from their M-lengths, and the layers
-of the canonical ball per kappa coset; each memo is checked against a cold
+Levi boxes per Levi, generated from their M-lengths and sorted only
+where a report reads the order, level vectors per translation in one
+table shared by a group and its Levis, and the layers of the canonical
+ball per kappa coset; each memo is checked against a cold
 recomputation or against the filter-and-sort code it replaced.  Call
 counts pin the hot paths and the root closure to what they must read.
 """
@@ -151,23 +153,119 @@ def full_sort_levi_box(group, m, max_m_length, box=2, cap=None):
     return out if cap is None else out[:cap]
 
 
-@pytest.mark.parametrize("label,lattice", [
-    pytest.param(*data, marks=pytest.mark.slow) if data == ("GL5", "gl") else data
-    for data in ALL_DATA])
+WITH_GL5_SLOW = [pytest.param(*data, marks=pytest.mark.slow) if data == ("GL5", "gl") else data
+                 for data in ALL_DATA]
+
+
+@pytest.mark.parametrize("label,lattice", WITH_GL5_SLOW)
 def test_tiered_levi_box_equals_full_sort(label, lattice):
-    """The generated boxes against the whole box filtered and sorted,
-    on every Levi of the verify grid (the name predates the generator)."""
+    """The generated boxes against the whole box filtered and sorted, as
+    sets, on every Levi of the verify grid (the name predates the
+    generator): above rank 2 the cut is the sorted box's first 150.  A box
+    is by ascending M-length, and its unit cube is the positivity box."""
     g, oracle = fresh_group(label, lattice), fresh_group(label, lattice)
     for v in _levi_faces(g):
         m, m_oracle = levi_weyl_group(g, v), levi_weyl_group(oracle, v)
-        for args, kwargs in (((4,), {}), ((4,), {"box": 1})):
-            box = _levi_box(g, m, *args, **kwargs)
-            assert box == full_sort_levi_box(oracle, m_oracle, *args, **kwargs)
-            assert _levi_box(g, m, *args, **kwargs) is box
+        box = _levi_box(g, m, 4)
+        assert len(set(box)) == len(box)
+        assert set(box) == set(full_sort_levi_box(oracle, m_oracle, 4))
+        assert _levi_box(g, m, 4) is box
+        lengths = [m.length(w) for w in box]
+        assert lengths == sorted(lengths)
+        assert {w for w in box if verify._in_unit_cube(w)} \
+            == set(full_sort_levi_box(oracle, m_oracle, 4, box=1))
         # a sample cut short: the generator's cut against the sorted box's
         side = 1 if g.datum.rank > 2 else 2
-        assert m.short_translates(product(range(-side, side + 1), repeat=g.datum.rank), 2, 7) \
-            == full_sort_levi_box(oracle, m_oracle, 2, cap=7)
+        lams = product(range(-side, side + 1), repeat=g.datum.rank)
+        assert set(m.short_translates(lams, 2, 7)) \
+            == set(full_sort_levi_box(oracle, m_oracle, 2, cap=7))
+
+
+def oracle_short(m, sorted_box):
+    """The six short elements by the rule they were taken by before the
+    boxes went unsorted: the box in canonical order, stable-sorted with
+    M-length 0 last, then the first six."""
+    return sorted((w for w in sorted_box if m.length(w) <= 3
+                   and all(abs(x) <= 1 for x in w.translation)),
+                  key=lambda w: not m.length(w))[:6]
+
+
+@pytest.mark.parametrize("label,lattice", WITH_GL5_SLOW)
+def test_short_sample_equals_the_stable_sort_of_the_sorted_box(label, lattice):
+    g, oracle = fresh_group(label, lattice), fresh_group(label, lattice)
+    for v in _levi_faces(g):
+        m, m_oracle = levi_weyl_group(g, v), levi_weyl_group(oracle, v)
+        expected = oracle_short(m_oracle, full_sort_levi_box(oracle, m_oracle, 4))
+        assert verify._short(m, _levi_box(g, m, 4)) == expected, v
+
+
+def levi_readings(g, faces):
+    """Each Levi's box, `_short` sample, and the lengths, descents and
+    Newton indices of its box elements, the Levis built in faces order."""
+    out = {}
+    for v in faces:
+        m = levi_weyl_group(g, v)
+        box = _levi_box(g, m, 4)
+        out[m.phi_m] = (box, verify._short(m, box), m.simple_items(),
+                        [(m.length(w), m.left_descents(w), m.right_descents(w),
+                          m.least_left_descent(w), m.newton_index(w)) for w in box])
+    return out
+
+
+@pytest.mark.parametrize("label,lattice", ALL_DATA)
+def test_levis_read_the_same_from_the_level_table_in_any_build_order(label, lattice):
+    g, backward = fresh_group(label, lattice), fresh_group(label, lattice)
+    faces = _levi_faces(g)
+    assert levi_readings(g, faces) == levi_readings(backward, faces[::-1])
+    assert all(m.levels is g.levels for m in g.levi_groups.values())
+
+
+class PoisonedLevels(dict):
+    """Level vectors read off their definition, tau(beta) - <beta, lam>
+    for beta = roots[j], on Phi_M, and nonsense on the other roots; none
+    is stored, so every read is poisoned."""
+
+    def __init__(self, datum, phi_m):
+        super().__init__()
+        self.datum, self.phi_m = datum, set(phi_m)
+
+    def get(self, lam, default=None):
+        return [t - sum(x * y for x, y in zip(a, lam)) if a in self.phi_m else 10 ** 6 * (-1) ** j
+                for j, (a, t) in enumerate(zip(self.datum.roots, self.datum.tau))]
+
+    def __setitem__(self, lam, level):
+        pass
+
+
+@pytest.mark.parametrize("label,lattice", ALL_DATA)
+def test_levis_read_only_the_phi_m_entries_of_a_level_vector(label, lattice):
+    g, poisoned = fresh_group(label, lattice), fresh_group(label, lattice)
+    faces = _levi_faces(g)
+    for v in faces:
+        m = levi_weyl_group(poisoned, v)
+        m.levels = PoisonedLevels(m.datum, m.phi_m)
+    assert levi_readings(poisoned, faces) == levi_readings(g, faces)
+
+
+def test_gl4_levi_and_positivity_build_one_level_vector_per_translation():
+    """One table for the group and its 15 Levis: each translation's vector
+    is built once, where each Levi built its own before (1,296 vectors).
+    The suites read the 81 translations of the unit cube alone."""
+    built = []
+
+    class Recording(dict):
+        def __setitem__(self, lam, level):
+            built.append(lam)
+            super().__setitem__(lam, level)
+
+    g = fresh_group("GL4", "gl")
+    g.levels = Recording(g.levels)
+    assert verify.suite_levi(g, {"m_length": 4, "seed": 0}).passed
+    assert verify.suite_positivity(g, {"seed": 0}).passed
+    assert len(g.levi_groups) == 15
+    assert all(m.levels is g.levels for m in g.levi_groups.values())
+    assert len(built) == len(set(built)) == len(g.levels) - len(set(g.levels) - set(built))
+    assert len(g.levels) == 3 ** 4
 
 
 def test_gl4_levi_boxes_call_m_length_less_often_than_the_box_has_candidates(monkeypatch):
@@ -239,7 +337,7 @@ def test_gl4_positivity_suite_tests_newton_positivity_once_per_box_element(monke
     monkeypatch.setattr(levi_alcove, "newton_v_positive",
                         lambda grp, plus, w: calls.append(w) or positive(grp, plus, w))
     assert verify.suite_positivity(g, {"seed": 0}).passed
-    assert len(calls) == sum(len(box) for _, _, box in verify._levi_boxes(g, 4, box=1))
+    assert len(calls) == sum(len(box) for _, _, box in verify._levi_boxes(g, 4))
 
 
 # -- construction --------------------------------------------------------

@@ -29,8 +29,8 @@ def sweep_cases(g):
     conjugators = g.datum.weyl_elements if g.datum.w0_order <= 16 \
         else g.datum.simple_reflections
     for v, m, box in _levi_boxes(g, 4):
-        small = [w for w in box if m.length(w) <= 3
-                 and all(abs(x) <= 1 for x in w.translation)][:60]
+        small = list(m.canonical_order(w for w in box if m.length(w) <= 3
+                                       and all(abs(x) <= 1 for x in w.translation)))[:60]
         for u0 in conjugators:
             m2, index_map = conjugate_levi(g, u0, v)
             x0 = g.finite_element(u0)

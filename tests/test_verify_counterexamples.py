@@ -149,6 +149,23 @@ def test_positivity_label(monkeypatch):
     ]
 
 
+def test_positivity_first_failure_is_canonical_in_a_capped_box(monkeypatch):
+    # GL3 boxes are cut to 150 and kept unsorted within an M-length; the
+    # M-length 4 elements fail, several per Levi, and the first printed
+    # is the canonically least failure of the first Levi, not the first
+    # in box order (t[-1,-1,0]*s1*s2)
+    g = _fresh("GL3")
+
+    def exponent(orig, grp, m, plus, w, v):
+        cert = orig(grp, m, plus, w, v)
+        return cert._replace(exponent=cert.bound + 1) if m.length(w) == 4 else cert
+
+    _patch(monkeypatch, "_power_search", exponent)
+    assert _run("positivity", g) == [
+        ("exponent-within-bound", 176, 32, "v=[0,0,0] w=t[-1,0,-1]*s1*s2", "skipped=140"),
+    ]
+
+
 def test_cocenter_labels(monkeypatch):
     g = _fresh("A2")
     # T_x T_y = T_x, so a commutator reduces to NF(T_x) - NF(T_y)
